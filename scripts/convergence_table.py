@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from fnr import support_function, top_eigenvalue
+from fnr import angle_grid, support_function, top_eigenvalue
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
 
     a = 2.0 * args.r
     levels = [int(part) for part in args.levels.split(",")]
-    thetas = -math.pi + 2.0 * math.pi * np.arange(args.angles) / args.angles
+    thetas = angle_grid(args.angles)
     closed = support_function(thetas, args.r)
 
     rows = []

@@ -25,6 +25,7 @@ from .boundary import (
     SupportLine,
     UnitDiskDegeneracyError,
     admissible_offset_intervals,
+    angle_grid,
     boundary_curve,
     classify_point,
     ellipse_axes,
@@ -61,7 +62,6 @@ from .truncation import (
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
-    top_eigenvalue_info,
 )
 
 __version__ = "1.0.0"
@@ -76,6 +76,7 @@ __all__ = [
     "SupportLine",
     "UnitDiskDegeneracyError",
     "admissible_offset_intervals",
+    "angle_grid",
     "boundary_curve",
     "classify_point",
     "ellipse_axes",
@@ -109,5 +110,4 @@ __all__ = [
     "support_function_via_condition",
     "symbol_range_grid",
     "top_eigenvalue",
-    "top_eigenvalue_info",
 ]

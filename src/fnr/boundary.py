@@ -43,6 +43,7 @@ __all__ = [
     "RangeInterval",
     "BoundaryPoint",
     "UnitDiskDegeneracyError",
+    "angle_grid",
     "switching_cosine",
     "support_function",
     "selected_branch",
@@ -151,6 +152,11 @@ class BoundaryPoint:
     y: float
     branch: Branch
     theta: float
+
+
+def angle_grid(n: int) -> np.ndarray:
+    """The n uniformly spaced angles -pi + 2 pi k / n, k = 0, ..., n - 1."""
+    return -math.pi + 2.0 * math.pi * np.arange(n) / n
 
 
 def switching_cosine(r: float) -> float:
@@ -329,11 +335,7 @@ def boundary_curve(r: float, samples: int) -> list:
         raise ValueError(f"r must be nonnegative, got {r}")
     if samples < 8:
         raise ValueError(f"need at least 8 samples, got {samples}")
-    points = []
-    for k in range(samples):
-        theta = -math.pi + 2.0 * math.pi * k / samples
-        points.append(envelope_point(theta, r))
-    return points
+    return [envelope_point(theta, r) for theta in angle_grid(samples).tolist()]
 
 
 def membership_tolerance(r: float, gridsize: int) -> float:
@@ -364,7 +366,7 @@ def classify_point(
         raise ValueError(f"gridsize must be at least 64, got {gridsize}")
     if tol is None:
         tol = membership_tolerance(r, gridsize)
-    thetas = -math.pi + 2.0 * math.pi * np.arange(gridsize) / gridsize
+    thetas = angle_grid(gridsize)
     scores = x * np.cos(thetas) + y * np.sin(thetas) - support_function(thetas, r)
     top = float(np.max(scores))
     if top > tol:

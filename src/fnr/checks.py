@@ -56,7 +56,7 @@ def _leq(name: str, measured: float, tolerance: float) -> CheckResult:
 def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
     """Internal-consistency suite for the closed-form geometry at radius r."""
     results = []
-    thetas = -math.pi + 2.0 * math.pi * np.arange(grid) / grid
+    thetas = boundary.angle_grid(grid)
     values = boundary.support_function(thetas, r)
 
     sym = np.max(np.abs(values - boundary.support_function(-thetas, r)))
@@ -138,15 +138,13 @@ def truncation_checks(
     """Oracle suite: compressions against closed forms, both routes."""
     results = []
     r = abs(a) / 2.0
-    thetas = -math.pi + 2.0 * math.pi * np.arange(angles) / angles
+    thetas = boundary.angle_grid(angles)
 
     levels = [max(level // 8, 2), max(level // 4, 3), max(level // 2, 4), level]
     gaps = []
     bound_violation = 0.0
     for n in levels:
-        measured = truncation.parallel_map(
-            lambda th: truncation.top_eigenvalue(float(th), a, n), thetas
-        )
+        measured = [truncation.top_eigenvalue(float(th), a, n) for th in thetas]
         closed = boundary.support_function(thetas, r)
         delta = closed - np.asarray(measured)
         gaps.append(float(np.max(delta)))
@@ -205,7 +203,7 @@ def resultant_check(r: Fraction, seed: int, degree_bound: int = 28) -> CheckResu
 
 def degenerate_checks(grid: int = 720) -> list:
     """Unit-disk case r = 0: constant support function and documented refusals."""
-    thetas = -math.pi + 2.0 * math.pi * np.arange(grid) / grid
+    thetas = boundary.angle_grid(grid)
     values = boundary.support_function(thetas, 0.0)
     results = [_leq("support-constant-one", float(np.max(np.abs(values - 1.0))), 0.0)]
     refused = 0

@@ -8,8 +8,7 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 I/O error.  Outputs land in --out (default: current directory) under
 fixed names, and identical configurations and seeds produce byte-identical
-files.  The environment variable FNR_THREADS caps the worker count used for
-eigenvalue sweeps.
+files.
 """
 
 from __future__ import annotations
@@ -85,14 +84,24 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational number") from exc
 
 
+def _parse_radius(text: str) -> float:
+    try:
+        return float(_parse_rational(text))
+    except OverflowError as exc:
+        raise UsageError(f"--r {text} overflows a double") from exc
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"--a expects 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        value = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise UsageError(f"--a expects 're,im', got {text!r}") from exc
+    if not math.isfinite(math.hypot(value.real, value.imag)):
+        raise UsageError(f"--a {text!r} is not finite or |a| overflows a double")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,26 +177,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "resultant":
         text = args.r if args.r is not None else "1/2,1/3"
         config.r_list = [_parse_rational(part) for part in text.split(",")]
-        config.r = float(config.r_list[0])
+        config.r = _parse_radius(text.split(",")[0])
     else:
         if args.a is not None:
             config.a = _parse_complex(args.a)
             radius = abs(config.a) / 2.0
-            if args.r is not None and float(_parse_rational(args.r)) != radius:
+            if args.r is not None and _parse_radius(args.r) != radius:
                 raise UsageError(
                     f"--r {args.r} conflicts with |a|/2 = {radius} from --a {args.a}"
                 )
             config.r = radius
         elif args.r is not None:
-            config.r = float(_parse_rational(args.r))
+            config.r = _parse_radius(args.r)
         if config.a is None:
             config.a = complex(2.0 * config.r, 0.0)
     config.validate()
     return config
-
-
-def _theta_grid(samples: int) -> np.ndarray:
-    return -math.pi + 2.0 * math.pi * np.arange(samples) / samples
 
 
 def _ensure_out(config: RunConfig) -> Path:
@@ -204,7 +209,7 @@ def _dump_json(payload: dict, path: Path) -> None:
 def cmd_support_lines(config: RunConfig) -> int:
     formats = config.formats or ["csv", "svg"]
     out = _ensure_out(config)
-    thetas = _theta_grid(config.samples)
+    thetas = boundary.angle_grid(config.samples)
     offsets = boundary.support_function(thetas, config.r)
     written = []
     if "csv" in formats:

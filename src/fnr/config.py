@@ -35,8 +35,5 @@ class Tolerances:
     dual_route: float = 1e-4
     """Offset-grid step for the singularity-condition scan."""
 
-    eigensolver: float = 1e-11
-    """Rayleigh-quotient residual threshold for the truncation eigensolver."""
-
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -11,7 +11,10 @@ with S_N the N x N matrix carrying ones on the first subdiagonal.  Because
 compressions shrink numerical ranges, the top eigenvalue of the hermitian
 rotation (e^{-i theta} F + e^{i theta} F*)/2 approaches the true support
 function from below as N grows, and the polygon cut out by the measured
-supporting lines sits inside the true region.
+supporting lines sits inside the true region.  In the interleaved basis
+(e_1, f_1, e_2, f_2, ...) the rotation is pentadiagonal, so LAPACK's banded
+solver finds its top eigenvalue in O(N), and two banded Cholesky
+factorizations certify that value as the top of the spectrum.
 
 A second, fully independent route evaluates the singularity condition
 directly: an offset lam > 1 is admissible in direction theta exactly when
@@ -23,14 +26,12 @@ grid minimisation, not by the closed-form case split.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import LinAlgError, cholesky_banded, eig_banded
 
-from .boundary import RangeInterval
+from .boundary import RangeInterval, angle_grid
 
 __all__ = [
     "TruncatedOperator",
@@ -39,49 +40,22 @@ __all__ = [
     "ConditionNotSatisfiedError",
     "foguel_truncation",
     "top_eigenvalue",
-    "top_eigenvalue_info",
-    "EigenResult",
     "symbol_range_grid",
     "default_offset_grid",
     "support_function_via_condition",
     "boundary_from_truncation",
-    "worker_count",
-    "parallel_map",
 ]
 
-_DENSE_CUTOFF = 128  # dimension at or below which the dense path is used
+CERTIFICATE_SLACK = 1e-11
+"""Relative half-width of the Cholesky bracket around the top eigenvalue."""
 
 
 class EigensolverError(RuntimeError):
-    """Eigensolver did not reach the requested residual; carries diagnostics."""
-
-    def __init__(self, message: str, iterations: int | None = None, residual: float | None = None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+    """The top eigenvalue could not be computed or certified."""
 
 
 class ConditionNotSatisfiedError(RuntimeError):
     """No grid offset satisfies the singularity condition."""
-
-
-def worker_count() -> int:
-    """Worker cap from the FNR_THREADS environment variable (default 1)."""
-    value = os.environ.get("FNR_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when FNR_THREADS allows it."""
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -109,28 +83,6 @@ class TruncatedOperator:
             out[i, n + i] = self.a
         return out
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product in O(N) using the banded structure."""
-        n = self.level
-        v1, v2 = vec[:n], vec[n:]
-        out = np.empty(2 * n, dtype=complex)
-        out[: n - 1] = v1[1:]
-        out[n - 1] = 0.0
-        out[:n] += self.a * v2
-        out[n] = 0.0
-        out[n + 1 :] = v2[:-1]
-        return out
-
-    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        n = self.level
-        v1, v2 = vec[:n], vec[n:]
-        out = np.empty(2 * n, dtype=complex)
-        out[0] = 0.0
-        out[1:n] = v1[: n - 1]
-        out[n:] = np.conjugate(self.a) * v1
-        out[n : 2 * n - 1] += v2[1:]
-        return out
-
 
 @dataclass(frozen=True)
 class HermitianRotation:
@@ -145,11 +97,24 @@ class HermitianRotation:
         # the conjugate of the identical float operations as entry (i, j).
         return (rotated + rotated.conj().T) / 2.0
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        w = complex(math.cos(self.theta), -math.sin(self.theta))
-        forward = self.operator.apply(vec)
-        backward = self.operator.apply_adjoint(vec)
-        return (w * forward + np.conjugate(w) * backward) / 2.0
+    def band(self) -> np.ndarray:
+        """The matrix in LAPACK lower-band storage, basis order (e_1, f_1, e_2, f_2, ...).
+
+        In the interleaved order the matrix is pentadiagonal with a zero
+        diagonal: row 1 holds the coupling entries conj(w a)/2 at even
+        columns, row 2 holds the shift entries conj(w)/2 (first block) at
+        even and w/2 (second block) at odd columns, w = e^{-i theta}.  The
+        entries are the same floats as those of :meth:`dense`; w a goes
+        through the multiply ufunc, as there, because scalar complex
+        arithmetic rounds differently.
+        """
+        n = self.operator.level
+        w = np.exp(-1j * self.theta)
+        out = np.zeros((3, 2 * n), dtype=complex)
+        out[1, 0::2] = np.conj(np.multiply(w, self.operator.a)) / 2.0
+        out[2, 0 : 2 * n - 2 : 2] = np.conj(w) / 2.0
+        out[2, 1 : 2 * n - 2 : 2] = w / 2.0
+        return out
 
 
 def foguel_truncation(a: complex, level: int) -> TruncatedOperator:
@@ -157,106 +122,42 @@ def foguel_truncation(a: complex, level: int) -> TruncatedOperator:
     return TruncatedOperator(a=complex(a), level=level)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    value: float
-    residual: float
-    iterations: int
-    method: str
+def _factors(band: np.ndarray, shift: float) -> bool:
+    """Whether shift * I - H is positive definite, by banded Cholesky."""
+    shifted = -band
+    shifted[0] = shift
+    try:
+        cholesky_banded(shifted, lower=True)
+    except LinAlgError:
+        return False
+    return True
 
 
-def top_eigenvalue_info(
-    theta: float,
-    a: complex,
-    level: int,
-    tol: float = 1e-11,
-    method: str = "auto",
-    ncv: int = 32,
-) -> EigenResult:
-    """Top eigenvalue of the truncated hermitian rotation, with diagnostics.
-
-    ``method`` is "dense" (LAPACK eigendecomposition, used automatically up
-    to dimension 128), "iterative" (implicitly restarted Lanczos with the
-    deterministic all-ones start vector), or "auto".  Either way the
-    Rayleigh-quotient residual ||H v - rho v|| of the returned pair is
-    verified against ``tol`` * max(1, |rho|); failure raises
-    :class:`EigensolverError` with iteration counts.
-    """
-    operator = foguel_truncation(a, level)
-    rotation = HermitianRotation(operator, theta)
-    n = operator.dimension
-    if method == "auto":
-        method = "dense" if n <= _DENSE_CUTOFF else "iterative"
-    if method == "dense":
-        matrix = rotation.dense()
-        values, vectors = np.linalg.eigh(matrix)
-        rho = float(values[-1])
-        vec = vectors[:, -1]
-        residual = float(np.linalg.norm(matrix @ vec - rho * vec))
-        iterations = n
-    elif method == "iterative":
-        counter = {"matvecs": 0}
-
-        def matvec(vec):
-            counter["matvecs"] += 1
-            return rotation.apply(np.asarray(vec, dtype=complex))
-
-        linop = LinearOperator((n, n), matvec=matvec, dtype=complex)
-        # All-ones start, detuned by a fixed golden-angle ripple: at
-        # theta = +-pi with real coupling the top eigenvector is exactly
-        # antisymmetric across the two blocks, so the plain all-ones vector
-        # has zero overlap with it and the iteration would lock onto the
-        # second eigenvalue.  The ripple has no such symmetry and keeps the
-        # start vector deterministic.
-        start = 1.0 + 1e-3 * np.sin(2.399963229728653 * np.arange(1, n + 1))
-        start /= np.linalg.norm(start)
-        try:
-            values, vectors = eigsh(
-                linop,
-                k=1,
-                which="LA",
-                v0=start,
-                tol=tol / 10.0,
-                ncv=min(n, ncv),
-                maxiter=50 * n,
-            )
-        except ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"Lanczos did not converge at level {level}, theta {theta}",
-                iterations=counter["matvecs"],
-            ) from exc
-        vec = vectors[:, 0]
-        rho = float(np.real(np.vdot(vec, rotation.apply(vec)) / np.vdot(vec, vec)))
-        residual = float(np.linalg.norm(rotation.apply(vec) - rho * vec))
-        iterations = counter["matvecs"]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if residual > tol * max(1.0, abs(rho)):
-        raise EigensolverError(
-            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} "
-            f"(level {level}, theta {theta})",
-            iterations=iterations,
-            residual=residual,
-        )
-    return EigenResult(value=rho, residual=residual, iterations=iterations, method=method)
-
-
-def top_eigenvalue(
-    theta: float,
-    a: complex,
-    level: int,
-    tol: float = 1e-11,
-    method: str = "auto",
-    ncv: int = 32,
-) -> float:
+def top_eigenvalue(theta: float, a: complex, level: int) -> float:
     """Largest eigenvalue of the hermitian rotation of the truncation.
 
     Bounded above by the closed-form support function (compressions shrink
     numerical ranges) and nondecreasing in ``level`` (the compressions are
-    nested).
+    nested).  LAPACK computes rho from the banded form in O(N); two banded
+    Cholesky factorizations then certify it as the top eigenvalue to within
+    s = CERTIFICATE_SLACK * max(1, |rho|): (rho + s) I - H must be positive
+    definite and (rho - s) I - H must not be.  Failure raises
+    :class:`EigensolverError`.
     """
-    return top_eigenvalue_info(theta, a, level, tol=tol, method=method, ncv=ncv).value
+    band = HermitianRotation(foguel_truncation(a, level), theta).band()
+    top = 2 * level - 1
+    try:
+        (rho,) = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(top, top))
+    except LinAlgError as exc:
+        raise EigensolverError(f"banded eigensolver failed at level {level}, theta {theta}") from exc
+    rho = float(rho)
+    slack = CERTIFICATE_SLACK * max(1.0, abs(rho))
+    if not _factors(band, rho + slack) or _factors(band, rho - slack):
+        raise EigensolverError(
+            f"top eigenvalue {rho!r} not bracketed to {slack:.1e} "
+            f"(level {level}, theta {theta})"
+        )
+    return rho
 
 
 def symbol_range_grid(lam: float, theta: float, samples: int) -> RangeInterval:
@@ -350,8 +251,8 @@ def boundary_from_truncation(a: complex, level: int, samples: int) -> np.ndarray
         raise ValueError(f"truncation level must be at least 50, got {level}")
     if samples < 90:
         raise ValueError(f"need at least 90 samples, got {samples}")
-    thetas = -math.pi + 2.0 * math.pi * np.arange(samples) / samples
-    offsets = parallel_map(lambda th: top_eigenvalue(th, a, level), thetas)
+    thetas = angle_grid(samples)
+    offsets = [top_eigenvalue(th, a, level) for th in thetas]
     points = np.empty((samples, 2))
     for i in range(samples):
         t1, t2 = thetas[i], thetas[(i + 1) % samples]

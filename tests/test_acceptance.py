@@ -7,12 +7,10 @@ the whole package.  Expected runtimes are noted where they are not trivial
 
 import csv
 import math
-import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction as Q
 
 import numpy as np
-import pytest
 
 from fnr import (
     Branch,
@@ -209,10 +207,6 @@ def test_criterion_10_degenerate_unit_disk(capsys):
     _verdict(capsys, 10, "unit-disk degeneracy handled", flat and refusals == 3)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("FNR_RUN_SLOW"),
-    reason="level-400 truncation boundary sweep takes minutes; set FNR_RUN_SLOW=1",
-)
 def test_ellipse_gap_cross_check_against_truncation():
     points = boundary_from_truncation(1.0, 400, 720)
     a_axis, b_axis = ellipse_axes(0.5)

@@ -228,6 +228,23 @@ def test_conflicting_radius_and_coupling(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["support-lines", "--a", "nan,0"],
+        ["boundary", "--a", "nan,0"],
+        ["boundary", "--a", "inf,0"],
+        ["support-lines", "--a", "1.5e308,1.5e308"],
+        ["support-lines", "--r", "1e400"],
+        ["resultant", "--r", "1e400"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("fnr: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory\n")

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import fnr.truncation
 from fnr import (
     ConditionNotSatisfiedError,
+    EigensolverError,
     HermitianRotation,
     Region,
     boundary_from_truncation,
@@ -17,7 +19,6 @@ from fnr import (
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
-    top_eigenvalue_info,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,17 +70,20 @@ def test_hermitian_rotation_is_bitwise_hermitian(theta):
     assert np.array_equal(dense.imag, adjoint.imag)
 
 
-def test_banded_apply_matches_dense():
-    rng = np.random.default_rng(7)
-    operator = foguel_truncation(0.7 - 1.1j, 13)
-    dense = operator.dense()
-    for _ in range(5):
-        vec = rng.standard_normal(26) + 1j * rng.standard_normal(26)
-        assert np.allclose(operator.apply(vec), dense @ vec, atol=1e-14)
-        assert np.allclose(operator.apply_adjoint(vec), dense.conj().T @ vec, atol=1e-14)
-    rotation = HermitianRotation(operator, 0.9)
-    vec = rng.standard_normal(26) + 1j * rng.standard_normal(26)
-    assert np.allclose(rotation.apply(vec), rotation.dense() @ vec, atol=1e-14)
+def test_band_matches_permuted_dense():
+    level = 13
+    order = np.ravel(np.column_stack([np.arange(level), level + np.arange(level)]))
+    for a in (0.0, 0.7 - 1.1j, 5.0):
+        for theta in (-math.pi, -2.2, 0.0, 0.9, math.pi):
+            rotation = HermitianRotation(foguel_truncation(a, level), theta)
+            band = rotation.band()
+            assert band.shape == (3, 2 * level)
+            # unused corners of the lower-band storage stay zero
+            assert band[1, -1] == 0 and np.all(band[2, -2:] == 0)
+            lower = sum(np.diag(band[k, : 2 * level - k], -k) for k in range(3))
+            rebuilt = lower + np.tril(lower, -1).conj().T
+            permuted = rotation.dense()[np.ix_(order, order)]
+            assert np.max(np.abs(rebuilt - permuted)) <= 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +102,27 @@ def test_uncoupled_truncation_has_chebyshev_top(theta, level):
     assert abs(got - math.cos(math.pi / (level + 1))) <= 1e-12
 
 
-def test_dense_and_iterative_paths_agree():
-    for theta in (0.0, 0.9, -2.1):
-        dense = top_eigenvalue_info(theta, 1.0, 40, method="dense")
-        lanczos = top_eigenvalue_info(theta, 1.0, 40, method="iterative")
-        assert abs(dense.value - lanczos.value) <= 1e-10
-        assert lanczos.residual <= 1e-11 * max(1.0, lanczos.value)
-        assert lanczos.iterations > 0
-    with pytest.raises(ValueError):
-        top_eigenvalue_info(0.0, 1.0, 10, method="cholesky")
+def test_top_eigenvalue_matches_dense_eigvalsh():
+    thetas = (-math.pi, -2.1, 0.0, 0.4, 0.9, math.pi / 2.0, math.pi)
+    for level in range(1, 41):
+        for a in (0.0, 1.0, 1.5 - 0.5j, 5.0, 100.0, 1e-8):
+            for theta in thetas:
+                dense = HermitianRotation(foguel_truncation(a, level), theta).dense()
+                expected = np.linalg.eigvalsh(dense)[-1]
+                got = top_eigenvalue(theta, a, level)
+                assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9])
+def test_top_eigenvalue_certificate_rejects_a_shifted_value(monkeypatch, offset):
+    solve = fnr.truncation.eig_banded
+
+    def shifted(*args, **kwargs):
+        return solve(*args, **kwargs) + offset
+
+    monkeypatch.setattr(fnr.truncation, "eig_banded", shifted)
+    with pytest.raises(EigensolverError):
+        top_eigenvalue(0.9, 1.0, 40)
 
 
 def test_compression_value_approaches_radius_from_below():
@@ -212,19 +228,3 @@ def test_truncation_boundary_input_validation():
         boundary_from_truncation(1.0, 49, 360)
     with pytest.raises(ValueError):
         boundary_from_truncation(1.0, 200, 89)
-
-
-def test_worker_pool_is_order_preserving_and_equivalent(monkeypatch):
-    from fnr.truncation import parallel_map, worker_count
-
-    monkeypatch.delenv("FNR_THREADS", raising=False)
-    assert worker_count() == 1
-    serial = parallel_map(lambda t: top_eigenvalue(t, 1.0, 30), [0.0, 0.5, 1.0, 2.5])
-
-    monkeypatch.setenv("FNR_THREADS", "3")
-    assert worker_count() == 3
-    threaded = parallel_map(lambda t: top_eigenvalue(t, 1.0, 30), [0.0, 0.5, 1.0, 2.5])
-    assert serial == threaded
-
-    monkeypatch.setenv("FNR_THREADS", "not-a-number")
-    assert worker_count() == 1
