@@ -33,6 +33,11 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+MAX_RADIUS = 1e150
+"""Largest radius the float commands accept.  Above it the closed-form sweeps
+overflow: the sextic trace of the boundary figure raises OverflowError from
+about r = 1e151, and the support-line offsets turn to inf from about 1e155."""
+
 
 class UsageError(ValueError):
     """Bad flag combination or out-of-range configuration value."""
@@ -68,6 +73,10 @@ class RunConfig:
             raise UsageError(f"--grid must be at least 64, got {self.grid}")
         if self.r < 0:
             raise UsageError(f"--r must be nonnegative, got {self.r}")
+        if self.command != "resultant" and self.r > MAX_RADIUS:
+            raise UsageError(
+                f"r = {self.r:g} exceeds the largest supported radius {MAX_RADIUS:g}"
+            )
         if self.command in ("boundary",) and self.r == 0:
             raise UsageError(
                 "r = 0: the numerical range is the open unit disk; there is no "

@@ -20,7 +20,12 @@ A second, fully independent route evaluates the singularity condition
 directly: an offset lam > 1 is admissible in direction theta exactly when
 2 (r^2 - lam^2) falls in the range of f(t) = Re t^2 + Re w^2 - 4 lam Re t
 Re w over the unit circle, and that range is measured here by brute-force
-grid minimisation, not by the closed-form case split.
+grid minimisation, not by the closed-form case split.  The scan over offsets
+is pruned, not approximated: f is affine in lam for each sample, so the
+sampled minimum is concave and the sampled maximum convex in lam, and chords
+between a few exactly evaluated offsets prove most offsets misses.  Only the
+offsets they leave open are evaluated, and the first hit is the one an
+exhaustive scan finds.
 """
 
 from __future__ import annotations
@@ -48,6 +53,16 @@ __all__ = [
 
 CERTIFICATE_SLACK = 1e-11
 """Relative half-width of the Cholesky bracket around the top eigenvalue."""
+
+_KNOT_SPACING = 256
+"""Offsets between the exactly evaluated knots of the condition scan's chords."""
+
+_BATCH = 16
+"""Rows per exact evaluation once the condition scan reaches an open offset."""
+
+_ROUNDING_SLACK = 64 * np.finfo(float).eps
+"""Relative slack of the scan's chord test, several times the rounding of the
+table entries, the chord interpolation and the target."""
 
 
 class EigensolverError(RuntimeError):
@@ -170,19 +185,31 @@ def symbol_range_grid(lam: float, theta: float, samples: int) -> RangeInterval:
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 grid points, got {samples}")
+    lo, hi = _range_rows(np.array([lam], dtype=float), theta, samples)
+    return RangeInterval.closed(float(lo[0]), float(hi[0]))
+
+
+def _range_rows(lams: np.ndarray, theta: float, samples: int):
+    """Sampled (min, max) of f, one entry per offset in ``lams``."""
     phi = 2.0 * math.pi * np.arange(samples) / samples
-    values = (
-        np.cos(2.0 * phi)
+    table = (
+        np.cos(2.0 * phi)[None, :]
         + math.cos(2.0 * theta)
-        - 4.0 * lam * math.cos(theta) * np.cos(phi)
+        - 4.0 * math.cos(theta) * lams[:, None] * np.cos(phi)[None, :]
     )
-    return RangeInterval.closed(float(np.min(values)), float(np.max(values)))
+    return table.min(axis=1), table.max(axis=1)
+
+
+def _check_radius(r: float) -> None:
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {r}")
 
 
 def default_offset_grid(r: float, step: float = 1e-4) -> np.ndarray:
     """Descending offset grid covering [1, r + 2] with the given step."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_radius(r)
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
     count = int(math.floor((r + 1.0) / step)) + 1
     return (r + 2.0) - step * np.arange(count + 1)
 
@@ -192,17 +219,28 @@ def support_function_via_condition(
     r: float,
     offset_grid: np.ndarray | None = None,
     f_samples: int = 10_001,
-    chunk: int = 256,
 ) -> float:
     """Support function recovered from the singularity condition alone.
 
     Scans a descending offset grid and returns the largest lam for which
-    2 (r^2 - lam^2) lies in the brute-force range of f; agrees with the
-    closed form to the grid resolution.  ``f_samples`` controls the range
+    2 (r^2 - lam^2) lies in the brute-force range [lo, hi] of f; agrees with
+    the closed form to the grid resolution.  ``f_samples`` controls the range
     oracle's grid (error O(f_samples^-2), far below the default 1e-4 offset
     step).  Raises :class:`ConditionNotSatisfiedError` when no grid offset
     qualifies.
+
+    Most offsets are ruled out without building their rows.  Each table entry
+    is affine in lam, so lo(lam) is concave and hi(lam) convex on any grid:
+    between two exactly evaluated knots the chord lies below lo and above hi.
+    An offset whose target falls below the lower chord or above the upper
+    chord, by more than a slack covering the rounding of the table, the
+    chords and the target, cannot be a hit.  The remaining offsets are
+    evaluated exactly, in grid order, so the result is the one an exhaustive
+    scan returns, bit for bit.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    _check_radius(r)
     if offset_grid is None:
         offset_grid = default_offset_grid(r)
     grid = np.asarray(offset_grid, dtype=float)
@@ -213,25 +251,26 @@ def support_function_via_condition(
     if f_samples < 1000:
         raise ValueError(f"need at least 1000 range-grid points, got {f_samples}")
 
-    phi = 2.0 * math.pi * np.arange(f_samples) / f_samples
-    cos_phi = np.cos(phi)
-    cos_two_phi = np.cos(2.0 * phi)
-    cos_theta = math.cos(theta)
-    cos_two_theta = math.cos(2.0 * theta)
+    target = 2.0 * (r * r - grid * grid)
 
-    for start in range(0, grid.size, chunk):
-        lams = grid[start : start + chunk]
-        table = (
-            cos_two_phi[None, :]
-            + cos_two_theta
-            - 4.0 * cos_theta * lams[:, None] * cos_phi[None, :]
-        )
-        lo = table.min(axis=1)
-        hi = table.max(axis=1)
-        target = 2.0 * (r * r - lams * lams)
-        hits = np.nonzero((target >= lo) & (target <= hi))[0]
+    knots = np.unique(np.append(np.arange(0, grid.size, _KNOT_SPACING), grid.size - 1))
+    knot_lo, knot_hi = _range_rows(grid[knots], theta, f_samples)
+    ascending = grid[knots][::-1]
+    lo_chord = np.interp(grid, ascending, knot_lo[::-1])
+    hi_chord = np.interp(grid, ascending, knot_hi[::-1])
+    largest = float(np.max(np.abs(grid)))
+    slack = _ROUNDING_SLACK * (
+        2.0 + 4.0 * abs(math.cos(theta)) * largest + 2.0 * (r * r + largest * largest)
+    )
+    ruled_out = (target < lo_chord - slack) | (target > hi_chord + slack)
+
+    candidates = np.flatnonzero(~ruled_out)
+    for start in range(0, candidates.size, _BATCH):
+        rows = candidates[start : start + _BATCH]
+        lo, hi = _range_rows(grid[rows], theta, f_samples)
+        hits = np.flatnonzero((target[rows] >= lo) & (target[rows] <= hi))
         if hits.size:
-            return float(lams[hits[0]])
+            return float(grid[rows[hits[0]]])
     raise ConditionNotSatisfiedError(
         f"no offset in [{grid[-1]:.6g}, {grid[0]:.6g}] satisfies the "
         f"singularity condition at theta = {theta}, r = {r}"

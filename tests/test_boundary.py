@@ -15,6 +15,7 @@ from fnr import (
     Region,
     UnitDiskDegeneracyError,
     admissible_offset_intervals,
+    angle_grid,
     boundary_curve,
     classify_point,
     ellipse_axes,
@@ -280,7 +281,7 @@ def test_boundary_is_convex_and_supported():
     cross = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
     assert np.min(cross) >= -1e-10
 
-    thetas = -math.pi + 2.0 * math.pi * np.arange(360) / 360
+    thetas = angle_grid(360)
     offsets = support_function(thetas, r)
     margins = np.outer(xs, np.cos(thetas)) + np.outer(ys, np.sin(thetas)) - offsets
     assert np.max(margins) <= 1e-10

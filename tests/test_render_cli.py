@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from fnr import Region, classify_point, support_function
-from fnr.cli import main
+from fnr.cli import MAX_RADIUS, main
 from fnr.render import clip_segment, format_float, support_line_segment
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -243,6 +243,34 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("fnr: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boundary", "--r", "1e200"],
+        ["support-lines", "--r", "1e200"],
+        ["boundary", "--r", "1e154"],
+        ["support-lines", "--r", "1e160"],
+        ["verify", "--r", "1e151"],
+        ["boundary", "--a", "2.5e150,0"],
+    ],
+)
+def test_radius_above_the_limit_is_a_usage_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fnr: ") and f"{MAX_RADIUS:g}" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["boundary", "support-lines"])
+def test_largest_radius_gives_finite_outputs(tmp_path, command):
+    assert main([command, "--r", repr(MAX_RADIUS), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{command.replace('-', '_')}.csv") as handle:
+        header, *rows = csv.reader(handle)
+    numeric = [i for i, name in enumerate(header) if name != "branch"]
+    assert len(rows) == 720
+    assert all(math.isfinite(float(row[i])) for row in rows for i in numeric)
 
 
 def test_io_error_exit_code(tmp_path, capsys):

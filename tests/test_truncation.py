@@ -194,6 +194,64 @@ def test_condition_scan_signals_when_nothing_qualifies():
         support_function_via_condition(0.0, 0.5, offset_grid=bad_grid)
 
 
+def _exhaustive_scan(theta, r, grid, f_samples=10_001, chunk=256):
+    """The condition scan without pruning: every offset's row, in grid order."""
+    phi = 2.0 * math.pi * np.arange(f_samples) / f_samples
+    cos_phi = np.cos(phi)
+    cos_two_phi = np.cos(2.0 * phi)
+    cos_theta = math.cos(theta)
+    cos_two_theta = math.cos(2.0 * theta)
+
+    for start in range(0, grid.size, chunk):
+        lams = grid[start : start + chunk]
+        table = (
+            cos_two_phi[None, :]
+            + cos_two_theta
+            - 4.0 * cos_theta * lams[:, None] * cos_phi[None, :]
+        )
+        lo = table.min(axis=1)
+        hi = table.max(axis=1)
+        target = 2.0 * (r * r - lams * lams)
+        hits = np.nonzero((target >= lo) & (target <= hi))[0]
+        if hits.size:
+            return float(lams[hits[0]])
+    raise ConditionNotSatisfiedError("no offset qualifies")
+
+
+@pytest.mark.parametrize("r", [0.01, 0.25, 0.5, 1.0, 3.0, 10.0])
+def test_pruned_scan_equals_exhaustive_scan(r):
+    grid = default_offset_grid(r)
+    for theta in (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, 2.0**-0.5, -2.0 * math.e / 3.0):
+        assert support_function_via_condition(theta, r) == _exhaustive_scan(theta, r, grid)
+
+
+def test_pruned_scan_equals_exhaustive_scan_on_custom_grids():
+    uniform = default_offset_grid(0.5, step=5e-5)
+    graded = 1.0 + 1.5 * np.linspace(1.0, 0.0, 12_001) ** 1.7
+    three = np.array([1.5, 1.3, 1.1])
+    for grid in (uniform, graded, three):
+        for theta in (0.0, 0.8, math.pi / 2.0):
+            got = support_function_via_condition(theta, 0.5, offset_grid=grid)
+            assert got == _exhaustive_scan(theta, 0.5, grid)
+    bad_grid = np.array([9.0, 8.9, 8.8])
+    with pytest.raises(ConditionNotSatisfiedError):
+        _exhaustive_scan(0.0, 0.5, bad_grid)
+    with pytest.raises(ConditionNotSatisfiedError):
+        support_function_via_condition(0.0, 0.5, offset_grid=bad_grid)
+
+
+@pytest.mark.parametrize(
+    "theta, r",
+    [(math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan), (0.0, math.inf), (0.0, -0.5)],
+)
+def test_condition_scan_rejects_non_finite_or_negative_input(theta, r):
+    with pytest.raises(ValueError, match="finite"):
+        support_function_via_condition(theta, r)
+    if math.isfinite(theta):
+        with pytest.raises(ValueError, match="finite"):
+            default_offset_grid(r)
+
+
 # ---------------------------------------------------------------------------
 # Boundary reconstruction
 # ---------------------------------------------------------------------------
