@@ -17,6 +17,7 @@ figures and runs the verification suites; see :mod:`fnr.cli`.
 """
 
 from .boundary import (
+    BoundaryCurve,
     BoundaryPoint,
     Branch,
     FoguelParams,
@@ -32,7 +33,7 @@ from .boundary import (
     ellipse_distance,
     ellipse_gap,
     envelope_point,
-    selected_branch,
+    envelope_points,
     sextic_scale,
     sextic_value,
     support_function,
@@ -68,6 +69,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
+    "BoundaryCurve",
     "BoundaryPoint",
     "Branch",
     "FoguelParams",
@@ -83,7 +85,7 @@ __all__ = [
     "ellipse_distance",
     "ellipse_gap",
     "envelope_point",
-    "selected_branch",
+    "envelope_points",
     "sextic_scale",
     "sextic_value",
     "support_function",

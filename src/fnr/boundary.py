@@ -21,6 +21,12 @@ ellipse with half-axes (1 + r, sqrt(1 + r^2)) that matches it at both axis
 extremes: for every r > 0 the maximal deviation is strictly positive, i.e.
 the region is not an elliptical disk.
 
+The boundary sweep works on whole arrays: :func:`envelope_points` places the
+envelope points of many angles at once, and :func:`ellipse_distance` runs one
+masked bisection over all points.  Where numpy's x * x, pow or hypot would
+round differently from C ``pow`` and ``hypot``, the sweep calls the latter, so
+it reproduces the per-point scalar formulas bit for bit.
+
 Everything here is a pure function of its arguments; concurrent calls are
 safe.
 """
@@ -30,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,14 +50,16 @@ __all__ = [
     "SupportLine",
     "RangeInterval",
     "BoundaryPoint",
+    "BoundaryCurve",
     "UnitDiskDegeneracyError",
     "angle_grid",
     "switching_cosine",
     "support_function",
-    "selected_branch",
     "support_line",
     "symbol_range",
     "admissible_offset_intervals",
+    "sextic_envelope",
+    "envelope_points",
     "envelope_point",
     "sextic_value",
     "sextic_scale",
@@ -136,9 +146,6 @@ class RangeInterval:
         """Interval [lo, hi], flagged empty when lo > hi."""
         return cls(lo, hi, empty=bool(lo > hi))
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return (not self.empty) and self.lo - tol <= value <= self.hi + tol
-
     @property
     def max_value(self) -> float:
         if self.empty:
@@ -152,6 +159,15 @@ class BoundaryPoint:
     y: float
     branch: Branch
     theta: float
+
+
+class BoundaryCurve(NamedTuple):
+    """Envelope points as parallel arrays; ``branch`` holds :class:`Branch` members."""
+
+    theta: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    branch: np.ndarray
 
 
 def angle_grid(n: int) -> np.ndarray:
@@ -197,14 +213,6 @@ def support_function(theta, r: float):
     if th.ndim == 0:
         return float(out)
     return out
-
-
-def selected_branch(theta: float, r: float) -> Branch:
-    """Boundary family supporting direction theta; ties go to the circles."""
-    c = math.cos(theta)
-    if abs(c) >= switching_cosine(r):
-        return Branch.CIRCLE_RIGHT if c >= 0 else Branch.CIRCLE_LEFT
-    return Branch.SEXTIC_UPPER if math.sin(theta) > 0 else Branch.SEXTIC_LOWER
 
 
 def support_line(theta: float, params: FoguelParams) -> SupportLine:
@@ -254,27 +262,65 @@ def admissible_offset_intervals(theta: float, r: float) -> tuple:
     return first, second
 
 
-def envelope_point(theta: float, r: float) -> BoundaryPoint:
-    """Boundary point where the supporting line at angle theta touches.
+def _libm(fn, x: np.ndarray, y) -> np.ndarray:
+    """``fn(x, y)`` by C ``pow`` or ``hypot`` for each element; y may be a float.
+
+    These are what Python's float ``**`` and ``math.hypot`` compute.  numpy
+    squares by x * x and has its own pow and hypot, which can differ in the
+    last bit, and the boundary CSV and the frozen ellipse gap keep every bit.
+    """
+    ys = y.tolist() if isinstance(y, np.ndarray) else repeat(y)
+    return np.fromiter(map(fn, x.tolist(), ys), float, x.size)
+
+
+def sextic_envelope(thetas, r: float) -> tuple:
+    """Sextic-regime envelope point of the supporting line at each angle.
+
+    There p = sqrt(1 + (r / sin)^2) and p' = -r^2 cos / (sin^3 p), and the
+    envelope (p cos - p' sin, p sin + p' cos) is returned as the arrays
+    (x, y).  Defined wherever sin theta != 0: outside the sextic regime it
+    traces the part of the sextic curve that is not on the boundary.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    p = np.sqrt(1.0 + _libm(math.pow, r / s, 2.0))
+    dp = -(r * r) * c / (_libm(math.pow, s, 3.0) * p)
+    return p * c - dp * s, p * s + dp * c
+
+
+def envelope_points(thetas, r: float) -> BoundaryCurve:
+    """Boundary points where the supporting lines at the angles thetas touch.
 
     The envelope of the family x cos + y sin = p(theta) is
-    (p cos - p' sin, p sin + p' cos).  On the circle regime this reduces to
-    (+-1 + r cos, r sin); on the sextic regime p' = -r^2 cos/(sin^3 p).
-    Requires r > 0 (see :class:`UnitDiskDegeneracyError` for the r = 0 case).
+    (p cos - p' sin, p sin + p' cos).  On the circle regime (|cos theta| at
+    least the switching cosine; ties go to the circles) this reduces to
+    (+-1 + r cos, r sin); on the sextic regime it is :func:`sextic_envelope`.
+    Requires a finite r > 0 (see :class:`UnitDiskDegeneracyError` for the
+    r = 0 case).
     """
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r}")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    branch = selected_branch(theta, r)
-    if branch.is_circle:
-        centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
-        return BoundaryPoint(centre + r * c, r * s, branch, theta)
-    if s == 0.0:
-        raise ValueError(f"sextic parametrization singular at theta = {theta}")
-    p = math.sqrt(1.0 + (r / s) ** 2)
-    dp = -(r * r) * c / (s**3 * p)
-    return BoundaryPoint(p * c - dp * s, p * s + dp * c, branch, theta)
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"r must be positive and finite, got {r}")
+    thetas = np.asarray(thetas, dtype=float)
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    circle = np.abs(c) >= switching_cosine(r)
+    right = c >= 0.0
+    x = np.where(right, 1.0, -1.0) + r * c
+    y = r * s
+    x[~circle], y[~circle] = sextic_envelope(thetas[~circle], r)
+    branch = np.where(
+        circle,
+        np.where(right, Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT),
+        np.where(s > 0.0, Branch.SEXTIC_UPPER, Branch.SEXTIC_LOWER),
+    )
+    return BoundaryCurve(thetas, x, y, branch)
+
+
+def envelope_point(theta: float, r: float) -> BoundaryPoint:
+    """Scalar view of :func:`envelope_points` at the single angle theta."""
+    point = envelope_points(np.array([theta]), r)
+    return BoundaryPoint(float(point.x[0]), float(point.y[0]), point.branch[0], theta)
 
 
 # Single transcription: the float evaluator walks the exact term table.
@@ -318,24 +364,22 @@ def sextic_scale(u, v, r):
     return scale
 
 
-def boundary_curve(r: float, samples: int) -> list:
+def boundary_curve(r: float, samples: int) -> BoundaryCurve:
     """Closed, positively oriented polygonal sampling of the boundary.
 
     Sweeps theta over [-pi, pi) on a uniform grid and returns the envelope
-    points in order; the polygon closes by wrap-around.  The branch tag
-    changes exactly four times along the sweep (at the switching points) and
-    the polygon is convex up to rounding.
+    points in order, as arrays; the polygon closes by wrap-around.  The
+    branch tag changes exactly four times along the sweep (at the switching
+    points) and the polygon is convex up to rounding.
     """
     if r == 0:
         raise UnitDiskDegeneracyError(
             "r = 0: the numerical range is the open unit disk; "
             "sample the unit circle directly"
         )
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
     if samples < 8:
         raise ValueError(f"need at least 8 samples, got {samples}")
-    return [envelope_point(theta, r) for theta in angle_grid(samples).tolist()]
+    return envelope_points(angle_grid(samples), r)
 
 
 def membership_tolerance(r: float, gridsize: int) -> float:
@@ -362,6 +406,8 @@ def classify_point(
     uniform angle grid: exterior if max s > tol, boundary if |max s| <= tol,
     interior otherwise.  ``tol`` defaults to :func:`membership_tolerance`.
     """
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
+        raise ValueError(f"x, y and r must be finite, got ({x}, {y}, {r})")
     if gridsize < 64:
         raise ValueError(f"gridsize must be at least 64, got {gridsize}")
     if tol is None:
@@ -386,43 +432,68 @@ def ellipse_axes(r: float) -> tuple:
     return 1.0 + r, math.sqrt(1.0 + r * r)
 
 
-def ellipse_distance(x: float, y: float, a_axis: float, b_axis: float) -> float:
-    """Euclidean distance from a point to the ellipse (x/a)^2 + (y/b)^2 = 1.
+def ellipse_distance(x, y, a_axis: float, b_axis: float):
+    """Euclidean distance from points to the ellipse (x/a)^2 + (y/b)^2 = 1.
 
-    Robust first-quadrant reduction with a bisection solve of the projection
-    equation; assumes a_axis > b_axis > 0, which holds for the comparison
-    ellipse at every r > 0.
+    Accepts scalars or arrays.  Robust first-quadrant reduction: points on
+    an axis have closed forms, and every other point solves its projection
+    equation by bisection, all points at once.  A point stops moving once
+    its bracket meets hi - lo <= 1e-17 max(1, |hi|), and none takes more
+    than 200 steps.  Assumes a_axis > b_axis > 0, which holds for the
+    comparison ellipse at every r > 0.
     """
-    p, q = abs(x), abs(y)
     a, b = float(a_axis), float(b_axis)
     if not a > b > 0:
         raise ValueError(f"expected a > b > 0, got ({a}, {b})")
-    if q == 0.0:
-        xcrit = (a * a - b * b) / a
-        if p >= xcrit:
-            return abs(a - p)
-        x0 = a * a * p / (a * a - b * b)
-        y0 = b * math.sqrt(max(0.0, 1.0 - (x0 / a) ** 2))
-        return math.hypot(x0 - p, y0)
-    if p == 0.0:
-        # The evolute's y-extent is negative for a > b, so the nearest point
-        # to any (0, q) with q >= 0 is the vertex (0, b).
-        return abs(b - q)
+    p = np.abs(np.asarray(x, dtype=float))
+    q = np.abs(np.asarray(y, dtype=float))
+    p, q = np.broadcast_arrays(p, q)
+    dist = np.empty(p.shape)
+
+    on_x = q == 0.0
+    px = p[on_x]
+    x0 = a * a * px / (a * a - b * b)
+    y0 = b * np.sqrt(np.maximum(0.0, 1.0 - _libm(math.pow, x0 / a, 2.0)))
+    far = px >= (a * a - b * b) / a
+    dist[on_x] = np.where(far, np.abs(a - px), _libm(math.hypot, x0 - px, y0))
+
+    # The evolute's y-extent is negative for a > b, so the nearest point to
+    # any (0, q) with q >= 0 is the vertex (0, b).
+    on_y = (p == 0.0) & ~on_x
+    dist[on_y] = np.abs(b - q[on_y])
+
+    rest = ~(on_x | on_y)
+    p, q = p[rest], q[rest]
     lo = -b * b + b * q
-    hi = -b * b + math.hypot(a * p, b * q)
+    hi = -b * b + _libm(math.hypot, a * p, b * q)
+    moving = np.arange(p.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = (a * p / (mid + a * a)) ** 2 + (b * q / (mid + b * b)) ** 2 - 1.0
-        if f > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17 * max(1.0, abs(hi)):
+        old_lo, old_hi = lo[moving], hi[moving]
+        mid = 0.5 * (old_lo + old_hi)
+        u = a * p[moving] / (mid + a * a)
+        v = b * q[moving] / (mid + b * b)
+        f = u * u + v * v - 1.0
+        # u * u and C pow differ by at most 1.5 ulp (pow is within one), so
+        # f moves by at most about 5.6e-16 (u^2 + v^2).  Where that could
+        # flip its sign, take pow: every step is then the one pow takes.
+        near = np.abs(f) <= 2e-15 * (u * u + v * v)
+        f[near] = _libm(math.pow, u[near], 2.0) + _libm(math.pow, v[near], 2.0) - 1.0
+        lo[moving] = new_lo = np.where(f > 0.0, mid, old_lo)
+        hi[moving] = new_hi = np.where(f > 0.0, old_hi, mid)
+        stopped = new_hi - new_lo <= 1e-17 * np.maximum(1.0, np.abs(new_hi))
+        # Once mid rounds to an end the step leaves the bracket unchanged or
+        # closes it, so stopping there gives the tau of all 200 steps.
+        stopped |= (mid == old_lo) | (mid == old_hi)
+        moving = moving[~stopped]
+        if not moving.size:
             break
     tau = 0.5 * (lo + hi)
     x0 = a * a * p / (tau + a * a)
     y0 = b * b * q / (tau + b * b)
-    return math.hypot(x0 - p, y0 - q)
+    dist[rest] = _libm(math.hypot, x0 - p, y0 - q)
+    if dist.ndim == 0:
+        return float(dist)
+    return dist
 
 
 def ellipse_gap(r: float, samples: int) -> tuple:
@@ -430,9 +501,9 @@ def ellipse_gap(r: float, samples: int) -> tuple:
 
     Sweeps :func:`boundary_curve` and measures the unsigned distance of each
     point to the ellipse of :func:`ellipse_axes`; returns (max_gap,
-    argmax_theta).  The gap vanishes at the axis extremes by construction
-    and is strictly positive for every r > 0: the region is not an
-    elliptical disk.
+    argmax_theta), the first angle of the sweep attaining the maximum.  The
+    gap vanishes at the axis extremes by construction and is strictly
+    positive for every r > 0: the region is not an elliptical disk.
     """
     if r == 0:
         raise UnitDiskDegeneracyError(
@@ -441,12 +512,7 @@ def ellipse_gap(r: float, samples: int) -> tuple:
         )
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    a_axis, b_axis = ellipse_axes(r)
-    best_gap = -1.0
-    best_theta = 0.0
-    for point in boundary_curve(r, samples):
-        gap = ellipse_distance(point.x, point.y, a_axis, b_axis)
-        if gap > best_gap:
-            best_gap = gap
-            best_theta = point.theta
-    return best_gap, best_theta
+    curve = boundary_curve(r, samples)
+    gaps = ellipse_distance(curve.x, curve.y, *ellipse_axes(r))
+    best = int(np.argmax(gaps))
+    return float(gaps[best]), float(curve.theta[best])

@@ -93,22 +93,18 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
             worst = max(worst, abs(closed.lo - probe.lo), abs(closed.hi - probe.hi))
     results.append(_leq("symbol-range-bruteforce", worst, 1e-8))
 
-    points = boundary.boundary_curve(r, max(grid, 720))
-    sextic_pts = [p for p in points if not p.branch.is_circle]
-    u = np.array([p.x * p.x for p in sextic_pts])
-    v = np.array([p.y * p.y for p in sextic_pts])
+    _, xs, ys, branch = boundary.boundary_curve(r, max(grid, 720))
+    right = branch == boundary.Branch.CIRCLE_RIGHT
+    circle = right | (branch == boundary.Branch.CIRCLE_LEFT)
+    u = xs[~circle] * xs[~circle]
+    v = ys[~circle] * ys[~circle]
     residual = np.abs(boundary.sextic_value(u, v, r)) / boundary.sextic_scale(u, v, r)
     results.append(_leq("envelope-on-sextic", float(np.max(residual)), tol.envelope))
 
-    worst = 0.0
-    for p in points:
-        if p.branch.is_circle:
-            centre = 1.0 if p.branch is boundary.Branch.CIRCLE_RIGHT else -1.0
-            worst = max(worst, abs((p.x - centre) ** 2 + p.y**2 - r * r))
+    centre = np.where(right, 1.0, -1.0)[circle]
+    worst = np.max(np.abs((xs[circle] - centre) ** 2 + ys[circle] ** 2 - r * r), initial=0.0)
     results.append(_leq("envelope-on-circle", worst, tol.algebraic))
 
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
     margins = (
         np.outer(xs, np.cos(thetas)) + np.outer(ys, np.sin(thetas)) - values[None, :]
     )

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 
-from .boundary import envelope_point, support_function, switching_cosine
+import numpy as np
+
+from .boundary import envelope_point, sextic_envelope, support_function, switching_cosine
 
 __all__ = [
     "format_float",
@@ -50,13 +52,10 @@ def write_support_lines_csv(path, rows) -> None:
 
 
 def write_boundary_csv(path, points) -> None:
-    """Boundary points under a ``theta,x,y,branch`` header."""
+    """A :class:`~fnr.boundary.BoundaryCurve` under a ``theta,x,y,branch`` header."""
     lines = ["theta,x,y,branch"]
-    for point in points:
-        lines.append(
-            f"{format_float(point.theta)},{format_float(point.x)},"
-            f"{format_float(point.y)},{point.branch.value}"
-        )
+    for theta, x, y, branch in zip(*(column.tolist() for column in points)):
+        lines.append(f"{format_float(theta)},{format_float(x)},{format_float(y)},{branch.value}")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -181,14 +180,9 @@ def _sextic_polylines(r: float, limit: float, trace_points: int = 1200):
     the frame; the lower half is its mirror image.
     """
     delta = 0.5 / trace_points
-    upper = []
-    for k in range(trace_points + 1):
-        theta = delta + (math.pi - 2.0 * delta) * k / trace_points
-        s = math.sin(theta)
-        c = math.cos(theta)
-        p = math.sqrt(1.0 + (r / s) ** 2)
-        dp = -(r * r) * c / (s**3 * p)
-        upper.append((p * c - dp * s, p * s + dp * c))
+    thetas = delta + (math.pi - 2.0 * delta) * np.arange(trace_points + 1) / trace_points
+    xs, ys = sextic_envelope(thetas, r)
+    upper = list(zip(xs.tolist(), ys.tolist()))
     polylines = []
     for mirror in (1.0, -1.0):
         run = []
@@ -267,7 +261,7 @@ def boundary_svg(
 
     _add_polyline(
         canvas,
-        [(p.x, p.y) for p in points],
+        zip(points.x.tolist(), points.y.tolist()),
         "boundary",
         primary,
         thick,

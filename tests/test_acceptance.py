@@ -39,7 +39,7 @@ from fnr.exact import (
 )
 from fnr.truncation import boundary_from_truncation
 
-FROZEN_ELLIPSE_GAP = 0.09842444710573406
+from conftest import FROZEN_ELLIPSE_GAP
 
 
 def _verdict(capsys, number: int, name: str, passed: bool) -> None:
@@ -94,12 +94,11 @@ def test_criterion_04_envelope_on_curve(capsys):
             )
 
     worst_circle = 0.0
-    for point in boundary_curve(r, 2000):
-        if point.branch.is_circle:
-            centre = 1.0 if point.branch is Branch.CIRCLE_RIGHT else -1.0
-            worst_circle = max(
-                worst_circle, abs((point.x - centre) ** 2 + point.y**2 - r * r)
-            )
+    _, xs, ys, branches = boundary_curve(r, 2000)
+    for x, y, branch in zip(xs.tolist(), ys.tolist(), branches):
+        if branch.is_circle:
+            centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
+            worst_circle = max(worst_circle, abs((x - centre) ** 2 + y**2 - r * r))
 
     _verdict(capsys, 4,
         "envelope points on sextic (1e-8 rel) and circles (1e-12)",
@@ -212,7 +211,7 @@ def test_criterion_10_degenerate_unit_disk(capsys):
 def test_ellipse_gap_cross_check_against_truncation():
     points = boundary_from_truncation(1.0, 400, 720)
     a_axis, b_axis = ellipse_axes(0.5)
-    oracle_gap = max(ellipse_distance(x, y, a_axis, b_axis) for x, y in points)
+    oracle_gap = float(np.max(ellipse_distance(points[:, 0], points[:, 1], a_axis, b_axis)))
     assert abs(oracle_gap - FROZEN_ELLIPSE_GAP) <= 2e-4
     assert all(
         classify_point(x, y, 0.5, 720, tol=1e-2) is not Region.EXTERIOR

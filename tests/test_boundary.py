@@ -1,7 +1,9 @@
 """Closed-form geometry: examples, invariants and property tests."""
 
 import math
+import runpy
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fnr import (
+    BoundaryPoint,
     Branch,
     FoguelParams,
     RangeInterval,
@@ -22,6 +25,7 @@ from fnr import (
     ellipse_distance,
     ellipse_gap,
     envelope_point,
+    envelope_points,
     sextic_scale,
     sextic_value,
     support_function,
@@ -31,14 +35,10 @@ from fnr import (
 )
 from fnr.truncation import symbol_range_grid
 
+from conftest import FROZEN_ELLIPSE_ARGMAX, FROZEN_ELLIPSE_GAP
+
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 radii = st.floats(0.0, 8.0, allow_nan=False)
-
-# Deviation of the boundary from the axis-matched ellipse at r = 0.5 over the
-# 2000-point sweep; frozen from the first run of this implementation and
-# cross-checked against the level-400 truncation boundary.
-FROZEN_ELLIPSE_GAP = 0.09842444710573406
-FROZEN_ELLIPSE_ARGMAX = -0.8042477193189872
 
 
 # ---------------------------------------------------------------------------
@@ -244,38 +244,33 @@ def test_envelope_point_supports_its_own_line(theta, r):
 
 
 def test_boundary_extremes():
-    points = boundary_curve(0.5, 1000)
-    assert len(points) == 1000
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+    _, xs, ys, _ = boundary_curve(0.5, 1000)
+    assert len(xs) == len(ys) == 1000
     assert min(xs) == -1.5 and max(xs) == 1.5
     assert abs(max(ys) - math.sqrt(1.25)) <= 1e-15
 
 
 def test_boundary_branch_transitions():
-    points = boundary_curve(0.5, 1000)
-    changes = sum(
-        1 for i in range(len(points)) if points[i].branch != points[i - 1].branch
-    )
+    branch = boundary_curve(0.5, 1000).branch
+    changes = sum(1 for i in range(len(branch)) if branch[i] != branch[i - 1])
     assert changes == 4
 
 
 def test_boundary_residuals_per_branch():
     r = 0.5
-    for point in boundary_curve(r, 2000):
-        if point.branch.is_circle:
-            centre = 1.0 if point.branch is Branch.CIRCLE_RIGHT else -1.0
-            assert abs((point.x - centre) ** 2 + point.y**2 - r * r) <= 1e-12
+    _, xs, ys, branches = boundary_curve(r, 2000)
+    for x, y, branch in zip(xs.tolist(), ys.tolist(), branches):
+        if branch.is_circle:
+            centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
+            assert abs((x - centre) ** 2 + y**2 - r * r) <= 1e-12
         else:
-            u, v = point.x**2, point.y**2
+            u, v = x**2, y**2
             assert abs(sextic_value(u, v, r)) <= 1e-8 * sextic_scale(u, v, r)
 
 
 def test_boundary_is_convex_and_supported():
     r = 0.5
-    points = boundary_curve(r, 720)
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
+    _, xs, ys, _ = boundary_curve(r, 720)
     ex = np.roll(xs, -1) - xs
     ey = np.roll(ys, -1) - ys
     cross = ex * np.roll(ey, -1) - ey * np.roll(ex, -1)
@@ -309,8 +304,9 @@ def test_classify_examples():
 
 
 def test_boundary_sweep_classifies_as_boundary():
-    for point in boundary_curve(0.5, 360):
-        assert classify_point(point.x, point.y, 0.5) is Region.BOUNDARY
+    _, xs, ys, _ = boundary_curve(0.5, 360)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        assert classify_point(x, y, 0.5) is Region.BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +338,8 @@ def test_ellipse_gap_vanishes_on_the_axes():
 def test_ellipse_gap_frozen_value():
     gap, theta = ellipse_gap(0.5, 2000)
     assert gap > 1e-3
-    assert abs(gap - FROZEN_ELLIPSE_GAP) <= 1e-12
-    assert abs(theta - FROZEN_ELLIPSE_ARGMAX) <= 1e-12
+    assert gap == FROZEN_ELLIPSE_GAP
+    assert theta == FROZEN_ELLIPSE_ARGMAX
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 3.0])
@@ -357,3 +353,159 @@ def test_ellipse_gap_rejects_degenerate_radius():
         ellipse_gap(0.0, 2000)
     with pytest.raises(ValueError):
         ellipse_gap(0.5, 99)
+
+
+# ---------------------------------------------------------------------------
+# Array sweep against the scalar reference
+# ---------------------------------------------------------------------------
+# The scalar per-point code the array sweep replaced, kept verbatim as the
+# reference: envelope points must match it bit for bit, and so must the
+# distances, because the array bisection takes the same steps.
+
+
+def _reference_selected_branch(theta: float, r: float) -> Branch:
+    """Boundary family supporting direction theta; ties go to the circles."""
+    c = math.cos(theta)
+    if abs(c) >= switching_cosine(r):
+        return Branch.CIRCLE_RIGHT if c >= 0 else Branch.CIRCLE_LEFT
+    return Branch.SEXTIC_UPPER if math.sin(theta) > 0 else Branch.SEXTIC_LOWER
+
+
+def _reference_envelope_point(theta: float, r: float) -> BoundaryPoint:
+    """Boundary point where the supporting line at angle theta touches.
+
+    The envelope of the family x cos + y sin = p(theta) is
+    (p cos - p' sin, p sin + p' cos).  On the circle regime this reduces to
+    (+-1 + r cos, r sin); on the sextic regime p' = -r^2 cos/(sin^3 p).
+    Requires r > 0 (see :class:`UnitDiskDegeneracyError` for the r = 0 case).
+    """
+    if not r > 0:
+        raise ValueError(f"r must be positive, got {r}")
+    c = math.cos(theta)
+    s = math.sin(theta)
+    branch = _reference_selected_branch(theta, r)
+    if branch.is_circle:
+        centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
+        return BoundaryPoint(centre + r * c, r * s, branch, theta)
+    if s == 0.0:
+        raise ValueError(f"sextic parametrization singular at theta = {theta}")
+    p = math.sqrt(1.0 + (r / s) ** 2)
+    dp = -(r * r) * c / (s**3 * p)
+    return BoundaryPoint(p * c - dp * s, p * s + dp * c, branch, theta)
+
+
+def _reference_ellipse_distance(x: float, y: float, a_axis: float, b_axis: float) -> float:
+    """Euclidean distance from a point to the ellipse (x/a)^2 + (y/b)^2 = 1.
+
+    Robust first-quadrant reduction with a bisection solve of the projection
+    equation; assumes a_axis > b_axis > 0, which holds for the comparison
+    ellipse at every r > 0.
+    """
+    p, q = abs(x), abs(y)
+    a, b = float(a_axis), float(b_axis)
+    if not a > b > 0:
+        raise ValueError(f"expected a > b > 0, got ({a}, {b})")
+    if q == 0.0:
+        xcrit = (a * a - b * b) / a
+        if p >= xcrit:
+            return abs(a - p)
+        x0 = a * a * p / (a * a - b * b)
+        y0 = b * math.sqrt(max(0.0, 1.0 - (x0 / a) ** 2))
+        return math.hypot(x0 - p, y0)
+    if p == 0.0:
+        # The evolute's y-extent is negative for a > b, so the nearest point
+        # to any (0, q) with q >= 0 is the vertex (0, b).
+        return abs(b - q)
+    lo = -b * b + b * q
+    hi = -b * b + math.hypot(a * p, b * q)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = (a * p / (mid + a * a)) ** 2 + (b * q / (mid + b * b)) ** 2 - 1.0
+        if f > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17 * max(1.0, abs(hi)):
+            break
+    tau = 0.5 * (lo + hi)
+    x0 = a * a * p / (tau + a * a)
+    y0 = b * b * q / (tau + b * b)
+    return math.hypot(x0 - p, y0 - q)
+
+
+# 0.5, both ends of [1e-6, 1e4], and log-uniform radii in between; at
+# 9.26681, numpy's x * x in place of C pow changes four envelope points.
+REFERENCE_RADII = [0.5, 1e-6, 1e4, 9.26681] + [
+    10.0**e for e in np.random.default_rng(20).uniform(-6.0, 4.0, 9).tolist()
+]
+
+
+@pytest.mark.parametrize("samples", [720, 1000, 2000])
+def test_envelope_points_equal_the_scalar_reference(samples):
+    thetas = angle_grid(samples)
+    for r in REFERENCE_RADII:
+        curve = envelope_points(thetas, r)
+        assert curve.theta.tolist() == thetas.tolist()
+        for k, theta in enumerate(thetas.tolist()):
+            point = _reference_envelope_point(theta, r)
+            assert (curve.x[k], curve.y[k], curve.branch[k]) == (point.x, point.y, point.branch)
+    assert envelope_point(0.3, 0.5) == _reference_envelope_point(0.3, 0.5)
+
+
+def _distance_probes(r):
+    """Boundary points at r, then points on both axes and around the ellipse."""
+    a_axis, b_axis = ellipse_axes(r)
+    curve = boundary_curve(r, 1000)
+    steps = [0.0, 1e-300, 0.3, 0.99, 1.0, 2.0]
+    on_x = [(sign * t * a_axis, 0.0) for t in steps for sign in (1.0, -1.0)]
+    on_y = [(0.0, sign * t * b_axis) for t in steps for sign in (1.0, -1.0)]
+    rng = np.random.default_rng(5)
+    around = zip(a_axis * rng.uniform(-1.5, 1.5, 200), b_axis * rng.uniform(-1.5, 1.5, 200))
+    extra = np.array(on_x + on_y + list(around))
+    return np.concatenate([curve.x, extra[:, 0]]), np.concatenate([curve.y, extra[:, 1]])
+
+
+@pytest.mark.parametrize("r", REFERENCE_RADII, ids=[f"{r:.3g}" for r in REFERENCE_RADII])
+def test_ellipse_distance_equals_the_scalar_reference(r):
+    a_axis, b_axis = ellipse_axes(r)
+    xs, ys = _distance_probes(r)
+    dist = ellipse_distance(xs, ys, a_axis, b_axis)
+    expected = [
+        _reference_ellipse_distance(x, y, a_axis, b_axis)
+        for x, y in zip(xs.tolist(), ys.tolist())
+    ]
+    assert np.all(np.abs(dist - expected) <= 1e-12 * np.maximum(1.0, expected))
+    # the bisection takes the reference's steps, so it is bit for bit
+    assert dist.tolist() == expected
+    for x, y, d in zip(xs[-250:].tolist(), ys[-250:].tolist(), expected[-250:]):
+        assert ellipse_distance(x, y, a_axis, b_axis) == d
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify_point(math.nan, 0.0, 0.5),
+        lambda: classify_point(0.0, math.nan, 0.5),
+        lambda: classify_point(0.0, 0.0, math.nan),
+        lambda: classify_point(math.inf, 0.0, 0.5),
+        lambda: classify_point(0.0, 0.0, math.inf),
+        lambda: envelope_points(angle_grid(16), math.inf),
+        lambda: envelope_points(angle_grid(16), math.nan),
+        lambda: envelope_point(0.3, math.inf),
+        lambda: boundary_curve(math.inf, 100),
+        lambda: boundary_curve(math.nan, 100),
+        lambda: ellipse_gap(math.inf, 2000),
+        lambda: ellipse_gap(math.nan, 2000),
+    ],
+)
+def test_non_finite_input_is_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
+def test_freeze_constants_script_prints_the_frozen_constants(capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "freeze_constants.py"
+    assert runpy.run_path(str(script))["main"]([]) == 0
+    out = capsys.readouterr().out
+    assert f"FROZEN_ELLIPSE_GAP    = {FROZEN_ELLIPSE_GAP!r}" in out
+    assert f"FROZEN_ELLIPSE_ARGMAX = {FROZEN_ELLIPSE_ARGMAX!r}" in out
