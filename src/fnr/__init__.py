@@ -20,10 +20,8 @@ from .boundary import (
     BoundaryCurve,
     BoundaryPoint,
     Branch,
-    FoguelParams,
     RangeInterval,
     Region,
-    SupportLine,
     UnitDiskDegeneracyError,
     admissible_offset_intervals,
     angle_grid,
@@ -37,7 +35,6 @@ from .boundary import (
     sextic_scale,
     sextic_value,
     support_function,
-    support_line,
     switching_cosine,
     symbol_range,
 )
@@ -72,10 +69,8 @@ __all__ = [
     "BoundaryCurve",
     "BoundaryPoint",
     "Branch",
-    "FoguelParams",
     "RangeInterval",
     "Region",
-    "SupportLine",
     "UnitDiskDegeneracyError",
     "admissible_offset_intervals",
     "angle_grid",
@@ -89,7 +84,6 @@ __all__ = [
     "sextic_scale",
     "sextic_value",
     "support_function",
-    "support_line",
     "switching_cosine",
     "symbol_range",
     "DEFAULT_TOLERANCES",

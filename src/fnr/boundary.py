@@ -46,8 +46,6 @@ from . import exact
 __all__ = [
     "Branch",
     "Region",
-    "FoguelParams",
-    "SupportLine",
     "RangeInterval",
     "BoundaryPoint",
     "BoundaryCurve",
@@ -55,7 +53,6 @@ __all__ = [
     "angle_grid",
     "switching_cosine",
     "support_function",
-    "support_line",
     "symbol_range",
     "admissible_offset_intervals",
     "sextic_envelope",
@@ -97,36 +94,6 @@ class Region(Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     EXTERIOR = "exterior"
-
-
-@dataclass(frozen=True)
-class FoguelParams:
-    """Coupling strength of the operator: r = |a|/2, optionally with a itself."""
-
-    r: float
-    a: complex | None = None
-
-    def __post_init__(self):
-        if not (self.r >= 0):
-            raise ValueError(f"r must be nonnegative, got {self.r}")
-        if self.a is not None and abs(self.a) / 2 != self.r:
-            raise ValueError(f"r = {self.r} does not equal |a|/2 = {abs(self.a) / 2}")
-
-    @classmethod
-    def from_coupling(cls, a: complex) -> "FoguelParams":
-        return cls(r=abs(a) / 2, a=complex(a))
-
-
-@dataclass(frozen=True)
-class SupportLine:
-    """Supporting line in direction theta: the set e^{i theta} (offset + i R)."""
-
-    theta: float
-    offset: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.offset) or self.offset < 1.0 - 1e-12:
-            raise ValueError(f"offset {self.offset} below 1: the range contains the unit disk")
 
 
 @dataclass(frozen=True)
@@ -175,6 +142,11 @@ def angle_grid(n: int) -> np.ndarray:
     return -math.pi + 2.0 * math.pi * np.arange(n) / n
 
 
+def _check_radius(r: float) -> None:
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"r must be finite and nonnegative, got {r}")
+
+
 def switching_cosine(r: float) -> float:
     """|cos theta| at which the boundary switches between circle and sextic arcs.
 
@@ -182,8 +154,7 @@ def switching_cosine(r: float) -> float:
     r = 0.  At this cosine both support-function branches agree, since
     c (c + r) = 1 there.
     """
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    _check_radius(r)
     return (math.sqrt(4.0 + r * r) - r) / 2.0
 
 
@@ -194,13 +165,14 @@ def support_function(theta, r: float):
     else sqrt(1 + (r / sin theta)^2).  Accepts a scalar angle or an ndarray;
     the value is >= 1 everywhere, symmetric under theta -> -theta and
     theta -> pi - theta, and the two branches agree at the switching cosine.
+    A non-finite theta or r raises ValueError.
     """
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    cut = switching_cosine(r)
     th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
+        raise ValueError("theta must be finite")
     c = np.abs(np.cos(th))
     s = np.sin(th)
-    cut = switching_cosine(r)
     circle = r + c
     # The sextic branch is only selected where sin is well away from 0
     # (|cos| = 1 stays in the circle regime); mask the division and let the
@@ -213,10 +185,6 @@ def support_function(theta, r: float):
     if th.ndim == 0:
         return float(out)
     return out
-
-
-def support_line(theta: float, params: FoguelParams) -> SupportLine:
-    return SupportLine(theta=theta, offset=support_function(theta, params.r))
 
 
 def symbol_range(lam: float, theta: float) -> RangeInterval:
@@ -250,8 +218,7 @@ def admissible_offset_intervals(theta: float, r: float) -> tuple:
     cos theta = 0 and sin theta = 0 respectively (their pointwise limits).
     The maximum of the union is the support function wherever it exceeds 1.
     """
-    if r < 0:
-        raise ValueError(f"r must be nonnegative, got {r}")
+    _check_radius(r)
     c = abs(math.cos(theta))
     s = abs(math.sin(theta))
     sec = 1.0 / c if c > 0.0 else math.inf
@@ -439,14 +406,16 @@ def ellipse_distance(x, y, a_axis: float, b_axis: float):
     an axis have closed forms, and every other point solves its projection
     equation by bisection, all points at once.  A point stops moving once
     its bracket meets hi - lo <= 1e-17 max(1, |hi|), and none takes more
-    than 200 steps.  Assumes a_axis > b_axis > 0, which holds for the
-    comparison ellipse at every r > 0.
+    than 200 steps.  Requires finite points and finite a_axis > b_axis > 0,
+    which holds for the comparison ellipse at every finite r > 0.
     """
     a, b = float(a_axis), float(b_axis)
-    if not a > b > 0:
-        raise ValueError(f"expected a > b > 0, got ({a}, {b})")
+    if not (math.isfinite(a) and a > b > 0):
+        raise ValueError(f"expected finite axes a > b > 0, got ({a}, {b})")
     p = np.abs(np.asarray(x, dtype=float))
     q = np.abs(np.asarray(y, dtype=float))
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("the points must be finite")
     p, q = np.broadcast_arrays(p, q)
     dist = np.empty(p.shape)
 

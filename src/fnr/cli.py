@@ -17,11 +17,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import boundary, checks, exact, render
 from .config import Tolerances
@@ -50,19 +48,19 @@ class VerificationFailure(RuntimeError):
 @dataclass
 class RunConfig:
     command: str
-    r: float = 0.5
-    a: complex | None = None
-    r_list: list = field(default_factory=list)  # resultant command only
-    samples: int = 720
-    level: int = 400
-    grid: int = 720
-    seed: int = 1
-    out: Path = Path(".")
-    formats: list = field(default_factory=list)
-    tol: Tolerances = Tolerances()
-    with_resultant: bool = False
-    mutate: bool = False
-    degree_bound: int = 28
+    r: float
+    a: complex | None  # every command but resultant
+    r_list: list  # resultant command only
+    samples: int
+    level: int
+    grid: int
+    seed: int
+    out: Path
+    formats: list
+    tol: Tolerances
+    with_resultant: bool
+    mutate: bool
+    degree_bound: int
 
     def validate(self) -> None:
         if self.samples < 8:
@@ -167,39 +165,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.samples = args.samples
-    config.level = args.level
-    config.grid = args.grid
-    config.seed = args.seed
-    config.out = Path(args.out)
-    config.formats = list(args.format) if args.format else []
-    config.tol = Tolerances(
-        algebraic=args.tol_alg,
-        envelope=args.tol_env,
-        convergence=args.tol_conv,
-    )
-    config.with_resultant = getattr(args, "with_resultant", False)
-    config.mutate = getattr(args, "mutate", False)
-    config.degree_bound = getattr(args, "degree_bound", 28)
-
+    r_list = []
     if args.command == "resultant":
-        text = args.r if args.r is not None else "1/2,1/3"
-        config.r_list = [_parse_rational(part) for part in text.split(",")]
-        config.r = _parse_radius(text.split(",")[0])
-    else:
         if args.a is not None:
-            config.a = _parse_complex(args.a)
-            radius = abs(config.a) / 2.0
-            if args.r is not None and _parse_radius(args.r) != radius:
-                raise UsageError(
-                    f"--r {args.r} conflicts with |a|/2 = {radius} from --a {args.a}"
-                )
-            config.r = radius
-        elif args.r is not None:
-            config.r = _parse_radius(args.r)
-        if config.a is None:
-            config.a = complex(2.0 * config.r, 0.0)
+            raise UsageError("resultant takes exact radii from --r (e.g. --r 1/2,1/3), not --a")
+        text = args.r if args.r is not None else "1/2,1/3"
+        r_list = [_parse_rational(part) for part in text.split(",")]
+        r = _parse_radius(text.split(",")[0])
+        a = None
+    elif args.a is not None:
+        a = _parse_complex(args.a)
+        r = abs(a) / 2.0
+        if args.r is not None and _parse_radius(args.r) != r:
+            raise UsageError(f"--r {args.r} conflicts with |a|/2 = {r} from --a {args.a}")
+    else:
+        r = _parse_radius(args.r if args.r is not None else "0.5")
+        a = complex(2.0 * r, 0.0)
+    config = RunConfig(
+        command=args.command,
+        r=r,
+        a=a,
+        r_list=r_list,
+        samples=args.samples,
+        level=args.level,
+        grid=args.grid,
+        seed=args.seed,
+        out=Path(args.out),
+        formats=args.format or [],
+        tol=Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv),
+        with_resultant=getattr(args, "with_resultant", False),
+        mutate=getattr(args, "mutate", False),
+        degree_bound=getattr(args, "degree_bound", 28),
+    )
     config.validate()
     return config
 
@@ -215,41 +212,41 @@ def _dump_json(payload: dict, path: Path) -> None:
         handle.write("\n")
 
 
-def cmd_support_lines(config: RunConfig) -> int:
+def _emit_figure(config: RunConfig, stem: str, write_csv, figure) -> int:
+    """Write ``stem``.csv by ``write_csv(path)`` and ``stem``.svg from ``figure()``, as asked."""
     formats = config.formats or ["csv", "svg"]
     out = _ensure_out(config)
-    thetas = boundary.angle_grid(config.samples)
-    offsets = boundary.support_function(thetas, config.r)
     written = []
     if "csv" in formats:
-        path = out / "support_lines.csv"
-        render.write_support_lines_csv(path, zip(thetas.tolist(), np.atleast_1d(offsets).tolist()))
-        written.append(path)
+        written.append(out / f"{stem}.csv")
+        write_csv(written[-1])
     if "svg" in formats:
-        path = out / "support_lines.svg"
-        render.write_svg(render.support_lines_svg(config.r, thetas, np.atleast_1d(offsets)), path)
-        written.append(path)
+        written.append(out / f"{stem}.svg")
+        render.write_svg(figure(), written[-1])
     for path in written:
         print(path)
     return EXIT_OK
+
+
+def cmd_support_lines(config: RunConfig) -> int:
+    thetas = boundary.angle_grid(config.samples)
+    offsets = boundary.support_function(thetas, config.r)
+    return _emit_figure(
+        config,
+        "support_lines",
+        lambda path: render.write_support_lines_csv(path, zip(thetas.tolist(), offsets.tolist())),
+        lambda: render.support_lines_svg(config.r, thetas, offsets),
+    )
 
 
 def cmd_boundary(config: RunConfig) -> int:
-    formats = config.formats or ["csv", "svg"]
-    out = _ensure_out(config)
     points = boundary.boundary_curve(config.r, config.samples)
-    written = []
-    if "csv" in formats:
-        path = out / "boundary.csv"
-        render.write_boundary_csv(path, points)
-        written.append(path)
-    if "svg" in formats:
-        path = out / "boundary.svg"
-        render.write_svg(render.boundary_svg(config.r, points), path)
-        written.append(path)
-    for path in written:
-        print(path)
-    return EXIT_OK
+    return _emit_figure(
+        config,
+        "boundary",
+        lambda path: render.write_boundary_csv(path, points),
+        lambda: render.boundary_svg(config.r, points),
+    )
 
 
 def cmd_verify(config: RunConfig) -> int:

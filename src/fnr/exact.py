@@ -22,6 +22,7 @@ certificate's sample evaluations are independent of each other.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -182,9 +183,6 @@ class ExactPoly:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -198,17 +196,6 @@ class ExactPoly:
             return max(sum(e) for e in self.terms)
         idx = self.variables.index(variable)
         return max(e[idx] for e in self.terms)
-
-    def coefficient(self, **powers: int) -> "ExactPoly":
-        """Coefficient of the given variable powers, as a polynomial in the rest."""
-        fixed = {self.variables.index(name): p for name, p in powers.items()}
-        rest = tuple(v for i, v in enumerate(self.variables) if i not in fixed)
-        out: dict = {}
-        for expo, coeff in self.terms.items():
-            if all(expo[i] == p for i, p in fixed.items()):
-                key = tuple(e for i, e in enumerate(expo) if i not in fixed)
-                out[key] = coeff
-        return ExactPoly(rest, out)
 
     def univariate_coefficients(self, variable: str) -> list:
         """Coefficients in ``variable`` (index = exponent), over the other variables."""
@@ -333,15 +320,15 @@ def envelope_system() -> tuple:
     return first, second
 
 
-def mutated_sextic(bump: int = 1, exponent: tuple = (2, 0, 6)) -> ExactPoly:
+def mutated_sextic() -> ExactPoly:
     """Copy of the sextic with one coefficient corrupted (self-test helper).
 
-    By default the coefficient of u^2 r^6 is bumped from 16 to 17, which must
-    make the divisibility certificate fail with nonzero held-out residuals.
+    The coefficient of u^2 r^6 is bumped from 16 to 17, which must make the
+    divisibility certificate fail with nonzero held-out residuals.
     """
     sextic = sextic_polynomial()
     terms = dict(sextic.terms)
-    terms[exponent] = terms.get(exponent, 0) + bump
+    terms[(2, 0, 6)] += 1
     return ExactPoly(sextic.variables, terms)
 
 
@@ -455,20 +442,19 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
     return _normalize_scalar(Fraction(det, sf**n * sg**m))
 
 
-# Cached univariate views of the elimination system: coefficient polynomials
-# in (r, x, y), descending in t.  Degrees are 10 and 8, so the Sylvester
-# matrix below is 18 x 18.
-_SYSTEM_COEFFS: tuple | None = None
-
-
+@functools.cache
 def _system_coefficients() -> tuple:
-    global _SYSTEM_COEFFS
-    if _SYSTEM_COEFFS is None:
-        first, second = envelope_system()
-        up1 = list(reversed(first.univariate_coefficients("t")))
-        up2 = list(reversed(second.univariate_coefficients("t")))
-        _SYSTEM_COEFFS = (up1, up2)
-    return _SYSTEM_COEFFS
+    """Coefficient polynomials in (r, x, y) of the elimination system, descending in t.
+
+    Degrees are 10 and 8, so its Sylvester matrix is 18 x 18.
+    """
+    first, second = envelope_system()
+    return tuple(list(reversed(p.univariate_coefficients("t"))) for p in (first, second))
+
+
+def _resultant_of_system(up1: Sequence[ExactPoly], up2: Sequence[ExactPoly], point) -> Scalar:
+    """Resultant in t once every coefficient polynomial is evaluated at ``point``."""
+    return resultant([c.evaluate(point) for c in up1], [c.evaluate(point) for c in up2])
 
 
 def resultant_at(r: Scalar, x: Scalar, y: Scalar) -> Scalar:
@@ -483,11 +469,7 @@ def resultant_at(r: Scalar, x: Scalar, y: Scalar) -> Scalar:
             "r = 0: leading coefficients of the elimination system vanish "
             "and the resultant degenerates"
         )
-    point = {"r": r, "x": Fraction(x), "y": Fraction(y)}
-    up1, up2 = _system_coefficients()
-    f = [c.evaluate(point) for c in up1]
-    g = [c.evaluate(point) for c in up2]
-    return resultant(f, g)
+    return _resultant_of_system(*_system_coefficients(), {"r": r, "x": x, "y": y})
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +492,6 @@ def _newton_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list:
             coeffs[j] -= xs[i] * coeffs[j + 1]
         coeffs[0] += divided[i]
     return coeffs
-
-
-def _evaluate_bivariate(coeffs: Mapping[tuple, Fraction], x: Fraction, y: Fraction) -> Fraction:
-    total = Fraction(0)
-    xpow: dict[int, Fraction] = {}
-    ypow: dict[int, Fraction] = {}
-    for (i, j), c in coeffs.items():
-        if i not in xpow:
-            xpow[i] = x**i
-        if j not in ypow:
-            ypow[j] = y**j
-        total += c * xpow[i] * ypow[j]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +625,10 @@ def verify_sextic_resultant_identity(
     sextic_poly = sextic if sextic is not None else sextic_polynomial()
     sextic_r = sextic_poly.specialize({"r": r})
 
-    up1, up2 = _system_coefficients()
-    up1r = [c.specialize({"r": r}) for c in up1]
-    up2r = [c.specialize({"r": r}) for c in up2]
+    up1r, up2r = ([c.specialize({"r": r}) for c in up] for up in _system_coefficients())
 
     def res_value(x: Fraction, y: Fraction) -> Fraction:
-        point = {"x": x, "y": y}
-        f = [c.evaluate(point) for c in up1r]
-        g = [c.evaluate(point) for c in up2r]
-        return Fraction(resultant(f, g))
+        return Fraction(_resultant_of_system(up1r, up2r, {"x": x, "y": y}))
 
     def sextic_section(y: Fraction) -> list:
         """Coefficients (ascending in x) of E(x^2, y^2, r) for fixed y."""
@@ -744,20 +708,19 @@ def verify_sextic_resultant_identity(
         section_quotients.append(quot + [Fraction(0)] * (degree_bound + 1 - len(quot)))
 
     # Interpolate each x-power across the y sections into the cofactor.
-    cofactor: dict = {}
+    terms: dict = {}
     for i in range(degree_bound + 1):
         coeffs_y = _newton_interpolate(ys, [q[i] for q in section_quotients])
         for j, c in enumerate(coeffs_y):
-            if c != 0:
-                cofactor[(i, j)] = c
-
-    total_degree = max((i + j for i, j in cofactor), default=0)
+            terms[(i, j)] = c
+    cofactor = ExactPoly(("x", "y"), terms)
+    total_degree = max(cofactor.degree(), 0)
 
     failures = []
     for _ in range(holdout):
         x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        residual = res_value(x, y) - sextic_value(x, y) * _evaluate_bivariate(cofactor, x, y)
+        residual = res_value(x, y) - sextic_value(x, y) * cofactor.evaluate({"x": x, "y": y})
         if residual != 0:
             failures.append((x, y, residual))
 
@@ -778,7 +741,7 @@ def verify_sextic_resultant_identity(
         holdout_count=holdout,
         seed=seed,
         success=success,
-        cofactor=ExactPoly(("x", "y"), cofactor) if success else None,
+        cofactor=cofactor if success else None,
         cofactor_total_degree=total_degree,
         holdout_failures=failures,
         failure_reason=reason,
@@ -827,20 +790,4 @@ def symbolic_resultant(r: Scalar | None = None) -> ExactPoly:
             raise ValueError("r = 0: the elimination system degenerates")
         up1 = [c.specialize({"r": r}) for c in up1]
         up2 = [c.specialize({"r": r}) for c in up2]
-    variables = up1[0].variables
-    zero = ExactPoly.zero(variables)
-    f = list(up1)
-    g = list(up2)
-    m = len(f) - 1
-    n = len(g) - 1
-    size = m + n
-    rows = []
-    for shift in range(n):
-        row = [zero] * size
-        row[shift : shift + m + 1] = f
-        rows.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        row[shift : shift + n + 1] = g
-        rows.append(row)
-    return bareiss_determinant(rows, divide=exact_divide)
+    return bareiss_determinant(sylvester_matrix(up1, up2), divide=exact_divide)

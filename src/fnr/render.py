@@ -29,12 +29,12 @@ __all__ = [
     "write_svg",
 ]
 
-# Default stroke palette; mirror the usual two-tone figure style (solid blue
-# primary curve, dashed blue auxiliaries, red switching decorations).
+# Two-tone figure style: blue curves (solid boundary, dashed auxiliaries) and
+# red switching decorations.
 PRIMARY_COLOR = "#1f5fa8"
-AUXILIARY_COLOR = "#1f5fa8"
 SWITCH_COLOR = "#c23b22"
 DASH_PATTERN = "0.06,0.05"
+_SEXTIC_TRACE_POINTS = 1200
 
 
 def format_float(value: float) -> str:
@@ -105,7 +105,8 @@ def _coords(x: float, y: float) -> str:
     return f"{x:.6f},{y:.6f}"
 
 
-def _svg_root(limit: float) -> ET.Element:
+def _svg_root(limit: float) -> tuple:
+    """The svg element and its y-up drawing group."""
     size = 2.0 * limit
     root = ET.Element(
         "svg",
@@ -117,70 +118,55 @@ def _svg_root(limit: float) -> ET.Element:
         },
     )
     # Flip to the mathematical orientation (y grows upward).
-    group = ET.SubElement(root, "g", {"transform": "scale(1,-1)"})
-    return root
+    return root, ET.SubElement(root, "g", {"transform": "scale(1,-1)"})
 
 
-def _canvas(root: ET.Element) -> ET.Element:
-    return root.find("g")
-
-
-def _add_line(parent, p0, p1, cls, color, width, dashed):
-    attrs = {
-        "class": cls,
-        "x1": f"{p0[0]:.6f}",
-        "y1": f"{p0[1]:.6f}",
-        "x2": f"{p1[0]:.6f}",
-        "y2": f"{p1[1]:.6f}",
-        "stroke": color,
-        "stroke-width": f"{width:.4f}",
-        "fill": "none",
-    }
-    if dashed:
-        attrs["stroke-dasharray"] = DASH_PATTERN
-    ET.SubElement(parent, "line", attrs)
-
-
-def _add_polyline(parent, points, cls, color, width, dashed, closed=False):
-    tag = "polygon" if closed else "polyline"
-    attrs = {
-        "class": cls,
-        "points": " ".join(_coords(x, y) for x, y in points),
-        "stroke": color,
-        "stroke-width": f"{width:.4f}",
-        "fill": "none",
-    }
+def _add_stroked(parent, tag, attrs, color, width, dashed):
+    """Append ``tag`` with ``attrs`` followed by the stroke attributes, in that order."""
+    attrs.update({"stroke": color, "stroke-width": f"{width:.4f}", "fill": "none"})
     if dashed:
         attrs["stroke-dasharray"] = DASH_PATTERN
     ET.SubElement(parent, tag, attrs)
 
 
-def support_lines_svg(r: float, thetas, offsets, color: str = PRIMARY_COLOR) -> ET.Element:
+def _add_line(parent, p0, p1, cls, color, width, dashed):
+    x1, y1 = p0
+    x2, y2 = p1
+    attrs = {"class": cls, "x1": f"{x1:.6f}", "y1": f"{y1:.6f}", "x2": f"{x2:.6f}", "y2": f"{y2:.6f}"}
+    _add_stroked(parent, "line", attrs, color, width, dashed)
+
+
+def _add_polyline(parent, points, cls, color, width, dashed, closed=False):
+    attrs = {"class": cls, "points": " ".join(_coords(x, y) for x, y in points)}
+    _add_stroked(parent, "polygon" if closed else "polyline", attrs, color, width, dashed)
+
+
+def support_lines_svg(r: float, thetas, offsets) -> ET.Element:
     """Figure: the family of supporting lines, clipped to the frame.
 
     The frame is the square of half-width 1 + r + 0.5; the envelope of the
     drawn chords silhouettes the numerical range.
     """
     limit = 1.0 + r + 0.5
-    root = _svg_root(limit)
-    canvas = _canvas(root)
+    root, canvas = _svg_root(limit)
     width = 0.0035 * limit
     for theta, offset in zip(thetas, offsets):
         segment = support_line_segment(theta, offset, limit)
         if segment is not None:
-            _add_line(canvas, segment[0], segment[1], "support-line", color, width, False)
+            _add_line(canvas, segment[0], segment[1], "support-line", PRIMARY_COLOR, width, False)
     return root
 
 
-def _sextic_polylines(r: float, limit: float, trace_points: int = 1200):
+def _sextic_polylines(r: float, limit: float):
     """Clipped polylines tracing the full sextic curve (both halves).
 
     The curve is swept through its envelope parametrization over the whole
     upper half-range of angles, not only the boundary regime, and clipped to
     the frame; the lower half is its mirror image.
     """
-    delta = 0.5 / trace_points
-    thetas = delta + (math.pi - 2.0 * delta) * np.arange(trace_points + 1) / trace_points
+    n = _SEXTIC_TRACE_POINTS
+    delta = 0.5 / n
+    thetas = delta + (math.pi - 2.0 * delta) * np.arange(n + 1) / n
     xs, ys = sextic_envelope(thetas, r)
     upper = list(zip(xs.tolist(), ys.tolist()))
     polylines = []
@@ -206,13 +192,7 @@ def _sextic_polylines(r: float, limit: float, trace_points: int = 1200):
     return polylines
 
 
-def boundary_svg(
-    r: float,
-    points,
-    primary: str = PRIMARY_COLOR,
-    auxiliary: str = AUXILIARY_COLOR,
-    switch: str = SWITCH_COLOR,
-) -> ET.Element:
+def boundary_svg(r: float, points) -> ET.Element:
     """Figure: solid boundary with the dashed generating curves.
 
     Overlays, in paint order: the dashed full circles of radius r at (+-1, 0),
@@ -221,8 +201,7 @@ def boundary_svg(
     filled markers.
     """
     limit = 1.0 + r + 0.5
-    root = _svg_root(limit)
-    canvas = _canvas(root)
+    root, canvas = _svg_root(limit)
     thin = 0.0035 * limit
     thick = 0.007 * limit
 
@@ -235,7 +214,7 @@ def boundary_svg(
                 "cx": f"{centre:.6f}",
                 "cy": "0",
                 "r": f"{r:.6f}",
-                "stroke": auxiliary,
+                "stroke": PRIMARY_COLOR,
                 "stroke-width": f"{thin:.4f}",
                 "stroke-dasharray": DASH_PATTERN,
                 "fill": "none",
@@ -243,7 +222,7 @@ def boundary_svg(
         )
 
     for polyline in _sextic_polylines(r, limit):
-        _add_polyline(canvas, polyline, "aux-sextic", auxiliary, thin, True)
+        _add_polyline(canvas, polyline, "aux-sextic", PRIMARY_COLOR, thin, True)
 
     cut = switching_cosine(r)
     switch_angle = math.acos(cut)
@@ -257,17 +236,10 @@ def boundary_svg(
         offset = support_function(theta, r)
         segment = support_line_segment(theta, offset, limit)
         if segment is not None:
-            _add_line(canvas, segment[0], segment[1], "switch-line", switch, thin, True)
+            _add_line(canvas, segment[0], segment[1], "switch-line", SWITCH_COLOR, thin, True)
 
-    _add_polyline(
-        canvas,
-        zip(points.x.tolist(), points.y.tolist()),
-        "boundary",
-        primary,
-        thick,
-        False,
-        closed=True,
-    )
+    boundary = zip(points.x.tolist(), points.y.tolist())
+    _add_polyline(canvas, boundary, "boundary", PRIMARY_COLOR, thick, False, closed=True)
 
     for theta in switch_thetas:
         point = envelope_point(theta, r)
@@ -279,7 +251,7 @@ def boundary_svg(
                 "cx": f"{point.x:.6f}",
                 "cy": f"{point.y:.6f}",
                 "r": f"{0.018 * limit:.6f}",
-                "fill": switch,
+                "fill": SWITCH_COLOR,
                 "stroke": "none",
             },
         )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, eig_banded
 
-from .boundary import RangeInterval, angle_grid
+from .boundary import RangeInterval, _check_radius, angle_grid
 
 __all__ = [
     "TruncatedOperator",
@@ -83,10 +83,6 @@ class TruncatedOperator:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError(f"truncation level must be at least 1, got {self.level}")
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.level
 
     def dense(self) -> np.ndarray:
         n = self.level
@@ -198,11 +194,6 @@ def _range_rows(lams: np.ndarray, theta: float, samples: int):
         - 4.0 * math.cos(theta) * lams[:, None] * np.cos(phi)[None, :]
     )
     return table.min(axis=1), table.max(axis=1)
-
-
-def _check_radius(r: float) -> None:
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError(f"radius must be finite and nonnegative, got {r}")
 
 
 def default_offset_grid(r: float, step: float = 1e-4) -> np.ndarray:

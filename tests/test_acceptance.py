@@ -11,12 +11,12 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction as Q
 
 import numpy as np
+import pytest
 
 from fnr import (
     Branch,
     Region,
     UnitDiskDegeneracyError,
-    angle_grid,
     boundary_curve,
     classify_point,
     ellipse_axes,
@@ -26,11 +26,11 @@ from fnr import (
     sextic_scale,
     sextic_value,
     support_function,
-    support_function_via_condition,
     switching_cosine,
-    top_eigenvalue,
 )
+from fnr.checks import truncation_checks
 from fnr.cli import main
+from fnr.config import DEFAULT_TOLERANCES
 from fnr.exact import (
     mutated_sextic,
     resultant_at,
@@ -106,30 +106,30 @@ def test_criterion_04_envelope_on_curve(capsys):
     )
 
 
-def test_criterion_05_oracle_convergence(capsys):
-    # Runtime: the level-400 sweep dominates, under a minute in total.
-    thetas = angle_grid(72)
-    closed = support_function(thetas, 0.5)
-    gaps = []
-    for level in (50, 100, 200, 400):
-        measured = np.array([top_eigenvalue(float(t), 1.0, level) for t in thetas])
-        gaps.append(float(np.max(closed - measured)))
-    decreasing = all(gaps[i + 1] < gaps[i] for i in range(3))
+@pytest.fixture(scope="module")
+def oracle_checks():
+    """The truncation suite of ``fnr verify`` at a = 1 (r = 0.5), level 400, by name.
+
+    Runtime: a few seconds.  It sweeps 72 angles at levels 50, 100, 200 and
+    400 and runs 72 condition scans (three radii, 24 angles each).
+    """
+    return {c.name: c for c in truncation_checks(1.0, 400, DEFAULT_TOLERANCES)}
+
+
+def test_criterion_05_oracle_convergence(capsys, oracle_checks):
+    # Passes when the four level gaps strictly decrease and the last is < 5e-3.
+    check = oracle_checks["compression-convergence"]
+    assert check.tolerance == 5e-3
     _verdict(capsys, 5,
-        f"truncation convergence, gaps {['%.2e' % g for g in gaps]}",
-        decreasing and gaps[-1] < 5e-3,
+        f"truncation convergence, level-400 gap {check.measured:.2e}",
+        check.passed,
     )
 
 
-def test_criterion_06_dual_route_support(capsys):
-    # Runtime: under a second for 72 scans; the chord certificate leaves only
-    # a few dozen of each scan's 10^4 offsets to evaluate.
-    worst = 0.0
-    for r in (0.25, 0.5, 1.0):
-        for theta in np.linspace(0.0, math.pi / 2.0, 24):
-            via = support_function_via_condition(float(theta), r)
-            worst = max(worst, abs(via - support_function(float(theta), r)))
-    _verdict(capsys, 6, "condition-scan route matches closed form to 1e-4", worst <= 1e-4)
+def test_criterion_06_dual_route_support(capsys, oracle_checks):
+    check = oracle_checks["dual-route"]
+    assert check.tolerance == 1e-4
+    _verdict(capsys, 6, "condition-scan route matches closed form to 1e-4", check.passed)
 
 
 def test_criterion_07_ellipse_gap(capsys):

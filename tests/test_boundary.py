@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fnr import (
     BoundaryPoint,
     Branch,
-    FoguelParams,
     RangeInterval,
     Region,
     UnitDiskDegeneracyError,
@@ -29,7 +28,6 @@ from fnr import (
     sextic_scale,
     sextic_value,
     support_function,
-    support_line,
     switching_cosine,
     symbol_range,
 )
@@ -94,24 +92,6 @@ def test_scalar_and_grid_support_agree(theta):
     grid = support_function(np.array([theta]), 0.5)
     assert grid.shape == (1,)
     assert grid[0] == support_function(theta, 0.5)
-
-
-def test_support_line_invariants():
-    params = FoguelParams.from_coupling(1.0)
-    line = support_line(0.3, params)
-    assert line.offset == support_function(0.3, 0.5)
-    with pytest.raises(ValueError):
-        # offsets below 1 contradict the unit-disk inclusion
-        type(line)(theta=0.0, offset=0.5)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        FoguelParams(r=-0.1)
-    with pytest.raises(ValueError):
-        FoguelParams(r=0.3, a=1.0)
-    params = FoguelParams.from_coupling(complex(0.0, 2.0))
-    assert params.r == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +476,19 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: boundary_curve(math.nan, 100),
         lambda: ellipse_gap(math.inf, 2000),
         lambda: ellipse_gap(math.nan, 2000),
+        lambda: support_function(0.3, math.nan),
+        lambda: support_function(0.3, math.inf),
+        lambda: support_function(math.nan, 0.5),
+        lambda: support_function(math.inf, 0.5),
+        lambda: support_function(np.array([0.0, math.nan, 1.0]), 0.5),
+        lambda: switching_cosine(math.nan),
+        lambda: switching_cosine(math.inf),
+        lambda: admissible_offset_intervals(0.3, math.inf),
+        lambda: ellipse_distance(math.nan, 1.0, 2.0, 1.0),
+        lambda: ellipse_distance(math.inf, 1.0, 2.0, 1.0),
+        lambda: ellipse_distance(1.0, math.nan, 2.0, 1.0),
+        lambda: ellipse_distance(np.array([0.5, math.inf]), 0.5, 2.0, 1.0),
+        lambda: ellipse_distance(1.0, 1.0, math.inf, 1.0),
     ],
 )
 def test_non_finite_input_is_rejected(call):

@@ -68,9 +68,9 @@ def test_elimination_system_degrees_and_spot_coefficients():
     assert second.degree("t") == 8
 
     x, y = exact.ExactPoly.generators(("r", "x", "y"))[1:]
-    assert first.coefficient(t=7) == 8 * x * y
+    assert first.univariate_coefficients("t")[7] == 8 * x * y
     r = exact.ExactPoly.generators(("r", "x", "y"))[0]
-    assert second.coefficient(t=0) == -(r**2)
+    assert second.univariate_coefficients("t")[0] == -(r**2)
 
 
 def test_sextic_spot_coefficients():

@@ -228,6 +228,14 @@ def test_conflicting_radius_and_coupling(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--a", "7,0"], ["--r", "1/2", "--a", "1,0"]])
+def test_resultant_rejects_the_coupling_flag(tmp_path, capsys, argv):
+    # The certificates take exact rational radii from --r only.
+    assert main(["resultant", *argv, "--out", str(tmp_path)]) == 2
+    assert "--r" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
