@@ -8,7 +8,7 @@ boundary.  The closed-form values are frozen in tests/conftest.py; the
 oracle value must agree within the compression gap (a few parts in 1e5).
 
     python scripts/freeze_constants.py
-    python scripts/freeze_constants.py --with-oracle      # about ten seconds
+    python scripts/freeze_constants.py --with-oracle      # a second or two
 """
 
 import argparse

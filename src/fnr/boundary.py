@@ -197,8 +197,8 @@ def symbol_range(lam: float, theta: float) -> RangeInterval:
     vertex is interior and the minimum drops to 2 (1 - lam^2) cos^2 - 2.
     Only offsets lam > 1 are meaningful (the range contains the unit disk).
     """
-    if not lam > 1.0:
-        raise ValueError(f"offset must exceed 1, got {lam}")
+    if not (lam > 1.0 and math.isfinite(theta)):
+        raise ValueError(f"need an offset above 1 and a finite theta, got {lam}, {theta}")
     c = abs(math.cos(theta))
     hi = 2.0 * c * c + 4.0 * lam * c
     if lam * c >= 1.0:
@@ -219,6 +219,8 @@ def admissible_offset_intervals(theta: float, r: float) -> tuple:
     The maximum of the union is the support function wherever it exceeds 1.
     """
     _check_radius(r)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     c = abs(math.cos(theta))
     s = abs(math.sin(theta))
     sec = 1.0 / c if c > 0.0 else math.inf

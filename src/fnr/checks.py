@@ -136,14 +136,10 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
     thetas = boundary.angle_grid(72)
 
     levels = [max(level // 8, 2), max(level // 4, 3), max(level // 2, 4), level]
-    gaps = []
-    bound_violation = 0.0
-    for n in levels:
-        measured = [truncation.top_eigenvalue(float(th), a, n) for th in thetas]
-        closed = boundary.support_function(thetas, r)
-        delta = closed - np.asarray(measured)
-        gaps.append(float(np.max(delta)))
-        bound_violation = max(bound_violation, float(np.max(-delta)))
+    closed = boundary.support_function(thetas, r)
+    deltas = [closed - truncation.top_eigenvalue(thetas, a, n) for n in levels]
+    gaps = [float(np.max(delta)) for delta in deltas]
+    bound_violation = max(0.0, *(float(np.max(-delta)) for delta in deltas))
     results.append(_leq("compression-bound", bound_violation, 1e-10))
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     results.append(
@@ -157,12 +153,10 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
 
     phase = complex(math.cos(math.pi / 7.0), math.sin(math.pi / 7.0))
     probe_level = min(level, 100)
-    worst = 0.0
-    for theta in np.linspace(-math.pi, math.pi, 13):
-        straight = truncation.top_eigenvalue(float(theta), abs(a), probe_level)
-        rotated = truncation.top_eigenvalue(float(theta), phase * abs(a), probe_level)
-        worst = max(worst, abs(straight - rotated))
-    results.append(_leq("phase-invariance", worst, 1e-10))
+    probes = np.linspace(-math.pi, math.pi, 13)
+    straight = truncation.top_eigenvalue(probes, abs(a), probe_level)
+    rotated = truncation.top_eigenvalue(probes, phase * abs(a), probe_level)
+    results.append(_leq("phase-invariance", float(np.max(np.abs(straight - rotated))), 1e-10))
 
     worst = 0.0
     for rr in (0.25, 0.5, 1.0):

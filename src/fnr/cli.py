@@ -36,6 +36,9 @@ MAX_RADIUS = 1e150
 overflow: the sextic trace of the boundary figure raises OverflowError from
 about r = 1e151, and the support-line offsets turn to inf from about 1e155."""
 
+RADIUS_MATCH = 1e-12
+"""Relative tolerance within which --r must equal |a|/2 when --a is also given."""
+
 
 class UsageError(ValueError):
     """Bad flag combination or out-of-range configuration value."""
@@ -119,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--r", type=str, default=None, help="radius r = |a|/2 (float or p/q)")
+        r_help = f"radius r = |a|/2 (float or p/q); with --a, must match to {RADIUS_MATCH:g} relative"
+        p.add_argument("--r", type=str, default=None, help=r_help)
         p.add_argument("--a", type=str, default=None, help="coupling scalar as 're,im'")
         p.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
         p.add_argument("--N", type=int, default=400, dest="level", help="truncation level")
@@ -176,7 +180,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     elif args.a is not None:
         a = _parse_complex(args.a)
         r = abs(a) / 2.0
-        if args.r is not None and _parse_radius(args.r) != r:
+        if args.r is not None and not math.isclose(_parse_radius(args.r), r, rel_tol=RADIUS_MATCH):
             raise UsageError(f"--r {args.r} conflicts with |a|/2 = {r} from --a {args.a}")
     else:
         r = _parse_radius(args.r if args.r is not None else "0.5")

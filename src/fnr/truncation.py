@@ -12,9 +12,8 @@ compressions shrink numerical ranges, the top eigenvalue of the hermitian
 rotation (e^{-i theta} F + e^{i theta} F*)/2 approaches the true support
 function from below as N grows, and the polygon cut out by the measured
 supporting lines sits inside the true region.  In the interleaved basis
-(e_1, f_1, e_2, f_2, ...) the rotation is pentadiagonal, so LAPACK's banded
-solver finds its top eigenvalue in O(N), and two banded Cholesky
-factorizations certify that value as the top of the spectrum.
+(e_1, f_1, e_2, f_2, ...) the rotation is block tridiagonal, and bisection on
+a block LDL^T inertia test brackets its top eigenvalue to two ulps in O(N).
 
 A second, fully independent route evaluates the singularity condition
 directly: an offset lam > 1 is admissible in direction theta exactly when
@@ -34,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, eig_banded
 
 from .boundary import RangeInterval, _check_radius, angle_grid
 
@@ -51,8 +49,11 @@ __all__ = [
     "boundary_from_truncation",
 ]
 
-CERTIFICATE_SLACK = 1e-11
-"""Relative half-width of the Cholesky bracket around the top eigenvalue."""
+_CANDIDATES = 15
+"""Trial values per bisection round; each round narrows a bracket 16-fold."""
+
+_PIVMIN = 2.0**-150
+"""Pivot floor of the definiteness test, relative to the Gershgorin bound."""
 
 _KNOT_SPACING = 256
 """Offsets between the exactly evaluated knots of the condition scan's chords."""
@@ -133,42 +134,78 @@ def foguel_truncation(a: complex, level: int) -> TruncatedOperator:
     return TruncatedOperator(a=complex(a), level=level)
 
 
-def _factors(band: np.ndarray, shift: float) -> bool:
-    """Whether shift * I - H is positive definite, by banded Cholesky."""
-    shifted = -band
-    shifted[0] = shift
-    try:
-        cholesky_banded(shifted, lower=True)
-    except LinAlgError:
-        return False
-    return True
+def top_eigenvalue(theta, a: complex, level: int):
+    """Largest eigenvalue of the hermitian rotation of the truncation, per angle.
 
-
-def top_eigenvalue(theta: float, a: complex, level: int) -> float:
-    """Largest eigenvalue of the hermitian rotation of the truncation.
-
-    Bounded above by the closed-form support function (compressions shrink
-    numerical ranges) and nondecreasing in ``level`` (the compressions are
-    nested).  LAPACK computes rho from the banded form in O(N); two banded
-    Cholesky factorizations then certify it as the top eigenvalue to within
-    s = CERTIFICATE_SLACK * max(1, |rho|): (rho + s) I - H must be positive
-    definite and (rho - s) I - H must not be.  Failure raises
-    :class:`EigensolverError`.
+    Takes a scalar or an array of angles and returns a float or an array of
+    their shape.  Bounded above by the closed-form support function and
+    nondecreasing in ``level`` (the compressions shrink the range and nest).
+    :func:`_search` narrows the Gershgorin bracket [-(r + 1), r + 1] to two
+    ulps, :func:`_certify` re-checks both ends, and the midpoint is returned.
     """
-    band = HermitianRotation(foguel_truncation(a, level), theta).band()
-    top = 2 * level - 1
-    try:
-        (rho,) = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(top, top))
-    except LinAlgError as exc:
-        raise EigensolverError(f"banded eigensolver failed at level {level}, theta {theta}") from exc
-    rho = float(rho)
-    slack = CERTIFICATE_SLACK * max(1.0, abs(rho))
-    if not _factors(band, rho + slack) or _factors(band, rho - slack):
-        raise EigensolverError(
-            f"top eigenvalue {rho!r} not bracketed to {slack:.1e} "
-            f"(level {level}, theta {theta})"
-        )
-    return rho
+    thetas = np.asarray(theta, dtype=float)
+    # r + 1 widened by 16 ulps, which rounding of the entries cannot reach
+    bound = (abs(a) / 2.0 + 1.0) * (1.0 + 2.0**-48)
+    if not (np.isfinite(thetas).all() and math.isfinite(bound)):
+        raise ValueError(f"theta and a must be finite, got {theta}, {a}")
+    operator = foguel_truncation(a, level)
+    scale = 2.0 ** -math.frexp(bound)[1]  # exact, and brings the bound into [1/2, 1)
+    bands = scale * np.array([HermitianRotation(operator, t).band() for t in thetas.flat])
+    lo, hi = _search(bands, bound * scale)
+    _certify(bands, lo, hi)
+    top = (0.5 * (lo + hi) / scale).reshape(thetas.shape)
+    return float(top) if thetas.ndim == 0 else top
+
+
+def _search(bands: np.ndarray, bound: float) -> tuple:
+    """Brackets (lo, hi] of the top eigenvalues, at most two ulps wide.
+
+    Each round splits every open bracket at ``_CANDIDATES`` equally spaced
+    trials and keeps the gap between the last not above the spectrum and the
+    first above it.
+    """
+    lo, hi = np.full(len(bands), -bound), np.full(len(bands), bound)
+    steps = np.arange(1, _CANDIDATES + 1)[:, None] / (_CANDIDATES + 1)
+    while (rows := np.flatnonzero(hi - lo > 2.0 * np.spacing(np.maximum(-lo, hi)))).size:
+        trials = np.vstack([lo[rows], lo[rows] + (hi[rows] - lo[rows]) * steps, hi[rows]])
+        above = np.vstack([_definite(bands[rows], trials[1:-1]), np.ones(rows.size, dtype=bool)])
+        first, cols = np.argmax(above, axis=0), np.arange(rows.size)
+        lo[rows], hi[rows] = trials[first, cols], trials[first + 1, cols]
+    return lo, hi
+
+
+def _certify(bands: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Raise unless lam I - H is positive definite at every hi and at no lo."""
+    definite = _definite(bands, np.vstack([lo, hi]))
+    if np.any(definite[0] | ~definite[1]):
+        raise EigensolverError(f"top eigenvalue not bracketed at level {bands.shape[2] // 2}")
+
+
+def _definite(bands: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Whether lam I - H is positive definite, for the trial values lams[j, m] of angle m.
+
+    The bands (scaled so the Gershgorin bound is at most 1) hold the blocks
+    A = [[0, conj(c)], [c, 0]] (row 1) and B = diag(b1, b2) (row 2).  By
+    Sylvester's law of inertia lam lies above the spectrum exactly when both
+    pivots p and t = s - |q|^2 / p of every D_k = [[p, conj(q)], [q, s]] of
+    the block LDL^T recurrence D_{k+1} = lam I - A - B D_k^{-1} B^* are
+    positive.  A pivot at or below ``_PIVMIN`` fails the test, and the failed
+    value's later blocks are carried with det = 1 so every entry stays finite.
+    """
+    coupling = bands[:, 1, 0::2].T.copy()
+    # B_0 = 0 stands above the first block, so the loop starts from D_0 = I
+    below = np.vstack([np.zeros((2, len(bands))), bands[:, 2, :-2].T])
+    squares, cross = below.real**2 + below.imag**2, below[1::2] * below[0::2].conj()
+    p = s = det = 1.0
+    q, definite = 0.0, True
+    for k in range(len(coupling)):
+        inv = 1.0 / det
+        p, s = lams - squares[2 * k] * (s * inv), lams - squares[2 * k + 1] * (p * inv)
+        q = cross[k] * (q * inv) - coupling[k]
+        t = s - (q.real**2 + q.imag**2) / np.maximum(p, _PIVMIN)
+        definite &= np.minimum(p, t) > _PIVMIN
+        det = np.where(definite, p * t, 1.0)
+    return definite
 
 
 def symbol_range_grid(lam: float, theta: float, samples: int) -> RangeInterval:
@@ -181,6 +218,8 @@ def symbol_range_grid(lam: float, theta: float, samples: int) -> RangeInterval:
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 grid points, got {samples}")
+    if not (math.isfinite(lam) and math.isfinite(theta)):
+        raise ValueError(f"lam and theta must be finite, got {lam}, {theta}")
     lo, hi = _range_rows(np.array([lam], dtype=float), theta, samples)
     return RangeInterval.closed(float(lo[0]), float(hi[0]))
 
@@ -282,7 +321,7 @@ def boundary_from_truncation(a: complex, level: int, samples: int) -> np.ndarray
     if samples < 90:
         raise ValueError(f"need at least 90 samples, got {samples}")
     thetas = angle_grid(samples)
-    offsets = [top_eigenvalue(th, a, level) for th in thetas]
+    offsets = top_eigenvalue(thetas, a, level)
     points = np.empty((samples, 2))
     for i in range(samples):
         t1, t2 = thetas[i], thetas[(i + 1) % samples]

@@ -2,7 +2,7 @@
 
 Every criterion runs at its stated tolerance; the suite is the contract for
 the whole package.  Expected runtimes are noted where they are not trivial
-(the level-400 ellipse cross-check is the long pole at about twelve seconds).
+(the level-400 ellipse cross-check, 720 angles, takes one to two seconds).
 """
 
 import csv
@@ -110,7 +110,7 @@ def test_criterion_04_envelope_on_curve(capsys):
 def oracle_checks():
     """The truncation suite of ``fnr verify`` at a = 1 (r = 0.5), level 400, by name.
 
-    Runtime: a few seconds.  It sweeps 72 angles at levels 50, 100, 200 and
+    Runtime: about a second.  It sweeps 72 angles at levels 50, 100, 200 and
     400 and runs 72 condition scans (three radii, 24 angles each).
     """
     return {c.name: c for c in truncation_checks(1.0, 400, DEFAULT_TOLERANCES)}

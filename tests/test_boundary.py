@@ -489,6 +489,10 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: ellipse_distance(1.0, math.nan, 2.0, 1.0),
         lambda: ellipse_distance(np.array([0.5, math.inf]), 0.5, 2.0, 1.0),
         lambda: ellipse_distance(1.0, 1.0, math.inf, 1.0),
+        lambda: symbol_range(1.5, math.nan),
+        lambda: admissible_offset_intervals(math.nan, 0.5),
+        lambda: symbol_range_grid(1.5, math.nan, 1000),
+        lambda: symbol_range_grid(math.nan, 0.3, 1000),
     ],
 )
 def test_non_finite_input_is_rejected(call):

@@ -228,6 +228,14 @@ def test_conflicting_radius_and_coupling(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+def test_radius_matching_coupling_to_rounding_is_accepted(tmp_path, capsys):
+    # |a|/2 = 0.8911348102279475 here; the 15-digit radius rounds to another double
+    argv = ["support-lines", "--a", "0.714,1.633", "--samples", "90", "--out", str(tmp_path)]
+    assert main(argv + ["--r", "0.891134810227947"]) == 0
+    assert main(argv + ["--r", "0.8911348102"]) == 2
+    assert "conflicts" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["--a", "7,0"], ["--r", "1/2", "--a", "1,0"]])
 def test_resultant_rejects_the_coupling_flag(tmp_path, capsys, argv):
     # The certificates take exact rational radii from --r only.

@@ -1,6 +1,12 @@
 """Truncation oracle: construction, eigenvalues, condition scan, boundary."""
 
+import json
 import math
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,15 +120,40 @@ def test_top_eigenvalue_matches_dense_eigvalsh():
 
 
 @pytest.mark.parametrize("offset", [1e-9, -1e-9])
-def test_top_eigenvalue_certificate_rejects_a_shifted_value(monkeypatch, offset):
-    solve = fnr.truncation.eig_banded
+def test_top_eigenvalue_certificate_rejects_a_shifted_bracket(monkeypatch, offset):
+    search = fnr.truncation._search
 
-    def shifted(*args, **kwargs):
-        return solve(*args, **kwargs) + offset
+    def shifted(*args):
+        lo, hi = search(*args)
+        return lo + offset, hi + offset
 
-    monkeypatch.setattr(fnr.truncation, "eig_banded", shifted)
+    monkeypatch.setattr(fnr.truncation, "_search", shifted)
     with pytest.raises(EigensolverError):
         top_eigenvalue(0.9, 1.0, 40)
+    with pytest.raises(EigensolverError):
+        top_eigenvalue(np.array([-2.0, 0.9, 3.0]), 1.0, 40)
+
+
+def test_top_eigenvalue_takes_arrays_of_angles():
+    thetas = np.array([[-math.pi, 0.3], [1.2, 2.5]])
+    values = top_eigenvalue(thetas, 1.5 - 0.5j, 30)
+    assert values.shape == thetas.shape
+    for theta, value in zip(thetas.ravel(), values.ravel()):
+        assert value == top_eigenvalue(float(theta), 1.5 - 0.5j, 30)
+    with pytest.raises(ValueError, match="finite"):
+        top_eigenvalue(np.array([0.0, math.nan]), 1.0, 10)
+
+
+@pytest.mark.parametrize("level", [1, 2, 50, 400, 1600])
+def test_axis_top_eigenvalue_is_exact(level):
+    # At theta = 0 and pi with real a = 2r the rotation is +-[[T, rI], [rI, T]],
+    # T = tridiag(1/2, 0, 1/2), whose spectrum is symmetric, so its top
+    # eigenvalue is r + cos(pi/(N+1)).  Most of these cases meet trial values
+    # with an exactly zero pivot, so the test also guards the pivot floor.
+    for r in (1e-6, 1e-2, 0.5, 1.0, 100.0, 1e4):
+        expected = r + math.cos(math.pi / (level + 1))
+        got = top_eigenvalue(np.array([0.0, math.pi]), 2.0 * r, level)
+        assert np.all(np.abs(got - expected) <= 4.0 * np.finfo(float).eps * max(1.0, expected))
 
 
 def test_compression_value_approaches_radius_from_below():
@@ -140,6 +171,31 @@ def test_compression_monotone_in_level_and_below_closed_form():
         if previous is not None:
             assert np.all(values >= previous - 1e-12)
         previous = values
+
+
+def test_convergence_table_script_shows_second_order_decay(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "convergence_table.py"
+    out = tmp_path / "table.json"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--levels", "25,50,100", "--json", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    gaps = [row["max_gap"] for row in rows]
+    assert gaps[0] > gaps[1] > gaps[2] > 0
+    assert all(1.5 <= row["order"] <= 2.5 for row in rows[1:])
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(fnr.truncation.__file__).resolve().parent.parent
+    code = "import sys, fnr.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_phase_invariance_of_top_eigenvalue():
