@@ -18,7 +18,6 @@ figures and runs the verification suites; see :mod:`fnr.cli`.
 
 from .boundary import (
     BoundaryCurve,
-    BoundaryPoint,
     Branch,
     RangeInterval,
     Region,
@@ -30,7 +29,6 @@ from .boundary import (
     ellipse_axes,
     ellipse_distance,
     ellipse_gap,
-    envelope_point,
     envelope_points,
     sextic_scale,
     sextic_value,
@@ -52,11 +50,10 @@ from .exact import (
 from .truncation import (
     ConditionNotSatisfiedError,
     EigensolverError,
-    HermitianRotation,
-    TruncatedOperator,
     boundary_from_truncation,
     default_offset_grid,
     foguel_truncation,
+    hermitian_rotation,
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
@@ -67,7 +64,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "BoundaryCurve",
-    "BoundaryPoint",
     "Branch",
     "RangeInterval",
     "Region",
@@ -79,7 +75,6 @@ __all__ = [
     "ellipse_axes",
     "ellipse_distance",
     "ellipse_gap",
-    "envelope_point",
     "envelope_points",
     "sextic_scale",
     "sextic_value",
@@ -98,11 +93,10 @@ __all__ = [
     "verify_sextic_resultant_identity",
     "ConditionNotSatisfiedError",
     "EigensolverError",
-    "HermitianRotation",
-    "TruncatedOperator",
     "boundary_from_truncation",
     "default_offset_grid",
     "foguel_truncation",
+    "hermitian_rotation",
     "support_function_via_condition",
     "symbol_range_grid",
     "top_eigenvalue",

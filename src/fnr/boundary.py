@@ -47,7 +47,6 @@ __all__ = [
     "Branch",
     "Region",
     "RangeInterval",
-    "BoundaryPoint",
     "BoundaryCurve",
     "UnitDiskDegeneracyError",
     "angle_grid",
@@ -57,7 +56,6 @@ __all__ = [
     "admissible_offset_intervals",
     "sextic_envelope",
     "envelope_points",
-    "envelope_point",
     "sextic_value",
     "sextic_scale",
     "boundary_curve",
@@ -118,14 +116,6 @@ class RangeInterval:
         if self.empty:
             raise ValueError("empty interval has no maximum")
         return self.hi
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    x: float
-    y: float
-    branch: Branch
-    theta: float
 
 
 class BoundaryCurve(NamedTuple):
@@ -286,17 +276,20 @@ def envelope_points(thetas, r: float) -> BoundaryCurve:
     return BoundaryCurve(thetas, x, y, branch)
 
 
-def envelope_point(theta: float, r: float) -> BoundaryPoint:
-    """Scalar view of :func:`envelope_points` at the single angle theta."""
-    point = envelope_points(np.array([theta]), r)
-    return BoundaryPoint(float(point.x[0]), float(point.y[0]), point.branch[0], theta)
-
-
 # Single transcription: the float evaluator walks the exact term table.
 _SEXTIC_TERMS = tuple(
     (eu, ev, er, float(coeff))
     for (eu, ev, er), coeff in sorted(exact.sextic_polynomial().terms.items())
 )
+
+
+def _fold_monomials(step, u, v, r):
+    """Fold ``step(acc, monomial)`` over the sextic's terms at (u, v, r), in table order."""
+    u, v, r = (np.asarray(z, dtype=float) for z in (u, v, r))
+    acc = np.zeros(np.broadcast(u, v, r).shape)
+    for eu, ev, er, coeff in _SEXTIC_TERMS:
+        acc = step(acc, coeff * u**eu * v**ev * r**er)
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def sextic_value(u, v, r):
@@ -305,15 +298,7 @@ def sextic_value(u, v, r):
     Evaluates the same integer term table as the exact-arithmetic
     polynomial, so the two routes agree to rounding error.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = np.asarray(r, dtype=float)
-    total = np.zeros(np.broadcast(u, v, r).shape)
-    for eu, ev, er, coeff in _SEXTIC_TERMS:
-        total = total + coeff * u**eu * v**ev * r**er
-    if total.ndim == 0:
-        return float(total)
-    return total
+    return _fold_monomials(np.add, u, v, r)
 
 
 def sextic_scale(u, v, r):
@@ -322,15 +307,7 @@ def sextic_scale(u, v, r):
     Natural normalizer for residuals: the coefficients span several orders
     of magnitude, so raw residuals are only meaningful relative to this.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = np.asarray(r, dtype=float)
-    scale = np.zeros(np.broadcast(u, v, r).shape)
-    for eu, ev, er, coeff in _SEXTIC_TERMS:
-        scale = np.maximum(scale, np.abs(coeff * u**eu * v**ev * r**er))
-    if scale.ndim == 0:
-        return float(scale)
-    return scale
+    return _fold_monomials(lambda scale, term: np.maximum(scale, np.abs(term)), u, v, r)
 
 
 def boundary_curve(r: float, samples: int) -> BoundaryCurve:

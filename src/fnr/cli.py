@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boundary, checks, exact, render
-from .config import Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = ["main"]
 
@@ -72,6 +72,8 @@ class RunConfig:
             raise UsageError(f"--N must be at least 1, got {self.level}")
         if self.grid < 64:
             raise UsageError(f"--grid must be at least 64, got {self.grid}")
+        if self.degree_bound < 0:
+            raise UsageError(f"--degree-bound must be nonnegative, got {self.degree_bound}")
         if self.r < 0:
             raise UsageError(f"--r must be nonnegative, got {self.r}")
         if self.command != "resultant" and self.r > MAX_RADIUS:
@@ -137,9 +139,12 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="output formats (repeatable)",
         )
-        p.add_argument("--tol-alg", type=float, default=1e-12, help="algebraic tolerance")
-        p.add_argument("--tol-env", type=float, default=1e-8, help="envelope tolerance")
-        p.add_argument("--tol-conv", type=float, default=5e-3, help="convergence tolerance")
+        tol = DEFAULT_TOLERANCES
+        p.add_argument("--tol-alg", type=float, default=tol.algebraic, help="algebraic tolerance")
+        p.add_argument("--tol-env", type=float, default=tol.envelope, help="envelope tolerance")
+        p.add_argument(
+            "--tol-conv", type=float, default=tol.convergence, help="convergence tolerance"
+        )
 
     sup = sub.add_parser("support-lines", help="emit the supporting-line family")
     add_common(sup)

@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .boundary import envelope_point, sextic_envelope, support_function, switching_cosine
+from .boundary import envelope_points, sextic_envelope, support_function, switching_cosine
 
 __all__ = [
     "format_float",
@@ -241,15 +241,15 @@ def boundary_svg(r: float, points) -> ET.Element:
     boundary = zip(points.x.tolist(), points.y.tolist())
     _add_polyline(canvas, boundary, "boundary", PRIMARY_COLOR, thick, False, closed=True)
 
-    for theta in switch_thetas:
-        point = envelope_point(theta, r)
+    markers = envelope_points(np.array(switch_thetas), r)
+    for x, y in zip(markers.x.tolist(), markers.y.tolist()):
         ET.SubElement(
             canvas,
             "circle",
             {
                 "class": "switch-marker",
-                "cx": f"{point.x:.6f}",
-                "cy": f"{point.y:.6f}",
+                "cx": f"{x:.6f}",
+                "cy": f"{y:.6f}",
                 "r": f"{0.018 * limit:.6f}",
                 "fill": SWITCH_COLOR,
                 "stroke": "none",

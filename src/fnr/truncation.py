@@ -12,8 +12,9 @@ compressions shrink numerical ranges, the top eigenvalue of the hermitian
 rotation (e^{-i theta} F + e^{i theta} F*)/2 approaches the true support
 function from below as N grows, and the polygon cut out by the measured
 supporting lines sits inside the true region.  In the interleaved basis
-(e_1, f_1, e_2, f_2, ...) the rotation is block tridiagonal, and bisection on
-a block LDL^T inertia test brackets its top eigenvalue to two ulps in O(N).
+(e_1, f_1, e_2, f_2, ...) the rotation is block tridiagonal, its 2 x 2 blocks
+given by two numbers per angle, and bisection on a block LDL^T inertia test
+brackets its top eigenvalue to two ulps in O(N) without forming the matrix.
 
 A second, fully independent route evaluates the singularity condition
 directly: an offset lam > 1 is admissible in direction theta exactly when
@@ -30,18 +31,17 @@ exhaustive scan finds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .boundary import RangeInterval, _check_radius, angle_grid
 
 __all__ = [
-    "TruncatedOperator",
-    "HermitianRotation",
     "EigensolverError",
     "ConditionNotSatisfiedError",
     "foguel_truncation",
+    "hermitian_rotation",
     "top_eigenvalue",
     "symbol_range_grid",
     "default_offset_grid",
@@ -61,6 +61,9 @@ _KNOT_SPACING = 256
 _BATCH = 16
 """Rows per exact evaluation once the condition scan reaches an open offset."""
 
+_F_SAMPLES = 10_001
+"""Points on the unit circle at which the condition scan samples f."""
+
 _ROUNDING_SLACK = 64 * np.finfo(float).eps
 """Relative slack of the scan's chord test, several times the rounding of the
 table entries, the chord interpolation and the target."""
@@ -74,64 +77,40 @@ class ConditionNotSatisfiedError(RuntimeError):
     """No grid offset satisfies the singularity condition."""
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """2N x 2N compression of the Foguel operator with coupling a."""
-
-    a: complex
-    level: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"truncation level must be at least 1, got {self.level}")
-
-    def dense(self) -> np.ndarray:
-        n = self.level
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        for i in range(n - 1):
-            out[i, i + 1] = 1.0  # adjoint shift block: superdiagonal
-            out[n + i + 1, n + i] = 1.0  # shift block: subdiagonal
-        for i in range(n):
-            out[i, n + i] = self.a
-        return out
+def _check_level(level: int) -> None:
+    if level < 1:
+        raise ValueError(f"truncation level must be at least 1, got {level}")
 
 
-@dataclass(frozen=True)
-class HermitianRotation:
-    """Hermitian part of e^{-i theta} times the truncated operator."""
-
-    operator: TruncatedOperator
-    theta: float
-
-    def dense(self) -> np.ndarray:
-        rotated = np.exp(-1j * self.theta) * self.operator.dense()
-        # (M + M^†)/2 is hermitian bit-for-bit: entry (j, i) is computed by
-        # the conjugate of the identical float operations as entry (i, j).
-        return (rotated + rotated.conj().T) / 2.0
-
-    def band(self) -> np.ndarray:
-        """The matrix in LAPACK lower-band storage, basis order (e_1, f_1, e_2, f_2, ...).
-
-        In the interleaved order the matrix is pentadiagonal with a zero
-        diagonal: row 1 holds the coupling entries conj(w a)/2 at even
-        columns, row 2 holds the shift entries conj(w)/2 (first block) at
-        even and w/2 (second block) at odd columns, w = e^{-i theta}.  The
-        entries are the same floats as those of :meth:`dense`; w a goes
-        through the multiply ufunc, as there, because scalar complex
-        arithmetic rounds differently.
-        """
-        n = self.operator.level
-        w = np.exp(-1j * self.theta)
-        out = np.zeros((3, 2 * n), dtype=complex)
-        out[1, 0::2] = np.conj(np.multiply(w, self.operator.a)) / 2.0
-        out[2, 0 : 2 * n - 2 : 2] = np.conj(w) / 2.0
-        out[2, 1 : 2 * n - 2 : 2] = w / 2.0
-        return out
+def foguel_truncation(a: complex, level: int) -> np.ndarray:
+    """The 2N x 2N compression of the Foguel operator with coupling a, N = ``level``."""
+    _check_level(level)
+    out = np.zeros((2 * level, 2 * level), dtype=complex)
+    i = np.arange(level)
+    out[i[:-1], i[1:]] = 1.0  # adjoint shift block: superdiagonal
+    out[level + i[1:], level + i[:-1]] = 1.0  # shift block: subdiagonal
+    out[i, level + i] = complex(a)
+    return out
 
 
-def foguel_truncation(a: complex, level: int) -> TruncatedOperator:
-    """Compression of the Foguel operator onto the first ``level`` basis vectors."""
-    return TruncatedOperator(a=complex(a), level=level)
+def hermitian_rotation(theta: float, a: complex, level: int) -> np.ndarray:
+    """Hermitian part of e^{-i theta} times :func:`foguel_truncation`, as a dense matrix."""
+    rotated = np.exp(-1j * theta) * foguel_truncation(a, level)
+    # (M + M^†)/2 is hermitian bit-for-bit: entry (j, i) is computed by the
+    # conjugate of the identical float operations as entry (i, j).
+    return (rotated + rotated.conj().T) / 2.0
+
+
+def _block_entries(thetas: np.ndarray, a: complex, scale: float) -> np.ndarray:
+    """The entries (c, b) of the rotation's blocks, times ``scale``, one column per angle.
+
+    In the basis (e_1, f_1, e_2, f_2, ...) every diagonal block is
+    A = [[0, conj(c)], [c, 0]] and every block below it B = diag(conj(b), b),
+    with c = conj(w a)/2, b = w/2 and w = e^{-i theta}: the floats of
+    :func:`hermitian_rotation`.
+    """
+    w = np.exp(-1j * thetas)
+    return np.array([scale * (np.conj(w * a) / 2.0), scale * (w / 2.0)])
 
 
 def top_eigenvalue(theta, a: complex, level: int):
@@ -140,68 +119,75 @@ def top_eigenvalue(theta, a: complex, level: int):
     Takes a scalar or an array of angles and returns a float or an array of
     their shape.  Bounded above by the closed-form support function and
     nondecreasing in ``level`` (the compressions shrink the range and nest).
-    :func:`_search` narrows the Gershgorin bracket [-(r + 1), r + 1] to two
-    ulps, :func:`_certify` re-checks both ends, and the midpoint is returned.
+    From the :func:`_block_entries` of each angle, :func:`_search` narrows the
+    Gershgorin bracket [-(r + 1), r + 1] to two ulps, :func:`_certify`
+    re-checks both ends, and the midpoint is returned.
     """
+    _check_level(level)
     thetas = np.asarray(theta, dtype=float)
     # r + 1 widened by 16 ulps, which rounding of the entries cannot reach
     bound = (abs(a) / 2.0 + 1.0) * (1.0 + 2.0**-48)
     if not (np.isfinite(thetas).all() and math.isfinite(bound)):
         raise ValueError(f"theta and a must be finite, got {theta}, {a}")
-    operator = foguel_truncation(a, level)
     scale = 2.0 ** -math.frexp(bound)[1]  # exact, and brings the bound into [1/2, 1)
-    bands = scale * np.array([HermitianRotation(operator, t).band() for t in thetas.flat])
-    lo, hi = _search(bands, bound * scale)
-    _certify(bands, lo, hi)
+    blocks = _block_entries(thetas.ravel(), a, scale)
+    lo, hi = _search(blocks, level, bound * scale)
+    _certify(blocks, level, lo, hi)
     top = (0.5 * (lo + hi) / scale).reshape(thetas.shape)
     return float(top) if thetas.ndim == 0 else top
 
 
-def _search(bands: np.ndarray, bound: float) -> tuple:
+def _search(blocks: np.ndarray, level: int, bound: float) -> tuple:
     """Brackets (lo, hi] of the top eigenvalues, at most two ulps wide.
 
     Each round splits every open bracket at ``_CANDIDATES`` equally spaced
     trials and keeps the gap between the last not above the spectrum and the
     first above it.
     """
-    lo, hi = np.full(len(bands), -bound), np.full(len(bands), bound)
+    lo, hi = np.full(blocks.shape[1], -bound), np.full(blocks.shape[1], bound)
     steps = np.arange(1, _CANDIDATES + 1)[:, None] / (_CANDIDATES + 1)
     while (rows := np.flatnonzero(hi - lo > 2.0 * np.spacing(np.maximum(-lo, hi)))).size:
         trials = np.vstack([lo[rows], lo[rows] + (hi[rows] - lo[rows]) * steps, hi[rows]])
-        above = np.vstack([_definite(bands[rows], trials[1:-1]), np.ones(rows.size, dtype=bool)])
+        definite = _definite(blocks[:, rows], level, trials[1:-1])
+        above = np.vstack([definite, np.ones(rows.size, dtype=bool)])
         first, cols = np.argmax(above, axis=0), np.arange(rows.size)
         lo[rows], hi[rows] = trials[first, cols], trials[first + 1, cols]
     return lo, hi
 
 
-def _certify(bands: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+def _certify(blocks: np.ndarray, level: int, lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise unless lam I - H is positive definite at every hi and at no lo."""
-    definite = _definite(bands, np.vstack([lo, hi]))
+    definite = _definite(blocks, level, np.vstack([lo, hi]))
     if np.any(definite[0] | ~definite[1]):
-        raise EigensolverError(f"top eigenvalue not bracketed at level {bands.shape[2] // 2}")
+        raise EigensolverError(f"top eigenvalue not bracketed at level {level}")
 
 
-def _definite(bands: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _definite(blocks: np.ndarray, level: int, lams: np.ndarray) -> np.ndarray:
     """Whether lam I - H is positive definite, for the trial values lams[j, m] of angle m.
 
-    The bands (scaled so the Gershgorin bound is at most 1) hold the blocks
-    A = [[0, conj(c)], [c, 0]] (row 1) and B = diag(b1, b2) (row 2).  By
-    Sylvester's law of inertia lam lies above the spectrum exactly when both
-    pivots p and t = s - |q|^2 / p of every D_k = [[p, conj(q)], [q, s]] of
-    the block LDL^T recurrence D_{k+1} = lam I - A - B D_k^{-1} B^* are
-    positive.  A pivot at or below ``_PIVMIN`` fails the test, and the failed
-    value's later blocks are carried with det = 1 so every entry stays finite.
+    Column m of ``blocks`` holds the :func:`_block_entries` (c, b) of angle m,
+    scaled so the Gershgorin bound is at most 1.  By Sylvester's law of
+    inertia lam lies above the spectrum exactly when both pivots p and
+    t = s - |q|^2 / p of every D_k = [[p, conj(q)], [q, s]] of the block
+    LDL^T recurrence D_{k+1} = lam I - A - B D_k^{-1} B^* are positive; here
+    that is p' = lam - |b|^2 s / det, s' = lam - |b|^2 p / det and
+    q' = b^2 q / det - c.  A pivot at or below ``_PIVMIN`` fails the test, and
+    the failed value's later blocks are carried with det = 1 so every entry
+    stays finite.
     """
-    coupling = bands[:, 1, 0::2].T.copy()
+    coupling, shift = blocks
     # B_0 = 0 stands above the first block, so the loop starts from D_0 = I
-    below = np.vstack([np.zeros((2, len(bands))), bands[:, 2, :-2].T])
-    squares, cross = below.real**2 + below.imag**2, below[1::2] * below[0::2].conj()
+    below = chain([(0.0, 0.0)], repeat((shift.real**2 + shift.imag**2, shift * shift), level - 1))
     p = s = det = 1.0
-    q, definite = 0.0, True
-    for k in range(len(coupling)):
+    q, definite = np.zeros(lams.shape, dtype=complex), True
+    for square, cross in below:
         inv = 1.0 / det
-        p, s = lams - squares[2 * k] * (s * inv), lams - squares[2 * k + 1] * (p * inv)
-        q = cross[k] * (q * inv) - coupling[k]
+        p, s = lams - square * (s * inv), lams - square * (p * inv)
+        # q' = cross (q inv) - c in place, as fresh complex temporaries cost more
+        # than the arithmetic; products use FMA, so cross stays the first factor
+        q *= inv
+        np.multiply(cross, q, out=q)
+        q -= coupling
         t = s - (q.real**2 + q.imag**2) / np.maximum(p, _PIVMIN)
         definite &= np.minimum(p, t) > _PIVMIN
         det = np.where(definite, p * t, 1.0)
@@ -248,15 +234,14 @@ def support_function_via_condition(
     theta: float,
     r: float,
     offset_grid: np.ndarray | None = None,
-    f_samples: int = 10_001,
 ) -> float:
     """Support function recovered from the singularity condition alone.
 
     Scans a descending offset grid and returns the largest lam for which
     2 (r^2 - lam^2) lies in the brute-force range [lo, hi] of f; agrees with
-    the closed form to the grid resolution.  ``f_samples`` controls the range
-    oracle's grid (error O(f_samples^-2), far below the default 1e-4 offset
-    step).  Raises :class:`ConditionNotSatisfiedError` when no grid offset
+    the closed form to the grid resolution.  The range oracle samples
+    ``_F_SAMPLES`` points (error O(_F_SAMPLES^-2), far below the default 1e-4
+    offset step).  Raises :class:`ConditionNotSatisfiedError` when no grid offset
     qualifies.
 
     Most offsets are ruled out without building their rows.  Each table entry
@@ -278,13 +263,11 @@ def support_function_via_condition(
         raise ValueError("offset grid must be a one-dimensional descending list")
     if not np.all(np.diff(grid) < 0):
         raise ValueError("offset grid must be strictly descending")
-    if f_samples < 1000:
-        raise ValueError(f"need at least 1000 range-grid points, got {f_samples}")
 
     target = 2.0 * (r * r - grid * grid)
 
     knots = np.unique(np.append(np.arange(0, grid.size, _KNOT_SPACING), grid.size - 1))
-    knot_lo, knot_hi = _range_rows(grid[knots], theta, f_samples)
+    knot_lo, knot_hi = _range_rows(grid[knots], theta, _F_SAMPLES)
     ascending = grid[knots][::-1]
     lo_chord = np.interp(grid, ascending, knot_lo[::-1])
     hi_chord = np.interp(grid, ascending, knot_hi[::-1])
@@ -297,7 +280,7 @@ def support_function_via_condition(
     candidates = np.flatnonzero(~ruled_out)
     for start in range(0, candidates.size, _BATCH):
         rows = candidates[start : start + _BATCH]
-        lo, hi = _range_rows(grid[rows], theta, f_samples)
+        lo, hi = _range_rows(grid[rows], theta, _F_SAMPLES)
         hits = np.flatnonzero((target[rows] >= lo) & (target[rows] <= hi))
         if hits.size:
             return float(grid[rows[hits[0]]])

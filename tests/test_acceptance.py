@@ -22,7 +22,7 @@ from fnr import (
     ellipse_axes,
     ellipse_distance,
     ellipse_gap,
-    envelope_point,
+    envelope_points,
     sextic_scale,
     sextic_value,
     support_function,
@@ -83,15 +83,14 @@ def test_criterion_04_envelope_on_curve(capsys):
     r = 0.5
     cut_angle = math.acos(switching_cosine(r))
 
-    worst_sextic = 0.0
-    for half in (1.0, -1.0):
-        for k in range(1000):
-            theta = half * (cut_angle + (math.pi - 2 * cut_angle) * (k + 0.5) / 1000)
-            point = envelope_point(theta, r)
-            u, v = point.x**2, point.y**2
-            worst_sextic = max(
-                worst_sextic, abs(sextic_value(u, v, r)) / sextic_scale(u, v, r)
-            )
+    thetas = [
+        half * (cut_angle + (math.pi - 2 * cut_angle) * (k + 0.5) / 1000)
+        for half in (1.0, -1.0)
+        for k in range(1000)
+    ]
+    sextic_arcs = envelope_points(np.array(thetas), r)
+    u, v = sextic_arcs.x**2, sextic_arcs.y**2
+    worst_sextic = float(np.max(np.abs(sextic_value(u, v, r)) / sextic_scale(u, v, r)))
 
     worst_circle = 0.0
     _, xs, ys, branches = boundary_curve(r, 2000)

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fnr import (
-    BoundaryPoint,
     Branch,
     RangeInterval,
     Region,
@@ -23,7 +22,6 @@ from fnr import (
     ellipse_axes,
     ellipse_distance,
     ellipse_gap,
-    envelope_point,
     envelope_points,
     sextic_scale,
     sextic_value,
@@ -170,27 +168,31 @@ def test_interval_emptiness_flag():
 # ---------------------------------------------------------------------------
 
 
+def _envelope(theta: float, r: float) -> tuple:
+    """(x, y, branch) of the envelope point at the single angle theta."""
+    curve = envelope_points(np.array([theta]), r)
+    return float(curve.x[0]), float(curve.y[0]), curve.branch[0]
+
+
 def test_envelope_examples():
-    point = envelope_point(0.0, 0.5)
-    assert (point.x, point.y, point.branch) == (1.5, 0.0, Branch.CIRCLE_RIGHT)
+    curve = envelope_points(np.array([0.0, math.pi / 2.0, math.pi]), 0.5)
+    assert (curve.x[0], curve.y[0], curve.branch[0]) == (1.5, 0.0, Branch.CIRCLE_RIGHT)
 
-    top = envelope_point(math.pi / 2.0, 0.5)
-    assert top.branch is Branch.SEXTIC_UPPER
-    assert abs(top.x) <= 1e-15
-    assert abs(top.y - math.sqrt(1.25)) <= 1e-15
+    assert curve.branch[1] is Branch.SEXTIC_UPPER
+    assert abs(curve.x[1]) <= 1e-15
+    assert abs(curve.y[1] - math.sqrt(1.25)) <= 1e-15
 
-    left = envelope_point(math.pi, 0.5)
-    assert left.branch is Branch.CIRCLE_LEFT
-    assert abs(left.x + 1.5) <= 1e-15 and abs(left.y) <= 1e-15
+    assert curve.branch[2] is Branch.CIRCLE_LEFT
+    assert abs(curve.x[2] + 1.5) <= 1e-15 and abs(curve.y[2]) <= 1e-15
 
     with pytest.raises(ValueError):
-        envelope_point(0.3, 0.0)
+        envelope_points(np.array([0.3]), 0.0)
 
 
 def test_branch_tie_goes_to_the_circle():
     r = 0.5
     theta = math.acos(switching_cosine(r))
-    assert envelope_point(theta, r).branch is Branch.CIRCLE_RIGHT
+    assert _envelope(theta, r)[2] is Branch.CIRCLE_RIGHT
 
 
 def test_sextic_value_examples():
@@ -202,20 +204,20 @@ def test_sextic_value_examples():
 
 @given(angles, st.floats(0.05, 4.0, allow_nan=False))
 def test_envelope_point_lies_on_its_branch(theta, r):
-    point = envelope_point(theta, r)
-    if point.branch.is_circle:
-        centre = 1.0 if point.branch is Branch.CIRCLE_RIGHT else -1.0
-        assert abs((point.x - centre) ** 2 + point.y**2 - r * r) <= 1e-12
+    x, y, branch = _envelope(theta, r)
+    if branch.is_circle:
+        centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
+        assert abs((x - centre) ** 2 + y**2 - r * r) <= 1e-12
     else:
-        u, v = point.x**2, point.y**2
+        u, v = x**2, y**2
         assert abs(sextic_value(u, v, r)) <= 1e-8 * sextic_scale(u, v, r)
 
 
 @given(angles, st.floats(0.05, 4.0, allow_nan=False))
 def test_envelope_point_supports_its_own_line(theta, r):
-    point = envelope_point(theta, r)
+    x, y, _ = _envelope(theta, r)
     offset = support_function(theta, r)
-    assert abs(point.x * math.cos(theta) + point.y * math.sin(theta) - offset) <= 1e-12
+    assert abs(x * math.cos(theta) + y * math.sin(theta) - offset) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +312,8 @@ def test_ellipse_distance_basics():
 
 def test_ellipse_gap_vanishes_on_the_axes():
     a_axis, b_axis = ellipse_axes(0.5)
-    for theta in (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0):
-        point = envelope_point(theta, 0.5)
-        assert ellipse_distance(point.x, point.y, a_axis, b_axis) <= 1e-10
+    curve = envelope_points(np.array([0.0, math.pi / 2.0, math.pi, -math.pi / 2.0]), 0.5)
+    assert np.all(ellipse_distance(curve.x, curve.y, a_axis, b_axis) <= 1e-10)
 
 
 def test_ellipse_gap_frozen_value():
@@ -351,8 +352,8 @@ def _reference_selected_branch(theta: float, r: float) -> Branch:
     return Branch.SEXTIC_UPPER if math.sin(theta) > 0 else Branch.SEXTIC_LOWER
 
 
-def _reference_envelope_point(theta: float, r: float) -> BoundaryPoint:
-    """Boundary point where the supporting line at angle theta touches.
+def _reference_envelope_point(theta: float, r: float) -> tuple:
+    """Boundary point (x, y, branch) where the supporting line at angle theta touches.
 
     The envelope of the family x cos + y sin = p(theta) is
     (p cos - p' sin, p sin + p' cos).  On the circle regime this reduces to
@@ -366,12 +367,12 @@ def _reference_envelope_point(theta: float, r: float) -> BoundaryPoint:
     branch = _reference_selected_branch(theta, r)
     if branch.is_circle:
         centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
-        return BoundaryPoint(centre + r * c, r * s, branch, theta)
+        return centre + r * c, r * s, branch
     if s == 0.0:
         raise ValueError(f"sextic parametrization singular at theta = {theta}")
     p = math.sqrt(1.0 + (r / s) ** 2)
     dp = -(r * r) * c / (s**3 * p)
-    return BoundaryPoint(p * c - dp * s, p * s + dp * c, branch, theta)
+    return p * c - dp * s, p * s + dp * c, branch
 
 
 def _reference_ellipse_distance(x: float, y: float, a_axis: float, b_axis: float) -> float:
@@ -428,8 +429,8 @@ def test_envelope_points_equal_the_scalar_reference(samples):
         assert curve.theta.tolist() == thetas.tolist()
         for k, theta in enumerate(thetas.tolist()):
             point = _reference_envelope_point(theta, r)
-            assert (curve.x[k], curve.y[k], curve.branch[k]) == (point.x, point.y, point.branch)
-    assert envelope_point(0.3, 0.5) == _reference_envelope_point(0.3, 0.5)
+            assert (curve.x[k], curve.y[k], curve.branch[k]) == point
+    assert _envelope(0.3, 0.5) == _reference_envelope_point(0.3, 0.5)
 
 
 def _distance_probes(r):
@@ -471,7 +472,7 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: classify_point(0.0, 0.0, math.inf),
         lambda: envelope_points(angle_grid(16), math.inf),
         lambda: envelope_points(angle_grid(16), math.nan),
-        lambda: envelope_point(0.3, math.inf),
+        lambda: envelope_points(np.array([0.3]), math.inf),
         lambda: boundary_curve(math.inf, 100),
         lambda: boundary_curve(math.nan, 100),
         lambda: ellipse_gap(math.inf, 2000),

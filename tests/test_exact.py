@@ -4,12 +4,13 @@ import math
 import os
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fnr import exact
-from fnr.boundary import envelope_point, sextic_value, switching_cosine
+from fnr.boundary import envelope_points, sextic_value, switching_cosine
 
 # ---------------------------------------------------------------------------
 # ExactPoly ring laws
@@ -113,15 +114,15 @@ def test_envelope_points_solve_the_elimination_system():
     first, second = exact.envelope_system()
     r = 0.5
     cut_angle = math.acos(switching_cosine(r))
-    for k in range(1, 8):
-        theta = cut_angle + (math.pi - 2 * cut_angle) * k / 8.0
-        point = envelope_point(theta, r)
+    thetas = [cut_angle + (math.pi - 2 * cut_angle) * k / 8.0 for k in range(1, 8)]
+    points = envelope_points(np.array(thetas), r)
+    for theta, x, y in zip(thetas, points.x.tolist(), points.y.tolist()):
         t_val = math.tan(theta / 2.0)
         assignment = {
             "t": Q(t_val).limit_denominator(10**12),
             "r": Q(1, 2),
-            "x": Q(point.x).limit_denominator(10**12),
-            "y": Q(point.y).limit_denominator(10**12),
+            "x": Q(x).limit_denominator(10**12),
+            "y": Q(y).limit_denominator(10**12),
         }
         for poly in (first, second):
             residual = float(poly.evaluate(assignment))
@@ -191,11 +192,11 @@ def test_resultant_vanishes_on_envelope_points_only():
     r = 0.5
     cut_angle = math.acos(switching_cosine(r))
     count = 0
-    for k in range(1, 51):
-        theta = cut_angle + (math.pi - 2 * cut_angle) * k / 51.0
-        point = envelope_point(theta, r)
-        x = Q(point.x).limit_denominator(10**10)
-        y = Q(point.y).limit_denominator(10**10)
+    thetas = [cut_angle + (math.pi - 2 * cut_angle) * k / 51.0 for k in range(1, 51)]
+    points = envelope_points(np.array(thetas), r)
+    for x_float, y_float in zip(points.x.tolist(), points.y.tolist()):
+        x = Q(x_float).limit_denominator(10**10)
+        y = Q(y_float).limit_denominator(10**10)
         on_curve = abs(exact.resultant_at(Q(1, 2), x, y))
         companion = abs(exact.resultant_at(Q(1, 2), x + Q(1, 10), y))
         assert companion > 0

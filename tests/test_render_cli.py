@@ -261,6 +261,13 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+def test_negative_degree_bound_is_a_usage_error(tmp_path, capsys):
+    assert main(["resultant", "--degree-bound", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fnr: ") and "--degree-bound" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [

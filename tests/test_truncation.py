@@ -15,12 +15,12 @@ import fnr.truncation
 from fnr import (
     ConditionNotSatisfiedError,
     EigensolverError,
-    HermitianRotation,
     Region,
     boundary_from_truncation,
     classify_point,
     default_offset_grid,
     foguel_truncation,
+    hermitian_rotation,
     support_function,
     support_function_via_condition,
     symbol_range_grid,
@@ -33,13 +33,13 @@ from fnr import (
 
 
 def test_smallest_truncation():
-    dense = foguel_truncation(1.0, 1).dense()
+    dense = foguel_truncation(1.0, 1)
     assert dense.shape == (2, 2)
     assert np.array_equal(dense, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_shift_block_layout():
-    dense = foguel_truncation(1.0, 2).dense()
+    dense = foguel_truncation(1.0, 2)
     # adjoint-shift block carries its single 1 in row 1, column 2 (1-based)
     assert dense[0, 1] == 1.0
     assert dense[1, 0] == 0.0
@@ -49,7 +49,7 @@ def test_shift_block_layout():
 
 def test_coupling_block_is_scalar():
     a = 2j
-    dense = foguel_truncation(a, 3).dense()
+    dense = foguel_truncation(a, 3)
     assert np.array_equal(dense[:3, 3:], a * np.eye(3))
     assert np.count_nonzero(dense[3:, :3]) == 0
 
@@ -57,7 +57,7 @@ def test_coupling_block_is_scalar():
 @pytest.mark.parametrize("level", [1, 2, 5, 40])
 def test_sparsity_and_norm_bound(level):
     a = 1.5 - 0.5j
-    dense = foguel_truncation(a, level).dense()
+    dense = foguel_truncation(a, level)
     assert np.count_nonzero(dense) == 3 * level - 2
     assert np.linalg.norm(dense, 2) <= 2.0 + abs(a)
 
@@ -65,30 +65,40 @@ def test_sparsity_and_norm_bound(level):
 def test_rejects_level_zero():
     with pytest.raises(ValueError):
         foguel_truncation(1.0, 0)
+    with pytest.raises(ValueError):
+        hermitian_rotation(0.3, 1.0, 0)
+    with pytest.raises(ValueError):
+        top_eigenvalue(0.3, 1.0, 0)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, -2.2, math.pi / 2.0])
 def test_hermitian_rotation_is_bitwise_hermitian(theta):
-    rotation = HermitianRotation(foguel_truncation(1.0 + 0.3j, 9), theta)
-    dense = rotation.dense()
+    dense = hermitian_rotation(theta, 1.0 + 0.3j, 9)
     adjoint = dense.conj().T
     assert np.array_equal(dense.real, adjoint.real)
     assert np.array_equal(dense.imag, adjoint.imag)
 
 
-def test_band_matches_permuted_dense():
+def test_block_entries_match_permuted_dense():
+    # In the order (e_1, f_1, e_2, f_2, ...) the rotation is block tridiagonal
+    # with A = [[0, conj(c)], [c, 0]] on the diagonal and B = diag(conj(b), b)
+    # below it, for the entries (c, b) of each angle.
     level = 13
     order = np.ravel(np.column_stack([np.arange(level), level + np.arange(level)]))
+    lower = np.eye(level, k=-1)
+    thetas = (-math.pi, -2.2, 0.0, 0.9, math.pi)
     for a in (0.0, 0.7 - 1.1j, 5.0):
-        for theta in (-math.pi, -2.2, 0.0, 0.9, math.pi):
-            rotation = HermitianRotation(foguel_truncation(a, level), theta)
-            band = rotation.band()
-            assert band.shape == (3, 2 * level)
-            # unused corners of the lower-band storage stay zero
-            assert band[1, -1] == 0 and np.all(band[2, -2:] == 0)
-            lower = sum(np.diag(band[k, : 2 * level - k], -k) for k in range(3))
-            rebuilt = lower + np.tril(lower, -1).conj().T
-            permuted = rotation.dense()[np.ix_(order, order)]
+        blocks = fnr.truncation._block_entries(np.array(thetas), a, 1.0)
+        assert blocks.shape == (2, len(thetas))
+        for theta, (c, b) in zip(thetas, blocks.T):
+            diagonal = np.array([[0.0, np.conj(c)], [c, 0.0]])
+            below = np.diag([np.conj(b), b])
+            rebuilt = (
+                np.kron(np.eye(level), diagonal)
+                + np.kron(lower, below)
+                + np.kron(lower.T, below.conj().T)
+            )
+            permuted = hermitian_rotation(theta, a, level)[np.ix_(order, order)]
             assert np.max(np.abs(rebuilt - permuted)) <= 1e-16
 
 
@@ -109,13 +119,14 @@ def test_uncoupled_truncation_has_chebyshev_top(theta, level):
 
 
 def test_top_eigenvalue_matches_dense_eigvalsh():
+    # One array call per (level, a); array values equal the one-angle calls
+    # (see test_top_eigenvalue_takes_arrays_of_angles).
     thetas = (-math.pi, -2.1, 0.0, 0.4, 0.9, math.pi / 2.0, math.pi)
     for level in range(1, 41):
         for a in (0.0, 1.0, 1.5 - 0.5j, 5.0, 100.0, 1e-8):
-            for theta in thetas:
-                dense = HermitianRotation(foguel_truncation(a, level), theta).dense()
-                expected = np.linalg.eigvalsh(dense)[-1]
-                got = top_eigenvalue(theta, a, level)
+            values = top_eigenvalue(np.array(thetas), a, level)
+            for theta, got in zip(thetas, values.tolist()):
+                expected = np.linalg.eigvalsh(hermitian_rotation(theta, a, level))[-1]
                 assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
