@@ -14,6 +14,16 @@ envelope of the supporting-line family.  This module holds
     certificate that the sextic divides the resultant of the elimination
     system, with exact held-out validation.
 
+The certificate fits its cofactor multi-modularly (Collins, J. ACM 18,
+1971): modulo one 31-bit prime after another, the 1073 Sylvester
+determinants of the sample grid, the Newton interpolation and the exact
+division by the sextic sections run as int64 numpy arrays, and the
+cofactor's rational coefficients come back by the Chinese remainder theorem
+and rational reconstruction.  The fit is only a candidate: the held-out
+check in exact :class:`~fractions.Fraction` arithmetic is the sole judge of
+success, and any other outcome reruns the certificate with the fitting in
+exact arithmetic, so failure reports are exact too.
+
 Rationals are plain :class:`fractions.Fraction` values: arbitrary-precision
 numerator, positive denominator, always in lowest terms.  Polynomials are
 immutable and all operations are pure, so concurrent use is safe; the
@@ -28,6 +38,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 Scalar = Union[int, Fraction]
 
@@ -353,15 +365,18 @@ def bareiss_determinant(rows: Sequence[Sequence], divide=None):
     division ``divide`` (defaults to checked scalar division, which covers
     int and Fraction entries; pass :func:`exact_divide` for polynomial
     entries).  Intermediate entries stay in the domain by Bareiss' identity.
+    An all-int matrix under the default division runs the checked integer
+    division inline.
     """
-    if divide is None:
-        divide = _exact_scalar_div
     matrix = [list(row) for row in rows]
     n = len(matrix)
     if n == 0:
         return 1
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
+    integral = divide is None and all(type(v) is int for row in matrix for v in row)
+    if divide is None:
+        divide = _exact_scalar_div
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -373,13 +388,21 @@ def bareiss_determinant(rows: Sequence[Sequence], divide=None):
                     break
             else:
                 return matrix[0][0] * 0
-        pivot = matrix[k][k]
+        pivot_row = matrix[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = matrix[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                value = pivot * matrix[i][j] - matrix[i][k] * matrix[k][j]
+                value = pivot * row[j] - lead * pivot_row[j]
                 if prev is not None:
-                    value = divide(value, prev)
-                matrix[i][j] = value
+                    if integral:
+                        value, rem = divmod(value, prev)
+                        if rem:
+                            raise ArithmeticError("non-exact integer division in Bareiss step")
+                    else:
+                        value = divide(value, prev)
+                row[j] = value
         prev = pivot
     return sign * matrix[n - 1][n - 1]
 
@@ -585,6 +608,155 @@ def _divide_univariate(num: Sequence[Fraction], den: Sequence[Fraction]) -> tupl
     return quot, rem
 
 
+class _Certificate:
+    """Sample grid, seeded stream and exact evaluators of one certificate run.
+
+    Construction validates the arguments and draws the grid offsets, so two
+    instances built from the same arguments replay the same stream.
+    """
+
+    def __init__(self, r, degree_bound, holdout, seed, sextic):
+        r = Fraction(r)
+        if r == 0:
+            raise ValueError("r = 0: the elimination system degenerates")
+        if degree_bound < 0:
+            raise ValueError("degree bound must be nonnegative")
+
+        self.r, self.degree_bound, self.holdout, self.seed = r, degree_bound, holdout, seed
+        space_dim = (degree_bound + 1) * (degree_bound + 2) // 2
+        self.rng = rng = _certificate_rng(r, seed)
+        sextic_poly = sextic if sextic is not None else sextic_polynomial()
+        self.sextic_r = sextic_poly.specialize({"r": r})
+        self.up1r, self.up2r = ([c.specialize({"r": r}) for c in up] for up in _system_coefficients())
+
+        # The section degree bound: deg_x Res <= degree_bound + deg_x E.
+        section_degree = degree_bound + 8
+        xs_count = section_degree + 1
+        ys_count = degree_bound + 1
+
+        den_x = rng.choice((7, 11, 13))
+        den_y = rng.choice((7, 11, 13))
+        off_x = Fraction(rng.randrange(1, den_x), den_x)
+        off_y = Fraction(rng.randrange(1, den_y), den_y)
+        self.xs = [Fraction(k - xs_count // 2) + off_x for k in range(xs_count)]
+        self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
+        self.sample_count = xs_count * ys_count + holdout
+        if self.sample_count < space_dim * 5 // 4:
+            raise ValueError(
+                f"sample count {self.sample_count} does not exceed the degree-{degree_bound} "
+                f"space dimension {space_dim} by 25%"
+            )
+
+    def res_value(self, x: Fraction, y: Fraction) -> Fraction:
+        return Fraction(_resultant_of_system(self.up1r, self.up2r, {"x": x, "y": y}))
+
+    def sextic_section(self, y: Fraction) -> list:
+        """Coefficients (ascending in x) of E(x^2, y^2, r) for fixed y."""
+        section = self.sextic_r.specialize({"v": y * y})  # polynomial in u alone
+        coeffs_u = [Fraction(c.evaluate({})) for c in section.univariate_coefficients("u")]
+        out = [Fraction(0)] * (2 * len(coeffs_u) - 1)
+        for i, c in enumerate(coeffs_u):
+            out[2 * i] = c
+        return out
+
+    def sextic_value(self, x: Fraction, y: Fraction) -> Fraction:
+        return self.sextic_r.evaluate({"u": x * x, "v": y * y})
+
+    def report(self, **fields) -> ResultantReport:
+        return ResultantReport(
+            r=self.r,
+            degree_bound=self.degree_bound,
+            sample_count=self.sample_count,
+            seed=self.seed,
+            **fields,
+        )
+
+    def conclude(self, terms: dict) -> ResultantReport:
+        """Check the fitted cofactor at the exact held-out points; the only way to succeed."""
+        cofactor = ExactPoly(("x", "y"), terms)
+        total_degree = max(cofactor.degree(), 0)
+
+        rng = self.rng
+        failures = []
+        for _ in range(self.holdout):
+            x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+            y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+            residual = self.res_value(x, y) - self.sextic_value(x, y) * cofactor.evaluate(
+                {"x": x, "y": y}
+            )
+            if residual != 0:
+                failures.append((x, y, residual))
+
+        reason = None
+        if total_degree > self.degree_bound:
+            reason = (
+                f"interpolated cofactor has total degree {total_degree} "
+                f"> bound {self.degree_bound}"
+            )
+        if failures:
+            reason = f"{len(failures)} held-out residuals are nonzero"
+
+        success = reason is None
+        return self.report(
+            holdout_count=self.holdout,
+            success=success,
+            cofactor=cofactor if success else None,
+            cofactor_total_degree=total_degree,
+            holdout_failures=failures,
+            failure_reason=reason,
+        )
+
+
+def _exact_certificate(cert: _Certificate) -> ResultantReport:
+    """The certificate with the fitting stage in exact rational arithmetic.
+
+    Along each section y = y_k the section polynomial Res(x, y_k) is recovered
+    by exact Newton interpolation and divided exactly by the sextic section.
+    A nonzero remainder ends the run with the section residuals at up to 8
+    held-out abscissae; a quotient over the degree bound ends it too.
+    """
+    bound = cert.degree_bound
+    section_quotients = []
+    for y in cert.ys:
+        values = [cert.res_value(x, y) for x in cert.xs]
+        res_section = _newton_interpolate(cert.xs, values)
+        quot, rem = _divide_univariate(res_section, cert.sextic_section(y))
+        if rem:
+            # Fitting system Res = E * C is inconsistent on this section;
+            # report residuals of the divided quotient at held-out abscissae.
+            rng = cert.rng
+            failures = []
+            for _ in range(min(cert.holdout, 8)):
+                xh = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+                res_h = cert.res_value(xh, y)
+                quot_h = sum(c * xh**i for i, c in enumerate(quot))
+                failures.append((xh, y, res_h - cert.sextic_value(xh, y) * quot_h))
+            return cert.report(
+                holdout_count=len(failures),
+                success=False,
+                holdout_failures=[f for f in failures if f[2] != 0],
+                failure_reason=(
+                    f"fitting system inconsistent: section y = {y} leaves a "
+                    f"degree-{len(rem) - 1} remainder under exact division"
+                ),
+            )
+        if len(quot) > bound + 1 and any(quot[bound + 1 :]):
+            return cert.report(
+                holdout_count=0,
+                success=False,
+                failure_reason=f"section quotient degree {len(quot) - 1} exceeds the bound {bound}",
+            )
+        section_quotients.append(quot + [Fraction(0)] * (bound + 1 - len(quot)))
+
+    # Interpolate each x-power across the y sections into the cofactor.
+    terms: dict = {}
+    for i in range(bound + 1):
+        coeffs_y = _newton_interpolate(cert.ys, [q[i] for q in section_quotients])
+        for j, c in enumerate(coeffs_y):
+            terms[(i, j)] = c
+    return cert.conclude(terms)
+
+
 def verify_sextic_resultant_identity(
     r: Scalar,
     degree_bound: int = 28,
@@ -595,17 +767,26 @@ def verify_sextic_resultant_identity(
     """Certify that the sextic divides the eliminated resultant at fixed r.
 
     For the given rational r, the resultant Res(x, y) of the elimination
-    system is sampled exactly on a shifted tensor grid large enough to pin
-    down a cofactor of total degree ``degree_bound``: along each horizontal
-    section y = y_k the section polynomial Res(x, y_k) (degree at most
-    degree_bound + 8) is recovered by exact Newton interpolation and divided
-    exactly by the sextic section E(x^2, y_k^2, r).  A nonzero section
-    remainder means the fitting system Res = E * C is inconsistent and the
-    certificate fails immediately, reporting the section residuals.  When
-    every section divides, the section quotients are interpolated across y
-    into the cofactor C(x, y), and the identity Res = E * C is re-verified
-    at ``holdout`` pseudo-random rational points; every held-out residual
-    must be exactly zero.
+    system is sampled on a shifted tensor grid large enough to pin down a
+    cofactor of total degree ``degree_bound``: along each horizontal section
+    y = y_k the section polynomial Res(x, y_k) (degree at most
+    degree_bound + 8) is recovered by Newton interpolation and divided
+    exactly by the sextic section E(x^2, y_k^2, r).  The section quotients
+    are interpolated across y into the cofactor C(x, y), and the identity
+    Res = E * C is re-verified in exact rational arithmetic at ``holdout``
+    pseudo-random rational points; every held-out residual must be exactly
+    zero, and only that check can declare success.
+
+    The fitting runs modulo one prime after another (Collins' multi-modular
+    method): the Sylvester determinants, the interpolation and the section
+    divisions are int64 array arithmetic, the residues are joined by the
+    Chinese remainder theorem, and each cofactor coefficient is rationally
+    reconstructed (Wang's bound) until one more prime leaves every
+    coefficient unchanged.  Whenever that route cannot conclude -- a nonzero
+    section remainder modulo a prime, a quotient over the degree bound, a
+    reconstruction that does not settle, or a held-out failure -- the whole
+    certificate is rerun with the fitting in exact rational arithmetic, so a
+    failure is reported with the exact section residuals.
 
     Success across several independent r values establishes the divisibility
     claimed for the boundary curve; the cofactor collects the extraneous
@@ -614,138 +795,273 @@ def verify_sextic_resultant_identity(
     bit-reproducible.  Sample coordinates are rationals with numerator and
     denominator bounded by 1000.
     """
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError("r = 0: the elimination system degenerates")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+    cert = _Certificate(r, degree_bound, holdout, seed, sextic)
+    fitted = _modular_cofactor(cert)
+    if fitted is not None:
+        report = cert.conclude(fitted[0])
+        if report.success:
+            return report
+        # Replay the stream: the exact route draws what a fresh run draws.
+        cert = _Certificate(r, degree_bound, holdout, seed, sextic)
+    return _exact_certificate(cert)
 
-    space_dim = (degree_bound + 1) * (degree_bound + 2) // 2
-    rng = _certificate_rng(r, seed)
-    sextic_poly = sextic if sextic is not None else sextic_polynomial()
-    sextic_r = sextic_poly.specialize({"r": r})
 
-    up1r, up2r = ([c.specialize({"r": r}) for c in up] for up in _system_coefficients())
+# ---------------------------------------------------------------------------
+# Modular fitting
+# ---------------------------------------------------------------------------
 
-    def res_value(x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(_resultant_of_system(up1r, up2r, {"x": x, "y": y}))
+# The fitting moduli: the 64 largest primes below 2^31, in descending order.
+# Residues lie in [0, p), so a product of two residues, and the difference of
+# two such products, is below 2^62 in magnitude; each is reduced modulo p
+# before anything else is added to it, because int64 wraps without warning.
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
+    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
+    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
+    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
+    2147482327, 2147482291, 2147482273, 2147482237,
+)
 
-    def sextic_section(y: Fraction) -> list:
-        """Coefficients (ascending in x) of E(x^2, y^2, r) for fixed y."""
-        section = sextic_r.specialize({"v": y * y})  # polynomial in u alone
-        coeffs_u = [Fraction(c.evaluate({})) for c in section.univariate_coefficients("u")]
-        out = [Fraction(0)] * (2 * len(coeffs_u) - 1)
-        for i, c in enumerate(coeffs_u):
-            out[2 * i] = c
-        return out
+# Sections per determinant block: 6 sections of 37 Sylvester matrices keep
+# the block's working arrays near 1 MB.
+_BLOCK_SECTIONS = 6
 
-    def sextic_value(x: Fraction, y: Fraction) -> Fraction:
-        return sextic_r.evaluate({"u": x * x, "v": y * y})
 
-    # The section degree bound: deg_x Res <= degree_bound + deg_x E.
-    section_degree = degree_bound + 8
-    xs_count = section_degree + 1
-    ys_count = degree_bound + 1
+def _residue(value: Fraction, p: int) -> int:
+    return value.numerator * pow(value.denominator, -1, p) % p
 
-    den_x = rng.choice((7, 11, 13))
-    den_y = rng.choice((7, 11, 13))
-    off_x = Fraction(rng.randrange(1, den_x), den_x)
-    off_y = Fraction(rng.randrange(1, den_y), den_y)
-    xs = [Fraction(k - xs_count // 2) + off_x for k in range(xs_count)]
-    ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
-    sample_count = xs_count * ys_count + holdout
-    if sample_count < space_dim * 5 // 4:
-        raise ValueError(
-            f"sample count {sample_count} does not exceed the degree-{degree_bound} "
-            f"space dimension {space_dim} by 25%"
+
+def _inverse_mod(values: np.ndarray, p: int) -> np.ndarray:
+    """Inverses modulo the prime p by Fermat's little theorem (0 maps to 0)."""
+    result = np.ones_like(values)
+    base = values % p
+    exponent = p - 2
+    while exponent:
+        if exponent & 1:
+            result = result * base % p
+        base = base * base % p
+        exponent >>= 1
+    return result
+
+
+def _determinants_mod(matrices: np.ndarray, p: int) -> np.ndarray:
+    """Determinants modulo the prime p of a stack of square int64 matrices.
+
+    Entries must lie in [0, p); ``matrices`` is overwritten.  Step k swaps
+    the first row with a nonzero entry in column k up to the diagonal, then
+    replaces every lower row by pivot * row - lead * pivot row.  That scales
+    the determinant by pivot^(rows below), a factor divided out once per
+    matrix at the end; a column with no nonzero entry gives determinant 0.
+    """
+    count, n, _ = matrices.shape
+    m = matrices
+    negate = np.zeros(count, bool)
+    diagonal = np.ones(count, np.int64)  # product of the pivots so far
+    scale = np.ones(count, np.int64)  # product of pivot^(rows below)
+    work = np.empty((count, n - 1, n - 1), np.int64)
+    for k in range(n - 1):
+        first = np.argmax(m[:, k:, k] != 0, axis=1)
+        swap = np.flatnonzero(first)
+        if swap.size:
+            rows = k + first[swap]
+            top = m[swap, k].copy()
+            m[swap, k] = m[swap, rows]
+            m[swap, rows] = top
+            negate[swap] ^= True
+        pivot = m[:, k, k]
+        diagonal = diagonal * pivot % p
+        scale = scale * diagonal % p
+        lower = m[:, k + 1 :, k + 1 :]
+        cross = work[:, : n - 1 - k, : n - 1 - k]
+        # Both products lie in [0, (p - 1)^2] with (p - 1)^2 < 2^62, so their
+        # difference fits int64 and is reduced before anything is added to it.
+        np.multiply(m[:, k + 1 :, k, None], m[:, k, None, k + 1 :], out=cross)
+        lower *= pivot[:, None, None]
+        lower -= cross
+        lower %= p
+    det = diagonal * m[:, n - 1, n - 1] % p * _inverse_mod(scale, p) % p
+    return np.where(negate, (p - det) % p, det)
+
+
+def _newton_mod(values: np.ndarray, nodes: Sequence[int], p: int) -> np.ndarray:
+    """Ascending monomial coefficients of the interpolant through each row, modulo p.
+
+    Row-wise the same divided differences and Horner expansion as
+    :func:`_newton_interpolate`, for all rows at once; ``nodes`` are the
+    abscissae as residues.
+    """
+    n = len(nodes)
+    divided = values.copy()
+    for level in range(1, n):
+        inverse = np.array(
+            [pow(nodes[i] - nodes[i - level], -1, p) for i in range(level, n)], np.int64
         )
+        divided[:, level:] = (divided[:, level:] - divided[:, level - 1 : -1]) % p * inverse % p
+    coeffs = np.zeros_like(divided)
+    coeffs[:, 0] = divided[:, n - 1]
+    for i in range(n - 2, -1, -1):
+        length = n - i
+        coeffs[:, 1:length] = coeffs[:, : length - 1].copy()
+        coeffs[:, 0] = 0
+        coeffs[:, : length - 1] = (coeffs[:, : length - 1] - nodes[i] * coeffs[:, 1:length]) % p
+        coeffs[:, 0] = (coeffs[:, 0] + divided[:, i]) % p
+    return coeffs
 
-    # Per-section interpolation of Res and exact division by the sextic.
-    section_quotients = []
-    for y in ys:
-        values = [res_value(x, y) for x in xs]
-        res_section = _newton_interpolate(xs, values)
-        quot, rem = _divide_univariate(res_section, sextic_section(y))
-        if rem:
-            # Fitting system Res = E * C is inconsistent on this section;
-            # report residuals of the divided quotient at held-out abscissae.
-            failures = []
-            for _ in range(min(holdout, 8)):
-                xh = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-                res_h = res_value(xh, y)
-                quot_h = sum(c * xh**i for i, c in enumerate(quot))
-                failures.append((xh, y, res_h - sextic_value(xh, y) * quot_h))
-            return ResultantReport(
-                r=r,
-                degree_bound=degree_bound,
-                sample_count=sample_count,
-                holdout_count=len(failures),
-                seed=seed,
-                success=False,
-                cofactor=None,
-                cofactor_total_degree=None,
-                holdout_failures=[f for f in failures if f[2] != 0],
-                failure_reason=(
-                    f"fitting system inconsistent: section y = {y} leaves a "
-                    f"degree-{len(rem) - 1} remainder under exact division"
-                ),
-            )
-        if len(quot) > degree_bound + 1:
-            trailing = quot[degree_bound + 1 :]
-            if any(trailing):
-                return ResultantReport(
-                    r=r,
-                    degree_bound=degree_bound,
-                    sample_count=sample_count,
-                    holdout_count=0,
-                    seed=seed,
-                    success=False,
-                    failure_reason=(
-                        f"section quotient degree {len(quot) - 1} exceeds the "
-                        f"bound {degree_bound}"
-                    ),
-                )
-        section_quotients.append(quot + [Fraction(0)] * (degree_bound + 1 - len(quot)))
 
-    # Interpolate each x-power across the y sections into the cofactor.
-    terms: dict = {}
-    for i in range(degree_bound + 1):
-        coeffs_y = _newton_interpolate(ys, [q[i] for q in section_quotients])
-        for j, c in enumerate(coeffs_y):
-            terms[(i, j)] = c
-    cofactor = ExactPoly(("x", "y"), terms)
-    total_degree = max(cofactor.degree(), 0)
+def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
+    """The fraction n/d = value (mod modulus) with |n|, d <= sqrt(modulus / 2), if any.
 
-    failures = []
-    for _ in range(holdout):
-        x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        residual = res_value(x, y) - sextic_value(x, y) * cofactor.evaluate({"x": x, "y": y})
-        if residual != 0:
-            failures.append((x, y, residual))
+    Wang's half-extended Euclidean algorithm: such a fraction is unique, and
+    None means there is none.
+    """
+    bound = math.isqrt((modulus - 1) // 2)
+    r0, r1 = modulus, value % modulus
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
-    reason = None
-    if total_degree > degree_bound:
-        reason = (
-            f"interpolated cofactor has total degree {total_degree} "
-            f"> bound {degree_bound}"
-        )
-    if failures:
-        reason = f"{len(failures)} held-out residuals are nonzero"
 
-    success = reason is None
-    return ResultantReport(
-        r=r,
-        degree_bound=degree_bound,
-        sample_count=sample_count,
-        holdout_count=holdout,
-        seed=seed,
-        success=success,
-        cofactor=cofactor if success else None,
-        cofactor_total_degree=total_degree,
-        holdout_failures=failures,
-        failure_reason=reason,
+@functools.cache
+def _system_terms() -> tuple:
+    """Terms (c, i, j, k) of c r^i x^j y^k for each Sylvester coefficient, f's then g's."""
+    return tuple(
+        tuple((c, *expo) for expo, c in poly.terms.items())
+        for coeffs in _system_coefficients()
+        for poly in coeffs
     )
+
+
+def _sylvester_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> np.ndarray:
+    """Every Sylvester coefficient at every grid point (y, x), modulo p: shape (20, ny, nx)."""
+    terms = _system_terms()
+    top = max(max(j, k) for poly in terms for _, _, j, k in poly)
+    xpow = [np.ones(len(xs), np.int64), np.array(xs, np.int64)]
+    ypow = [np.ones(len(ys), np.int64), np.array(ys, np.int64)]
+    while len(xpow) <= top:
+        xpow.append(xpow[-1] * xpow[1] % p)
+        ypow.append(ypow[-1] * ypow[1] % p)
+    out = np.zeros((len(terms), len(ys), len(xs)), np.int64)
+    for acc, poly in zip(out, terms):
+        for c, i, j, k in poly:
+            row = c * pow(r, i, p) % p * xpow[j] % p
+            acc += ypow[k][:, None] * row[None, :] % p
+            acc %= p
+    return out
+
+
+def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | None:
+    """Cofactor coefficients [i, j] of x^i y^j modulo p, or None if a section does not divide.
+
+    Also None when a section quotient has a nonzero coefficient above the
+    degree bound.
+    """
+    xs = [_residue(x, p) for x in cert.xs]
+    ys = [_residue(y, p) for y in cert.ys]
+    coeffs = _sylvester_values_mod(_residue(cert.r, p), xs, ys, p)
+    f_count, g_count = (len(c) for c in _system_coefficients())
+    size = f_count + g_count - 2
+    ny, nx = len(ys), len(xs)
+
+    # The Sylvester matrices of _BLOCK_SECTIONS sections at a time, laid out
+    # as in sylvester_matrix: deg g shifted copies of f above deg f of g.
+    values = np.empty((ny, nx), np.int64)
+    block = np.empty((_BLOCK_SECTIONS * nx, size, size), np.int64)
+    for start in range(0, ny, _BLOCK_SECTIONS):
+        stop = min(start + _BLOCK_SECTIONS, ny)
+        count = (stop - start) * nx
+        f = coeffs[:f_count, start:stop].reshape(f_count, count).T
+        g = coeffs[f_count:, start:stop].reshape(g_count, count).T
+        mats = block[:count]
+        mats.fill(0)
+        for shift in range(g_count - 1):
+            mats[:, shift, shift : shift + f_count] = f
+        for shift in range(f_count - 1):
+            mats[:, g_count - 1 + shift, shift : shift + g_count] = g
+        values[start:stop] = _determinants_mod(mats, p).reshape(stop - start, nx)
+
+    rem = _newton_mod(values, xs, p)
+    den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
+    width = den.shape[1]
+    lead_inverse = np.array([pow(int(c), -1, p) for c in den[:, -1]], np.int64)
+    quot = np.zeros((ny, max(nx - width + 1, 0)), np.int64)
+    for k in range(quot.shape[1] - 1, -1, -1):
+        factor = rem[:, width - 1 + k] * lead_inverse % p
+        quot[:, k] = factor
+        rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * den % p) % p
+    bound = cert.degree_bound
+    if rem.any() or quot[:, bound + 1 :].any():
+        return None
+    fitted = np.zeros((bound + 1, ny), np.int64)
+    fitted[: quot.shape[1]] = quot[:, : bound + 1].T
+    return _newton_mod(fitted, ys, p)
+
+
+def _modular_cofactor(cert: _Certificate) -> tuple | None:
+    """The exact fitting's cofactor terms, from fitting modulo primes, or None.
+
+    Returns ``(terms, primes)``: the {(i, j): Fraction} table of the
+    coefficients of x^i y^j and the primes used.  A prime is skipped when it
+    divides a sample, r or sextic-section denominator, or the leading
+    coefficient of a sextic section.  None leaves the decision to the exact
+    route: a section that does not divide modulo a prime, a quotient over
+    the degree bound, sextic sections of unequal degree, or a prime table
+    exhausted before the reconstruction settles.
+    """
+    sections = []
+    for y in cert.ys:
+        section = cert.sextic_section(y)
+        while section and section[-1] == 0:
+            section.pop()
+        sections.append(section)
+    if not sections[0] or any(len(s) != len(sections[0]) for s in sections):
+        return None
+    # Every denominator must be a unit modulo p, and so must every leading
+    # coefficient: the exact division divides by it.
+    avoid = [cert.r.denominator, cert.xs[0].denominator, cert.ys[0].denominator]
+    avoid += [c.denominator for s in sections for c in s]
+    avoid += [s[-1].numerator for s in sections]
+
+    combined: list = []
+    modulus = 1
+    previous = None
+    primes = []
+    for p in _PRIMES:
+        if any(d % p == 0 for d in avoid):
+            continue
+        residues = _cofactor_mod(cert, sections, p)
+        if residues is None:
+            return None
+        primes.append(p)
+        flat = residues.ravel().tolist()
+        if modulus == 1:
+            combined = flat
+        else:
+            inverse = pow(modulus, -1, p)
+            combined = [c + modulus * ((a - c % p) * inverse % p) for c, a in zip(combined, flat)]
+        modulus *= p
+        width = residues.shape[1]
+        terms = {}
+        for index, value in enumerate(combined):
+            coefficient = _rational_reconstruct(value, modulus)
+            if coefficient is None:
+                terms = None
+                break
+            terms[divmod(index, width)] = coefficient
+        if terms is not None and terms == previous:
+            return terms, primes
+        previous = terms
+    return None
 
 
 # ---------------------------------------------------------------------------

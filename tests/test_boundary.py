@@ -2,7 +2,6 @@
 
 import math
 import runpy
-from fractions import Fraction as Q
 from pathlib import Path
 
 import numpy as np

@@ -2,11 +2,12 @@
 
 import math
 import os
+import random
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fnr import exact
@@ -147,6 +148,13 @@ def test_textbook_resultants():
     assert exact.resultant([3], [1, 0, -2]) == 9
 
 
+def test_bareiss_default_division_covers_ints_and_fractions():
+    rows = [[2, 1, 1], [1, 3, 2], [1, 0, 0]]
+    assert exact.bareiss_determinant(rows) == -1
+    assert exact.bareiss_determinant([[Q(v, 2) for v in row] for row in rows]) == Q(-1, 8)
+    assert exact.bareiss_determinant([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == -5
+
+
 def test_resultant_of_shared_root_vanishes():
     # (t - c) g and (t - c) h share the root c.
     assert exact.resultant([1, -3], [1, -3]) == 0
@@ -250,6 +258,154 @@ def test_certificate_report_serializes():
 def test_certificate_rejects_degenerate_radius():
     with pytest.raises(ValueError):
         exact.verify_sextic_resultant_identity(0)
+
+
+CERTIFIED_RADII = [Q(1, 2), Q(1, 3), Q(2), Q(-1, 2), Q(1, 1000), Q(1000), Q(355, 113)]
+
+
+@pytest.mark.parametrize("r", CERTIFIED_RADII, ids=str)
+def test_certificate_holds_and_mutation_fails_across_radii(r):
+    report = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1)
+    assert report.success and not report.holdout_failures
+    assert report.cofactor_total_degree <= 28
+    mutated = exact.verify_sextic_resultant_identity(
+        r, degree_bound=28, seed=1, sextic=exact.mutated_sextic()
+    )
+    assert not mutated.success
+    assert mutated.holdout_failures
+    assert all(res != 0 for (_, _, res) in mutated.holdout_failures)
+
+
+def _exact_route(r, sextic=None, seed=1):
+    return exact._exact_certificate(exact._Certificate(r, 28, 64, seed, sextic))
+
+
+def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
+    calls = []
+    resultant = exact.resultant
+    monkeypatch.setattr(exact, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
+    fast = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1)
+    assert len(calls) == 64  # the held-out points only
+    monkeypatch.undo()
+    slow = _exact_route(Q(1, 2))
+    assert fast.to_json_dict() == slow.to_json_dict()
+    assert fast.to_text() == slow.to_text()
+
+    # A section that does not divide modulo the first prime hands the run to
+    # the exact route at once: one section of 37 points, then 8 residuals.
+    mutated = exact.mutated_sextic()
+    calls.clear()
+    monkeypatch.setattr(exact, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
+    fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, sextic=mutated)
+    assert len(calls) == 37 + 8
+    monkeypatch.undo()
+    assert fast.to_json_dict() == _exact_route(Q(1, 2), mutated, seed=9).to_json_dict()
+
+
+def test_a_wrong_modular_cofactor_falls_back_to_the_exact_route(monkeypatch):
+    fitted = exact._modular_cofactor
+
+    def corrupted(cert):
+        terms, primes = fitted(cert)
+        return {**terms, (0, 0): terms[(0, 0)] + 1}, primes
+
+    monkeypatch.setattr(exact, "_modular_cofactor", corrupted)
+    report = exact.verify_sextic_resultant_identity(Q(1, 3), degree_bound=28, seed=2)
+    monkeypatch.undo()
+    assert report.success
+    assert report.to_json_dict() == exact.verify_sextic_resultant_identity(Q(1, 3), seed=2).to_json_dict()
+
+
+def test_certificate_skips_a_prime_dividing_the_radius_denominator(monkeypatch):
+    seen = []
+    fitted = exact._modular_cofactor
+    monkeypatch.setattr(exact, "_modular_cofactor", lambda cert: seen.append(fitted(cert)) or seen[-1])
+    report = exact.verify_sextic_resultant_identity(Q(1, exact._PRIMES[0]), degree_bound=28, seed=1)
+    assert report.success
+    (terms, primes), = seen
+    assert primes[0] == exact._PRIMES[1] and exact._PRIMES[0] not in primes
+    assert report.cofactor == exact.ExactPoly(("x", "y"), terms)
+
+
+# ---------------------------------------------------------------------------
+# Modular primitives
+# ---------------------------------------------------------------------------
+
+
+def _determinant_cases(rng, n):
+    def entry():
+        return rng.randint(-40, 40)
+
+    cases = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(6)]
+    # Row-permuted upper triangular: zero pivots that only a row swap clears.
+    triangle = [[entry() if j > i else (rng.randint(1, 40) if j == i else 0) for j in range(n)] for i in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    cases.append([triangle[i] for i in order])
+    cases.append([row[::-1] for row in triangle])
+    if n > 1:
+        repeated = [[entry() for _ in range(n)] for _ in range(n)]
+        repeated[-1] = list(repeated[0])  # singular: two equal rows
+        cases.append(repeated)
+        zero_column = [[entry() if j != n // 2 else 0 for j in range(n)] for _ in range(n)]
+        cases.append(zero_column)  # singular: no pivot in one column
+    return cases
+
+
+@pytest.mark.parametrize("p", [7, 101, exact._PRIMES[0], exact._PRIMES[-1]])
+def test_modular_determinants_match_bareiss(p):
+    rng = random.Random(p)
+    for n in (1, 2, 3, 5, 8, 18):
+        cases = _determinant_cases(rng, n)
+        stack = np.array(cases, dtype=np.int64) % p
+        got = exact._determinants_mod(stack, p).tolist()
+        assert got == [exact.bareiss_determinant(rows) % p for rows in cases], n
+
+
+def test_modular_newton_matches_exact_interpolation():
+    p = exact._PRIMES[3]
+    nodes = [Q(k - 4) + Q(3, 11) for k in range(9)]
+    rng = random.Random(4)
+    rows = [[Q(rng.randint(-99, 99), rng.randint(1, 9)) for _ in nodes] for _ in range(3)]
+    residues = np.array([[exact._residue(v, p) for v in row] for row in rows], np.int64)
+    got = exact._newton_mod(residues, [exact._residue(x, p) for x in nodes], p).tolist()
+    want = [[exact._residue(c, p) for c in exact._newton_interpolate(nodes, row)] for row in rows]
+    assert got == want
+
+
+def test_rational_reconstruction_round_trips():
+    modulus = exact._PRIMES[0] * exact._PRIMES[1]
+    rng = random.Random(3)
+    values = [Q(0), Q(1), Q(-1), Q(355, 113)]
+    values += [Q(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(200)]
+    for value in values:
+        residue = value.numerator * pow(value.denominator, -1, modulus) % modulus
+        assert exact._rational_reconstruct(residue, modulus) == value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Q(10**9 + 7, 10**9 + 9), Q(-123456789, 987654321), Q(355, 113) ** 6, Q(99991, 7)],
+    ids=str,
+)
+def test_rational_reconstruction_gives_no_answer_below_the_bound(value):
+    # One 31-bit prime bounds numerator and denominator by about 32767.
+    p = exact._PRIMES[0]
+    residue = value.numerator * pow(value.denominator, -1, p) % p
+    assert exact._rational_reconstruct(residue, p) is None
+
+
+def test_rational_reconstruction_rejects_a_candidate_sharing_a_factor_with_the_modulus():
+    # Euclid stops at 55 / -85 here; -11/17 is not congruent to 176 mod 15015.
+    assert exact._rational_reconstruct(176, 3 * 5 * 7 * 11 * 13) is None
+
+
+def test_rational_reconstruction_below_the_bound_can_mislead():
+    # Why one more prime must agree and the held-out check has the last word.
+    p = exact._PRIMES[0]
+    value = Q(2**40 + 1, 3**20)
+    residue = value.numerator * pow(value.denominator, -1, p) % p
+    assert exact._rational_reconstruct(residue, p) == Q(8115, 21211)
 
 
 # ---------------------------------------------------------------------------

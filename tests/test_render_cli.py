@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
