@@ -358,6 +358,8 @@ def classify_point(
         raise ValueError(f"gridsize must be at least 64, got {gridsize}")
     if tol is None:
         tol = membership_tolerance(r, gridsize)
+    elif not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     thetas = angle_grid(gridsize)
     scores = x * np.cos(thetas) + y * np.sin(thetas) - support_function(thetas, r)
     top = float(np.max(scores))

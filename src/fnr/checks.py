@@ -179,9 +179,9 @@ def ellipse_check(r: float, samples: int) -> CheckResult:
     )
 
 
-def resultant_check(r: Fraction, seed: int, degree_bound: int = 28) -> CheckResult:
-    """Divisibility certificate outcome folded into a check record."""
-    report = exact.verify_sextic_resultant_identity(r, degree_bound=degree_bound, seed=seed)
+def resultant_check(r: Fraction, seed: int) -> CheckResult:
+    """Divisibility certificate outcome (degree bound 28) folded into a check record."""
+    report = exact.verify_sextic_resultant_identity(r, seed=seed)
     return CheckResult(
         f"resultant-identity-r={r}",
         float(len(report.holdout_failures)),

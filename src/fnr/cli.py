@@ -5,6 +5,7 @@
     fnr verify [--r 0.5 --N 400]       runs the verification suites, JSON report
     fnr resultant [--r 1/2,1/3]        divisibility certificates, text + JSON
 
+Each command takes only the flags it reads; any other flag is a usage error.
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 I/O error.  Outputs land in --out (default: current directory) under
 fixed names, and identical configurations and seeds produce byte-identical
@@ -17,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,47 +46,6 @@ class UsageError(ValueError):
 
 class VerificationFailure(RuntimeError):
     """At least one requested check failed."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    r: float
-    a: complex | None  # every command but resultant
-    r_list: list  # resultant command only
-    samples: int
-    level: int
-    grid: int
-    seed: int
-    out: Path
-    formats: list
-    tol: Tolerances
-    with_resultant: bool
-    mutate: bool
-    degree_bound: int
-
-    def validate(self) -> None:
-        if self.samples < 8:
-            raise UsageError(f"--samples must be at least 8, got {self.samples}")
-        if self.level < 1:
-            raise UsageError(f"--N must be at least 1, got {self.level}")
-        if self.grid < 64:
-            raise UsageError(f"--grid must be at least 64, got {self.grid}")
-        if self.degree_bound < 0:
-            raise UsageError(f"--degree-bound must be nonnegative, got {self.degree_bound}")
-        if self.r < 0:
-            raise UsageError(f"--r must be nonnegative, got {self.r}")
-        if self.command != "resultant" and self.r > MAX_RADIUS:
-            raise UsageError(
-                f"r = {self.r:g} exceeds the largest supported radius {MAX_RADIUS:g}"
-            )
-        if self.command in ("boundary",) and self.r == 0:
-            raise UsageError(
-                "r = 0: the numerical range is the open unit disk; there is no "
-                "two-regime boundary to draw -- plot the unit circle instead"
-            )
-        if self.command == "resultant" and any(rr == 0 for rr in self.r_list):
-            raise UsageError("r = 0 degenerates the elimination; pick a nonzero rational")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -123,48 +82,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        r_help = f"radius r = |a|/2 (float or p/q); with --a, must match to {RADIUS_MATCH:g} relative"
-        p.add_argument("--r", type=str, default=None, help=r_help)
-        p.add_argument("--a", type=str, default=None, help="coupling scalar as 're,im'")
-        p.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
-        p.add_argument("--N", type=int, default=400, dest="level", help="truncation level")
-        p.add_argument("--grid", type=int, default=720, help="angle grid size for checks")
-        p.add_argument("--seed", type=int, default=1, help="seed for certificate sampling")
-        p.add_argument("--out", type=str, default=".", help="output directory")
-        p.add_argument(
+    # Flag groups shared by several commands: --out by all four, and the float
+    # radius with its sample count by all but resultant.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=str, default=".", help="output directory")
+    floats = argparse.ArgumentParser(add_help=False)
+    r_help = f"radius r = |a|/2 (float or p/q); with --a, must match to {RADIUS_MATCH:g} relative"
+    floats.add_argument("--r", type=str, default=None, help=r_help)
+    floats.add_argument("--a", type=str, default=None, help="coupling scalar as 're,im'")
+    floats.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
+
+    for name, handler, help_text in (
+        ("support-lines", cmd_support_lines, "emit the supporting-line family"),
+        ("boundary", cmd_boundary, "emit the boundary curve"),
+    ):
+        figure = sub.add_parser(name, parents=[floats, out], help=help_text)
+        figure.set_defaults(handler=handler)
+        figure.add_argument(
             "--format",
             action="append",
-            choices=("csv", "svg", "json"),
+            choices=("csv", "svg"),
             default=None,
-            help="output formats (repeatable)",
-        )
-        tol = DEFAULT_TOLERANCES
-        p.add_argument("--tol-alg", type=float, default=tol.algebraic, help="algebraic tolerance")
-        p.add_argument("--tol-env", type=float, default=tol.envelope, help="envelope tolerance")
-        p.add_argument(
-            "--tol-conv", type=float, default=tol.convergence, help="convergence tolerance"
+            help="output formats (repeatable; default both)",
         )
 
-    sup = sub.add_parser("support-lines", help="emit the supporting-line family")
-    add_common(sup)
+    ver = sub.add_parser("verify", parents=[floats, out], help="run the verification suites")
+    ver.set_defaults(handler=cmd_verify)
+    ver.add_argument("--N", type=int, default=400, dest="level", help="truncation level")
+    ver.add_argument("--grid", type=int, default=720, help="angle grid size for checks")
+    ver.add_argument("--seed", type=int, default=1, help="seed for --with-resultant")
+    tol = DEFAULT_TOLERANCES
+    ver.add_argument("--tol-alg", type=float, default=tol.algebraic, help="algebraic tolerance")
+    ver.add_argument("--tol-env", type=float, default=tol.envelope, help="envelope tolerance")
+    ver.add_argument("--tol-conv", type=float, default=tol.convergence, help="convergence tolerance")
+    ver.add_argument("--with-resultant", action="store_true", help="also run the certificate")
 
-    bnd = sub.add_parser("boundary", help="emit the boundary curve")
-    add_common(bnd)
-
-    ver = sub.add_parser("verify", help="run the verification suites")
-    add_common(ver)
-    ver.add_argument(
-        "--with-resultant",
-        action="store_true",
-        help="also run the divisibility certificate",
-    )
-
-    res = sub.add_parser("resultant", help="run the divisibility certificates")
-    add_common(res)
-    res.add_argument(
-        "--degree-bound", type=int, default=28, help="total degree bound for the cofactor"
-    )
+    res = sub.add_parser("resultant", parents=[out], help="run the divisibility certificates")
+    res.set_defaults(handler=cmd_resultant)
+    res.add_argument("--r", type=str, default="1/2,1/3", help="comma-separated exact radii p/q")
+    res.add_argument("--seed", type=int, default=1, help="seed for certificate sampling")
+    res.add_argument("--degree-bound", type=int, default=28, help="cofactor total degree bound")
     res.add_argument(
         "--mutate",
         action="store_true",
@@ -173,16 +130,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    r_list = []
-    if args.command == "resultant":
-        if args.a is not None:
-            raise UsageError("resultant takes exact radii from --r (e.g. --r 1/2,1/3), not --a")
-        text = args.r if args.r is not None else "1/2,1/3"
-        r_list = [_parse_rational(part) for part in text.split(",")]
-        r = _parse_radius(text.split(",")[0])
-        a = None
-    elif args.a is not None:
+def _command_flags(parser: argparse.ArgumentParser) -> dict:
+    """The option strings of each command's parser, -h/--help aside."""
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [
+            s for a in command._actions if not isinstance(a, argparse._HelpAction)
+            for s in a.option_strings
+        ]
+        for name, command in commands.items()
+    }
+
+
+def _at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
+
+
+def _float_radius(args: argparse.Namespace) -> tuple:
+    """(r, a) of a float command from --r/--a; checks --samples too."""
+    if args.a is not None:
         a = _parse_complex(args.a)
         r = abs(a) / 2.0
         if args.r is not None and not math.isclose(_parse_radius(args.r), r, rel_tol=RADIUS_MATCH):
@@ -190,29 +157,18 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         r = _parse_radius(args.r if args.r is not None else "0.5")
         a = complex(2.0 * r, 0.0)
-    config = RunConfig(
-        command=args.command,
-        r=r,
-        a=a,
-        r_list=r_list,
-        samples=args.samples,
-        level=args.level,
-        grid=args.grid,
-        seed=args.seed,
-        out=Path(args.out),
-        formats=args.format or [],
-        tol=Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv),
-        with_resultant=getattr(args, "with_resultant", False),
-        mutate=getattr(args, "mutate", False),
-        degree_bound=getattr(args, "degree_bound", 28),
-    )
-    config.validate()
-    return config
+    _at_least("--samples", args.samples, 8)
+    if r < 0:
+        raise UsageError(f"--r must be nonnegative, got {r}")
+    if r > MAX_RADIUS:
+        raise UsageError(f"r = {r:g} exceeds the largest supported radius {MAX_RADIUS:g}")
+    return r, a
 
 
-def _ensure_out(config: RunConfig) -> Path:
-    config.out.mkdir(parents=True, exist_ok=True)
-    return config.out
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _dump_json(payload: dict, path: Path) -> None:
@@ -221,10 +177,10 @@ def _dump_json(payload: dict, path: Path) -> None:
         handle.write("\n")
 
 
-def _emit_figure(config: RunConfig, stem: str, write_csv, figure) -> int:
+def _emit_figure(args: argparse.Namespace, stem: str, write_csv, figure) -> int:
     """Write ``stem``.csv by ``write_csv(path)`` and ``stem``.svg from ``figure()``, as asked."""
-    formats = config.formats or ["csv", "svg"]
-    out = _ensure_out(config)
+    formats = args.format or ["csv", "svg"]
+    out = _out_dir(args)
     written = []
     if "csv" in formats:
         written.append(out / f"{stem}.csv")
@@ -237,53 +193,62 @@ def _emit_figure(config: RunConfig, stem: str, write_csv, figure) -> int:
     return EXIT_OK
 
 
-def cmd_support_lines(config: RunConfig) -> int:
-    thetas = boundary.angle_grid(config.samples)
-    offsets = boundary.support_function(thetas, config.r)
+def cmd_support_lines(args: argparse.Namespace) -> int:
+    r, _ = _float_radius(args)
+    thetas = boundary.angle_grid(args.samples)
+    offsets = boundary.support_function(thetas, r)
     return _emit_figure(
-        config,
+        args,
         "support_lines",
         lambda path: render.write_support_lines_csv(path, zip(thetas.tolist(), offsets.tolist())),
-        lambda: render.support_lines_svg(config.r, thetas, offsets),
+        lambda: render.support_lines_svg(r, thetas, offsets),
     )
 
 
-def cmd_boundary(config: RunConfig) -> int:
-    points = boundary.boundary_curve(config.r, config.samples)
+def cmd_boundary(args: argparse.Namespace) -> int:
+    r, _ = _float_radius(args)
+    if r == 0:
+        raise UsageError(
+            "r = 0: the numerical range is the open unit disk; there is no "
+            "two-regime boundary to draw -- plot the unit circle instead"
+        )
+    points = boundary.boundary_curve(r, args.samples)
     return _emit_figure(
-        config,
+        args,
         "boundary",
         lambda path: render.write_boundary_csv(path, points),
-        lambda: render.boundary_svg(config.r, points),
+        lambda: render.boundary_svg(r, points),
     )
 
 
-def cmd_verify(config: RunConfig) -> int:
-    out = _ensure_out(config)
-    if config.r == 0:
-        results = checks.degenerate_checks(config.grid)
+def cmd_verify(args: argparse.Namespace) -> int:
+    r, a = _float_radius(args)
+    _at_least("--N", args.level, 1)
+    _at_least("--grid", args.grid, 64)
+    tol = Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv)
+    out = _out_dir(args)
+    if r == 0:
+        results = checks.degenerate_checks(args.grid)
     else:
-        results = checks.closedform_checks(config.r, config.tol, config.grid)
-        results.extend(
-            checks.truncation_checks(config.a, config.level, config.tol)
-        )
-        results.append(checks.ellipse_check(config.r, max(config.samples, 2000)))
-        if config.with_resultant:
-            rational = Fraction(config.r).limit_denominator(10**6)
-            results.append(checks.resultant_check(rational, config.seed))
+        results = checks.closedform_checks(r, tol, args.grid)
+        results.extend(checks.truncation_checks(a, args.level, tol))
+        results.append(checks.ellipse_check(r, max(args.samples, 2000)))
+        if args.with_resultant:
+            rational = Fraction(r).limit_denominator(10**6)
+            results.append(checks.resultant_check(rational, args.seed))
     all_pass = all(c.passed for c in results)
     payload = {
         "command": "verify",
-        "r": config.r,
-        "a": [config.a.real, config.a.imag] if config.a is not None else None,
-        "level": config.level,
-        "samples": config.samples,
-        "grid": config.grid,
-        "seed": config.seed,
+        "r": r,
+        "a": [a.real, a.imag],
+        "level": args.level,
+        "samples": args.samples,
+        "grid": args.grid,
+        "seed": args.seed,
         "tolerances": {
-            "algebraic": config.tol.algebraic,
-            "envelope": config.tol.envelope,
-            "convergence": config.tol.convergence,
+            "algebraic": tol.algebraic,
+            "envelope": tol.envelope,
+            "convergence": tol.convergence,
         },
         "checks": [c.to_json_dict() for c in results],
         "all_pass": all_pass,
@@ -300,31 +265,38 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_resultant(config: RunConfig) -> int:
-    out = _ensure_out(config)
-    reports = []
-    for rr in config.r_list:
-        sextic = exact.mutated_sextic() if config.mutate else None
-        reports.append(
-            exact.verify_sextic_resultant_identity(
-                rr,
-                degree_bound=config.degree_bound,
-                seed=config.seed,
-                sextic=sextic,
-            )
+def cmd_resultant(args: argparse.Namespace) -> int:
+    parts = args.r.split(",")
+    radii = [_parse_rational(part) for part in parts]
+    if args.degree_bound < 0:
+        raise UsageError(f"--degree-bound must be nonnegative, got {args.degree_bound}")
+    # Every radius must be nonzero, and nonnegative and finite as a double.
+    for part, rr in zip(parts, radii):
+        value = _parse_radius(part)
+        if value < 0:
+            raise UsageError(f"--r must be nonnegative, got {value}")
+        if rr == 0:
+            raise UsageError("r = 0 degenerates the elimination; pick a nonzero rational")
+    out = _out_dir(args)
+    sextic = exact.mutated_sextic() if args.mutate else None
+    reports = [
+        exact.verify_sextic_resultant_identity(
+            rr, degree_bound=args.degree_bound, seed=args.seed, sextic=sextic
         )
+        for rr in radii
+    ]
     ok = all(rep.success for rep in reports)
-    if config.mutate and ok:
+    if args.mutate and ok:
         raise VerificationFailure(
             "mutated sextic was not rejected: the certificate lost its sensitivity"
         )
     payload = {
         "command": "resultant",
-        "seed": config.seed,
-        "degree_bound": config.degree_bound,
-        "mutated": config.mutate,
+        "seed": args.seed,
+        "degree_bound": args.degree_bound,
+        "mutated": args.mutate,
         "reports": [rep.to_json_dict() for rep in reports],
-        "all_success": all(rep.success for rep in reports),
+        "all_success": ok,
     }
     _dump_json(payload, out / "resultant.json")
     text = "\n\n".join(rep.to_text() for rep in reports) + "\n"
@@ -340,16 +312,14 @@ def cmd_resultant(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     try:
-        config = _config_from_args(args)
-        handler = {
-            "support-lines": cmd_support_lines,
-            "boundary": cmd_boundary,
-            "verify": cmd_verify,
-            "resultant": cmd_resultant,
-        }[config.command]
-        return handler(config)
+        if unknown:
+            flags = ", ".join(_command_flags(parser)[args.command])
+            raise UsageError(
+                f"{args.command} does not take {' '.join(unknown)}; its flags are {flags}"
+            )
+        return args.handler(args)
     except UsageError as exc:
         print(f"fnr: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -580,6 +580,10 @@ class ResultantReport:
         return "\n".join(lines)
 
 
+# Pseudo-random rational points at which the fitted identity is re-checked exactly.
+_HOLDOUT = 64
+
+
 def _certificate_rng(r: Fraction, seed: int) -> random.Random:
     # Mix r into the stream deterministically (ints hash stably).
     return random.Random(seed * 0x9E3779B9 + 131 * r.numerator + r.denominator)
@@ -615,14 +619,14 @@ class _Certificate:
     instances built from the same arguments replay the same stream.
     """
 
-    def __init__(self, r, degree_bound, holdout, seed, sextic):
+    def __init__(self, r, degree_bound, seed, sextic):
         r = Fraction(r)
         if r == 0:
             raise ValueError("r = 0: the elimination system degenerates")
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
 
-        self.r, self.degree_bound, self.holdout, self.seed = r, degree_bound, holdout, seed
+        self.r, self.degree_bound, self.seed = r, degree_bound, seed
         space_dim = (degree_bound + 1) * (degree_bound + 2) // 2
         self.rng = rng = _certificate_rng(r, seed)
         sextic_poly = sextic if sextic is not None else sextic_polynomial()
@@ -640,7 +644,7 @@ class _Certificate:
         off_y = Fraction(rng.randrange(1, den_y), den_y)
         self.xs = [Fraction(k - xs_count // 2) + off_x for k in range(xs_count)]
         self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
-        self.sample_count = xs_count * ys_count + holdout
+        self.sample_count = xs_count * ys_count + _HOLDOUT
         if self.sample_count < space_dim * 5 // 4:
             raise ValueError(
                 f"sample count {self.sample_count} does not exceed the degree-{degree_bound} "
@@ -678,7 +682,7 @@ class _Certificate:
 
         rng = self.rng
         failures = []
-        for _ in range(self.holdout):
+        for _ in range(_HOLDOUT):
             x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
             y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
             residual = self.res_value(x, y) - self.sextic_value(x, y) * cofactor.evaluate(
@@ -698,7 +702,7 @@ class _Certificate:
 
         success = reason is None
         return self.report(
-            holdout_count=self.holdout,
+            holdout_count=_HOLDOUT,
             success=success,
             cofactor=cofactor if success else None,
             cofactor_total_degree=total_degree,
@@ -726,7 +730,7 @@ def _exact_certificate(cert: _Certificate) -> ResultantReport:
             # report residuals of the divided quotient at held-out abscissae.
             rng = cert.rng
             failures = []
-            for _ in range(min(cert.holdout, 8)):
+            for _ in range(8):
                 xh = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
                 res_h = cert.res_value(xh, y)
                 quot_h = sum(c * xh**i for i, c in enumerate(quot))
@@ -760,7 +764,6 @@ def _exact_certificate(cert: _Certificate) -> ResultantReport:
 def verify_sextic_resultant_identity(
     r: Scalar,
     degree_bound: int = 28,
-    holdout: int = 64,
     seed: int = 1,
     sextic: ExactPoly | None = None,
 ) -> ResultantReport:
@@ -773,7 +776,7 @@ def verify_sextic_resultant_identity(
     degree_bound + 8) is recovered by Newton interpolation and divided
     exactly by the sextic section E(x^2, y_k^2, r).  The section quotients
     are interpolated across y into the cofactor C(x, y), and the identity
-    Res = E * C is re-verified in exact rational arithmetic at ``holdout``
+    Res = E * C is re-verified in exact rational arithmetic at 64
     pseudo-random rational points; every held-out residual must be exactly
     zero, and only that check can declare success.
 
@@ -795,14 +798,14 @@ def verify_sextic_resultant_identity(
     bit-reproducible.  Sample coordinates are rationals with numerator and
     denominator bounded by 1000.
     """
-    cert = _Certificate(r, degree_bound, holdout, seed, sextic)
+    cert = _Certificate(r, degree_bound, seed, sextic)
     fitted = _modular_cofactor(cert)
     if fitted is not None:
         report = cert.conclude(fitted[0])
         if report.success:
             return report
         # Replay the stream: the exact route draws what a fresh run draws.
-        cert = _Certificate(r, degree_bound, holdout, seed, sextic)
+        cert = _Certificate(r, degree_bound, seed, sextic)
     return _exact_certificate(cert)
 
 
@@ -914,6 +917,15 @@ def _newton_mod(values: np.ndarray, nodes: Sequence[int], p: int) -> np.ndarray:
     return coeffs
 
 
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b modulo p for residue matrices with fewer than 2^15 columns in a.
+
+    Each entry of a is split into 16-bit limbs: a limb times a residue is below
+    2^47, so no sum of fewer than 2^15 such terms reaches 2^62.
+    """
+    return ((a >> 16) @ b % p * 65536 + (a & 0xFFFF) @ b) % p
+
+
 def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
     """The fraction n/d = value (mod modulus) with |n|, d <= sqrt(modulus / 2), if any.
 
@@ -964,7 +976,8 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | No
     """Cofactor coefficients [i, j] of x^i y^j modulo p, or None if a section does not divide.
 
     Also None when a section quotient has a nonzero coefficient above the
-    degree bound.
+    degree bound.  Sections are fitted and divided a block at a time, so the
+    first block that fails ends the run.
     """
     xs = [_residue(x, p) for x in cert.xs]
     ys = [_residue(y, p) for y in cert.ys]
@@ -972,10 +985,17 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | No
     f_count, g_count = (len(c) for c in _system_coefficients())
     size = f_count + g_count - 2
     ny, nx = len(ys), len(xs)
+    den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
+    width = den.shape[1]
+    lead_inverse = np.array([pow(int(c), -1, p) for c in den[:, -1]], np.int64)
+    bound = cert.degree_bound
+    fitted = np.zeros((bound + 1, ny), np.int64)
+    # Interpolation is linear: row i of the basis holds the coefficients of the
+    # Lagrange polynomial of node i, so a block's coefficients are one product.
+    basis = _newton_mod(np.eye(nx, dtype=np.int64), xs, p)
 
     # The Sylvester matrices of _BLOCK_SECTIONS sections at a time, laid out
     # as in sylvester_matrix: deg g shifted copies of f above deg f of g.
-    values = np.empty((ny, nx), np.int64)
     block = np.empty((_BLOCK_SECTIONS * nx, size, size), np.int64)
     for start in range(0, ny, _BLOCK_SECTIONS):
         stop = min(start + _BLOCK_SECTIONS, ny)
@@ -988,22 +1008,18 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | No
             mats[:, shift, shift : shift + f_count] = f
         for shift in range(f_count - 1):
             mats[:, g_count - 1 + shift, shift : shift + g_count] = g
-        values[start:stop] = _determinants_mod(mats, p).reshape(stop - start, nx)
+        values = _determinants_mod(mats, p).reshape(stop - start, nx)
 
-    rem = _newton_mod(values, xs, p)
-    den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
-    width = den.shape[1]
-    lead_inverse = np.array([pow(int(c), -1, p) for c in den[:, -1]], np.int64)
-    quot = np.zeros((ny, max(nx - width + 1, 0)), np.int64)
-    for k in range(quot.shape[1] - 1, -1, -1):
-        factor = rem[:, width - 1 + k] * lead_inverse % p
-        quot[:, k] = factor
-        rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * den % p) % p
-    bound = cert.degree_bound
-    if rem.any() or quot[:, bound + 1 :].any():
-        return None
-    fitted = np.zeros((bound + 1, ny), np.int64)
-    fitted[: quot.shape[1]] = quot[:, : bound + 1].T
+        rem = _matmul_mod(values, basis, p)
+        divisor, lead = den[start:stop], lead_inverse[start:stop]
+        quot = np.zeros((stop - start, max(nx - width + 1, 0)), np.int64)
+        for k in range(quot.shape[1] - 1, -1, -1):
+            factor = rem[:, width - 1 + k] * lead % p
+            quot[:, k] = factor
+            rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * divisor % p) % p
+        if rem.any() or quot[:, bound + 1 :].any():
+            return None
+        fitted[: quot.shape[1], start:stop] = quot[:, : bound + 1].T
     return _newton_mod(fitted, ys, p)
 
 

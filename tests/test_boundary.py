@@ -493,6 +493,8 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: admissible_offset_intervals(math.nan, 0.5),
         lambda: symbol_range_grid(1.5, math.nan, 1000),
         lambda: symbol_range_grid(math.nan, 0.3, 1000),
+        lambda: classify_point(0.0, 0.0, 0.5, tol=math.nan),
+        lambda: classify_point(0.0, 0.0, 0.5, tol=math.inf),
     ],
 )
 def test_non_finite_input_is_rejected(call):

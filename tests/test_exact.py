@@ -277,7 +277,7 @@ def test_certificate_holds_and_mutation_fails_across_radii(r):
 
 
 def _exact_route(r, sextic=None, seed=1):
-    return exact._exact_certificate(exact._Certificate(r, 28, 64, seed, sextic))
+    return exact._exact_certificate(exact._Certificate(r, 28, seed, sextic))
 
 
 def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
@@ -300,6 +300,18 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     assert len(calls) == 37 + 8
     monkeypatch.undo()
     assert fast.to_json_dict() == _exact_route(Q(1, 2), mutated, seed=9).to_json_dict()
+
+
+def test_a_failing_block_ends_the_modular_fit(monkeypatch):
+    # The mutated sextic leaves a remainder in the first block of sections,
+    # so the first prime takes that block's determinants and no more.
+    blocks = []
+    determinants = exact._determinants_mod
+    monkeypatch.setattr(
+        exact, "_determinants_mod", lambda mats, p: blocks.append(len(mats)) or determinants(mats, p)
+    )
+    assert exact._modular_cofactor(exact._Certificate(Q(1, 2), 28, 1, exact.mutated_sextic())) is None
+    assert blocks == [exact._BLOCK_SECTIONS * 37]
 
 
 def test_a_wrong_modular_cofactor_falls_back_to_the_exact_route(monkeypatch):
@@ -370,6 +382,16 @@ def test_modular_newton_matches_exact_interpolation():
     residues = np.array([[exact._residue(v, p) for v in row] for row in rows], np.int64)
     got = exact._newton_mod(residues, [exact._residue(x, p) for x in nodes], p).tolist()
     want = [[exact._residue(c, p) for c in exact._newton_interpolate(nodes, row)] for row in rows]
+    assert got == want
+
+
+def test_modular_matmul_matches_integer_matmul():
+    p = exact._PRIMES[0]
+    rng = random.Random(5)
+    a = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(37)] for _ in range(6)]
+    b = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(37)] for _ in range(37)]
+    got = exact._matmul_mod(np.array(a, np.int64), np.array(b, np.int64), p).tolist()
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
     assert got == want
 
 

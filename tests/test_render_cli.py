@@ -1,13 +1,16 @@
 """CLI behaviour, file formats, determinism and SVG structure."""
 
+import argparse
 import csv
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from fnr import Region, classify_point, support_function
+from fnr import Region, cli, classify_point, support_function
 from fnr.cli import MAX_RADIUS, main
 from fnr.render import clip_segment, format_float, support_line_segment
 
@@ -311,3 +314,106 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     capsys.readouterr()
     for name in ("boundary.csv", "boundary.svg", "resultant.json", "resultant.txt"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["resultant", "--r", "1/2,1e400"], "1e400"),
+        (["resultant", "--r=1/3,-1/2"], "-0.5"),
+        (["resultant", "--r", "1/2,0"], "r = 0"),
+    ],
+)
+def test_every_resultant_radius_is_checked(tmp_path, capsys, argv, named):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fnr: ") and named in err
+    assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# Flags per command
+# ---------------------------------------------------------------------------
+
+COMMAND_FLAGS = {
+    "support-lines": {"--r", "--a", "--samples", "--out", "--format"},
+    "boundary": {"--r", "--a", "--samples", "--out", "--format"},
+    "verify": {
+        "--r", "--a", "--samples", "--N", "--grid", "--seed", "--out",
+        "--tol-alg", "--tol-env", "--tol-conv", "--with-resultant",
+    },
+    "resultant": {"--r", "--seed", "--out", "--degree-bound", "--mutate"},
+}
+
+# Each flag that every command used to accept, with a value it used to take.
+FORMER_COMMON_FLAGS = {
+    "--r": "0.5", "--a": "1,0", "--samples": "720", "--N": "5", "--grid": "720",
+    "--seed": "1", "--out": ".", "--format": "csv", "--tol-alg": "1e-12",
+    "--tol-env": "1e-8", "--tol-conv": "5e-3",
+}
+
+REMOVED = [
+    (command, flag)
+    for command, flags in COMMAND_FLAGS.items()
+    for flag in FORMER_COMMON_FLAGS
+    if flag not in flags
+]
+
+
+def _parser_flags():
+    (commands,) = [
+        action.choices for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: [
+            option for action in parser._actions for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        for name, parser in commands.items()
+    }
+
+
+def test_each_command_has_only_the_flags_it_reads():
+    flags = _parser_flags()
+    assert {name: set(options) for name, options in flags.items()} == COMMAND_FLAGS
+    assert sum(len(options) for options in flags.values()) == 26
+    assert len(REMOVED) == 21
+
+
+@pytest.mark.parametrize("command, flag", REMOVED)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    argv = [command, flag, FORMER_COMMON_FLAGS[flag], "--out", str(tmp_path)]
+    assert main(argv) == 2  # returned, not raised as SystemExit
+    err = capsys.readouterr().err
+    assert err.startswith("fnr: ") and flag in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["verify", "resultant", "boundary"])
+def test_level_zero_is_rejected_before_any_work(tmp_path, capsys, command):
+    # The benchmark's setup probe times exactly this rejection.
+    assert main([command, "--N", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("fnr: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_json_is_not_a_figure_format(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["support-lines", "--format", "json", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_flag_table_matches_the_parsers():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for row in section.splitlines():
+        if not row.startswith("| `--"):
+            continue
+        flag_cell, command_cell = row.split(" | ")[:2]
+        for command in re.findall(r"`([a-z-]+)`", command_cell):
+            documented.setdefault(command, set()).update(re.findall(r"`(--[\w-]+)", flag_cell))
+    assert documented == {name: set(options) for name, options in _parser_flags().items()}
