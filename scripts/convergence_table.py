@@ -3,9 +3,9 @@
 
 For each truncation level the script reports the largest and smallest gap
 support_function(theta) - top_eigenvalue(theta) over a uniform angle grid,
-plus the observed decay order between consecutive levels (one array call of
-top_eigenvalue per level).  The gap is always positive (compressions shrink
-numerical ranges) and decays like 1/N^2.
+plus the observed decay order between consecutive levels (one call of
+top_eigenvalue for the whole ladder of levels).  The gap is always positive
+(compressions shrink numerical ranges) and decays like 1/N^2.
 
     python scripts/convergence_table.py --r 0.5 --angles 72 --levels 50,100,200,400
 """
@@ -36,8 +36,7 @@ def main(argv=None) -> int:
     print(f"r = {args.r}, coupling a = {a}, {args.angles} angles")
     print(f"{'level':>6}  {'max gap':>12}  {'min gap':>12}  {'order':>6}")
     previous = None
-    for level in levels:
-        gaps = closed - top_eigenvalue(thetas, a, level)
+    for level, gaps in zip(levels, closed - top_eigenvalue(thetas, a, levels)):
         worst = float(np.max(gaps))
         best = float(np.min(gaps))
         order = None

@@ -86,10 +86,11 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
     results.append(_leq("interval-consistency", worst, tol.algebraic))
 
     worst = 0.0
-    for lam in (1.05, 1.2, 1.7, 2.5):
-        for theta in np.linspace(0.0, math.pi / 2.0, 25):
+    lams = (1.05, 1.2, 1.7, 2.5)
+    for theta in np.linspace(0.0, math.pi / 2.0, 25):
+        probes = truncation.symbol_range_grid(np.array(lams), float(theta), 100_000)
+        for lam, probe in zip(lams, probes):
             closed = boundary.symbol_range(lam, float(theta))
-            probe = truncation.symbol_range_grid(lam, float(theta), 100_000)
             worst = max(worst, abs(closed.lo - probe.lo), abs(closed.hi - probe.hi))
     results.append(_leq("symbol-range-bruteforce", worst, 1e-8))
 
@@ -127,9 +128,9 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
 def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
     """Oracle suite: compressions against closed forms, both routes.
 
-    The compressions are measured on 72 angles at four levels up to ``level``;
-    the condition scan runs at 24 angles of the first quadrant for each of
-    three radii.
+    The compressions are measured on 72 angles at four levels up to
+    ``level``, in one call for the ladder; the condition scan runs at 24
+    angles of the first quadrant for each of three radii.
     """
     results = []
     r = abs(a) / 2.0
@@ -137,7 +138,7 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
 
     levels = [max(level // 8, 2), max(level // 4, 3), max(level // 2, 4), level]
     closed = boundary.support_function(thetas, r)
-    deltas = [closed - truncation.top_eigenvalue(thetas, a, n) for n in levels]
+    deltas = closed - truncation.top_eigenvalue(thetas, a, levels)
     gaps = [float(np.max(delta)) for delta in deltas]
     bound_violation = max(0.0, *(float(np.max(-delta)) for delta in deltas))
     results.append(_leq("compression-bound", bound_violation, 1e-10))

@@ -75,8 +75,15 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors that ``main`` returns."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fnr",
         description="Numerical range of Foguel operators: figures, verification, certificates.",
     )
@@ -270,13 +277,15 @@ def cmd_resultant(args: argparse.Namespace) -> int:
     radii = [_parse_rational(part) for part in parts]
     if args.degree_bound < 0:
         raise UsageError(f"--degree-bound must be nonnegative, got {args.degree_bound}")
-    # Every radius must be nonzero, and nonnegative and finite as a double.
+    # Every radius must be nonzero, and nonnegative, finite and nonzero as a double.
     for part, rr in zip(parts, radii):
         value = _parse_radius(part)
         if value < 0:
             raise UsageError(f"--r must be nonnegative, got {value}")
         if rr == 0:
             raise UsageError("r = 0 degenerates the elimination; pick a nonzero rational")
+        if value == 0:
+            raise UsageError(f"--r {part} underflows a double to zero")
     out = _out_dir(args)
     sextic = exact.mutated_sextic() if args.mutate else None
     reports = [
@@ -312,8 +321,8 @@ def cmd_resultant(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args, unknown = parser.parse_known_args(argv)
     try:
+        args, unknown = parser.parse_known_args(argv)
         if unknown:
             flags = ", ".join(_command_flags(parser)[args.command])
             raise UsageError(

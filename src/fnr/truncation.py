@@ -31,7 +31,6 @@ exhaustive scan finds.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -55,7 +54,7 @@ _CANDIDATES = 15
 _PIVMIN = 2.0**-150
 """Pivot floor of the definiteness test, relative to the Gershgorin bound."""
 
-_KNOT_SPACING = 256
+_KNOT_SPACING = 1024
 """Offsets between the exactly evaluated knots of the condition scan's chords."""
 
 _BATCH = 16
@@ -113,17 +112,23 @@ def _block_entries(thetas: np.ndarray, a: complex, scale: float) -> np.ndarray:
     return np.array([scale * (np.conj(w * a) / 2.0), scale * (w / 2.0)])
 
 
-def top_eigenvalue(theta, a: complex, level: int):
+def top_eigenvalue(theta, a: complex, level):
     """Largest eigenvalue of the hermitian rotation of the truncation, per angle.
 
     Takes a scalar or an array of angles and returns a float or an array of
-    their shape.  Bounded above by the closed-form support function and
-    nondecreasing in ``level`` (the compressions shrink the range and nest).
-    From the :func:`_block_entries` of each angle, :func:`_search` narrows the
-    Gershgorin bracket [-(r + 1), r + 1] to two ulps, :func:`_certify`
-    re-checks both ends, and the midpoint is returned.
+    their shape.  ``level`` is one level or a sequence of them, in any order
+    and repeats allowed; a sequence puts a leading level axis on the result,
+    equal bit for bit to one call per level.  Bounded above by the closed-form
+    support function and nondecreasing in ``level`` (the compressions shrink
+    the range and nest).  From the :func:`_block_entries` of each angle,
+    :func:`_search` narrows the Gershgorin bracket [-(r + 1), r + 1] to two
+    ulps for every (level, angle) column at once, :func:`_certify` re-checks
+    both ends, and the midpoint is returned.
     """
-    _check_level(level)
+    ladder = np.asarray(level)
+    if ladder.ndim > 1 or ladder.size == 0 or ladder.dtype.kind not in "iu":
+        raise ValueError(f"level must be an integer or a sequence of integers, got {level}")
+    _check_level(ladder.min())
     thetas = np.asarray(theta, dtype=float)
     # r + 1 widened by 16 ulps, which rounding of the entries cannot reach
     bound = (abs(a) / 2.0 + 1.0) * (1.0 + 2.0**-48)
@@ -131,14 +136,19 @@ def top_eigenvalue(theta, a: complex, level: int):
         raise ValueError(f"theta and a must be finite, got {theta}, {a}")
     scale = 2.0 ** -math.frexp(bound)[1]  # exact, and brings the bound into [1/2, 1)
     blocks = _block_entries(thetas.ravel(), a, scale)
-    lo, hi = _search(blocks, level, bound * scale)
-    _certify(blocks, level, lo, hi)
-    top = (0.5 * (lo + hi) / scale).reshape(thetas.shape)
-    return float(top) if thetas.ndim == 0 else top
+    # One column per (level, angle), deepest level first, as _definite needs
+    order = np.argsort(-ladder.ravel(), kind="stable")
+    levels = np.repeat(ladder.ravel()[order], thetas.size)
+    columns = np.tile(blocks, order.size)
+    lo, hi = _search(columns, levels, bound * scale)
+    _certify(columns, levels, lo, hi)
+    top = (0.5 * (lo + hi) / scale).reshape(order.size, -1)[np.argsort(order)]
+    top = top.reshape(ladder.shape + thetas.shape)
+    return float(top) if top.ndim == 0 else top
 
 
-def _search(blocks: np.ndarray, level: int, bound: float) -> tuple:
-    """Brackets (lo, hi] of the top eigenvalues, at most two ulps wide.
+def _search(blocks: np.ndarray, levels: np.ndarray, bound: float) -> tuple:
+    """Brackets (lo, hi] of the top eigenvalues, at most two ulps wide, one per column.
 
     Each round splits every open bracket at ``_CANDIDATES`` equally spaced
     trials and keeps the gap between the last not above the spectrum and the
@@ -148,39 +158,46 @@ def _search(blocks: np.ndarray, level: int, bound: float) -> tuple:
     steps = np.arange(1, _CANDIDATES + 1)[:, None] / (_CANDIDATES + 1)
     while (rows := np.flatnonzero(hi - lo > 2.0 * np.spacing(np.maximum(-lo, hi)))).size:
         trials = np.vstack([lo[rows], lo[rows] + (hi[rows] - lo[rows]) * steps, hi[rows]])
-        definite = _definite(blocks[:, rows], level, trials[1:-1])
+        definite = _definite(blocks[:, rows], levels[rows], trials[1:-1])
         above = np.vstack([definite, np.ones(rows.size, dtype=bool)])
         first, cols = np.argmax(above, axis=0), np.arange(rows.size)
         lo[rows], hi[rows] = trials[first, cols], trials[first + 1, cols]
     return lo, hi
 
 
-def _certify(blocks: np.ndarray, level: int, lo: np.ndarray, hi: np.ndarray) -> None:
+def _certify(blocks: np.ndarray, levels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     """Raise unless lam I - H is positive definite at every hi and at no lo."""
-    definite = _definite(blocks, level, np.vstack([lo, hi]))
-    if np.any(definite[0] | ~definite[1]):
-        raise EigensolverError(f"top eigenvalue not bracketed at level {level}")
+    definite = _definite(blocks, levels, np.vstack([lo, hi]))
+    failed = definite[0] | ~definite[1]
+    if np.any(failed):
+        shown = ", ".join(str(n) for n in np.unique(levels[failed]))
+        raise EigensolverError(f"top eigenvalue not bracketed at level {shown}")
 
 
-def _definite(blocks: np.ndarray, level: int, lams: np.ndarray) -> np.ndarray:
-    """Whether lam I - H is positive definite, for the trial values lams[j, m] of angle m.
+def _definite(blocks: np.ndarray, levels: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Whether lam I - H is positive definite, for the trial values lams[j, m] of column m.
 
-    Column m of ``blocks`` holds the :func:`_block_entries` (c, b) of angle m,
-    scaled so the Gershgorin bound is at most 1.  By Sylvester's law of
-    inertia lam lies above the spectrum exactly when both pivots p and
-    t = s - |q|^2 / p of every D_k = [[p, conj(q)], [q, s]] of the block
-    LDL^T recurrence D_{k+1} = lam I - A - B D_k^{-1} B^* are positive; here
-    that is p' = lam - |b|^2 s / det, s' = lam - |b|^2 p / det and
+    Column m of ``blocks`` holds the :func:`_block_entries` (c, b) of an
+    angle, scaled so the Gershgorin bound is at most 1, and H is that angle's
+    rotation at level ``levels[m]``; the levels must not increase from one
+    column to the next.  By Sylvester's law of inertia lam lies above the
+    spectrum exactly when both pivots p and t = s - |q|^2 / p of every
+    D_k = [[p, conj(q)], [q, s]] of the block LDL^T recurrence
+    D_{k+1} = lam I - A - B D_k^{-1} B^* are positive; here that is
+    p' = lam - |b|^2 s / det, s' = lam - |b|^2 p / det and
     q' = b^2 q / det - c.  A pivot at or below ``_PIVMIN`` fails the test, and
     the failed value's later blocks are carried with det = 1 so every entry
-    stays finite.
+    stays finite.  One sweep serves every level: the trailing columns whose
+    level the sweep has reached record their verdict and leave it.
     """
     coupling, shift = blocks
+    verdict = np.empty(lams.shape, dtype=bool)
     # B_0 = 0 stands above the first block, so the loop starts from D_0 = I
-    below = chain([(0.0, 0.0)], repeat((shift.real**2 + shift.imag**2, shift * shift), level - 1))
+    square = cross = 0.0
     p = s = det = 1.0
-    q, definite = np.zeros(lams.shape, dtype=complex), True
-    for square, cross in below:
+    q, definite = np.zeros(lams.shape, dtype=complex), np.ones(lams.shape, dtype=bool)
+    width = lams.shape[1]
+    for k in range(1, int(levels.max(initial=0)) + 1):
         inv = 1.0 / det
         p, s = lams - square * (s * inv), lams - square * (p * inv)
         # q' = cross (q inv) - c in place, as fresh complex temporaries cost more
@@ -191,33 +208,61 @@ def _definite(blocks: np.ndarray, level: int, lams: np.ndarray) -> np.ndarray:
         t = s - (q.real**2 + q.imag**2) / np.maximum(p, _PIVMIN)
         definite &= np.minimum(p, t) > _PIVMIN
         det = np.where(definite, p * t, 1.0)
-    return definite
+        if k == 1:
+            square, cross = shift.real**2 + shift.imag**2, shift * shift
+        if levels[width - 1] == k:  # the last running column ends here
+            running = int(np.count_nonzero(levels[:width] > k))
+            verdict[:, running:width] = definite[:, running:]
+            lams, coupling, square, cross, p, s, det, q, definite = (
+                x[..., :running] for x in (lams, coupling, square, cross, p, s, det, q, definite)
+            )
+            width = running
+    return verdict
 
 
-def symbol_range_grid(lam: float, theta: float, samples: int) -> RangeInterval:
+def symbol_range_grid(lam, theta: float, samples: int):
     """Brute-force range of f(t) = Re t^2 + Re w^2 - 4 lam Re t Re w on |t| = 1.
 
     Minimum and maximum over ``samples`` uniformly spaced t; the bracket
     error is O(samples^-2) for this smooth function.  This is the oracle
     counterpart of :func:`fnr.boundary.symbol_range` and deliberately avoids
-    its case split.
+    its case split.  A scalar ``lam`` gives one :class:`RangeInterval`; a
+    one-dimensional array of offsets gives a list of them, one per offset,
+    from circle tables built once for the call.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 grid points, got {samples}")
-    if not (math.isfinite(lam) and math.isfinite(theta)):
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError(f"lam must be a scalar or a one-dimensional array, got shape {lams.shape}")
+    if not (np.isfinite(lams).all() and math.isfinite(theta)):
         raise ValueError(f"lam and theta must be finite, got {lam}, {theta}")
-    lo, hi = _range_rows(np.array([lam], dtype=float), theta, samples)
-    return RangeInterval.closed(float(lo[0]), float(hi[0]))
+    lo, hi = _range_rows(lams.reshape(-1), _circle_tables(theta, samples))
+    intervals = [RangeInterval.closed(low, high) for low, high in zip(lo.tolist(), hi.tolist())]
+    return intervals[0] if lams.ndim == 0 else intervals
 
 
-def _range_rows(lams: np.ndarray, theta: float, samples: int):
-    """Sampled (min, max) of f, one entry per offset in ``lams``."""
+def _circle_tables(theta: float, samples: int) -> tuple:
+    """The parts of f's table that every offset shares at angle theta.
+
+    Over the ``samples`` points phi of the circle: cos 2phi + cos 2theta, the
+    weight 4 cos theta, and cos phi.
+    """
     phi = 2.0 * math.pi * np.arange(samples) / samples
-    table = (
-        np.cos(2.0 * phi)[None, :]
-        + math.cos(2.0 * theta)
-        - 4.0 * math.cos(theta) * lams[:, None] * np.cos(phi)[None, :]
-    )
+    return np.cos(2.0 * phi) + math.cos(2.0 * theta), 4.0 * math.cos(theta), np.cos(phi)
+
+
+def _range_rows(lams: np.ndarray, tables: tuple):
+    """Sampled (min, max) of f, one entry per offset in ``lams``.
+
+    Entry (lam, phi) of the table is (cos 2phi + cos 2theta) - ((4 cos theta
+    lam) cos phi), the same float operations for every caller.
+    """
+    even, weight, cos_phi = tables
+    # One table-sized buffer, filled in place: a second one costs more in
+    # fresh pages than the arithmetic does
+    table = np.multiply.outer(weight * lams, cos_phi)
+    np.subtract(even, table, out=table)
     return table.min(axis=1), table.max(axis=1)
 
 
@@ -267,7 +312,8 @@ def support_function_via_condition(
     target = 2.0 * (r * r - grid * grid)
 
     knots = np.unique(np.append(np.arange(0, grid.size, _KNOT_SPACING), grid.size - 1))
-    knot_lo, knot_hi = _range_rows(grid[knots], theta, _F_SAMPLES)
+    tables = _circle_tables(theta, _F_SAMPLES)
+    knot_lo, knot_hi = _range_rows(grid[knots], tables)
     ascending = grid[knots][::-1]
     lo_chord = np.interp(grid, ascending, knot_lo[::-1])
     hi_chord = np.interp(grid, ascending, knot_hi[::-1])
@@ -280,7 +326,7 @@ def support_function_via_condition(
     candidates = np.flatnonzero(~ruled_out)
     for start in range(0, candidates.size, _BATCH):
         rows = candidates[start : start + _BATCH]
-        lo, hi = _range_rows(grid[rows], theta, _F_SAMPLES)
+        lo, hi = _range_rows(grid[rows], tables)
         hits = np.flatnonzero((target[rows] >= lo) & (target[rows] <= hi))
         if hits.size:
             return float(grid[rows[hits[0]]])

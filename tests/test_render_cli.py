@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import re
@@ -179,6 +180,28 @@ def test_verify_with_resultant(tmp_path, capsys):
     assert "resultant-identity-r=1/2" in names
 
 
+# sha256 of verify.json and the exit code for three configurations, computed
+# with one brute-force table per offset and one recurrence sweep per level;
+# sharing them must not change a byte.  The digests hold on the platform they
+# were computed on: another CPU or numpy build may round numpy's vectorised
+# cosines differently.
+VERIFY_DIGESTS = [
+    (["--r", "0.3", "--N", "64"], 0,
+     "ded3696b5fe3daf27cfba335103d7b3aa973891601c63b540d714b361a3c45ac"),
+    (["--a", "0.714,1.633", "--N", "100"], 0,
+     "e02e9fd587f39bb7c2f0c5152c6d75905c1b843fe8a2aab020cf17cee4714865"),
+    (["--N", "3"], 1,
+     "b8aa3f84cd0fe661fdeb5b9e02313a845eba8f6d70e6d75d8cdd4cc45084677e"),
+]
+
+
+@pytest.mark.parametrize("flags, code, digest", VERIFY_DIGESTS)
+def test_verify_json_bytes_are_pinned(tmp_path, capsys, flags, code, digest):
+    assert main(["verify", *flags, "--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # resultant command
 # ---------------------------------------------------------------------------
@@ -322,6 +345,9 @@ def test_outputs_are_deterministic(tmp_path, capsys):
         (["resultant", "--r", "1/2,1e400"], "1e400"),
         (["resultant", "--r=1/3,-1/2"], "-0.5"),
         (["resultant", "--r", "1/2,0"], "r = 0"),
+        (["resultant", "--r", "1e-400"], "1e-400"),
+        (["resultant", "--r=-1e-400"], "-1e-400"),
+        (["resultant", "--r", "1/2,1e-400"], "1e-400"),
     ],
 )
 def test_every_resultant_radius_is_checked(tmp_path, capsys, argv, named):
@@ -399,11 +425,33 @@ def test_level_zero_is_rejected_before_any_work(tmp_path, capsys, command):
 
 
 def test_json_is_not_a_figure_format(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["support-lines", "--format", "json", "--out", str(tmp_path)])
-    assert exit_info.value.code == 2
+    assert main(["support-lines", "--format", "json", "--out", str(tmp_path)]) == 2
     assert "invalid choice" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--N", "abc"],
+        ["verify", "--s", "5"],  # ambiguous: --samples or --seed
+        ["support-lines", "--format", "json"],
+        [],
+    ],
+)
+def test_parser_errors_are_returned_usage_errors(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)] if argv else argv) == 2  # not SystemExit
+    out, err = capsys.readouterr()
+    assert err.startswith("fnr: ") and "usage:" not in err
+    assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert "--N" in capsys.readouterr().out
 
 
 def test_readme_flag_table_matches_the_parsers():

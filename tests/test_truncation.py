@@ -143,6 +143,8 @@ def test_top_eigenvalue_certificate_rejects_a_shifted_bracket(monkeypatch, offse
         top_eigenvalue(0.9, 1.0, 40)
     with pytest.raises(EigensolverError):
         top_eigenvalue(np.array([-2.0, 0.9, 3.0]), 1.0, 40)
+    with pytest.raises(EigensolverError, match="level 5, 40"):
+        top_eigenvalue(np.array([-2.0, 0.9, 3.0]), 1.0, [40, 5, 40])
 
 
 def test_top_eigenvalue_takes_arrays_of_angles():
@@ -153,6 +155,29 @@ def test_top_eigenvalue_takes_arrays_of_angles():
         assert value == top_eigenvalue(float(theta), 1.5 - 0.5j, 30)
     with pytest.raises(ValueError, match="finite"):
         top_eigenvalue(np.array([0.0, math.nan]), 1.0, 10)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 1.5 - 0.5j, 100.0, 1e-8])
+def test_level_ladder_equals_one_call_per_level(a):
+    # Levels in any order, with 1 and a repeat: a repeated level is allowed
+    # and gives the same row twice.
+    levels = [30, 1, 7, 64, 7, 2]
+    thetas = np.array([-math.pi, -2.1, 0.0, 0.4, math.pi / 2.0, 2.9])
+    ladder = top_eigenvalue(thetas, a, levels)
+    assert ladder.shape == (len(levels), thetas.size)
+    for row, level in zip(ladder, levels):
+        assert np.array_equal(row, top_eigenvalue(thetas, a, level))
+    assert np.array_equal(ladder[2], ladder[4])
+    one_angle = top_eigenvalue(0.4, a, np.array(levels))
+    assert one_angle.shape == (len(levels),)
+    assert np.array_equal(one_angle, ladder[:, 3])
+    assert top_eigenvalue(np.array([]), a, levels).shape == (len(levels), 0)
+
+
+@pytest.mark.parametrize("level", [[], [[5, 6]], [5, 0], 2.5, [4.0]])
+def test_level_ladder_rejects_bad_levels(level):
+    with pytest.raises(ValueError, match="level"):
+        top_eigenvalue(0.3, 1.0, level)
 
 
 @pytest.mark.parametrize("level", [1, 2, 50, 400, 1600])
@@ -236,6 +261,21 @@ def test_symbol_range_grid_examples():
         symbol_range_grid(1.5, 0.0, 999)
 
 
+def test_symbol_range_grid_takes_an_array_of_offsets():
+    lams = np.array([1.05, 1.2, 1.7, 2.5, -0.3])
+    for theta in (0.0, 0.7, math.pi / 2.0, -2.4):
+        intervals = symbol_range_grid(lams, theta, 100_000)
+        assert len(intervals) == lams.size
+        for lam, interval in zip(lams.tolist(), intervals):
+            single = symbol_range_grid(lam, theta, 100_000)
+            assert (interval.lo, interval.hi) == (single.lo, single.hi)
+    assert symbol_range_grid(np.array([]), 0.3, 1000) == []
+    with pytest.raises(ValueError, match="finite"):
+        symbol_range_grid(np.array([1.5, math.nan, 2.0]), 0.3, 1000)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        symbol_range_grid(np.ones((2, 2)), 0.3, 1000)
+
+
 def test_condition_scan_examples():
     assert abs(support_function_via_condition(0.0, 0.5) - 1.5) <= 1e-4
     assert abs(support_function_via_condition(math.pi / 2.0, 0.5) - math.sqrt(1.25)) <= 1e-4
@@ -305,6 +345,14 @@ def test_pruned_scan_equals_exhaustive_scan_on_custom_grids():
         _exhaustive_scan(0.0, 0.5, bad_grid)
     with pytest.raises(ConditionNotSatisfiedError):
         support_function_via_condition(0.0, 0.5, offset_grid=bad_grid)
+
+
+@pytest.mark.parametrize("spacing", [64, 4096])
+def test_pruned_scan_does_not_depend_on_the_knot_spacing(monkeypatch, spacing):
+    cases = [(0.0, 0.5), (0.8, 0.25), (-2.0, 3.0), (math.pi / 2.0, 0.01)]
+    expected = [support_function_via_condition(theta, r) for theta, r in cases]
+    monkeypatch.setattr(fnr.truncation, "_KNOT_SPACING", spacing)
+    assert [support_function_via_condition(theta, r) for theta, r in cases] == expected
 
 
 @pytest.mark.parametrize(
