@@ -56,10 +56,14 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_radius(text: str) -> float:
+    rational = _parse_rational(text)
     try:
-        return float(_parse_rational(text))
+        value = float(rational)
     except OverflowError as exc:
         raise UsageError(f"--r {text} overflows a double") from exc
+    if value == 0 and rational != 0:
+        raise UsageError(f"--r {text} underflows a double to zero")
+    return value
 
 
 def _parse_complex(text: str) -> complex:
@@ -230,6 +234,11 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     r, a = _float_radius(args)
+    if r > 0 and 1.0 + r == 1.0:
+        raise UsageError(
+            f"r = {r!r} is below the double resolution at 1: 1 + r rounds to 1, "
+            "so the comparison ellipse degenerates to the unit circle"
+        )
     _at_least("--N", args.level, 1)
     _at_least("--grid", args.grid, 64)
     tol = Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv)
@@ -277,15 +286,13 @@ def cmd_resultant(args: argparse.Namespace) -> int:
     radii = [_parse_rational(part) for part in parts]
     if args.degree_bound < 0:
         raise UsageError(f"--degree-bound must be nonnegative, got {args.degree_bound}")
-    # Every radius must be nonzero, and nonnegative, finite and nonzero as a double.
+    # Every radius must be nonzero, and nonnegative and finite as a double.
     for part, rr in zip(parts, radii):
         value = _parse_radius(part)
         if value < 0:
             raise UsageError(f"--r must be nonnegative, got {value}")
         if rr == 0:
             raise UsageError("r = 0 degenerates the elimination; pick a nonzero rational")
-        if value == 0:
-            raise UsageError(f"--r {part} underflows a double to zero")
     out = _out_dir(args)
     sextic = exact.mutated_sextic() if args.mutate else None
     reports = [

@@ -9,13 +9,18 @@ envelope of the supporting-line family.  This module holds
     or rational coefficients,
   * the verbatim transcriptions of the elimination system
     (:func:`envelope_system`) and of the sextic (:func:`sextic_polynomial`),
-  * Sylvester resultants computed by fraction-free Bareiss elimination, and
+  * resultants from the Bezout matrix: for deg f = m >= deg g = n it is
+    m x m where the Sylvester matrix is (m+n) x (m+n), and
+    det Bez(f, g) = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g); the elimination
+    system has m = 10, n = 8 and lc(f) = -r^2, so Res = -det Bez / r^4.
+    Every route takes that one matrix: fraction-free Bareiss elimination
+    over the integers and over polynomials, and elimination modulo primes;
   * :func:`verify_sextic_resultant_identity` -- an evaluation/interpolation
     certificate that the sextic divides the resultant of the elimination
     system, with exact held-out validation.
 
 The certificate fits its cofactor multi-modularly (Collins, J. ACM 18,
-1971): modulo one 31-bit prime after another, the 1073 Sylvester
+1971): modulo one 31-bit prime after another, the 1073 Bezout
 determinants of the sample grid, the Newton interpolation and the exact
 division by the sextic sections run as int64 numpy arrays, and the
 cofactor's rational coefficients come back by the Chinese remainder theorem
@@ -49,7 +54,6 @@ __all__ = [
     "envelope_system",
     "sextic_polynomial",
     "mutated_sextic",
-    "sylvester_matrix",
     "bareiss_determinant",
     "resultant",
     "resultant_at",
@@ -349,12 +353,14 @@ def mutated_sextic() -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 
-def _exact_scalar_div(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, int) and isinstance(b, int):
-        q, rem = divmod(a, b)
-        if rem:
-            raise ArithmeticError("non-exact integer division in Bareiss step")
-        return q
+def _exact_quotient(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("non-exact integer division")
+    return q
+
+
+def _rational_quotient(a: Scalar, b: Scalar) -> Scalar:
     return _normalize_scalar(Fraction(a) / Fraction(b))
 
 
@@ -362,10 +368,10 @@ def bareiss_determinant(rows: Sequence[Sequence], divide=None):
     """Fraction-free determinant.
 
     Works over any exact integral domain: entries need +, -, * and an exact
-    division ``divide`` (defaults to checked scalar division, which covers
-    int and Fraction entries; pass :func:`exact_divide` for polynomial
-    entries).  Intermediate entries stay in the domain by Bareiss' identity.
-    An all-int matrix under the default division runs the checked integer
+    division ``divide`` (defaults to division in Q, which covers int and
+    Fraction entries; pass :func:`exact_divide` for polynomial entries).
+    Intermediate entries stay in the domain by Bareiss' identity, so an
+    all-int matrix under the default division runs a checked integer
     division inline.
     """
     matrix = [list(row) for row in rows]
@@ -376,7 +382,7 @@ def bareiss_determinant(rows: Sequence[Sequence], divide=None):
         raise ValueError("matrix must be square")
     integral = divide is None and all(type(v) is int for row in matrix for v in row)
     if divide is None:
-        divide = _exact_scalar_div
+        divide = _rational_quotient
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -407,40 +413,58 @@ def bareiss_determinant(rows: Sequence[Sequence], divide=None):
     return sign * matrix[n - 1][n - 1]
 
 
-def sylvester_matrix(f: Sequence, g: Sequence) -> list:
-    """Sylvester matrix of two coefficient sequences (descending degree).
+def _bezout_matrix(f: Sequence, g: Sequence, p: int | None = None) -> list:
+    """Bezout matrix of f and g, given by descending coefficients with deg f >= deg g.
 
-    For deg f = m and deg g = n the matrix is (m+n) x (m+n): n shifted copies
-    of f's coefficients above m shifted copies of g's.
+    For m = deg f the matrix is m x m and symmetric, the coefficients of
+    (f(s) g(t) - f(t) g(s)) / (s - t) = sum B[i][j] s^i t^j.  With ascending
+    coefficients f_k and g_k (g padded with zeros to degree m), Barnett's
+    recurrence fills it: B[i][j] = B[i-1][j+1] + f_{j+1} g_i - f_i g_{j+1}
+    for j >= i.  Entries need only +, - and *, so they may be numbers,
+    polynomials or arrays; with ``p`` every entry is reduced modulo p, which
+    keeps int64 residue arrays in [0, p) exact (each product is below 2^62).
     """
-    f = list(f)
-    g = list(g)
-    if not f or not g:
-        raise ValueError("empty coefficient sequence")
-    if f[0] == 0 or g[0] == 0:
-        raise ValueError("leading coefficient must not vanish")
     m = len(f) - 1
-    n = len(g) - 1
-    size = m + n
-    rows = []
-    for shift in range(n):
-        row = [0] * size
-        row[shift : shift + m + 1] = f
-        rows.append(row)
-    for shift in range(m):
-        row = [0] * size
-        row[shift : shift + n + 1] = g
-        rows.append(row)
+    if m < len(g) - 1:
+        raise ValueError("deg f must be at least deg g")
+    fa = list(f)[::-1]
+    ga = list(g)[::-1] + [0] * (m + 1 - len(g))
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            entry = fa[j + 1] * ga[i] - fa[i] * ga[j + 1]
+            if i and j + 1 < m:
+                entry = entry + rows[i - 1][j + 1]
+            if p is not None:
+                entry %= p
+            rows[i][j] = rows[j][i] = entry
     return rows
+
+
+def _bezout_resultant(f: Sequence, g: Sequence, divide=None):
+    """Res(f, g) for descending coefficients with deg f = m >= deg g = n >= 1.
+
+    The Bezout determinant is det B = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g);
+    it is taken by Bareiss elimination, and lc(f)^(m-n) is divided out
+    exactly, by ``divide`` as in :func:`bareiss_determinant`.
+    """
+    m, n = len(f) - 1, len(g) - 1
+    det = bareiss_determinant(_bezout_matrix(f, g), divide)
+    quotient = (divide or _exact_quotient)(det, f[0] ** (m - n))
+    return -quotient if m * (m - 1) // 2 % 2 else quotient
 
 
 def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
     """Resultant of two univariate polynomials given by descending coefficients.
 
-    Rational coefficients are cleared to integers per polynomial, the integer
-    Sylvester determinant is taken by Bareiss elimination, and the clearing
-    scale is divided back out, so the value is the canonical resultant of the
-    inputs as given.
+    Rational coefficients are cleared to integers per polynomial and the pair
+    is ordered so that deg f = m >= deg g = n, using
+    Res(f, g) = (-1)^(mn) Res(g, f).  The integer Bezout matrix (m x m, where
+    the Sylvester matrix is (m+n) x (m+n)) gives the resultant through
+    det B = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g), with the determinant taken
+    by Bareiss elimination and lc(f)^(m-n) divided out exactly; then the
+    clearing scales are divided back out, so the value is the canonical
+    resultant of the inputs as given.
     """
     f = [Fraction(c) for c in f]
     g = [Fraction(c) for c in g]
@@ -454,6 +478,10 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
         return _normalize_scalar(f[0] ** n)
     if n == 0:
         return _normalize_scalar(g[0] ** m)
+    sign = 1
+    if m < n:
+        f, g, m, n = g, f, n, m
+        sign = (-1) ** (m * n)
 
     def cleared(coeffs):
         scale = math.lcm(*(c.denominator for c in coeffs))
@@ -461,15 +489,15 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
 
     fi, sf = cleared(f)
     gi, sg = cleared(g)
-    det = bareiss_determinant(sylvester_matrix(fi, gi))
-    return _normalize_scalar(Fraction(det, sf**n * sg**m))
+    return _normalize_scalar(Fraction(sign * _bezout_resultant(fi, gi), sf**n * sg**m))
 
 
 @functools.cache
 def _system_coefficients() -> tuple:
     """Coefficient polynomials in (r, x, y) of the elimination system, descending in t.
 
-    Degrees are 10 and 8, so its Sylvester matrix is 18 x 18.
+    Degrees are 10 and 8, so its Bezout matrix is 10 x 10 (its Sylvester
+    matrix would be 18 x 18).
     """
     first, second = envelope_system()
     return tuple(list(reversed(p.univariate_coefficients("t"))) for p in (first, second))
@@ -781,7 +809,7 @@ def verify_sextic_resultant_identity(
     zero, and only that check can declare success.
 
     The fitting runs modulo one prime after another (Collins' multi-modular
-    method): the Sylvester determinants, the interpolation and the section
+    method): the Bezout determinants, the interpolation and the section
     divisions are int64 array arithmetic, the residues are joined by the
     Chinese remainder theorem, and each cofactor coefficient is rationally
     reconstructed (Wang's bound) until one more prime leaves every
@@ -831,8 +859,9 @@ _PRIMES = (
     2147482327, 2147482291, 2147482273, 2147482237,
 )
 
-# Sections per determinant block: 6 sections of 37 Sylvester matrices keep
-# the block's working arrays near 1 MB.
+# Sections per determinant block: the first block whose sections do not
+# divide ends the fit, so a block of 6 sections of 37 Bezout matrices (10 x 10,
+# about 0.2 MB of int64 entries) bounds the work a failing run spends.
 _BLOCK_SECTIONS = 6
 
 
@@ -946,7 +975,7 @@ def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
 
 @functools.cache
 def _system_terms() -> tuple:
-    """Terms (c, i, j, k) of c r^i x^j y^k for each Sylvester coefficient, f's then g's."""
+    """Terms (c, i, j, k) of c r^i x^j y^k for each coefficient of the system, f's then g's."""
     return tuple(
         tuple((c, *expo) for expo, c in poly.terms.items())
         for coeffs in _system_coefficients()
@@ -954,8 +983,8 @@ def _system_terms() -> tuple:
     )
 
 
-def _sylvester_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> np.ndarray:
-    """Every Sylvester coefficient at every grid point (y, x), modulo p: shape (20, ny, nx)."""
+def _system_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> np.ndarray:
+    """Every coefficient of the system at every grid point (y, x), modulo p: shape (20, ny, nx)."""
     terms = _system_terms()
     top = max(max(j, k) for poly in terms for _, _, j, k in poly)
     xpow = [np.ones(len(xs), np.int64), np.array(xs, np.int64)]
@@ -972,6 +1001,29 @@ def _sylvester_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) 
     return out
 
 
+def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Resultants of the elimination system modulo p from its coefficient residues.
+
+    ``coeffs`` has shape (20, ...): the coefficients of f and then of g,
+    descending in t, at each point; the result has the trailing shape.  The
+    10 x 10 Bezout determinants are taken by :func:`_determinants_mod`, and
+    with m = 10, n = 8 and lc(f) = -r^2, Res = (-1)^(m(m-1)/2) det B / lc(f)^(m-n)
+    = -det B / r^4, so r must be a unit modulo p.
+    """
+    f_count = len(_system_coefficients()[0])
+    m, n = f_count - 1, len(coeffs) - f_count - 1
+    flat = coeffs.reshape(len(coeffs), -1)
+    rows = _bezout_matrix(list(flat[:f_count]), list(flat[f_count:]), p)
+    det = _determinants_mod(np.array(rows).transpose(2, 0, 1).copy(), p)
+    lead = np.ones_like(det)
+    for _ in range(m - n):
+        lead = lead * flat[0] % p
+    values = det * _inverse_mod(lead, p) % p
+    if m * (m - 1) // 2 % 2:
+        values = (p - values) % p
+    return values.reshape(coeffs.shape[1:])
+
+
 def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | None:
     """Cofactor coefficients [i, j] of x^i y^j modulo p, or None if a section does not divide.
 
@@ -981,9 +1033,7 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | No
     """
     xs = [_residue(x, p) for x in cert.xs]
     ys = [_residue(y, p) for y in cert.ys]
-    coeffs = _sylvester_values_mod(_residue(cert.r, p), xs, ys, p)
-    f_count, g_count = (len(c) for c in _system_coefficients())
-    size = f_count + g_count - 2
+    coeffs = _system_values_mod(_residue(cert.r, p), xs, ys, p)
     ny, nx = len(ys), len(xs)
     den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
     width = den.shape[1]
@@ -994,22 +1044,9 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | No
     # Lagrange polynomial of node i, so a block's coefficients are one product.
     basis = _newton_mod(np.eye(nx, dtype=np.int64), xs, p)
 
-    # The Sylvester matrices of _BLOCK_SECTIONS sections at a time, laid out
-    # as in sylvester_matrix: deg g shifted copies of f above deg f of g.
-    block = np.empty((_BLOCK_SECTIONS * nx, size, size), np.int64)
     for start in range(0, ny, _BLOCK_SECTIONS):
         stop = min(start + _BLOCK_SECTIONS, ny)
-        count = (stop - start) * nx
-        f = coeffs[:f_count, start:stop].reshape(f_count, count).T
-        g = coeffs[f_count:, start:stop].reshape(g_count, count).T
-        mats = block[:count]
-        mats.fill(0)
-        for shift in range(g_count - 1):
-            mats[:, shift, shift : shift + f_count] = f
-        for shift in range(f_count - 1):
-            mats[:, g_count - 1 + shift, shift : shift + g_count] = g
-        values = _determinants_mod(mats, p).reshape(stop - start, nx)
-
+        values = _resultants_mod(coeffs[:, start:stop], p)
         rem = _matmul_mod(values, basis, p)
         divisor, lead = den[start:stop], lead_inverse[start:stop]
         quot = np.zeros((stop - start, max(nx - width + 1, 0)), np.int64)
@@ -1028,9 +1065,9 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
 
     Returns ``(terms, primes)``: the {(i, j): Fraction} table of the
     coefficients of x^i y^j and the primes used.  A prime is skipped when it
-    divides a sample, r or sextic-section denominator, or the leading
-    coefficient of a sextic section.  None leaves the decision to the exact
-    route: a section that does not divide modulo a prime, a quotient over
+    divides a sample, r or sextic-section denominator, the leading
+    coefficient of a sextic section, or the numerator of r.  None leaves the
+    decision to the exact route: a section that does not divide modulo a prime, a quotient over
     the degree bound, sextic sections of unequal degree, or a prime table
     exhausted before the reconstruction settles.
     """
@@ -1043,8 +1080,9 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
     if not sections[0] or any(len(s) != len(sections[0]) for s in sections):
         return None
     # Every denominator must be a unit modulo p, and so must every leading
-    # coefficient: the exact division divides by it.
-    avoid = [cert.r.denominator, cert.xs[0].denominator, cert.ys[0].denominator]
+    # coefficient: the exact division divides by it, and the Bezout
+    # resultants divide by lc(f)^2 = r^4.
+    avoid = [cert.r.numerator, cert.r.denominator, cert.xs[0].denominator, cert.ys[0].denominator]
     avoid += [c.denominator for s in sections for c in s]
     avoid += [s[-1].numerator for s in sections]
 
@@ -1081,7 +1119,7 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
 
 
 # ---------------------------------------------------------------------------
-# Optional fully symbolic route
+# Fully symbolic route
 # ---------------------------------------------------------------------------
 
 
@@ -1110,10 +1148,11 @@ def exact_divide(p: ExactPoly, q: ExactPoly) -> ExactPoly:
 def symbolic_resultant(r: Scalar | None = None) -> ExactPoly:
     """Resultant of the elimination system with x, y kept symbolic.
 
-    This is the full fraction-free determinant with polynomial entries; it is
-    expensive (minutes) and exists as an optional cross-check of the
-    interpolation certificate.  With ``r`` given the computation runs over
-    Z[x, y]; with ``r = None`` it runs over Z[r, x, y] and is slower still.
+    The 10 x 10 Bezout matrix with polynomial entries goes through the
+    fraction-free determinant, and lc(f)^2 = r^4 is divided out exactly, as
+    in :func:`resultant`; it is a cross-check of the interpolation
+    certificate.  With ``r`` given the computation runs over Z[x, y] (a few
+    seconds); with ``r = None`` it runs over Z[r, x, y] and is slower.
     """
     up1, up2 = _system_coefficients()
     if r is not None:
@@ -1122,4 +1161,4 @@ def symbolic_resultant(r: Scalar | None = None) -> ExactPoly:
             raise ValueError("r = 0: the elimination system degenerates")
         up1 = [c.specialize({"r": r}) for c in up1]
         up2 = [c.specialize({"r": r}) for c in up2]
-    return bareiss_determinant(sylvester_matrix(up1, up2), divide=exact_divide)
+    return _bezout_resultant(up1, up2, divide=exact_divide)

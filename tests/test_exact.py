@@ -1,7 +1,6 @@
 """Exact polynomial layer: ring laws, transcriptions, resultants, certificate."""
 
 import math
-import os
 import random
 from fractions import Fraction as Q
 
@@ -153,6 +152,11 @@ def test_bareiss_default_division_covers_ints_and_fractions():
     assert exact.bareiss_determinant(rows) == -1
     assert exact.bareiss_determinant([[Q(v, 2) for v in row] for row in rows]) == Q(-1, 8)
     assert exact.bareiss_determinant([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == -5
+    # Rational entries whose elimination divides an integral value by an
+    # integral pivot with a non-integral quotient: exact in Q all the same.
+    half = Q(1, 2)
+    rows = [[0, 0, half, 0], [2, 2, half, half], [2, 1, half, 1], [2, 2, half, 0]]
+    assert exact.bareiss_determinant(rows) == half
 
 
 def test_resultant_of_shared_root_vanishes():
@@ -184,13 +188,65 @@ def test_resultant_at_rejects_degenerate_radius():
         exact.resultant_at(0, 1, 1)
 
 
-def test_elimination_sylvester_matrix_is_18_by_18():
+def sylvester_matrix(f, g):
+    """Sylvester matrix of two coefficient sequences (descending degree).
+
+    The reference the Bezout route is checked against: for deg f = m and
+    deg g = n it is (m+n) x (m+n), n shifted copies of f's coefficients above
+    m shifted copies of g's, and its determinant is Res(f, g).
+    """
+    m, n = len(f) - 1, len(g) - 1
+    rows = []
+    for shift in range(n):
+        rows.append([0] * shift + list(f) + [0] * (n - 1 - shift))
+    for shift in range(m):
+        rows.append([0] * shift + list(g) + [0] * (m - 1 - shift))
+    return rows
+
+
+def sylvester_resultant(f, g):
+    return exact.bareiss_determinant(sylvester_matrix(f, g))
+
+
+def test_elimination_bezout_matrix_is_10_by_10():
     first, second = exact.envelope_system()
     point = {"r": Q(1, 2), "x": Q(2, 3), "y": Q(5, 7)}
     f = [c.evaluate(point) for c in reversed(first.univariate_coefficients("t"))]
     g = [c.evaluate(point) for c in reversed(second.univariate_coefficients("t"))]
-    rows = exact.sylvester_matrix(f, g)
-    assert len(rows) == 18 and all(len(row) == 18 for row in rows)
+    assert len(sylvester_matrix(f, g)) == 18
+    rows = exact._bezout_matrix(f, g)
+    assert len(rows) == 10 and all(len(row) == 10 for row in rows)
+    assert all(rows[i][j] == rows[j][i] for i in range(10) for j in range(10))
+    # det B = (-1)^(10*9/2) lc(f)^2 Res = -r^4 Res
+    det = exact.bareiss_determinant(rows)
+    assert det == -Q(1, 2) ** 4 * sylvester_resultant(f, g)
+    assert exact.resultant_at(Q(1, 2), Q(2, 3), Q(5, 7)) == sylvester_resultant(f, g)
+
+
+def _random_polynomial(rng, degree):
+    # Sparse rational coefficients (zeros force pivot swaps), nonzero leading one.
+    def coefficient():
+        if rng.random() < 0.3:
+            return Q(0)
+        return Q(rng.randint(-9, 9), rng.randint(1, 6))
+
+    lead = Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+    return [lead] + [coefficient() for _ in range(degree)]
+
+
+@pytest.mark.parametrize("m", range(12))
+def test_resultant_matches_the_sylvester_reference_for_every_degree_pair(m):
+    rng = random.Random(m)
+    for n in range(12):
+        for _ in range(3):
+            f, g = _random_polynomial(rng, m), _random_polynomial(rng, n)
+            assert exact.resultant(f, g) == sylvester_resultant(f, g), (m, n)
+        # a shared root c: f = (t - c) u and g = (t - c) w
+        c = Q(rng.randint(-5, 5), rng.randint(1, 4))
+        if m and n:
+            u, w = _random_polynomial(rng, m - 1), _random_polynomial(rng, n - 1)
+            shared = [[a - c * b for a, b in zip(p + [0], [0] + p)] for p in (u, w)]
+            assert exact.resultant(*shared) == sylvester_resultant(*shared) == 0, (m, n)
 
 
 def test_resultant_vanishes_on_envelope_points_only():
@@ -328,6 +384,39 @@ def test_a_wrong_modular_cofactor_falls_back_to_the_exact_route(monkeypatch):
     assert report.to_json_dict() == exact.verify_sextic_resultant_identity(Q(1, 3), seed=2).to_json_dict()
 
 
+def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
+    # The first block of one _cofactor_mod call: its mod-p Bezout values are
+    # the exact resultants at those grid points, reduced modulo p.
+    cert = exact._Certificate(Q(1, 2), 28, 1, None)
+    blocks = []
+    resultants = exact._resultants_mod
+    monkeypatch.setattr(
+        exact, "_resultants_mod", lambda coeffs, p: blocks.append(resultants(coeffs, p)) or blocks[-1]
+    )
+    p = exact._PRIMES[0]
+    sections = [cert.sextic_section(y) for y in cert.ys]
+    assert exact._cofactor_mod(cert, sections, p) is not None
+    first = blocks[0]
+    assert first.shape == (exact._BLOCK_SECTIONS, len(cert.xs))
+    want = [
+        [exact._residue(Q(exact.resultant_at(cert.r, x, y)), p) for x in cert.xs]
+        for y in cert.ys[: exact._BLOCK_SECTIONS]
+    ]
+    assert first.tolist() == want
+
+
+def test_certificate_skips_a_prime_dividing_the_radius_numerator(monkeypatch):
+    # The Bezout resultants divide by lc(f)^2 = r^4, so r must be a unit.
+    seen = []
+    fitted = exact._modular_cofactor
+    monkeypatch.setattr(exact, "_modular_cofactor", lambda cert: seen.append(fitted(cert)) or seen[-1])
+    report = exact.verify_sextic_resultant_identity(Q(exact._PRIMES[0]), degree_bound=28, seed=1)
+    assert report.success
+    (terms, primes), = seen
+    assert primes[0] == exact._PRIMES[1] and exact._PRIMES[0] not in primes
+    assert report.cofactor == exact.ExactPoly(("x", "y"), terms)
+
+
 def test_certificate_skips_a_prime_dividing_the_radius_denominator(monkeypatch):
     seen = []
     fitted = exact._modular_cofactor
@@ -431,7 +520,7 @@ def test_rational_reconstruction_below_the_bound_can_mislead():
 
 
 # ---------------------------------------------------------------------------
-# Optional fully symbolic route
+# Fully symbolic route
 # ---------------------------------------------------------------------------
 
 
@@ -460,17 +549,17 @@ def test_exact_divide_round_trip():
         exact.exact_divide(p + 1, x * y + 7)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("FNR_RUN_SLOW"),
-    reason="full symbolic elimination takes minutes; set FNR_RUN_SLOW=1",
-)
 def test_symbolic_resultant_matches_certificate():
     resultant_poly = exact.symbolic_resultant(Q(1, 2))
     report = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1)
     sextic = exact.sextic_polynomial().specialize({"r": Q(1, 2)})
+    up1, up2 = exact._system_coefficients()
     for x in (Q(3, 7), Q(-2, 5), Q(9, 4)):
         for y in (Q(1, 3), Q(-5, 2)):
             lhs = resultant_poly.evaluate({"x": x, "y": y})
             cof = report.cofactor.evaluate({"x": x, "y": y})
             rhs = sextic.evaluate({"u": x * x, "v": y * y}) * cof
             assert lhs == rhs
+            point = {"r": Q(1, 2), "x": x, "y": y}
+            f, g = ([c.evaluate(point) for c in up] for up in (up1, up2))
+            assert lhs == sylvester_resultant(f, g)

@@ -4,7 +4,13 @@ import importlib
 
 MODULES = ["fnr", "fnr.boundary", "fnr.truncation", "fnr.exact", "fnr.render", "fnr.checks"]
 
-RETIRED = ["TruncatedOperator", "HermitianRotation", "BoundaryPoint", "envelope_point"]
+RETIRED = [
+    "TruncatedOperator",
+    "HermitianRotation",
+    "BoundaryPoint",
+    "envelope_point",
+    "sylvester_matrix",
+]
 
 
 def test_public_names_resolve():

@@ -357,6 +357,27 @@ def test_every_resultant_radius_is_checked(tmp_path, capsys, argv, named):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["verify", "boundary", "support-lines"])
+def test_a_radius_that_underflows_is_a_usage_error(tmp_path, capsys, command):
+    assert main([command, "--r", "1e-400", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "fnr: --r 1e-400 underflows a double to zero\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["--r", "1e-17"], "1e-17"), (["--r", "1e-320"], "1e-320"), (["--a", "2e-17,0"], "1e-17")],
+)
+def test_verify_rejects_a_radius_lost_next_to_one(tmp_path, capsys, argv, named):
+    # 1 + r rounds to 1, so the comparison ellipse would have equal axes.
+    assert main(["verify", *argv, "--N", "20", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("fnr: ") and err.count("\n") == 1 and named in err
+    assert "Traceback" not in out + err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # Flags per command
 # ---------------------------------------------------------------------------
