@@ -132,7 +132,12 @@ def _build_parser() -> argparse.ArgumentParser:
     res.set_defaults(handler=cmd_resultant)
     res.add_argument("--r", type=str, default="1/2,1/3", help="comma-separated exact radii p/q")
     res.add_argument("--seed", type=int, default=1, help="seed for certificate sampling")
-    res.add_argument("--degree-bound", type=int, default=28, help="cofactor total degree bound")
+    res.add_argument(
+        "--degree-bound",
+        type=int,
+        default=28,
+        help=f"cofactor total degree bound, 0 to {exact.MAX_DEGREE_BOUND}",
+    )
     res.add_argument(
         "--mutate",
         action="store_true",
@@ -286,6 +291,11 @@ def cmd_resultant(args: argparse.Namespace) -> int:
     radii = [_parse_rational(part) for part in parts]
     if args.degree_bound < 0:
         raise UsageError(f"--degree-bound must be nonnegative, got {args.degree_bound}")
+    if args.degree_bound > exact.MAX_DEGREE_BOUND:
+        raise UsageError(
+            f"--degree-bound must be at most {exact.MAX_DEGREE_BOUND}, the largest total "
+            f"degree the cofactor can have, got {args.degree_bound}"
+        )
     # Every radius must be nonzero, and nonnegative and finite as a double.
     for part, rr in zip(parts, radii):
         value = _parse_radius(part)

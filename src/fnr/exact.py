@@ -25,9 +25,10 @@ determinants of the sample grid, the Newton interpolation and the exact
 division by the sextic sections run as int64 numpy arrays, and the
 cofactor's rational coefficients come back by the Chinese remainder theorem
 and rational reconstruction.  The fit is only a candidate: the held-out
-check in exact :class:`~fractions.Fraction` arithmetic is the sole judge of
-success, and any other outcome reruns the certificate with the fitting in
-exact arithmetic, so failure reports are exact too.
+check in exact cleared-integer arithmetic is the sole judge of success, and
+any other outcome reruns the certificate with the fitting in exact
+arithmetic, so failure reports are exact too.  Every exact point value is
+an integer sum over a known denominator (:func:`_evaluate_cleared`).
 
 Rationals are plain :class:`fractions.Fraction` values: arbitrary-precision
 numerator, positive denominator, always in lowest terms.  Polynomials are
@@ -58,6 +59,7 @@ __all__ = [
     "resultant",
     "resultant_at",
     "verify_sextic_resultant_identity",
+    "MAX_DEGREE_BOUND",
     "symbolic_resultant",
     "exact_divide",
 ]
@@ -72,6 +74,52 @@ def _normalize_scalar(value: Scalar) -> Scalar:
     if isinstance(value, int):
         return value
     raise TypeError(f"exact coefficients must be int or Fraction, got {type(value).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Exact point evaluation in cleared integers
+# ---------------------------------------------------------------------------
+
+
+def _cleared_terms(terms: Mapping[tuple, Scalar]) -> tuple:
+    """``({expo: integer}, scale)``: the terms times the lcm of their coefficient denominators."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return {expo: c.numerator * (scale // c.denominator) for expo, c in terms.items()}, scale
+
+
+def _degrees(polys: Sequence[Mapping[tuple, Scalar]], nvars: int) -> tuple:
+    """The largest exponent of each variable over the term maps ``polys`` (0 for none)."""
+    return tuple(max((expo[i] for terms in polys for expo in terms), default=0) for i in range(nvars))
+
+
+def _evaluate_cleared(polys: Sequence[Mapping[tuple, int]], degrees: Sequence[int], point) -> tuple:
+    """Integer-coefficient polynomials at one rational point, over one common denominator.
+
+    For the value a/b (lowest terms) of a variable of degree at most D the
+    point builds one table a^i b^(D - i), i = 0..D: the powers of a/b times
+    b^D.  A term c x^i y^j ... is then the integer c * table_x[i] *
+    table_y[j] ..., so each polynomial's value is an integer sum over the
+    common denominator prod b^D, and no Fraction is built per term.  Returns
+    the list of sums, one per polynomial, and that denominator.
+    """
+    tables = []
+    den = 1
+    for value, degree in zip(point, degrees):
+        a, b = value.numerator, value.denominator
+        table = [b**degree]
+        for _ in range(degree):
+            table.append(table[-1] // b * a)
+        tables.append(table)
+        den *= table[0]
+    sums = []
+    for terms in polys:
+        total = 0
+        for expo, c in terms.items():
+            for table, e in zip(tables, expo):
+                c *= table[e]
+            total += c
+        sums.append(total)
+    return sums, den
 
 
 class ExactPoly:
@@ -231,15 +279,10 @@ class ExactPoly:
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise ValueError(f"missing assignments for {missing}")
+        terms, scale = _cleared_terms(self.terms)
         point = [Fraction(values[v]) for v in self.variables]
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for base, power in zip(point, expo):
-                if power:
-                    term *= base**power
-            total += term
-        return total
+        (value,), den = _evaluate_cleared((terms,), _degrees((terms,), len(point)), point)
+        return Fraction(value, scale * den)
 
     def specialize(self, values: Mapping[str, Scalar]) -> "ExactPoly":
         """Substitute some variables exactly; the rest remain symbolic."""
@@ -466,8 +509,8 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
     clearing scales are divided back out, so the value is the canonical
     resultant of the inputs as given.
     """
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
+    f = [c if type(c) is int else Fraction(c) for c in f]
+    g = [c if type(c) is int else Fraction(c) for c in g]
     if not f or f[0] == 0 or not g or g[0] == 0:
         raise ValueError("leading coefficient must not vanish")
     m = len(f) - 1
@@ -485,7 +528,7 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
 
     def cleared(coeffs):
         scale = math.lcm(*(c.denominator for c in coeffs))
-        return [int(c * scale) for c in coeffs], scale
+        return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
     fi, sf = cleared(f)
     gi, sg = cleared(g)
@@ -503,9 +546,32 @@ def _system_coefficients() -> tuple:
     return tuple(list(reversed(p.univariate_coefficients("t"))) for p in (first, second))
 
 
-def _resultant_of_system(up1: Sequence[ExactPoly], up2: Sequence[ExactPoly], point) -> Scalar:
-    """Resultant in t once every coefficient polynomial is evaluated at ``point``."""
-    return resultant([c.evaluate(point) for c in up1], [c.evaluate(point) for c in up2])
+@functools.cache
+def _system_terms() -> tuple:
+    """Integer term tables {(i, j, k): c} of c r^i x^j y^k for each coefficient of the system.
+
+    f's coefficients and then g's, descending in t: the one table that both
+    the exact point values and the modular residues read.
+    """
+    return tuple(poly.terms for coeffs in _system_coefficients() for poly in coeffs)
+
+
+@functools.cache
+def _system_degrees() -> tuple:
+    return _degrees(_system_terms(), 3)
+
+
+def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
+    """Resultant in t of the elimination system at (r, x, y), as (numerator, denominator).
+
+    The 20 coefficients come out of :func:`_evaluate_cleared` as integers
+    over one common denominator D, and Res(D f, D g) = D^(m + n) Res(f, g)
+    with m + n = 18, so the integer vectors go to :func:`resultant` and
+    D^18 is the denominator.
+    """
+    values, den = _evaluate_cleared(_system_terms(), _system_degrees(), (r, x, y))
+    f_count = len(_system_coefficients()[0])
+    return resultant(values[:f_count], values[f_count:]), den ** (len(values) - 2)
 
 
 def resultant_at(r: Scalar, x: Scalar, y: Scalar) -> Scalar:
@@ -520,7 +586,7 @@ def resultant_at(r: Scalar, x: Scalar, y: Scalar) -> Scalar:
             "r = 0: leading coefficients of the elimination system vanish "
             "and the resultant degenerates"
         )
-    return _resultant_of_system(*_system_coefficients(), {"r": r, "x": x, "y": y})
+    return _normalize_scalar(Fraction(*_system_resultant(r, Fraction(x), Fraction(y))))
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +677,10 @@ class ResultantReport:
 # Pseudo-random rational points at which the fitted identity is re-checked exactly.
 _HOLDOUT = 64
 
+# The largest cofactor degree bound any radius can need (derived in
+# verify_sextic_resultant_identity); a larger one is rejected before any work.
+MAX_DEGREE_BOUND = 34
+
 
 def _certificate_rng(r: Fraction, seed: int) -> random.Random:
     # Mix r into the stream deterministically (ints hash stably).
@@ -644,7 +714,11 @@ class _Certificate:
     """Sample grid, seeded stream and exact evaluators of one certificate run.
 
     Construction validates the arguments and draws the grid offsets, so two
-    instances built from the same arguments replay the same stream.
+    instances built from the same arguments replay the same stream.  Every
+    exact point value -- Res, the sextic, its sections and the cofactor --
+    is taken by :func:`_evaluate_cleared`: an integer sum over a known
+    denominator from one power table per coordinate, with the sextic's
+    coefficients cleared once per certificate.
     """
 
     def __init__(self, r, degree_bound, seed, sextic):
@@ -653,13 +727,26 @@ class _Certificate:
             raise ValueError("r = 0: the elimination system degenerates")
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
+        if degree_bound > MAX_DEGREE_BOUND:
+            raise ValueError(
+                f"degree bound {degree_bound} exceeds {MAX_DEGREE_BOUND}, "
+                "the largest total degree the cofactor can have"
+            )
 
         self.r, self.degree_bound, self.seed = r, degree_bound, seed
         space_dim = (degree_bound + 1) * (degree_bound + 2) // 2
         self.rng = rng = _certificate_rng(r, seed)
         sextic_poly = sextic if sextic is not None else sextic_polynomial()
-        self.sextic_r = sextic_poly.specialize({"r": r})
-        self.up1r, self.up2r = ([c.specialize({"r": r}) for c in up] for up in _system_coefficients())
+        self.sextic_variables = sextic_poly.variables
+        self.sextic_terms, self.sextic_scale = _cleared_terms(sextic_poly.terms)
+        self.sextic_degrees = _degrees((self.sextic_terms,), len(self.sextic_variables))
+        # The sextic's terms by their power of u: evaluated at u = 1, row i is
+        # the coefficient of u^i.
+        u_index = self.sextic_variables.index("u")
+        self.sextic_rows = [
+            {expo: c for expo, c in self.sextic_terms.items() if expo[u_index] == i}
+            for i in range(self.sextic_degrees[u_index] + 1)
+        ]
 
         # The section degree bound: deg_x Res <= degree_bound + deg_x E.
         section_degree = degree_bound + 8
@@ -680,19 +767,31 @@ class _Certificate:
             )
 
     def res_value(self, x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(_resultant_of_system(self.up1r, self.up2r, {"x": x, "y": y}))
+        return Fraction(*_system_resultant(self.r, x, y))
+
+    def _sextic_point(self, u: Fraction, v: Fraction) -> list:
+        values = {"u": u, "v": v, "r": self.r}
+        return [values[name] for name in self.sextic_variables]
 
     def sextic_section(self, y: Fraction) -> list:
         """Coefficients (ascending in x) of E(x^2, y^2, r) for fixed y."""
-        section = self.sextic_r.specialize({"v": y * y})  # polynomial in u alone
-        coeffs_u = [Fraction(c.evaluate({})) for c in section.univariate_coefficients("u")]
-        out = [Fraction(0)] * (2 * len(coeffs_u) - 1)
-        for i, c in enumerate(coeffs_u):
-            out[2 * i] = c
+        sums, den = _evaluate_cleared(
+            self.sextic_rows, self.sextic_degrees, self._sextic_point(Fraction(1), y * y)
+        )
+        out = [Fraction(0)] * (2 * len(sums) - 1)
+        for i, c in enumerate(sums):
+            out[2 * i] = Fraction(c, self.sextic_scale * den)
         return out
 
+    def sextic_cleared(self, x: Fraction, y: Fraction) -> tuple:
+        """E(x^2, y^2, r) as (numerator, denominator)."""
+        (value,), den = _evaluate_cleared(
+            (self.sextic_terms,), self.sextic_degrees, self._sextic_point(x * x, y * y)
+        )
+        return value, self.sextic_scale * den
+
     def sextic_value(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.sextic_r.evaluate({"u": x * x, "v": y * y})
+        return Fraction(*self.sextic_cleared(x, y))
 
     def report(self, **fields) -> ResultantReport:
         return ResultantReport(
@@ -704,20 +803,29 @@ class _Certificate:
         )
 
     def conclude(self, terms: dict) -> ResultantReport:
-        """Check the fitted cofactor at the exact held-out points; the only way to succeed."""
+        """Check the fitted cofactor at the exact held-out points; the only way to succeed.
+
+        Res, E and C are integers over known denominators at each point (the
+        cofactor's coefficients are cleared once, here), so Res - E C is one
+        integer cross-difference, made a Fraction only when it is nonzero.
+        """
         cofactor = ExactPoly(("x", "y"), terms)
         total_degree = max(cofactor.degree(), 0)
+        cleared, scale = _cleared_terms(cofactor.terms)
+        degrees = _degrees((cleared,), 2)
 
         rng = self.rng
         failures = []
         for _ in range(_HOLDOUT):
             x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
             y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-            residual = self.res_value(x, y) - self.sextic_value(x, y) * cofactor.evaluate(
-                {"x": x, "y": y}
-            )
-            if residual != 0:
-                failures.append((x, y, residual))
+            res, res_den = _system_resultant(self.r, x, y)
+            sextic, sextic_den = self.sextic_cleared(x, y)
+            (cof,), cof_den = _evaluate_cleared((cleared,), degrees, (x, y))
+            cof_den *= scale
+            residual = res * sextic_den * cof_den - sextic * cof * res_den
+            if residual:
+                failures.append((x, y, Fraction(residual, res_den * sextic_den * cof_den)))
 
         reason = None
         if total_degree > self.degree_bound:
@@ -757,11 +865,12 @@ def _exact_certificate(cert: _Certificate) -> ResultantReport:
             # Fitting system Res = E * C is inconsistent on this section;
             # report residuals of the divided quotient at held-out abscissae.
             rng = cert.rng
+            quotient = ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
             failures = []
             for _ in range(8):
                 xh = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
                 res_h = cert.res_value(xh, y)
-                quot_h = sum(c * xh**i for i, c in enumerate(quot))
+                quot_h = quotient.evaluate({"x": xh})
                 failures.append((xh, y, res_h - cert.sextic_value(xh, y) * quot_h))
             return cert.report(
                 holdout_count=len(failures),
@@ -804,9 +913,12 @@ def verify_sextic_resultant_identity(
     degree_bound + 8) is recovered by Newton interpolation and divided
     exactly by the sextic section E(x^2, y_k^2, r).  The section quotients
     are interpolated across y into the cofactor C(x, y), and the identity
-    Res = E * C is re-verified in exact rational arithmetic at 64
-    pseudo-random rational points; every held-out residual must be exactly
-    zero, and only that check can declare success.
+    Res = E * C is re-verified exactly at 64 pseudo-random rational points;
+    every held-out residual must be exactly zero, and only that check can
+    declare success.  At each point Res, E and C are integers over known
+    denominators: power tables of the coordinates clear every term, the
+    integer coefficient vectors of the system go to :func:`resultant`, and
+    Res - E * C is one integer cross-difference.
 
     The fitting runs modulo one prime after another (Collins' multi-modular
     method): the Bezout determinants, the interpolation and the section
@@ -825,6 +937,15 @@ def verify_sextic_resultant_identity(
     are drawn from a generator seeded by ``seed`` (and r), so reports are
     bit-reproducible.  Sample coordinates are rationals with numerator and
     denominator bounded by 1000.
+
+    ``degree_bound`` is at most ``MAX_DEGREE_BOUND`` = 34, and a larger one
+    raises ValueError before any work.  Res has degree at most 28 in x and
+    20 in y (the bounds the degrees of the Sylvester entries prove, for
+    every r).  E(x^2, y^2, r) has degree exactly 8 in x and 6 in y at every
+    r != 0: its u^4 coefficient is 1 + r^2 and its v^3 coefficient -16 r^4.
+    So C = Res / E has degree at most 28 - 8 = 20 in x and 20 - 6 = 14 in
+    y, and total degree at most 20 + 14 = 34; a larger bound only enlarges
+    the sample grid.
     """
     cert = _Certificate(r, degree_bound, seed, sextic)
     fitted = _modular_cofactor(cert)
@@ -973,20 +1094,10 @@ def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-@functools.cache
-def _system_terms() -> tuple:
-    """Terms (c, i, j, k) of c r^i x^j y^k for each coefficient of the system, f's then g's."""
-    return tuple(
-        tuple((c, *expo) for expo, c in poly.terms.items())
-        for coeffs in _system_coefficients()
-        for poly in coeffs
-    )
-
-
 def _system_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> np.ndarray:
     """Every coefficient of the system at every grid point (y, x), modulo p: shape (20, ny, nx)."""
     terms = _system_terms()
-    top = max(max(j, k) for poly in terms for _, _, j, k in poly)
+    top = max(max(j, k) for poly in terms for _, j, k in poly)
     xpow = [np.ones(len(xs), np.int64), np.array(xs, np.int64)]
     ypow = [np.ones(len(ys), np.int64), np.array(ys, np.int64)]
     while len(xpow) <= top:
@@ -994,7 +1105,7 @@ def _system_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> 
         ypow.append(ypow[-1] * ypow[1] % p)
     out = np.zeros((len(terms), len(ys), len(xs)), np.int64)
     for acc, poly in zip(out, terms):
-        for c, i, j, k in poly:
+        for (i, j, k), c in poly.items():
             row = c * pow(r, i, p) % p * xpow[j] % p
             acc += ypow[k][:, None] * row[None, :] % p
             acc %= p
@@ -1015,10 +1126,8 @@ def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     flat = coeffs.reshape(len(coeffs), -1)
     rows = _bezout_matrix(list(flat[:f_count]), list(flat[f_count:]), p)
     det = _determinants_mod(np.array(rows).transpose(2, 0, 1).copy(), p)
-    lead = np.ones_like(det)
-    for _ in range(m - n):
-        lead = lead * flat[0] % p
-    values = det * _inverse_mod(lead, p) % p
+    # lc(f) = -r^2 at every point, so lc(f)^(m - n) is one scalar to invert.
+    values = det * pow(int(flat[0, 0]), -(m - n), p) % p
     if m * (m - 1) // 2 % 2:
         values = (p - values) % p
     return values.reshape(coeffs.shape[1:])
@@ -1098,6 +1207,22 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
             return None
         primes.append(p)
         flat = residues.ravel().tolist()
+        # The fit has settled when each coefficient n/d reconstructed modulo
+        # M has d a unit modulo p and n = d a (mod p), a the new residue.
+        # That is the same as reconstructing the CRT value c' modulo M p and
+        # getting n/d back.  If the reconstruction gives n/d, then
+        # n = d c' (mod M p) and gcd(d, M p) = 1 (a prime dividing both would
+        # divide n, and gcd(n, d) = 1); reduced modulo p, that is the test.
+        # Conversely, n = d c' holds modulo M (c' = c mod M, and n/d came from
+        # c) and, by the test, modulo p, so modulo M p; and |n|, d are within
+        # the bound for M, hence for M p.  A fraction within the bound is
+        # unique and is what Wang's algorithm returns (Wang, Guy and
+        # Davenport, SIGSAM Bull. 16(2), 1982), so it returns n/d.
+        if previous is not None and all(
+            c.denominator % p and (c.numerator - a * c.denominator) % p == 0
+            for c, a in zip(previous.values(), flat)
+        ):
+            return previous, primes
         if modulus == 1:
             combined = flat
         else:
@@ -1112,8 +1237,6 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
                 terms = None
                 break
             terms[divmod(index, width)] = coefficient
-        if terms is not None and terms == previous:
-            return terms, primes
         previous = terms
     return None
 

@@ -428,6 +428,183 @@ def test_certificate_skips_a_prime_dividing_the_radius_denominator(monkeypatch):
     assert report.cofactor == exact.ExactPoly(("x", "y"), terms)
 
 
+def test_a_degree_bound_beyond_the_proven_degrees_is_rejected_before_any_work(monkeypatch):
+    # deg_x Res <= 28 and deg_y Res <= 20, and E(x^2, y^2, r) has degree
+    # 2 deg_u E in x and 2 deg_v E in y, so C has total degree at most 34.
+    sextic = exact.sextic_polynomial()
+    assert exact.MAX_DEGREE_BOUND == (28 - 2 * sextic.degree("u")) + (20 - 2 * sextic.degree("v")) == 34
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the certificate started")
+
+    for name in ("_certificate_rng", "sextic_polynomial", "_modular_cofactor", "_exact_certificate"):
+        monkeypatch.setattr(exact, name, no_work)
+    for bound in (exact.MAX_DEGREE_BOUND + 1, 2000):
+        with pytest.raises(ValueError, match=f"degree bound {bound} exceeds 34"):
+            exact.verify_sextic_resultant_identity(Q(3), degree_bound=bound)
+    monkeypatch.undo()
+    cert = exact._Certificate(Q(3), exact.MAX_DEGREE_BOUND, 1, None)
+    assert (len(cert.xs), len(cert.ys)) == (43, 35)
+
+
+def _settled_by_rereconstruction(sequence):
+    """Reference stopping rule for the modular fit.
+
+    At each prime every coefficient is reconstructed from the CRT value, and
+    the fit stops when one more prime leaves all of them unchanged; the fit's
+    residue test must stop at the same prime with the same terms.
+    """
+    combined, modulus, previous = [], 1, None
+    for count, (p, residues) in enumerate(sequence, 1):
+        flat = residues.ravel().tolist()
+        if modulus == 1:
+            combined = flat
+        else:
+            inverse = pow(modulus, -1, p)
+            combined = [c + modulus * ((a - c % p) * inverse % p) for c, a in zip(combined, flat)]
+        modulus *= p
+        terms = {}
+        for index, value in enumerate(combined):
+            coefficient = exact._rational_reconstruct(value, modulus)
+            if coefficient is None:
+                terms = None
+                break
+            terms[divmod(index, residues.shape[1])] = coefficient
+        if terms is not None and terms == previous:
+            return terms, [q for q, _ in sequence[:count]]
+        previous = terms
+    return None
+
+
+@pytest.mark.parametrize(
+    "r", [Q(1, 2), Q(1, 3), Q(2), Q(355, 113), Q(1000), Q(1, exact._PRIMES[0])], ids=str
+)
+def test_modular_fit_stops_where_rereconstruction_stops(monkeypatch, r):
+    sequence = []
+    cofactor_mod = exact._cofactor_mod
+
+    def recorded(cert, sections, p):
+        sequence.append((p, cofactor_mod(cert, sections, p)))
+        return sequence[-1][1]
+
+    monkeypatch.setattr(exact, "_cofactor_mod", recorded)
+    fitted = exact._modular_cofactor(exact._Certificate(r, 28, 1, None))
+    assert fitted is not None
+    assert fitted == _settled_by_rereconstruction(sequence)
+    if r.denominator == exact._PRIMES[0]:
+        assert fitted[1][0] == exact._PRIMES[1]
+
+
+# ---------------------------------------------------------------------------
+# Exact point evaluation in cleared integers
+# ---------------------------------------------------------------------------
+
+
+def fraction_evaluate(terms, point):
+    """Term-by-term Fraction evaluation with a fresh power per variable: the reference."""
+    total = Q(0)
+    for expo, coeff in terms.items():
+        term = Q(coeff)
+        for base, power in zip(point, expo):
+            if power:
+                term *= Q(base) ** power
+        total += term
+    return total
+
+
+def _rationals(seed, count):
+    rng = random.Random(seed)
+    values = [Q(0), Q(1), Q(-1), Q(7), Q(-999), Q(1, 999), Q(-998, 997), Q(999, 998)]
+    for _ in range(count):
+        den = rng.choice((1, rng.randint(1, 999), rng.randint(990, 999)))
+        values.append(Q(rng.randint(-999, 999), den))
+    return values
+
+
+def _cleared_value(poly, point):
+    terms, scale = exact._cleared_terms(poly.terms)
+    (value,), den = exact._evaluate_cleared((terms,), exact._degrees((terms,), len(point)), point)
+    return Q(value, scale * den)
+
+
+def test_cleared_evaluator_matches_the_reference_on_the_system_coefficients():
+    values = _rationals(11, 24)
+    rng = random.Random(12)
+    up = [c for coeffs in exact._system_coefficients() for c in coeffs]
+    f_count = len(exact._system_coefficients()[0])
+    assert [c.terms for c in up] == list(exact._system_terms())
+    for _ in range(60):
+        point = tuple(rng.choice(values) for _ in range(3))
+        sums, den = exact._evaluate_cleared(exact._system_terms(), exact._system_degrees(), point)
+        want = [fraction_evaluate(c.terms, point) for c in up]
+        assert [Q(s, den) for s in sums] == want
+        assert [c.evaluate(dict(zip(("r", "x", "y"), point))) for c in up] == want
+        if point[0]:
+            f, g = want[:f_count], want[f_count:]
+            assert Q(*exact._system_resultant(*point)) == exact.resultant(f, g)
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["sextic", "mutated"])
+def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
+    sextic = exact.mutated_sextic() if mutated else exact.sextic_polynomial()
+    values = _rationals(13, 16)
+    for r in (Q(1, 2), Q(-998, 997), Q(1000), Q(7)):
+        cert = exact._Certificate(r, 28, 1, sextic if mutated else None)
+        for x in values:
+            want_section = []
+            for i in range(sextic.degree("u") + 1):
+                row = {e: c for e, c in sextic.terms.items() if e[0] == i}
+                want_section += [fraction_evaluate(row, (1, x * x, r)), Q(0)]
+            assert cert.sextic_section(x) == want_section[:-1]
+            for y in values[::3]:
+                want = fraction_evaluate(sextic.terms, (x * x, y * y, r))
+                assert cert.sextic_value(x, y) == want
+                assert sextic.evaluate({"u": x * x, "v": y * y, "r": r}) == want
+                assert _cleared_value(sextic, (x * x, y * y, r)) == want
+
+
+def test_cleared_evaluator_matches_the_reference_on_a_fitted_cofactor():
+    cofactor = exact.verify_sextic_resultant_identity(Q(355, 113), seed=2).cofactor
+    assert any(c.denominator > 1 for c in cofactor.terms.values())
+    values = _rationals(14, 20)
+    for x in values:
+        for y in values[::2]:
+            want = fraction_evaluate(cofactor.terms, (x, y))
+            assert _cleared_value(cofactor, (x, y)) == want
+            assert cofactor.evaluate({"x": x, "y": y}) == want
+
+
+def _reference_failures(cert, terms):
+    """conclude's held-out loop over Fraction reference values."""
+    up = exact._system_coefficients()
+    sextic = exact.sextic_polynomial()
+    failures = []
+    for _ in range(exact._HOLDOUT):
+        x = Q(cert.rng.randint(-999, 999), cert.rng.randint(1, 999))
+        y = Q(cert.rng.randint(-999, 999), cert.rng.randint(1, 999))
+        f, g = ([fraction_evaluate(c.terms, (cert.r, x, y)) for c in coeffs] for coeffs in up)
+        residual = exact.resultant(f, g) - fraction_evaluate(
+            sextic.terms, (x * x, y * y, cert.r)
+        ) * fraction_evaluate(terms, (x, y))
+        if residual:
+            failures.append((x, y, residual))
+    return failures
+
+
+@pytest.mark.parametrize(
+    "r, key, delta", [(Q(1, 2), (0, 0), Q(1)), (Q(355, 113), (4, 6), Q(-1, 7))], ids=["half", "355/113"]
+)
+def test_a_perturbed_cofactor_fails_at_the_reference_points(r, key, delta):
+    terms, _ = exact._modular_cofactor(exact._Certificate(r, 28, 1, None))
+    assert not exact._Certificate(r, 28, 1, None).conclude(terms).holdout_failures
+    perturbed = {**terms, key: terms[key] + delta}
+    report = exact._Certificate(r, 28, 1, None).conclude(perturbed)
+    want = _reference_failures(exact._Certificate(r, 28, 1, None), perturbed)
+    assert len(want) == exact._HOLDOUT
+    assert not report.success
+    assert report.holdout_failures == want
+
+
 # ---------------------------------------------------------------------------
 # Modular primitives
 # ---------------------------------------------------------------------------

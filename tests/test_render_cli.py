@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fnr import Region, cli, classify_point, support_function
+from fnr import Region, cli, classify_point, exact, support_function
 from fnr.cli import MAX_RADIUS, main
 from fnr.render import clip_segment, format_float, support_line_segment
 
@@ -290,6 +290,20 @@ def test_negative_degree_bound_is_a_usage_error(tmp_path, capsys):
     assert main(["resultant", "--degree-bound", "-1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("fnr: ") and "--degree-bound" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bound", [exact.MAX_DEGREE_BOUND + 1, 2000])
+def test_degree_bound_beyond_the_cofactor_degrees_is_a_usage_error(tmp_path, capsys, monkeypatch, bound):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the certificate started")
+
+    monkeypatch.setattr(exact, "verify_sextic_resultant_identity", no_work)
+    argv = ["resultant", "--r", "3", "--degree-bound", str(bound), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fnr: ") and err.count("\n") == 1
+    assert f"at most {exact.MAX_DEGREE_BOUND}" in err and str(bound) in err
     assert not any(tmp_path.iterdir())
 
 
