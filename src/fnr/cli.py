@@ -246,6 +246,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     _at_least("--N", args.level, 1)
     _at_least("--grid", args.grid, 64)
+    tolerances = {"--tol-alg": args.tol_alg, "--tol-env": args.tol_env, "--tol-conv": args.tol_conv}
+    for flag, value in tolerances.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise UsageError(f"{flag} must be a finite number >= 0, got {value}")
+    rational = Fraction(r).limit_denominator(10**6)  # the radius the certificate runs at
+    if args.with_resultant and r > 0 and rational == 0:
+        raise UsageError(
+            f"--with-resultant needs r > 5e-7: r = {r!r} rounds to 0 at denominators up to 10^6"
+        )
     tol = Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv)
     out = _out_dir(args)
     if r == 0:
@@ -255,7 +264,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results.extend(checks.truncation_checks(a, args.level, tol))
         results.append(checks.ellipse_check(r, max(args.samples, 2000)))
         if args.with_resultant:
-            rational = Fraction(r).limit_denominator(10**6)
             results.append(checks.resultant_check(rational, args.seed))
     all_pass = all(c.passed for c in results)
     payload = {
@@ -304,10 +312,9 @@ def cmd_resultant(args: argparse.Namespace) -> int:
         if rr == 0:
             raise UsageError("r = 0 degenerates the elimination; pick a nonzero rational")
     out = _out_dir(args)
-    sextic = exact.mutated_sextic() if args.mutate else None
     reports = [
         exact.verify_sextic_resultant_identity(
-            rr, degree_bound=args.degree_bound, seed=args.seed, sextic=sextic
+            rr, degree_bound=args.degree_bound, seed=args.seed, mutate=args.mutate
         )
         for rr in radii
     ]

@@ -20,15 +20,16 @@ envelope of the supporting-line family.  This module holds
     system, with exact held-out validation.
 
 The certificate fits its cofactor multi-modularly (Collins, J. ACM 18,
-1971): modulo one 31-bit prime after another, the 1073 Bezout
-determinants of the sample grid, the Newton interpolation and the exact
-division by the sextic sections run as int64 numpy arrays, and the
+1971): modulo one 31-bit prime after another, drawn on demand, the 1073
+Bezout determinants of the sample grid, the Newton interpolation and the
+exact division by the sextic sections run as int64 numpy arrays, and the
 cofactor's rational coefficients come back by the Chinese remainder theorem
-and rational reconstruction.  The fit is only a candidate: the held-out
-check in exact cleared-integer arithmetic is the sole judge of success, and
-any other outcome reruns the certificate with the fitting in exact
-arithmetic, so failure reports are exact too.  Every exact point value is
-an integer sum over a known denominator (:func:`_evaluate_cleared`).
+and rational reconstruction, with no bound on the height of r.  The fit is
+only a candidate: the held-out check in exact cleared-integer arithmetic is
+the sole judge of success.  A section that does not divide modulo a prime
+is recomputed exactly, that section alone, so failure reports are exact
+too.  Every exact point value is an integer sum over a known denominator
+(:func:`_evaluate_cleared`).
 
 Rationals are plain :class:`fractions.Fraction` values: arbitrary-precision
 numerator, positive denominator, always in lowest terms.  Polynomials are
@@ -688,23 +689,13 @@ def _certificate_rng(r: Fraction, seed: int) -> random.Random:
 
 
 def _divide_univariate(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
-    """Quotient and remainder of exact univariate division (ascending coeffs)."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
+    """Quotient and remainder of exact univariate division (ascending coeffs, den[-1] != 0)."""
     quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
     rem = list(num)
     for k in range(len(quot) - 1, -1, -1):
-        if len(rem) < len(den) + k:
-            continue
-        factor = rem[len(den) - 1 + k] / den[-1]
-        quot[k] = factor
-        if factor:
-            for i, d in enumerate(den):
-                rem[i + k] -= factor * d
+        quot[k] = factor = rem[len(den) - 1 + k] / den[-1]
+        for i, d in enumerate(den):
+            rem[i + k] -= factor * d
     while rem and rem[-1] == 0:
         rem.pop()
     return quot, rem
@@ -713,15 +704,17 @@ def _divide_univariate(num: Sequence[Fraction], den: Sequence[Fraction]) -> tupl
 class _Certificate:
     """Sample grid, seeded stream and exact evaluators of one certificate run.
 
-    Construction validates the arguments and draws the grid offsets, so two
-    instances built from the same arguments replay the same stream.  Every
-    exact point value -- Res, the sextic, its sections and the cofactor --
-    is taken by :func:`_evaluate_cleared`: an integer sum over a known
-    denominator from one power table per coordinate, with the sextic's
-    coefficients cleared once per certificate.
+    Construction validates the arguments and draws the grid offsets; every
+    held-out draw then replays the stream from that point, so each
+    conclusion or failure report draws what a fresh run draws.  With
+    ``mutate`` the sextic is :func:`mutated_sextic`.  Every exact point value
+    -- Res, the sextic, its sections and the cofactor -- is taken by
+    :func:`_evaluate_cleared`: an integer sum over a known denominator from
+    one power table per coordinate, with the sextic's coefficients cleared
+    once per certificate.
     """
 
-    def __init__(self, r, degree_bound, seed, sextic):
+    def __init__(self, r, degree_bound, seed, mutate=False):
         r = Fraction(r)
         if r == 0:
             raise ValueError("r = 0: the elimination system degenerates")
@@ -735,20 +728,20 @@ class _Certificate:
 
         self.r, self.degree_bound, self.seed = r, degree_bound, seed
         space_dim = (degree_bound + 1) * (degree_bound + 2) // 2
-        self.rng = rng = _certificate_rng(r, seed)
-        sextic_poly = sextic if sextic is not None else sextic_polynomial()
-        self.sextic_variables = sextic_poly.variables
-        self.sextic_terms, self.sextic_scale = _cleared_terms(sextic_poly.terms)
-        self.sextic_degrees = _degrees((self.sextic_terms,), len(self.sextic_variables))
-        # The sextic's terms by their power of u: evaluated at u = 1, row i is
-        # the coefficient of u^i.
-        u_index = self.sextic_variables.index("u")
+        rng = _certificate_rng(r, seed)
+        sextic = mutated_sextic() if mutate else sextic_polynomial()
+        self.sextic_terms, self.sextic_scale = _cleared_terms(sextic.terms)
+        self.sextic_degrees = _degrees((self.sextic_terms,), 3)
+        # The sextic's terms in (u, v, r) by their power of u: evaluated at
+        # u = 1, row i is the coefficient of u^i.
         self.sextic_rows = [
-            {expo: c for expo, c in self.sextic_terms.items() if expo[u_index] == i}
-            for i in range(self.sextic_degrees[u_index] + 1)
+            {expo: c for expo, c in self.sextic_terms.items() if expo[0] == i}
+            for i in range(self.sextic_degrees[0] + 1)
         ]
 
-        # The section degree bound: deg_x Res <= degree_bound + deg_x E.
+        # The section degree bound: deg_x Res <= degree_bound + deg_x E, and
+        # deg_x E = 8 for both sextics (the u^4 coefficient is 1 + r^2), so
+        # every section quotient has exactly degree_bound + 1 coefficients.
         section_degree = degree_bound + 8
         xs_count = section_degree + 1
         ys_count = degree_bound + 1
@@ -765,18 +758,21 @@ class _Certificate:
                 f"sample count {self.sample_count} does not exceed the degree-{degree_bound} "
                 f"space dimension {space_dim} by 25%"
             )
+        self.stream = rng.getstate()
+
+    def held_out(self, count: int) -> list:
+        """``count`` rationals n/d with |n|, d < 1000, from the stream as the grid draws left it."""
+        rng = random.Random()
+        rng.setstate(self.stream)
+        return [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(count)]
 
     def res_value(self, x: Fraction, y: Fraction) -> Fraction:
         return Fraction(*_system_resultant(self.r, x, y))
 
-    def _sextic_point(self, u: Fraction, v: Fraction) -> list:
-        values = {"u": u, "v": v, "r": self.r}
-        return [values[name] for name in self.sextic_variables]
-
     def sextic_section(self, y: Fraction) -> list:
         """Coefficients (ascending in x) of E(x^2, y^2, r) for fixed y."""
         sums, den = _evaluate_cleared(
-            self.sextic_rows, self.sextic_degrees, self._sextic_point(Fraction(1), y * y)
+            self.sextic_rows, self.sextic_degrees, (Fraction(1), y * y, self.r)
         )
         out = [Fraction(0)] * (2 * len(sums) - 1)
         for i, c in enumerate(sums):
@@ -786,7 +782,7 @@ class _Certificate:
     def sextic_cleared(self, x: Fraction, y: Fraction) -> tuple:
         """E(x^2, y^2, r) as (numerator, denominator)."""
         (value,), den = _evaluate_cleared(
-            (self.sextic_terms,), self.sextic_degrees, self._sextic_point(x * x, y * y)
+            (self.sextic_terms,), self.sextic_degrees, (x * x, y * y, self.r)
         )
         return value, self.sextic_scale * den
 
@@ -814,11 +810,9 @@ class _Certificate:
         cleared, scale = _cleared_terms(cofactor.terms)
         degrees = _degrees((cleared,), 2)
 
-        rng = self.rng
+        points = self.held_out(2 * _HOLDOUT)
         failures = []
-        for _ in range(_HOLDOUT):
-            x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-            y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        for x, y in zip(points[::2], points[1::2]):
             res, res_den = _system_resultant(self.r, x, y)
             sextic, sextic_den = self.sextic_cleared(x, y)
             (cof,), cof_den = _evaluate_cleared((cleared,), degrees, (x, y))
@@ -847,62 +841,38 @@ class _Certificate:
         )
 
 
-def _exact_certificate(cert: _Certificate) -> ResultantReport:
-    """The certificate with the fitting stage in exact rational arithmetic.
+def _section_failure(cert: _Certificate, y: Fraction) -> ResultantReport:
+    """The report of a section y that does not divide modulo a prime, computed exactly.
 
-    Along each section y = y_k the section polynomial Res(x, y_k) is recovered
-    by exact Newton interpolation and divided exactly by the sextic section.
-    A nonzero remainder ends the run with the section residuals at up to 8
-    held-out abscissae; a quotient over the degree bound ends it too.
+    Res(x, y) is interpolated through the grid abscissae and divided by the
+    sextic section, and the quotient's residuals are taken at 8 held-out
+    abscissae.  Every denominator and node difference is a unit modulo that
+    prime, so the exact remainder reduces to the modular one: it is nonzero.
     """
-    bound = cert.degree_bound
-    section_quotients = []
-    for y in cert.ys:
-        values = [cert.res_value(x, y) for x in cert.xs]
-        res_section = _newton_interpolate(cert.xs, values)
-        quot, rem = _divide_univariate(res_section, cert.sextic_section(y))
-        if rem:
-            # Fitting system Res = E * C is inconsistent on this section;
-            # report residuals of the divided quotient at held-out abscissae.
-            rng = cert.rng
-            quotient = ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
-            failures = []
-            for _ in range(8):
-                xh = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-                res_h = cert.res_value(xh, y)
-                quot_h = quotient.evaluate({"x": xh})
-                failures.append((xh, y, res_h - cert.sextic_value(xh, y) * quot_h))
-            return cert.report(
-                holdout_count=len(failures),
-                success=False,
-                holdout_failures=[f for f in failures if f[2] != 0],
-                failure_reason=(
-                    f"fitting system inconsistent: section y = {y} leaves a "
-                    f"degree-{len(rem) - 1} remainder under exact division"
-                ),
-            )
-        if len(quot) > bound + 1 and any(quot[bound + 1 :]):
-            return cert.report(
-                holdout_count=0,
-                success=False,
-                failure_reason=f"section quotient degree {len(quot) - 1} exceeds the bound {bound}",
-            )
-        section_quotients.append(quot + [Fraction(0)] * (bound + 1 - len(quot)))
-
-    # Interpolate each x-power across the y sections into the cofactor.
-    terms: dict = {}
-    for i in range(bound + 1):
-        coeffs_y = _newton_interpolate(cert.ys, [q[i] for q in section_quotients])
-        for j, c in enumerate(coeffs_y):
-            terms[(i, j)] = c
-    return cert.conclude(terms)
+    values = [cert.res_value(x, y) for x in cert.xs]
+    quot, rem = _divide_univariate(_newton_interpolate(cert.xs, values), cert.sextic_section(y))
+    quotient = ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
+    failures = []
+    for x in cert.held_out(8):
+        residual = cert.res_value(x, y) - cert.sextic_value(x, y) * quotient.evaluate({"x": x})
+        if residual:
+            failures.append((x, y, residual))
+    return cert.report(
+        holdout_count=8,
+        success=False,
+        holdout_failures=failures,
+        failure_reason=(
+            f"fitting system inconsistent: section y = {y} leaves a "
+            f"degree-{len(rem) - 1} remainder under exact division"
+        ),
+    )
 
 
 def verify_sextic_resultant_identity(
     r: Scalar,
     degree_bound: int = 28,
     seed: int = 1,
-    sextic: ExactPoly | None = None,
+    mutate: bool = False,
 ) -> ResultantReport:
     """Certify that the sextic divides the eliminated resultant at fixed r.
 
@@ -921,22 +891,23 @@ def verify_sextic_resultant_identity(
     Res - E * C is one integer cross-difference.
 
     The fitting runs modulo one prime after another (Collins' multi-modular
-    method): the Bezout determinants, the interpolation and the section
-    divisions are int64 array arithmetic, the residues are joined by the
-    Chinese remainder theorem, and each cofactor coefficient is rationally
-    reconstructed (Wang's bound) until one more prime leaves every
-    coefficient unchanged.  Whenever that route cannot conclude -- a nonzero
-    section remainder modulo a prime, a quotient over the degree bound, a
-    reconstruction that does not settle, or a held-out failure -- the whole
-    certificate is rerun with the fitting in exact rational arithmetic, so a
-    failure is reported with the exact section residuals.
+    method), with primes drawn on demand, so r may have any height: the
+    Bezout determinants, the interpolation and the section divisions are
+    int64 array arithmetic, the residues are joined by the Chinese remainder
+    theorem, and each cofactor coefficient is rationally reconstructed
+    (Wang's bound) until one more prime leaves every coefficient unchanged.
+    If the held-out check rejects that fit, primes are added until the
+    reconstruction settles again: on the same terms the rejection stands,
+    and new terms are checked afresh.  A section that does not divide modulo
+    a prime ends the run with that section's exact residuals.
 
     Success across several independent r values establishes the divisibility
     claimed for the boundary curve; the cofactor collects the extraneous
     factors of the non-monic elimination.  Grid offsets and held-out samples
     are drawn from a generator seeded by ``seed`` (and r), so reports are
     bit-reproducible.  Sample coordinates are rationals with numerator and
-    denominator bounded by 1000.
+    denominator bounded by 1000.  ``mutate`` certifies
+    :func:`mutated_sextic` instead, a self-test that must fail.
 
     ``degree_bound`` is at most ``MAX_DEGREE_BOUND`` = 34, and a larger one
     raises ValueError before any work.  Res has degree at most 28 in x and
@@ -947,38 +918,52 @@ def verify_sextic_resultant_identity(
     y, and total degree at most 20 + 14 = 34; a larger bound only enlarges
     the sample grid.
     """
-    cert = _Certificate(r, degree_bound, seed, sextic)
-    fitted = _modular_cofactor(cert)
-    if fitted is not None:
-        report = cert.conclude(fitted[0])
-        if report.success:
-            return report
-        # Replay the stream: the exact route draws what a fresh run draws.
-        cert = _Certificate(r, degree_bound, seed, sextic)
-    return _exact_certificate(cert)
+    cert = _Certificate(r, degree_bound, seed, mutate)
+    concluded = report = None
+    try:
+        for terms in _settled_fits(cert):
+            if terms == concluded:
+                break
+            report, concluded = cert.conclude(terms), terms
+            if report.success:
+                break
+    except _Indivisible as failure:
+        return _section_failure(cert, failure.args[0])
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Modular fitting
 # ---------------------------------------------------------------------------
 
-# The fitting moduli: the 64 largest primes below 2^31, in descending order.
-# Residues lie in [0, p), so a product of two residues, and the difference of
-# two such products, is below 2^62 in magnitude; each is reduced modulo p
-# before anything else is added to it, because int64 wraps without warning.
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
-    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
-    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
-    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
-    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
-    2147482327, 2147482291, 2147482273, 2147482237,
-)
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin's test of the odd n > a to the base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def _primes():
+    """The 31-bit primes in descending order, from 2^31 - 1 down.
+
+    A candidate is prime when it is a strong probable prime to the bases 2,
+    3, 5 and 7; the least composite that passes all four is 3215031751
+    (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980), so below 2^31
+    the test is exact.  Residues lie in [0, p), so a product of two residues,
+    and the difference of two such products, is below 2^62 in magnitude;
+    each is reduced modulo p before anything else is added to it, because
+    int64 wraps without warning.
+    """
+    for n in range(2**31 - 1, 2**30, -2):
+        if all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7)):
+            yield n
+
 
 # Sections per determinant block: the first block whose sections do not
 # divide ends the fit, so a block of 6 sections of 37 Bezout matrices (10 x 10,
@@ -1133,12 +1118,16 @@ def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     return values.reshape(coeffs.shape[1:])
 
 
-def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | None:
-    """Cofactor coefficients [i, j] of x^i y^j modulo p, or None if a section does not divide.
+class _Indivisible(ArithmeticError):
+    """Raised with the y of a sextic section that leaves a nonzero remainder modulo a prime."""
 
-    Also None when a section quotient has a nonzero coefficient above the
-    degree bound.  Sections are fitted and divided a block at a time, so the
-    first block that fails ends the run.
+
+def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
+    """Cofactor coefficients [i, j] of x^i y^j modulo p.
+
+    Sections are fitted and divided a block at a time, so the first block
+    with a section that does not divide ends the run: :class:`_Indivisible`
+    names the first such section.
     """
     xs = [_residue(x, p) for x in cert.xs]
     ys = [_residue(y, p) for y in cert.ys]
@@ -1158,36 +1147,30 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray | No
         values = _resultants_mod(coeffs[:, start:stop], p)
         rem = _matmul_mod(values, basis, p)
         divisor, lead = den[start:stop], lead_inverse[start:stop]
-        quot = np.zeros((stop - start, max(nx - width + 1, 0)), np.int64)
-        for k in range(quot.shape[1] - 1, -1, -1):
+        quot = np.zeros((stop - start, bound + 1), np.int64)
+        for k in range(bound, -1, -1):
             factor = rem[:, width - 1 + k] * lead % p
             quot[:, k] = factor
             rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * divisor % p) % p
-        if rem.any() or quot[:, bound + 1 :].any():
-            return None
-        fitted[: quot.shape[1], start:stop] = quot[:, : bound + 1].T
+        failing = np.flatnonzero(rem.any(axis=1))
+        if failing.size:
+            raise _Indivisible(cert.ys[start + failing[0]])
+        fitted[:, start:stop] = quot.T
     return _newton_mod(fitted, ys, p)
 
 
-def _modular_cofactor(cert: _Certificate) -> tuple | None:
-    """The exact fitting's cofactor terms, from fitting modulo primes, or None.
+def _settled_fits(cert: _Certificate):
+    """Each cofactor the modular fit settles on, as a {(i, j): Fraction} table of x^i y^j.
 
-    Returns ``(terms, primes)``: the {(i, j): Fraction} table of the
-    coefficients of x^i y^j and the primes used.  A prime is skipped when it
-    divides a sample, r or sextic-section denominator, the leading
-    coefficient of a sextic section, or the numerator of r.  None leaves the
-    decision to the exact route: a section that does not divide modulo a prime, a quotient over
-    the degree bound, sextic sections of unequal degree, or a prime table
-    exhausted before the reconstruction settles.
+    A prime is skipped when it divides a sample, r or sextic-section
+    denominator, the leading coefficient of a sextic section, or the
+    numerator of r.  The fit has settled when one more prime leaves every
+    reconstructed coefficient unchanged; each later prime is absorbed too,
+    and every prime that leaves the coefficients unchanged yields them again.
+    Raises :class:`_Indivisible` at the first section that does not divide
+    modulo a prime.
     """
-    sections = []
-    for y in cert.ys:
-        section = cert.sextic_section(y)
-        while section and section[-1] == 0:
-            section.pop()
-        sections.append(section)
-    if not sections[0] or any(len(s) != len(sections[0]) for s in sections):
-        return None
+    sections = [cert.sextic_section(y) for y in cert.ys]
     # Every denominator must be a unit modulo p, and so must every leading
     # coefficient: the exact division divides by it, and the Bezout
     # resultants divide by lc(f)^2 = r^4.
@@ -1198,14 +1181,10 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
     combined: list = []
     modulus = 1
     previous = None
-    primes = []
-    for p in _PRIMES:
+    for p in _primes():
         if any(d % p == 0 for d in avoid):
             continue
         residues = _cofactor_mod(cert, sections, p)
-        if residues is None:
-            return None
-        primes.append(p)
         flat = residues.ravel().tolist()
         # The fit has settled when each coefficient n/d reconstructed modulo
         # M has d a unit modulo p and n = d a (mod p), a the new residue.
@@ -1222,7 +1201,7 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
             c.denominator % p and (c.numerator - a * c.denominator) % p == 0
             for c, a in zip(previous.values(), flat)
         ):
-            return previous, primes
+            yield previous
         if modulus == 1:
             combined = flat
         else:
@@ -1238,7 +1217,6 @@ def _modular_cofactor(cert: _Certificate) -> tuple | None:
                 break
             terms[divmod(index, width)] = coefficient
         previous = terms
-    return None
 
 
 # ---------------------------------------------------------------------------

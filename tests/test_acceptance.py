@@ -31,12 +31,7 @@ from fnr import (
 from fnr.checks import truncation_checks
 from fnr.cli import main
 from fnr.config import DEFAULT_TOLERANCES
-from fnr.exact import (
-    mutated_sextic,
-    resultant_at,
-    sextic_polynomial,
-    verify_sextic_resultant_identity,
-)
+from fnr.exact import resultant_at, sextic_polynomial, verify_sextic_resultant_identity
 from fnr.truncation import boundary_from_truncation
 
 from conftest import FROZEN_ELLIPSE_GAP
@@ -148,9 +143,7 @@ def test_criterion_08_resultant_reproduction(capsys):
     for r in (Q(1, 2), Q(1, 3), Q(2)):
         report = verify_sextic_resultant_identity(r, degree_bound=28, seed=1)
         ok = ok and report.success and not report.holdout_failures
-    mutated = verify_sextic_resultant_identity(
-        Q(1, 2), degree_bound=28, seed=1, sextic=mutated_sextic()
-    )
+    mutated = verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1, mutate=True)
     ok = ok and (not mutated.success) and mutated.holdout_failures
     _verdict(capsys, 8, "sextic is the resultant (certificate + mutation)", bool(ok))
 

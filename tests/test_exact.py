@@ -1,5 +1,6 @@
 """Exact polynomial layer: ring laws, transcriptions, resultants, certificate."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -11,6 +12,22 @@ from hypothesis import strategies as st
 
 from fnr import exact
 from fnr.boundary import envelope_points, sextic_value, switching_cosine
+
+# The 64 largest primes below 2^31, in descending order: the fixed table of
+# fitting moduli that the modular fit used before it drew primes on demand.
+PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
+    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
+    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
+    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
+    2147482327, 2147482291, 2147482273, 2147482237,
+)
 
 # ---------------------------------------------------------------------------
 # ExactPoly ring laws
@@ -294,9 +311,7 @@ def test_certificate_cofactor_degree_stable_across_radii():
 
 
 def test_certificate_detects_single_coefficient_mutation():
-    report = exact.verify_sextic_resultant_identity(
-        Q(1, 2), degree_bound=28, seed=1, sextic=exact.mutated_sextic()
-    )
+    report = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1, mutate=True)
     assert not report.success
     assert report.holdout_failures
     assert all(res != 0 for (_, _, res) in report.holdout_failures)
@@ -324,16 +339,54 @@ def test_certificate_holds_and_mutation_fails_across_radii(r):
     report = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1)
     assert report.success and not report.holdout_failures
     assert report.cofactor_total_degree <= 28
-    mutated = exact.verify_sextic_resultant_identity(
-        r, degree_bound=28, seed=1, sextic=exact.mutated_sextic()
-    )
+    mutated = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1, mutate=True)
     assert not mutated.success
     assert mutated.holdout_failures
     assert all(res != 0 for (_, _, res) in mutated.holdout_failures)
 
 
-def _exact_route(r, sextic=None, seed=1):
-    return exact._exact_certificate(exact._Certificate(r, 28, seed, sextic))
+def _exact_route(cert):
+    """The certificate with the whole fitting stage in exact rational arithmetic: the reference.
+
+    Along each section y = y_k the section polynomial Res(x, y_k) is recovered
+    by exact Newton interpolation and divided exactly by the sextic section.
+    A nonzero remainder ends the run with the section residuals at up to 8
+    held-out abscissae.
+    """
+    bound = cert.degree_bound
+    section_quotients = []
+    for y in cert.ys:
+        values = [cert.res_value(x, y) for x in cert.xs]
+        res_section = exact._newton_interpolate(cert.xs, values)
+        quot, rem = exact._divide_univariate(res_section, cert.sextic_section(y))
+        if rem:
+            # Fitting system Res = E * C is inconsistent on this section;
+            # report residuals of the divided quotient at held-out abscissae.
+            quotient = exact.ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
+            failures = []
+            for xh in cert.held_out(8):
+                res_h = cert.res_value(xh, y)
+                quot_h = quotient.evaluate({"x": xh})
+                failures.append((xh, y, res_h - cert.sextic_value(xh, y) * quot_h))
+            return cert.report(
+                holdout_count=len(failures),
+                success=False,
+                holdout_failures=[f for f in failures if f[2] != 0],
+                failure_reason=(
+                    f"fitting system inconsistent: section y = {y} leaves a "
+                    f"degree-{len(rem) - 1} remainder under exact division"
+                ),
+            )
+        assert len(quot) == bound + 1
+        section_quotients.append(quot)
+
+    # Interpolate each x-power across the y sections into the cofactor.
+    terms: dict = {}
+    for i in range(bound + 1):
+        coeffs_y = exact._newton_interpolate(cert.ys, [q[i] for q in section_quotients])
+        for j, c in enumerate(coeffs_y):
+            terms[(i, j)] = c
+    return cert.conclude(terms)
 
 
 def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
@@ -343,19 +396,29 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1)
     assert len(calls) == 64  # the held-out points only
     monkeypatch.undo()
-    slow = _exact_route(Q(1, 2))
+    slow = _exact_route(exact._Certificate(Q(1, 2), 28, 1))
     assert fast.to_json_dict() == slow.to_json_dict()
     assert fast.to_text() == slow.to_text()
 
-    # A section that does not divide modulo the first prime hands the run to
-    # the exact route at once: one section of 37 points, then 8 residuals.
-    mutated = exact.mutated_sextic()
+    # A section that does not divide modulo the first prime is recomputed
+    # exactly at once: one section of 37 points, then 8 residuals.
     calls.clear()
     monkeypatch.setattr(exact, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
-    fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, sextic=mutated)
+    fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, mutate=True)
     assert len(calls) == 37 + 8
     monkeypatch.undo()
-    assert fast.to_json_dict() == _exact_route(Q(1, 2), mutated, seed=9).to_json_dict()
+    assert fast.to_json_dict() == _exact_route(exact._Certificate(Q(1, 2), 28, 9, True)).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "r, bound", [(Q(1, 2), 28), (Q(1, 3), 28), (Q(2), 28), (Q(1, 2), 10), (Q(355, 113), 14)], ids=str
+)
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_a_section_failure_is_the_one_the_exact_route_reports(r, bound, seed):
+    mutate = bound == 28
+    fast = exact.verify_sextic_resultant_identity(r, bound, seed, mutate)
+    assert not fast.success and fast.failure_reason.startswith("fitting system inconsistent")
+    assert fast.to_json_dict() == _exact_route(exact._Certificate(r, bound, seed, mutate)).to_json_dict()
 
 
 def test_a_failing_block_ends_the_modular_fit(monkeypatch):
@@ -366,34 +429,108 @@ def test_a_failing_block_ends_the_modular_fit(monkeypatch):
     monkeypatch.setattr(
         exact, "_determinants_mod", lambda mats, p: blocks.append(len(mats)) or determinants(mats, p)
     )
-    assert exact._modular_cofactor(exact._Certificate(Q(1, 2), 28, 1, exact.mutated_sextic())) is None
+    cert = exact._Certificate(Q(1, 2), 28, 1, mutate=True)
+    with pytest.raises(exact._Indivisible) as failure:
+        next(exact._settled_fits(cert))
     assert blocks == [exact._BLOCK_SECTIONS * 37]
+    assert failure.value.args[0] in cert.ys[: exact._BLOCK_SECTIONS]
 
 
-def test_a_wrong_modular_cofactor_falls_back_to_the_exact_route(monkeypatch):
-    fitted = exact._modular_cofactor
+def _recorded_primes(monkeypatch):
+    """The primes the modular fit takes from now on, in order."""
+    primes = []
+    cofactor_mod = exact._cofactor_mod
+    monkeypatch.setattr(
+        exact, "_cofactor_mod", lambda cert, sections, p: primes.append(p) or cofactor_mod(cert, sections, p)
+    )
+    return primes
+
+
+def test_a_wrong_settled_fit_is_refitted_with_more_primes(monkeypatch):
+    fits = exact._settled_fits
 
     def corrupted(cert):
-        terms, primes = fitted(cert)
-        return {**terms, (0, 0): terms[(0, 0)] + 1}, primes
+        settled = fits(cert)
+        terms = next(settled)
+        yield {**terms, (0, 0): terms[(0, 0)] + 1}
+        yield from settled
 
-    monkeypatch.setattr(exact, "_modular_cofactor", corrupted)
+    primes = _recorded_primes(monkeypatch)
+    clean = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
+    settled = len(primes)
+    primes.clear()
+    monkeypatch.setattr(exact, "_settled_fits", corrupted)
     report = exact.verify_sextic_resultant_identity(Q(1, 3), degree_bound=28, seed=2)
-    monkeypatch.undo()
     assert report.success
-    assert report.to_json_dict() == exact.verify_sextic_resultant_identity(Q(1, 3), seed=2).to_json_dict()
+    assert report.to_json_dict() == clean.to_json_dict()
+    assert report.to_text() == clean.to_text()
+    # The corrupted fit is rejected; the next prime settles on the true terms.
+    assert len(primes) == settled + 1
+
+
+def test_a_rejected_fit_that_settles_again_on_the_same_terms_stands(monkeypatch):
+    primes = _recorded_primes(monkeypatch)
+    clean = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
+    settled = len(primes)
+    primes.clear()
+    concluded = []
+
+    def rejected(cert, terms):
+        concluded.append(terms)
+        return cert.report(holdout_count=exact._HOLDOUT, success=False, failure_reason="rejected")
+
+    monkeypatch.setattr(exact._Certificate, "conclude", rejected)
+    # A bounded supply of primes turns a run that would not stop into a failure.
+    primes_on_demand = exact._primes
+    monkeypatch.setattr(exact, "_primes", lambda: itertools.islice(primes_on_demand(), settled + 5))
+    report = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
+    assert not report.success and report.failure_reason == "rejected"
+    # One more prime settles on the same terms, which are not concluded again.
+    assert len(primes) == settled + 1
+    assert len(concluded) == 1
+    assert exact.ExactPoly(("x", "y"), concluded[0]) == clean.cofactor
+
+
+def test_primes_on_demand_start_with_the_old_table():
+    assert tuple(itertools.islice(exact._primes(), len(PRIMES))) == PRIMES
+
+
+def test_primes_on_demand_agree_with_trial_division():
+    limit = math.isqrt(2**31)
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for n in range(2, math.isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
+    small = [n for n in range(limit + 1) if sieve[n]]
+    want = []
+    for n in range(2**31 - 1, 2**30, -2):
+        if all(n % q for q in small):
+            want.append(n)
+            if len(want) == 300:
+                break
+    assert list(itertools.islice(exact._primes(), 300)) == want
+
+
+def test_a_127_bit_radius_pair_certifies_past_the_old_table(monkeypatch):
+    r = Q(2**127 - 1, 2**127 - 3)
+    primes = _recorded_primes(monkeypatch)
+    report = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1)
+    assert report.success and not report.holdout_failures
+    assert len(primes) > len(PRIMES)
+    assert primes[: len(PRIMES)] == list(PRIMES)
 
 
 def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
     # The first block of one _cofactor_mod call: its mod-p Bezout values are
     # the exact resultants at those grid points, reduced modulo p.
-    cert = exact._Certificate(Q(1, 2), 28, 1, None)
+    cert = exact._Certificate(Q(1, 2), 28, 1)
     blocks = []
     resultants = exact._resultants_mod
     monkeypatch.setattr(
         exact, "_resultants_mod", lambda coeffs, p: blocks.append(resultants(coeffs, p)) or blocks[-1]
     )
-    p = exact._PRIMES[0]
+    p = PRIMES[0]
     sections = [cert.sextic_section(y) for y in cert.ys]
     assert exact._cofactor_mod(cert, sections, p) is not None
     first = blocks[0]
@@ -407,25 +544,17 @@ def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
 
 def test_certificate_skips_a_prime_dividing_the_radius_numerator(monkeypatch):
     # The Bezout resultants divide by lc(f)^2 = r^4, so r must be a unit.
-    seen = []
-    fitted = exact._modular_cofactor
-    monkeypatch.setattr(exact, "_modular_cofactor", lambda cert: seen.append(fitted(cert)) or seen[-1])
-    report = exact.verify_sextic_resultant_identity(Q(exact._PRIMES[0]), degree_bound=28, seed=1)
+    primes = _recorded_primes(monkeypatch)
+    report = exact.verify_sextic_resultant_identity(Q(PRIMES[0]), degree_bound=28, seed=1)
     assert report.success
-    (terms, primes), = seen
-    assert primes[0] == exact._PRIMES[1] and exact._PRIMES[0] not in primes
-    assert report.cofactor == exact.ExactPoly(("x", "y"), terms)
+    assert primes[0] == PRIMES[1] and PRIMES[0] not in primes
 
 
 def test_certificate_skips_a_prime_dividing_the_radius_denominator(monkeypatch):
-    seen = []
-    fitted = exact._modular_cofactor
-    monkeypatch.setattr(exact, "_modular_cofactor", lambda cert: seen.append(fitted(cert)) or seen[-1])
-    report = exact.verify_sextic_resultant_identity(Q(1, exact._PRIMES[0]), degree_bound=28, seed=1)
+    primes = _recorded_primes(monkeypatch)
+    report = exact.verify_sextic_resultant_identity(Q(1, PRIMES[0]), degree_bound=28, seed=1)
     assert report.success
-    (terms, primes), = seen
-    assert primes[0] == exact._PRIMES[1] and exact._PRIMES[0] not in primes
-    assert report.cofactor == exact.ExactPoly(("x", "y"), terms)
+    assert primes[0] == PRIMES[1] and PRIMES[0] not in primes
 
 
 def test_a_degree_bound_beyond_the_proven_degrees_is_rejected_before_any_work(monkeypatch):
@@ -437,13 +566,13 @@ def test_a_degree_bound_beyond_the_proven_degrees_is_rejected_before_any_work(mo
     def no_work(*args, **kwargs):
         raise AssertionError("the certificate started")
 
-    for name in ("_certificate_rng", "sextic_polynomial", "_modular_cofactor", "_exact_certificate"):
+    for name in ("_certificate_rng", "sextic_polynomial", "_settled_fits", "_section_failure"):
         monkeypatch.setattr(exact, name, no_work)
     for bound in (exact.MAX_DEGREE_BOUND + 1, 2000):
         with pytest.raises(ValueError, match=f"degree bound {bound} exceeds 34"):
             exact.verify_sextic_resultant_identity(Q(3), degree_bound=bound)
     monkeypatch.undo()
-    cert = exact._Certificate(Q(3), exact.MAX_DEGREE_BOUND, 1, None)
+    cert = exact._Certificate(Q(3), exact.MAX_DEGREE_BOUND, 1)
     assert (len(cert.xs), len(cert.ys)) == (43, 35)
 
 
@@ -477,7 +606,7 @@ def _settled_by_rereconstruction(sequence):
 
 
 @pytest.mark.parametrize(
-    "r", [Q(1, 2), Q(1, 3), Q(2), Q(355, 113), Q(1000), Q(1, exact._PRIMES[0])], ids=str
+    "r", [Q(1, 2), Q(1, 3), Q(2), Q(355, 113), Q(1000), Q(1, PRIMES[0])], ids=str
 )
 def test_modular_fit_stops_where_rereconstruction_stops(monkeypatch, r):
     sequence = []
@@ -488,11 +617,10 @@ def test_modular_fit_stops_where_rereconstruction_stops(monkeypatch, r):
         return sequence[-1][1]
 
     monkeypatch.setattr(exact, "_cofactor_mod", recorded)
-    fitted = exact._modular_cofactor(exact._Certificate(r, 28, 1, None))
-    assert fitted is not None
-    assert fitted == _settled_by_rereconstruction(sequence)
-    if r.denominator == exact._PRIMES[0]:
-        assert fitted[1][0] == exact._PRIMES[1]
+    terms = next(exact._settled_fits(exact._Certificate(r, 28, 1)))
+    assert (terms, [p for p, _ in sequence]) == _settled_by_rereconstruction(sequence)
+    if r.denominator == PRIMES[0]:
+        assert sequence[0][0] == PRIMES[1]
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +677,7 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
     sextic = exact.mutated_sextic() if mutated else exact.sextic_polynomial()
     values = _rationals(13, 16)
     for r in (Q(1, 2), Q(-998, 997), Q(1000), Q(7)):
-        cert = exact._Certificate(r, 28, 1, sextic if mutated else None)
+        cert = exact._Certificate(r, 28, 1, mutated)
         for x in values:
             want_section = []
             for i in range(sextic.degree("u") + 1):
@@ -579,9 +707,11 @@ def _reference_failures(cert, terms):
     up = exact._system_coefficients()
     sextic = exact.sextic_polynomial()
     failures = []
+    rng = random.Random()
+    rng.setstate(cert.stream)
     for _ in range(exact._HOLDOUT):
-        x = Q(cert.rng.randint(-999, 999), cert.rng.randint(1, 999))
-        y = Q(cert.rng.randint(-999, 999), cert.rng.randint(1, 999))
+        x = Q(rng.randint(-999, 999), rng.randint(1, 999))
+        y = Q(rng.randint(-999, 999), rng.randint(1, 999))
         f, g = ([fraction_evaluate(c.terms, (cert.r, x, y)) for c in coeffs] for coeffs in up)
         residual = exact.resultant(f, g) - fraction_evaluate(
             sextic.terms, (x * x, y * y, cert.r)
@@ -595,11 +725,12 @@ def _reference_failures(cert, terms):
     "r, key, delta", [(Q(1, 2), (0, 0), Q(1)), (Q(355, 113), (4, 6), Q(-1, 7))], ids=["half", "355/113"]
 )
 def test_a_perturbed_cofactor_fails_at_the_reference_points(r, key, delta):
-    terms, _ = exact._modular_cofactor(exact._Certificate(r, 28, 1, None))
-    assert not exact._Certificate(r, 28, 1, None).conclude(terms).holdout_failures
+    cert = exact._Certificate(r, 28, 1)
+    terms = next(exact._settled_fits(cert))
+    assert not cert.conclude(terms).holdout_failures
     perturbed = {**terms, key: terms[key] + delta}
-    report = exact._Certificate(r, 28, 1, None).conclude(perturbed)
-    want = _reference_failures(exact._Certificate(r, 28, 1, None), perturbed)
+    report = cert.conclude(perturbed)
+    want = _reference_failures(cert, perturbed)
     assert len(want) == exact._HOLDOUT
     assert not report.success
     assert report.holdout_failures == want
@@ -630,7 +761,7 @@ def _determinant_cases(rng, n):
     return cases
 
 
-@pytest.mark.parametrize("p", [7, 101, exact._PRIMES[0], exact._PRIMES[-1]])
+@pytest.mark.parametrize("p", [7, 101, PRIMES[0], PRIMES[-1]])
 def test_modular_determinants_match_bareiss(p):
     rng = random.Random(p)
     for n in (1, 2, 3, 5, 8, 18):
@@ -641,7 +772,7 @@ def test_modular_determinants_match_bareiss(p):
 
 
 def test_modular_newton_matches_exact_interpolation():
-    p = exact._PRIMES[3]
+    p = PRIMES[3]
     nodes = [Q(k - 4) + Q(3, 11) for k in range(9)]
     rng = random.Random(4)
     rows = [[Q(rng.randint(-99, 99), rng.randint(1, 9)) for _ in nodes] for _ in range(3)]
@@ -652,7 +783,7 @@ def test_modular_newton_matches_exact_interpolation():
 
 
 def test_modular_matmul_matches_integer_matmul():
-    p = exact._PRIMES[0]
+    p = PRIMES[0]
     rng = random.Random(5)
     a = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(37)] for _ in range(6)]
     b = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(37)] for _ in range(37)]
@@ -662,7 +793,7 @@ def test_modular_matmul_matches_integer_matmul():
 
 
 def test_rational_reconstruction_round_trips():
-    modulus = exact._PRIMES[0] * exact._PRIMES[1]
+    modulus = PRIMES[0] * PRIMES[1]
     rng = random.Random(3)
     values = [Q(0), Q(1), Q(-1), Q(355, 113)]
     values += [Q(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(200)]
@@ -678,7 +809,7 @@ def test_rational_reconstruction_round_trips():
 )
 def test_rational_reconstruction_gives_no_answer_below_the_bound(value):
     # One 31-bit prime bounds numerator and denominator by about 32767.
-    p = exact._PRIMES[0]
+    p = PRIMES[0]
     residue = value.numerator * pow(value.denominator, -1, p) % p
     assert exact._rational_reconstruct(residue, p) is None
 
@@ -690,7 +821,7 @@ def test_rational_reconstruction_rejects_a_candidate_sharing_a_factor_with_the_m
 
 def test_rational_reconstruction_below_the_bound_can_mislead():
     # Why one more prime must agree and the held-out check has the last word.
-    p = exact._PRIMES[0]
+    p = PRIMES[0]
     value = Q(2**40 + 1, 3**20)
     residue = value.numerator * pow(value.denominator, -1, p) % p
     assert exact._rational_reconstruct(residue, p) == Q(8115, 21211)

@@ -1,4 +1,5 @@
-"""Source hygiene: no module in src/fnr or tests imports a name it never uses."""
+"""Source hygiene: no module in src/fnr or tests imports a name it never uses,
+and every private top-level name of src/fnr is used inside src/fnr."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,42 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_names(sources: dict) -> list:
+    """(path, line, name) of each private top-level name that no source references.
+
+    ``sources`` maps paths to module sources.  A private name starts with one
+    underscore and is not a dunder; it is defined at module level by a def, a
+    class or an assignment.  It counts as referenced when any of the sources
+    loads it as a bare name or as an attribute, or lists it in ``__all__``.
+    """
+    defined = {}
+    used = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[path, name] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return sorted((path, line, name) for (path, name), line in defined.items() if name not in used)
+
+
 def test_no_unused_imports():
     files = sorted((ROOT / "src" / "fnr").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 10
@@ -51,3 +88,33 @@ def test_scan_flags_only_unused_names():
         "print(os.path.sep)\n"
     )
     assert unused_imports(source) == [(3, "js"), (4, "pi")]
+
+
+def test_no_private_name_of_src_is_used_only_by_the_tests():
+    files = sorted((ROOT / "src" / "fnr").glob("*.py"))
+    assert len(files) > 5
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in files}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_name_scan_flags_only_names_no_source_loads():
+    sources = {
+        "a.py": (
+            "_used = 1\n"
+            "_only_defined = 2\n"
+            "__dunder__ = 3\n"
+            "def _helper():\n"
+            "    return _used\n"
+            "class _Kept:\n"
+            "    pass\n"
+            "_stored: int = 4\n"
+        ),
+        "b.py": (
+            "import a\n"
+            "__all__ = ['_listed']\n"
+            "_listed = 5\n"
+            "print(a._helper(), a._Kept)\n"
+            "a._stored = 6\n"
+        ),
+    }
+    assert unreferenced_private_names(sources) == [("a.py", 2, "_only_defined"), ("a.py", 8, "_stored")]

@@ -392,6 +392,26 @@ def test_verify_rejects_a_radius_lost_next_to_one(tmp_path, capsys, argv, named)
     assert not any(tmp_path.iterdir())
 
 
+def test_with_resultant_rejects_a_radius_that_rounds_to_zero(tmp_path, capsys):
+    # The certificate runs at r rounded to a denominator of at most 10^6.
+    argv = ["verify", "--r", "4.9e-7", "--N", "20", "--with-resultant", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("fnr: ") and err.count("\n") == 1 and "5e-7" in err
+    assert "Traceback" not in out + err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--tol-alg", "--tol-env", "--tol-conv"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "1e400", "abc"])
+def test_a_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, flag, value):
+    assert main(["verify", "--N", "20", f"{flag}={value}", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("fnr: ") and err.count("\n") == 1 and flag in err
+    assert "Traceback" not in out + err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # Flags per command
 # ---------------------------------------------------------------------------
