@@ -164,20 +164,26 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
         for theta in np.linspace(0.0, math.pi / 2.0, 24):
             via = truncation.support_function_via_condition(float(theta), rr)
             worst = max(worst, abs(via - boundary.support_function(float(theta), rr)))
-    results.append(_leq("dual-route", worst, tol.dual_route))
+    results.append(_leq("dual-route", worst, truncation.OFFSET_STEP))
 
     return results
 
 
 def ellipse_check(r: float, samples: int) -> CheckResult:
-    """The boundary must depart from the comparison ellipse for r > 0."""
+    """The boundary must depart from the comparison ellipse for r > 0.
+
+    The gap must exceed ``min(ELLIPSE_GAP_THRESHOLD, 0.1 r)``.  An absolute
+    threshold cannot hold at small r, because the gap itself shrinks like r:
+    the ellipse's major half-axis is 1 + r, while away from the real axis the
+    sextic arc lies within O(r^2 / sin^2 theta) of the unit circle, so the gap
+    tends to r as r -> 0.  Measured at 2000 samples, gap / r is 0.859 at
+    r = 1e-2, 0.955 at 1e-3 and 0.9986 at 1e-6, so 0.1 r leaves a margin of at
+    least 8.6 below r = 0.01.  From r = 0.01 up, 0.1 r >= 1e-3 and the
+    threshold is the absolute one.
+    """
     gap, _ = boundary.ellipse_gap(r, samples)
-    return CheckResult(
-        "ellipse-gap-positive",
-        gap,
-        ELLIPSE_GAP_THRESHOLD,
-        bool(gap > ELLIPSE_GAP_THRESHOLD),
-    )
+    threshold = min(ELLIPSE_GAP_THRESHOLD, 0.1 * r)
+    return CheckResult("ellipse-gap-positive", gap, threshold, bool(gap > threshold))
 
 
 def resultant_check(r: Fraction, seed: int) -> CheckResult:

@@ -188,9 +188,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _dump_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    render._write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_figure(args: argparse.Namespace, stem: str, write_csv, figure) -> int:
@@ -333,8 +331,7 @@ def cmd_resultant(args: argparse.Namespace) -> int:
     }
     _dump_json(payload, out / "resultant.json")
     text = "\n\n".join(rep.to_text() for rep in reports) + "\n"
-    with open(out / "resultant.txt", "w", encoding="ascii", newline="\n") as handle:
-        handle.write(text)
+    render._write_text(out / "resultant.txt", text)
     print(out / "resultant.json")
     print(out / "resultant.txt")
     sys.stdout.write(text)

@@ -32,8 +32,5 @@ class Tolerances:
     convergence: float = 5e-3
     """Largest admissible support gap of the level-400 truncation."""
 
-    dual_route: float = 1e-4
-    """Offset-grid step for the singularity-condition scan."""
-
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -1,18 +1,19 @@
 """CSV and SVG emitters for the supporting-line and boundary figures.
 
 CSV files carry a header row and floats printed with 17 significant digits,
-which round-trips doubles exactly.  SVG output is built with ElementTree (so
-it is well-formed XML by construction) in a y-up user coordinate system; the
-boundary figure overlays the solid boundary polygon with the dashed full
-circles, the dashed full sextic curve, the four switching points and their
-dashed supporting lines.  All output is deterministic: same inputs, same
-bytes.
+which round-trips doubles exactly.  SVG documents are assembled as text, one
+element per line, in a y-up user coordinate system; the boundary figure
+overlays the solid boundary polygon with the dashed full circles, the dashed
+full sextic curve, the four switching points and their dashed supporting
+lines.  Every attribute value is a formatted float or a module constant, so
+no value needs XML escaping.  Every output file of the package is written by
+:func:`_write_text`, in ASCII with LF line ends.  All output is deterministic:
+same inputs, same bytes.
 """
 
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -42,13 +43,18 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII with LF line ends: the one file writer."""
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write(text)
+
+
 def write_support_lines_csv(path, rows) -> None:
     """Rows of (theta, offset) under a ``theta,offset`` header."""
     lines = ["theta,offset"]
     for theta, offset in rows:
         lines.append(f"{format_float(theta)},{format_float(offset)}")
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_boundary_csv(path, points) -> None:
@@ -56,8 +62,7 @@ def write_boundary_csv(path, points) -> None:
     lines = ["theta,x,y,branch"]
     for theta, x, y, branch in zip(*(column.tolist() for column in points)):
         lines.append(f"{format_float(theta)},{format_float(x)},{format_float(y)},{branch.value}")
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def clip_segment(p0, p1, limit: float):
@@ -105,56 +110,53 @@ def _coords(x: float, y: float) -> str:
     return f"{x:.6f},{y:.6f}"
 
 
-def _svg_root(limit: float) -> tuple:
-    """The svg element and its y-up drawing group."""
+def _element(tag: str, attrs: dict) -> str:
+    """One empty element on its own line, attributes in insertion order."""
+    return "    <" + tag + "".join(f' {key}="{value}"' for key, value in attrs.items()) + " />"
+
+
+def _document(limit: float, body: list) -> str:
+    """The svg document: a y-up drawing group holding the ``body`` lines."""
     size = 2.0 * limit
-    root = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": "560",
-            "height": "560",
-            "viewBox": f"{-limit:.6f} {-limit:.6f} {size:.6f} {size:.6f}",
-        },
-    )
+    box = f"{-limit:.6f} {-limit:.6f} {size:.6f} {size:.6f}"
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="560" height="560" viewBox="{box}">'
     # Flip to the mathematical orientation (y grows upward).
-    return root, ET.SubElement(root, "g", {"transform": "scale(1,-1)"})
+    return "\n".join([head, '  <g transform="scale(1,-1)">', *body, "  </g>", "</svg>"]) + "\n"
 
 
-def _add_stroked(parent, tag, attrs, color, width, dashed):
-    """Append ``tag`` with ``attrs`` followed by the stroke attributes, in that order."""
+def _stroked(tag, attrs, color, width, dashed) -> str:
+    """``tag`` with ``attrs`` followed by the stroke attributes, in that order."""
     attrs.update({"stroke": color, "stroke-width": f"{width:.4f}", "fill": "none"})
     if dashed:
         attrs["stroke-dasharray"] = DASH_PATTERN
-    ET.SubElement(parent, tag, attrs)
+    return _element(tag, attrs)
 
 
-def _add_line(parent, p0, p1, cls, color, width, dashed):
-    x1, y1 = p0
-    x2, y2 = p1
+def _line(segment, cls, color, width, dashed) -> str:
+    (x1, y1), (x2, y2) = segment
     attrs = {"class": cls, "x1": f"{x1:.6f}", "y1": f"{y1:.6f}", "x2": f"{x2:.6f}", "y2": f"{y2:.6f}"}
-    _add_stroked(parent, "line", attrs, color, width, dashed)
+    return _stroked("line", attrs, color, width, dashed)
 
 
-def _add_polyline(parent, points, cls, color, width, dashed, closed=False):
+def _polyline(points, cls, color, width, dashed, closed=False) -> str:
     attrs = {"class": cls, "points": " ".join(_coords(x, y) for x, y in points)}
-    _add_stroked(parent, "polygon" if closed else "polyline", attrs, color, width, dashed)
+    return _stroked("polygon" if closed else "polyline", attrs, color, width, dashed)
 
 
-def support_lines_svg(r: float, thetas, offsets) -> ET.Element:
+def support_lines_svg(r: float, thetas, offsets) -> str:
     """Figure: the family of supporting lines, clipped to the frame.
 
     The frame is the square of half-width 1 + r + 0.5; the envelope of the
     drawn chords silhouettes the numerical range.
     """
     limit = 1.0 + r + 0.5
-    root, canvas = _svg_root(limit)
     width = 0.0035 * limit
+    body = []
     for theta, offset in zip(thetas, offsets):
         segment = support_line_segment(theta, offset, limit)
         if segment is not None:
-            _add_line(canvas, segment[0], segment[1], "support-line", PRIMARY_COLOR, width, False)
-    return root
+            body.append(_line(segment, "support-line", PRIMARY_COLOR, width, False))
+    return _document(limit, body)
 
 
 def _sextic_polylines(r: float, limit: float):
@@ -192,7 +194,7 @@ def _sextic_polylines(r: float, limit: float):
     return polylines
 
 
-def boundary_svg(r: float, points) -> ET.Element:
+def boundary_svg(r: float, points) -> str:
     """Figure: solid boundary with the dashed generating curves.
 
     Overlays, in paint order: the dashed full circles of radius r at (+-1, 0),
@@ -201,66 +203,34 @@ def boundary_svg(r: float, points) -> ET.Element:
     filled markers.
     """
     limit = 1.0 + r + 0.5
-    root, canvas = _svg_root(limit)
     thin = 0.0035 * limit
     thick = 0.007 * limit
-
+    body = []
     for centre in (1.0, -1.0):
-        ET.SubElement(
-            canvas,
-            "circle",
-            {
-                "class": "aux-circle",
-                "cx": f"{centre:.6f}",
-                "cy": "0",
-                "r": f"{r:.6f}",
-                "stroke": PRIMARY_COLOR,
-                "stroke-width": f"{thin:.4f}",
-                "stroke-dasharray": DASH_PATTERN,
-                "fill": "none",
-            },
-        )
-
+        attrs = {"class": "aux-circle", "cx": f"{centre:.6f}", "cy": "0", "r": f"{r:.6f}"}
+        stroke = {"stroke": PRIMARY_COLOR, "stroke-width": f"{thin:.4f}", "stroke-dasharray": DASH_PATTERN}
+        body.append(_element("circle", {**attrs, **stroke, "fill": "none"}))
     for polyline in _sextic_polylines(r, limit):
-        _add_polyline(canvas, polyline, "aux-sextic", PRIMARY_COLOR, thin, True)
+        body.append(_polyline(polyline, "aux-sextic", PRIMARY_COLOR, thin, True))
 
-    cut = switching_cosine(r)
-    switch_angle = math.acos(cut)
-    switch_thetas = [
-        switch_angle,
-        -switch_angle,
-        math.pi - switch_angle,
-        -(math.pi - switch_angle),
-    ]
+    angle = math.acos(switching_cosine(r))
+    switch_thetas = [angle, -angle, math.pi - angle, -(math.pi - angle)]
     for theta in switch_thetas:
-        offset = support_function(theta, r)
-        segment = support_line_segment(theta, offset, limit)
+        segment = support_line_segment(theta, support_function(theta, r), limit)
         if segment is not None:
-            _add_line(canvas, segment[0], segment[1], "switch-line", SWITCH_COLOR, thin, True)
+            body.append(_line(segment, "switch-line", SWITCH_COLOR, thin, True))
 
     boundary = zip(points.x.tolist(), points.y.tolist())
-    _add_polyline(canvas, boundary, "boundary", PRIMARY_COLOR, thick, False, closed=True)
+    body.append(_polyline(boundary, "boundary", PRIMARY_COLOR, thick, False, closed=True))
 
     markers = envelope_points(np.array(switch_thetas), r)
+    marker_r = f"{0.018 * limit:.6f}"
     for x, y in zip(markers.x.tolist(), markers.y.tolist()):
-        ET.SubElement(
-            canvas,
-            "circle",
-            {
-                "class": "switch-marker",
-                "cx": f"{x:.6f}",
-                "cy": f"{y:.6f}",
-                "r": f"{0.018 * limit:.6f}",
-                "fill": SWITCH_COLOR,
-                "stroke": "none",
-            },
-        )
-    return root
+        attrs = {"class": "switch-marker", "cx": f"{x:.6f}", "cy": f"{y:.6f}", "r": marker_r}
+        body.append(_element("circle", {**attrs, "fill": SWITCH_COLOR, "stroke": "none"}))
+    return _document(limit, body)
 
 
-def write_svg(root: ET.Element, path) -> None:
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=False)
-    with open(path, "a", encoding="ascii") as handle:
-        handle.write("\n")
+def write_svg(svg: str, path) -> None:
+    """Write an svg document made by :func:`support_lines_svg` or :func:`boundary_svg`."""
+    _write_text(path, svg)

@@ -54,6 +54,10 @@ _CANDIDATES = 15
 _PIVMIN = 2.0**-150
 """Pivot floor of the definiteness test, relative to the Gershgorin bound."""
 
+OFFSET_STEP = 1e-4
+"""Step of the condition scan's default offset grid, and so the bound the
+``dual-route`` check holds the scan to."""
+
 _KNOT_SPACING = 1024
 """Offsets between the exactly evaluated knots of the condition scan's chords."""
 
@@ -266,7 +270,7 @@ def _range_rows(lams: np.ndarray, tables: tuple):
     return table.min(axis=1), table.max(axis=1)
 
 
-def default_offset_grid(r: float, step: float = 1e-4) -> np.ndarray:
+def default_offset_grid(r: float, step: float = OFFSET_STEP) -> np.ndarray:
     """Descending offset grid covering [1, r + 2] with the given step."""
     _check_radius(r)
     if not (step > 0 and math.isfinite(step)):
@@ -285,9 +289,9 @@ def support_function_via_condition(
     Scans a descending offset grid and returns the largest lam for which
     2 (r^2 - lam^2) lies in the brute-force range [lo, hi] of f; agrees with
     the closed form to the grid resolution.  The range oracle samples
-    ``_F_SAMPLES`` points (error O(_F_SAMPLES^-2), far below the default 1e-4
-    offset step).  Raises :class:`ConditionNotSatisfiedError` when no grid offset
-    qualifies.
+    ``_F_SAMPLES`` points (error O(_F_SAMPLES^-2), far below the default
+    ``OFFSET_STEP``).  Raises :class:`ConditionNotSatisfiedError` when no grid
+    offset qualifies.
 
     Most offsets are ruled out without building their rows.  Each table entry
     is affine in lam, so lo(lam) is concave and hi(lam) convex on any grid:

@@ -1,5 +1,6 @@
 """Source hygiene: no module in src/fnr or tests imports a name it never uses,
-and every private top-level name of src/fnr is used inside src/fnr."""
+every private top-level name of src/fnr is used inside src/fnr, and one
+function of src/fnr writes every output file."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,71 @@ def unreferenced_private_names(sources: dict) -> list:
             ):
                 used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
     return sorted((path, line, name) for (path, name), line in defined.items() if name not in used)
+
+
+FILE_CALLS = {"open", "write_text", "write_bytes"}
+
+
+def file_writes(source: str) -> list:
+    """(top-level scope, source text) of each file call and ``xml.etree`` import.
+
+    A call counts when it is ``json.dump`` or its function is named ``open``,
+    ``write_text`` or ``write_bytes``, bare or as an attribute.  The scope is
+    the name of the enclosing top-level definition, or ``<module>``.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_CALLS or ast.unparse(func) == "json.dump":
+                    found.append((scope, ast.unparse(node)))
+                continue
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(scope, f"import {m}") for m in modules if m.startswith("xml.etree")]
+    return found
+
+
+def test_one_writer_puts_every_output_file_on_disk():
+    found = [
+        (path.name, *write)
+        for path in sorted((ROOT / "src" / "fnr").glob("*.py"))
+        for write in file_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("render.py", "_write_text", "open(path, 'w', encoding='ascii', newline='\\n')")]
+
+
+def test_file_write_scan_flags_writes_and_xml_imports():
+    source = (
+        "import json\n"
+        "import xml.etree.ElementTree as ET\n"
+        "from xml.etree import ElementTree\n"
+        "from xml import etree\n"
+        "def save(path, text):\n"
+        "    path.write_text(text)\n"
+        "    with open(path) as handle:\n"
+        "        handle.write(json.dumps(text))\n"
+        "class Saver:\n"
+        "    def dump(self, handle):\n"
+        "        json.dump({}, handle)\n"
+        "        self.path.write_bytes(b'')\n"
+    )
+    assert file_writes(source) == [
+        ("<module>", "import xml.etree.ElementTree"),
+        ("<module>", "import xml.etree.ElementTree"),
+        ("<module>", "import xml.etree"),
+        ("save", "path.write_text(text)"),
+        ("save", "open(path)"),
+        ("Saver", "json.dump({}, handle)"),
+        ("Saver", "self.path.write_bytes(b'')"),
+    ]
 
 
 def test_no_unused_imports():

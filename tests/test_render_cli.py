@@ -180,6 +180,16 @@ def test_verify_with_resultant(tmp_path, capsys):
     assert "resultant-identity-r=1/2" in names
 
 
+@pytest.mark.parametrize("r", ["1e-3", "1e-6"])
+def test_verify_passes_below_the_absolute_ellipse_threshold(tmp_path, capsys, r):
+    # The ellipse gap shrinks like r, so below r = 0.01 it is held to 0.1 r.
+    assert main(["verify", "--r", r, "--N", "50", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    (ellipse,) = [check for check in checks if check["name"] == "ellipse-gap-positive"]
+    assert ellipse["tolerance"] == 0.1 * float(r) < ellipse["measured"] < float(r)
+
+
 # sha256 of verify.json and the exit code for three configurations, computed
 # with one brute-force table per offset and one recurrence sweep per level;
 # sharing them must not change a byte.  The digests hold on the platform they
@@ -200,6 +210,46 @@ def test_verify_json_bytes_are_pinned(tmp_path, capsys, flags, code, digest):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     capsys.readouterr()
     assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == digest
+
+
+# sha256 of the figure files at four configurations, computed while the SVG
+# documents were still built with ElementTree; assembling them as text must not
+# change a byte.  The platform caveat of VERIFY_DIGESTS applies.
+FIGURE_DIGESTS = [
+    (["--r", "0.5", "--samples", "720"], {
+        "support_lines.csv": "e00db444de758650075cb571081e89aa8136f0477367a9950014963a98bea137",
+        "support_lines.svg": "af5907dd477f33d2dee7460ee99413f90718267362abd6f92e05b0652259be73",
+        "boundary.csv": "c8dfa2994e22b8c810c3baf07252182b7b7fd5bb2baec65e197cf00533e88bb8",
+        "boundary.svg": "8596e95993e438f88f107ad131cab534de6fbc70e8a983e5de4f956f51260754",
+    }),
+    (["--r", "0.01", "--samples", "2000"], {
+        "support_lines.csv": "19e55e4136bfe304376c3a5594544b9b32fb3858dec4206c0e56bf1bf0ed3a8d",
+        "support_lines.svg": "268705b2f0c50e3f0f516e6ffb5e73f1f5fc1d799e76cda275da3e87922df34e",
+        "boundary.csv": "38c0ab08f521a5f714efa6b123918a0ef8791af027ca95ecf336fb57ad738d2e",
+        "boundary.svg": "d448155a8b0b87c0429b3751175f23dd8dfbbdf4c77827705e77b7a791f328f7",
+    }),
+    (["--r", "1e4", "--samples", "720"], {
+        "support_lines.csv": "2ad8549d849ce1a3265407c9ecb2798d200ffa93fab7face661052057cc906f4",
+        "support_lines.svg": "a4e32fe1c87c42b02e51f842c34ed33092e62da6cb81734dbc9114f297565b63",
+        "boundary.csv": "da6c8a4c3e421e3c19f0199c43aede88077826818f0702450ca5df1d3963af84",
+        "boundary.svg": "40c12d0bc915c1d05acb90158f2a52f493a2dc614463ced254984a166285a71e",
+    }),
+    (["--a", "0.714,1.633", "--samples", "90"], {
+        "support_lines.csv": "8d784735c12bcf493804ea145fd16cac630f4e90f0adb00533edf81e89e07f30",
+        "support_lines.svg": "40f9f2e78c8cfb29ac2f11b97d4b6b3e56fa40c751ceaf4d5c6b0cdbacd7a50e",
+        "boundary.csv": "15f72e4f2e7472f05b950f6e1ccd7cb24e050773f32da252615235dbfa4274ac",
+        "boundary.svg": "0750aab3ecef64a0c9013b0f9f72e940ee61f0be195260ca983b407ee1534418",
+    }),
+]
+
+
+@pytest.mark.parametrize("flags, digests", FIGURE_DIGESTS)
+def test_figure_bytes_are_pinned(tmp_path, capsys, flags, digests):
+    for command in ("support-lines", "boundary"):
+        assert main([command, *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert found == digests
 
 
 # ---------------------------------------------------------------------------
