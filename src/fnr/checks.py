@@ -87,10 +87,11 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
 
     worst = 0.0
     lams = (1.05, 1.2, 1.7, 2.5)
-    for theta in np.linspace(0.0, math.pi / 2.0, 25):
-        probes = truncation.symbol_range_grid(np.array(lams), float(theta), 100_000)
+    angles = np.linspace(0.0, math.pi / 2.0, 25)
+    grids = truncation.symbol_range_grid(np.array(lams), angles, 100_000)
+    for theta, probes in zip(angles.tolist(), grids):
         for lam, probe in zip(lams, probes):
-            closed = boundary.symbol_range(lam, float(theta))
+            closed = boundary.symbol_range(lam, theta)
             worst = max(worst, abs(closed.lo - probe.lo), abs(closed.hi - probe.hi))
     results.append(_leq("symbol-range-bruteforce", worst, 1e-8))
 

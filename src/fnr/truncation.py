@@ -193,67 +193,102 @@ def _definite(blocks: np.ndarray, levels: np.ndarray, lams: np.ndarray) -> np.nd
     the failed value's later blocks are carried with det = 1 so every entry
     stays finite.  One sweep serves every level: the trailing columns whose
     level the sweep has reached record their verdict and leave it.
+
+    The sweep runs up to thousands of steps over arrays of a few thousand
+    entries, where allocating fresh temporaries costs more than the
+    arithmetic.  So the work arrays are allocated once, every step writes
+    into them in place, and they are cut to contiguous copies only when a
+    level's columns leave.  Each step performs the same float operations, in
+    the same order, as the expressions above.
     """
     coupling, shift = blocks
     verdict = np.empty(lams.shape, dtype=bool)
     # B_0 = 0 stands above the first block, so the loop starts from D_0 = I
     square = cross = 0.0
-    p = s = det = 1.0
-    q, definite = np.zeros(lams.shape, dtype=complex), np.ones(lams.shape, dtype=bool)
+    p, s, det, t, work = np.ones((5, *lams.shape))
+    q = np.zeros(lams.shape, dtype=complex)
+    definite, mask = np.ones((2, *lams.shape), dtype=bool)
     width = lams.shape[1]
     for k in range(1, int(levels.max(initial=0)) + 1):
-        inv = 1.0 / det
-        p, s = lams - square * (s * inv), lams - square * (p * inv)
-        # q' = cross (q inv) - c in place, as fresh complex temporaries cost more
-        # than the arithmetic; products use FMA, so cross stays the first factor
+        inv = np.divide(1.0, det, out=det)
+        # p' = lam - square (s inv) is formed in s and s' in p, so the names swap
+        for x in (s, p):
+            np.multiply(x, inv, out=x)
+            np.multiply(square, x, out=x)
+            np.subtract(lams, x, out=x)
+        p, s = s, p
+        # q' = cross (q inv) - c; products use FMA, so cross stays the first factor
         q *= inv
         np.multiply(cross, q, out=q)
         q -= coupling
-        t = s - (q.real**2 + q.imag**2) / np.maximum(p, _PIVMIN)
-        definite &= np.minimum(p, t) > _PIVMIN
-        det = np.where(definite, p * t, 1.0)
+        # t = s - (q.real^2 + q.imag^2) / max(p, _PIVMIN)
+        np.square(q.real, out=t)
+        t += np.square(q.imag, out=work)
+        t /= np.maximum(p, _PIVMIN, out=work)
+        np.subtract(s, t, out=t)
+        definite &= np.greater(np.minimum(p, t, out=work), _PIVMIN, out=mask)
+        # det = p t where definite, else 1
+        np.multiply(p, t, out=det)
+        np.copyto(det, 1.0, where=np.logical_not(definite, out=mask))
         if k == 1:
             square, cross = shift.real**2 + shift.imag**2, shift * shift
         if levels[width - 1] == k:  # the last running column ends here
             running = int(np.count_nonzero(levels[:width] > k))
             verdict[:, running:width] = definite[:, running:]
-            lams, coupling, square, cross, p, s, det, q, definite = (
-                x[..., :running] for x in (lams, coupling, square, cross, p, s, det, q, definite)
+            lams, coupling, square, cross, p, s, det, t, work, q, definite, mask = (
+                np.ascontiguousarray(x[..., :running])
+                for x in (lams, coupling, square, cross, p, s, det, t, work, q, definite, mask)
             )
             width = running
     return verdict
 
 
-def symbol_range_grid(lam, theta: float, samples: int):
+def symbol_range_grid(lam, theta, samples: int):
     """Brute-force range of f(t) = Re t^2 + Re w^2 - 4 lam Re t Re w on |t| = 1.
 
     Minimum and maximum over ``samples`` uniformly spaced t; the bracket
     error is O(samples^-2) for this smooth function.  This is the oracle
     counterpart of :func:`fnr.boundary.symbol_range` and deliberately avoids
     its case split.  A scalar ``lam`` gives one :class:`RangeInterval`; a
-    one-dimensional array of offsets gives a list of them, one per offset,
-    from circle tables built once for the call.
+    one-dimensional array of offsets gives a list of them, one per offset.
+    A scalar ``theta`` gives that entry; a one-dimensional array of angles
+    gives a list of entries, one per angle, each equal to the one-angle call.
+    The circle's cosine tables are built once per call and dropped when it
+    returns.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 grid points, got {samples}")
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1:
-        raise ValueError(f"lam must be a scalar or a one-dimensional array, got shape {lams.shape}")
-    if not (np.isfinite(lams).all() and math.isfinite(theta)):
+    lams, thetas = np.asarray(lam, dtype=float), np.asarray(theta, dtype=float)
+    if lams.ndim > 1 or thetas.ndim > 1:
+        raise ValueError(
+            "lam and theta must be scalars or one-dimensional arrays, "
+            f"got shapes {lams.shape} and {thetas.shape}"
+        )
+    if not (np.isfinite(lams).all() and np.isfinite(thetas).all()):
         raise ValueError(f"lam and theta must be finite, got {lam}, {theta}")
-    lo, hi = _range_rows(lams.reshape(-1), _circle_tables(theta, samples))
-    intervals = [RangeInterval.closed(low, high) for low, high in zip(lo.tolist(), hi.tolist())]
-    return intervals[0] if lams.ndim == 0 else intervals
+    circle = _circle(samples)
+    entries = []
+    for angle in thetas.reshape(-1).tolist():
+        lo, hi = _range_rows(lams.reshape(-1), _circle_tables(angle, circle))
+        intervals = [RangeInterval.closed(low, high) for low, high in zip(lo.tolist(), hi.tolist())]
+        entries.append(intervals[0] if lams.ndim == 0 else intervals)
+    return entries[0] if thetas.ndim == 0 else entries
 
 
-def _circle_tables(theta: float, samples: int) -> tuple:
+def _circle(samples: int) -> tuple:
+    """cos 2phi and cos phi over ``samples`` uniformly spaced points phi of the circle."""
+    phi = 2.0 * math.pi * np.arange(samples) / samples
+    return np.cos(2.0 * phi), np.cos(phi)
+
+
+def _circle_tables(theta: float, circle: tuple) -> tuple:
     """The parts of f's table that every offset shares at angle theta.
 
-    Over the ``samples`` points phi of the circle: cos 2phi + cos 2theta, the
-    weight 4 cos theta, and cos phi.
+    Over the points phi of ``circle``: cos 2phi + cos 2theta, the weight
+    4 cos theta, and cos phi.
     """
-    phi = 2.0 * math.pi * np.arange(samples) / samples
-    return np.cos(2.0 * phi) + math.cos(2.0 * theta), 4.0 * math.cos(theta), np.cos(phi)
+    cos_2phi, cos_phi = circle
+    return cos_2phi + math.cos(2.0 * theta), 4.0 * math.cos(theta), cos_phi
 
 
 def _range_rows(lams: np.ndarray, tables: tuple):
@@ -316,7 +351,7 @@ def support_function_via_condition(
     target = 2.0 * (r * r - grid * grid)
 
     knots = np.unique(np.append(np.arange(0, grid.size, _KNOT_SPACING), grid.size - 1))
-    tables = _circle_tables(theta, _F_SAMPLES)
+    tables = _circle_tables(theta, _circle(_F_SAMPLES))
     knot_lo, knot_hi = _range_rows(grid[knots], tables)
     ascending = grid[knots][::-1]
     lo_chord = np.interp(grid, ascending, knot_lo[::-1])

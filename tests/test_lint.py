@@ -1,6 +1,7 @@
 """Source hygiene: no module in src/fnr or tests imports a name it never uses,
-every private top-level name of src/fnr is used inside src/fnr, and one
-function of src/fnr writes every output file."""
+every private top-level name of src/fnr is used inside src/fnr, one function
+of src/fnr writes every output file, and no cache in src/fnr keeps results
+across calls."""
 
 import ast
 from pathlib import Path
@@ -131,6 +132,64 @@ def test_file_write_scan_flags_writes_and_xml_imports():
         ("Saver", "json.dump({}, handle)"),
         ("Saver", "self.path.write_bytes(b'')"),
     ]
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def memoized_functions(source: str) -> list:
+    """(line, name) of each function with parameters under a ``functools`` cache.
+
+    A decorator counts when it is ``cache`` or ``lru_cache``, bare, as an
+    attribute or called with arguments.  A function without parameters may
+    keep one result for the life of the process; any other memo would hold
+    tables across calls.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if not (args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+            if name in CACHES:
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_no_cache_keeps_results_across_calls():
+    found = [
+        (path.name, *memo)
+        for path in sorted((ROOT / "src" / "fnr").glob("*.py"))
+        for memo in memoized_functions(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_cache_scan_flags_a_memoized_circle_table():
+    source = (ROOT / "src" / "fnr" / "truncation.py").read_text(encoding="utf-8")
+    assert memoized_functions(source) == []
+    definition = "def _circle_tables("
+    line = source[: source.index(definition)].count("\n") + 2
+    memoized = source.replace(definition, "@functools.lru_cache(maxsize=None)\n" + definition)
+    assert memoized_functions(memoized) == [(line, "_circle_tables")]
+    other = (
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def constant():\n"
+        "    return 1\n"
+        "@lru_cache\n"
+        "def table(samples):\n"
+        "    return samples\n"
+        "class Holder:\n"
+        "    @cache\n"
+        "    def method(self):\n"
+        "        return 2\n"
+    )
+    assert memoized_functions(other) == [(6, "table"), (10, "method")]
 
 
 def test_no_unused_imports():

@@ -190,11 +190,13 @@ def test_verify_passes_below_the_absolute_ellipse_threshold(tmp_path, capsys, r)
     assert ellipse["tolerance"] == 0.1 * float(r) < ellipse["measured"] < float(r)
 
 
-# sha256 of verify.json and the exit code for three configurations, computed
-# with one brute-force table per offset and one recurrence sweep per level;
-# sharing them must not change a byte.  The digests hold on the platform they
-# were computed on: another CPU or numpy build may round numpy's vectorised
-# cosines differently.
+# sha256 of verify.json and the exit code for five configurations.  The first
+# three were computed with one brute-force table per offset and one recurrence
+# sweep per level, the last two (the defaults, and a large radius) with fresh
+# temporaries at every recurrence step and circle tables built once per angle;
+# sharing tables and work arrays must not change a byte.  The digests hold on
+# the platform they were computed on: another CPU or numpy build may round
+# numpy's vectorised cosines differently.
 VERIFY_DIGESTS = [
     (["--r", "0.3", "--N", "64"], 0,
      "ded3696b5fe3daf27cfba335103d7b3aa973891601c63b540d714b361a3c45ac"),
@@ -202,6 +204,10 @@ VERIFY_DIGESTS = [
      "e02e9fd587f39bb7c2f0c5152c6d75905c1b843fe8a2aab020cf17cee4714865"),
     (["--N", "3"], 1,
      "b8aa3f84cd0fe661fdeb5b9e02313a845eba8f6d70e6d75d8cdd4cc45084677e"),
+    ([], 0,
+     "5bfbb271c5fd14061d670b7663e0355ecf7d2d37a4d2ac67c38b3dba39fc50de"),
+    (["--r", "7.5", "--N", "200"], 0,
+     "aa120c6466296fd4d880262a14fc5b20c3a1c2673ccb6a1808146b27d6f08b7f"),
 ]
 
 

@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ from fnr import (
     symbol_range_grid,
     top_eigenvalue,
 )
+from fnr.checks import closedform_checks
+from fnr.config import Tolerances
+from fnr.truncation import _PIVMIN
 
 # ---------------------------------------------------------------------------
 # Construction
@@ -243,6 +247,79 @@ def test_phase_invariance_of_top_eigenvalue():
             assert abs(straight - rotated) <= 1e-10
 
 
+# The inertia kernel as it stood before its work arrays were allocated once
+# per call, kept verbatim: the in-place kernel must perform the same float
+# operations and so give the same bits.
+def _definite_reference(blocks: np.ndarray, levels: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Whether lam I - H is positive definite, for the trial values lams[j, m] of column m.
+
+    Column m of ``blocks`` holds the :func:`_block_entries` (c, b) of an
+    angle, scaled so the Gershgorin bound is at most 1, and H is that angle's
+    rotation at level ``levels[m]``; the levels must not increase from one
+    column to the next.  By Sylvester's law of inertia lam lies above the
+    spectrum exactly when both pivots p and t = s - |q|^2 / p of every
+    D_k = [[p, conj(q)], [q, s]] of the block LDL^T recurrence
+    D_{k+1} = lam I - A - B D_k^{-1} B^* are positive; here that is
+    p' = lam - |b|^2 s / det, s' = lam - |b|^2 p / det and
+    q' = b^2 q / det - c.  A pivot at or below ``_PIVMIN`` fails the test, and
+    the failed value's later blocks are carried with det = 1 so every entry
+    stays finite.  One sweep serves every level: the trailing columns whose
+    level the sweep has reached record their verdict and leave it.
+    """
+    coupling, shift = blocks
+    verdict = np.empty(lams.shape, dtype=bool)
+    # B_0 = 0 stands above the first block, so the loop starts from D_0 = I
+    square = cross = 0.0
+    p = s = det = 1.0
+    q, definite = np.zeros(lams.shape, dtype=complex), np.ones(lams.shape, dtype=bool)
+    width = lams.shape[1]
+    for k in range(1, int(levels.max(initial=0)) + 1):
+        inv = 1.0 / det
+        p, s = lams - square * (s * inv), lams - square * (p * inv)
+        # q' = cross (q inv) - c in place, as fresh complex temporaries cost more
+        # than the arithmetic; products use FMA, so cross stays the first factor
+        q *= inv
+        np.multiply(cross, q, out=q)
+        q -= coupling
+        t = s - (q.real**2 + q.imag**2) / np.maximum(p, _PIVMIN)
+        definite &= np.minimum(p, t) > _PIVMIN
+        det = np.where(definite, p * t, 1.0)
+        if k == 1:
+            square, cross = shift.real**2 + shift.imag**2, shift * shift
+        if levels[width - 1] == k:  # the last running column ends here
+            running = int(np.count_nonzero(levels[:width] > k))
+            verdict[:, running:width] = definite[:, running:]
+            lams, coupling, square, cross, p, s, det, q, definite = (
+                x[..., :running] for x in (lams, coupling, square, cross, p, s, det, q, definite)
+            )
+            width = running
+    return verdict
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-8, 1e-3, 1.0, 1.5 - 0.5j, 7.5, 1e4])
+def test_top_eigenvalue_equals_the_reference_kernel(monkeypatch, a):
+    thetas = np.linspace(-math.pi, math.pi, 72, endpoint=False)
+    levels = [1, 2, 40, 400]
+    got = top_eigenvalue(thetas, a, levels)
+    monkeypatch.setattr(fnr.truncation, "_definite", _definite_reference)
+    assert np.array_equal(got, top_eigenvalue(thetas, a, levels))
+
+
+def test_definite_verdicts_equal_the_reference_kernel():
+    rng = np.random.default_rng(20221018)
+    for a in (0.0, 1e-3, 1.5 - 0.5j, 7.5, 1e4):
+        bound = (abs(a) / 2.0 + 1.0) * (1.0 + 2.0**-48)
+        scale = 2.0 ** -math.frexp(bound)[1]
+        blocks = fnr.truncation._block_entries(rng.uniform(-math.pi, math.pi, 40), a, scale)
+        levels = np.sort(rng.choice([1, 2, 3, 17, 40, 200], size=40))[::-1].copy()
+        lo, hi = fnr.truncation._search(blocks, levels, bound * scale)
+        trials = np.vstack([rng.uniform(-1.0, 1.0, (6, 40)), lo, hi, lo + (hi - lo) / 2.0])
+        for rows in (trials, trials[-3:-1]):
+            verdict = fnr.truncation._definite(blocks, levels, rows)
+            assert np.array_equal(verdict, _definite_reference(blocks, levels, rows))
+        assert not verdict[0].any() and verdict[1].all()
+
+
 # ---------------------------------------------------------------------------
 # Brute-force symbol range and the condition scan
 # ---------------------------------------------------------------------------
@@ -274,6 +351,37 @@ def test_symbol_range_grid_takes_an_array_of_offsets():
         symbol_range_grid(np.array([1.5, math.nan, 2.0]), 0.3, 1000)
     with pytest.raises(ValueError, match="one-dimensional"):
         symbol_range_grid(np.ones((2, 2)), 0.3, 1000)
+
+
+def test_symbol_range_grid_takes_an_array_of_angles():
+    thetas = np.array([0.0, 0.7, math.pi / 2.0, -2.4, 0.7])
+    for lam in (1.2, np.array([1.05, 1.7, 2.5, -0.3])):
+        entries = symbol_range_grid(lam, thetas, 100_000)
+        assert len(entries) == thetas.size
+        for theta, entry in zip(thetas.tolist(), entries):
+            single = symbol_range_grid(lam, theta, 100_000)
+            if np.ndim(lam) == 0:
+                entry, single = [entry], [single]
+            assert [(iv.lo, iv.hi) for iv in entry] == [(iv.lo, iv.hi) for iv in single]
+    assert symbol_range_grid(1.2, np.array([]), 1000) == []
+    with pytest.raises(ValueError, match="one-dimensional"):
+        symbol_range_grid(1.2, np.zeros((2, 2)), 1000)
+    with pytest.raises(ValueError, match="finite"):
+        symbol_range_grid(1.2, np.array([0.3, math.nan]), 1000)
+
+
+def test_closedform_checks_drop_the_circle_tables_before_their_outer_products():
+    # The brute-force check's 100 000-sample tables must be freed when
+    # symbol_range_grid returns: the suite's peak is then set by its 720 x 720
+    # outer products, 8.10 MiB.  Tables kept alive through them add to it; a
+    # memo of cos phi and cos 2phi alone gives 9.6 MiB.
+    tracemalloc.start()
+    try:
+        closedform_checks(0.5, Tolerances())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 2**20
 
 
 def test_condition_scan_examples():
