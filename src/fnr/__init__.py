@@ -36,7 +36,7 @@ from .boundary import (
     switching_cosine,
     symbol_range,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .checks import DEFAULT_TOLERANCES, Tolerances
 from .exact import (
     ExactPoly,
     ResultantReport,
@@ -52,8 +52,6 @@ from .truncation import (
     EigensolverError,
     boundary_from_truncation,
     default_offset_grid,
-    foguel_truncation,
-    hermitian_rotation,
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
@@ -95,8 +93,6 @@ __all__ = [
     "EigensolverError",
     "boundary_from_truncation",
     "default_offset_grid",
-    "foguel_truncation",
-    "hermitian_rotation",
     "support_function_via_condition",
     "symbol_range_grid",
     "top_eigenvalue",

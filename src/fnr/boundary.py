@@ -34,7 +34,6 @@ safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
@@ -94,28 +93,15 @@ class Region(Enum):
     EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
-class RangeInterval:
-    """Closed interval with an explicit emptiness flag (endpoints may be inf)."""
+class RangeInterval(NamedTuple):
+    """Closed interval [lo, hi], empty when lo > hi (endpoints may be inf)."""
 
     lo: float
     hi: float
-    empty: bool = False
-
-    def __post_init__(self):
-        if not self.empty and self.lo > self.hi:
-            raise ValueError(f"non-empty interval with lo {self.lo} > hi {self.hi}")
-
-    @classmethod
-    def closed(cls, lo: float, hi: float) -> "RangeInterval":
-        """Interval [lo, hi], flagged empty when lo > hi."""
-        return cls(lo, hi, empty=bool(lo > hi))
 
     @property
-    def max_value(self) -> float:
-        if self.empty:
-            raise ValueError("empty interval has no maximum")
-        return self.hi
+    def empty(self) -> bool:
+        return self.lo > self.hi
 
 
 class BoundaryCurve(NamedTuple):
@@ -195,7 +181,7 @@ def symbol_range(lam: float, theta: float) -> RangeInterval:
         lo = 2.0 * c * c - 4.0 * lam * c
     else:
         lo = 2.0 * (1.0 - lam * lam) * c * c - 2.0
-    return RangeInterval.closed(lo, hi)
+    return RangeInterval(lo, hi)
 
 
 def admissible_offset_intervals(theta: float, r: float) -> tuple:
@@ -216,8 +202,8 @@ def admissible_offset_intervals(theta: float, r: float) -> tuple:
     sec = 1.0 / c if c > 0.0 else math.inf
     # hypot survives r/s overflowing to inf near the axis
     sine_bound = math.hypot(1.0, r / s) if s > 0.0 else math.inf
-    first = RangeInterval.closed(max(r - c, sec), r + c)
-    second = RangeInterval.closed(r - c, min(sine_bound, sec))
+    first = RangeInterval(max(r - c, sec), r + c)
+    second = RangeInterval(r - c, min(sine_bound, sec))
     return first, second
 
 

@@ -15,6 +15,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import boundary, checks, exact, render
-from .config import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = ["main"]
 
@@ -35,9 +35,6 @@ MAX_RADIUS = 1e150
 """Largest radius the float commands accept.  Above it the closed-form sweeps
 overflow: the sextic trace of the boundary figure raises OverflowError from
 about r = 1e151, and the support-line offsets turn to inf from about 1e155."""
-
-RADIUS_MATCH = 1e-12
-"""Relative tolerance within which --r must equal |a|/2 when --a is also given."""
 
 
 class UsageError(ValueError):
@@ -98,9 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=".", help="output directory")
     floats = argparse.ArgumentParser(add_help=False)
-    r_help = f"radius r = |a|/2 (float or p/q); with --a, must match to {RADIUS_MATCH:g} relative"
-    floats.add_argument("--r", type=str, default=None, help=r_help)
-    floats.add_argument("--a", type=str, default=None, help="coupling scalar as 're,im'")
+    radius = floats.add_mutually_exclusive_group()
+    # A default of None, never equal to a parsed flag, keeps argparse's exclusion
+    radius.add_argument("--r", type=str, default=None, help="radius |a|/2, float or p/q (0.5)")
+    radius.add_argument("--a", type=str, default=None, help="coupling scalar as 're,im'")
     floats.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
 
     for name, handler, help_text in (
@@ -122,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--N", type=int, default=400, dest="level", help="truncation level")
     ver.add_argument("--grid", type=int, default=720, help="angle grid size for checks")
     ver.add_argument("--seed", type=int, default=1, help="seed for --with-resultant")
-    tol = DEFAULT_TOLERANCES
+    tol = checks.DEFAULT_TOLERANCES
     ver.add_argument("--tol-alg", type=float, default=tol.algebraic, help="algebraic tolerance")
     ver.add_argument("--tol-env", type=float, default=tol.envelope, help="envelope tolerance")
     ver.add_argument("--tol-conv", type=float, default=tol.convergence, help="convergence tolerance")
@@ -168,8 +166,6 @@ def _float_radius(args: argparse.Namespace) -> tuple:
     if args.a is not None:
         a = _parse_complex(args.a)
         r = abs(a) / 2.0
-        if args.r is not None and not math.isclose(_parse_radius(args.r), r, rel_tol=RADIUS_MATCH):
-            raise UsageError(f"--r {args.r} conflicts with |a|/2 = {r} from --a {args.a}")
     else:
         r = _parse_radius(args.r if args.r is not None else "0.5")
         a = complex(2.0 * r, 0.0)
@@ -253,7 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--with-resultant needs r > 5e-7: r = {r!r} rounds to 0 at denominators up to 10^6"
         )
-    tol = Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv)
+    tol = checks.Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv)
     out = _out_dir(args)
     if r == 0:
         results = checks.degenerate_checks(args.grid)
@@ -272,11 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "samples": args.samples,
         "grid": args.grid,
         "seed": args.seed,
-        "tolerances": {
-            "algebraic": tol.algebraic,
-            "envelope": tol.envelope,
-            "convergence": tol.convergence,
-        },
+        "tolerances": dataclasses.asdict(tol),
         "checks": [c.to_json_dict() for c in results],
         "all_pass": all_pass,
     }

@@ -127,8 +127,9 @@ class ExactPoly:
     """Sparse multivariate polynomial over exact rational scalars.
 
     Terms are stored as a map from exponent tuples (one slot per variable,
-    in declaration order) to nonzero int/Fraction coefficients.  All
-    arithmetic is exact; evaluation at rational points is exact.
+    in declaration order) to nonzero int/Fraction coefficients; the
+    constructor drops the zeros that arithmetic leaves.  All arithmetic is
+    exact; evaluation at rational points is exact.
     """
 
     __slots__ = ("variables", "terms")
@@ -191,11 +192,7 @@ class ExactPoly:
             return NotImplemented
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            s = out.get(expo, 0) + coeff
-            if s == 0:
-                out.pop(expo, None)
-            else:
-                out[expo] = s
+            out[expo] = out.get(expo, 0) + coeff
         return ExactPoly(self.variables, out)
 
     __radd__ = __add__
@@ -220,11 +217,7 @@ class ExactPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 expo = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(expo, 0) + c1 * c2
-                if s == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
+                out[expo] = out.get(expo, 0) + c1 * c2
         return ExactPoly(self.variables, out)
 
     __rmul__ = __mul__
@@ -296,11 +289,7 @@ class ExactPoly:
                 if expo[i]:
                     factor *= base ** expo[i]
             key = tuple(e for i, e in enumerate(expo) if i not in point)
-            s = out.get(key, 0) + factor
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = out.get(key, 0) + factor
         return ExactPoly(keep, out)
 
     def __repr__(self):

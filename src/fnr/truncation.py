@@ -39,8 +39,6 @@ from .boundary import RangeInterval, _check_radius, angle_grid
 __all__ = [
     "EigensolverError",
     "ConditionNotSatisfiedError",
-    "foguel_truncation",
-    "hermitian_rotation",
     "top_eigenvalue",
     "symbol_range_grid",
     "default_offset_grid",
@@ -80,37 +78,13 @@ class ConditionNotSatisfiedError(RuntimeError):
     """No grid offset satisfies the singularity condition."""
 
 
-def _check_level(level: int) -> None:
-    if level < 1:
-        raise ValueError(f"truncation level must be at least 1, got {level}")
-
-
-def foguel_truncation(a: complex, level: int) -> np.ndarray:
-    """The 2N x 2N compression of the Foguel operator with coupling a, N = ``level``."""
-    _check_level(level)
-    out = np.zeros((2 * level, 2 * level), dtype=complex)
-    i = np.arange(level)
-    out[i[:-1], i[1:]] = 1.0  # adjoint shift block: superdiagonal
-    out[level + i[1:], level + i[:-1]] = 1.0  # shift block: subdiagonal
-    out[i, level + i] = complex(a)
-    return out
-
-
-def hermitian_rotation(theta: float, a: complex, level: int) -> np.ndarray:
-    """Hermitian part of e^{-i theta} times :func:`foguel_truncation`, as a dense matrix."""
-    rotated = np.exp(-1j * theta) * foguel_truncation(a, level)
-    # (M + M^†)/2 is hermitian bit-for-bit: entry (j, i) is computed by the
-    # conjugate of the identical float operations as entry (i, j).
-    return (rotated + rotated.conj().T) / 2.0
-
-
 def _block_entries(thetas: np.ndarray, a: complex, scale: float) -> np.ndarray:
     """The entries (c, b) of the rotation's blocks, times ``scale``, one column per angle.
 
     In the basis (e_1, f_1, e_2, f_2, ...) every diagonal block is
     A = [[0, conj(c)], [c, 0]] and every block below it B = diag(conj(b), b),
-    with c = conj(w a)/2, b = w/2 and w = e^{-i theta}: the floats of
-    :func:`hermitian_rotation`.
+    with c = conj(w a)/2, b = w/2 and w = e^{-i theta}: the floats of the
+    dense rotation (w F_N + conj(w F_N)^T)/2 of the 2N x 2N compression F_N.
     """
     w = np.exp(-1j * thetas)
     return np.array([scale * (np.conj(w * a) / 2.0), scale * (w / 2.0)])
@@ -132,7 +106,8 @@ def top_eigenvalue(theta, a: complex, level):
     ladder = np.asarray(level)
     if ladder.ndim > 1 or ladder.size == 0 or ladder.dtype.kind not in "iu":
         raise ValueError(f"level must be an integer or a sequence of integers, got {level}")
-    _check_level(ladder.min())
+    if ladder.min() < 1:
+        raise ValueError(f"truncation level must be at least 1, got {ladder.min()}")
     thetas = np.asarray(theta, dtype=float)
     # r + 1 widened by 16 ulps, which rounding of the entries cannot reach
     bound = (abs(a) / 2.0 + 1.0) * (1.0 + 2.0**-48)
@@ -270,7 +245,7 @@ def symbol_range_grid(lam, theta, samples: int):
     entries = []
     for angle in thetas.reshape(-1).tolist():
         lo, hi = _range_rows(lams.reshape(-1), _circle_tables(angle, circle))
-        intervals = [RangeInterval.closed(low, high) for low, high in zip(lo.tolist(), hi.tolist())]
+        intervals = [RangeInterval(low, high) for low, high in zip(lo.tolist(), hi.tolist())]
         entries.append(intervals[0] if lams.ndim == 0 else intervals)
     return entries[0] if thetas.ndim == 0 else entries
 
@@ -350,7 +325,9 @@ def support_function_via_condition(
 
     target = 2.0 * (r * r - grid * grid)
 
-    knots = np.unique(np.append(np.arange(0, grid.size, _KNOT_SPACING), grid.size - 1))
+    knots = np.arange(0, grid.size, _KNOT_SPACING)
+    if knots[-1] != grid.size - 1:
+        knots = np.append(knots, grid.size - 1)
     tables = _circle_tables(theta, _circle(_F_SAMPLES))
     knot_lo, knot_hi = _range_rows(grid[knots], tables)
     ascending = grid[knots][::-1]

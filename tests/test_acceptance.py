@@ -30,7 +30,7 @@ from fnr import (
 )
 from fnr.checks import truncation_checks
 from fnr.cli import main
-from fnr.config import DEFAULT_TOLERANCES
+from fnr.checks import DEFAULT_TOLERANCES
 from fnr.exact import resultant_at, sextic_polynomial, verify_sextic_resultant_identity
 from fnr.truncation import boundary_from_truncation
 

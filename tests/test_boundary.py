@@ -129,7 +129,7 @@ def test_admissible_offsets_examples():
     first, second = admissible_offset_intervals(0.0, 0.5)
     assert not first.empty and (first.lo, first.hi) == (1.0, 1.5)
     assert not second.empty and (second.lo, second.hi) == (-0.5, 1.0)
-    assert first.max_value == support_function(0.0, 0.5)
+    assert first.hi == support_function(0.0, 0.5)
 
     first, second = admissible_offset_intervals(math.pi / 2.0, 0.5)
     assert first.empty
@@ -137,7 +137,7 @@ def test_admissible_offsets_examples():
 
     for theta in (0.3, 0.9, 1.4):
         first, second = admissible_offset_intervals(theta, 0.0)
-        top = max(iv.max_value for iv in (first, second) if not iv.empty)
+        top = max(iv.hi for iv in (first, second) if not iv.empty)
         assert top == 1.0
 
 
@@ -147,7 +147,7 @@ def test_admissible_offsets_examples():
 )
 def test_admissible_union_max_is_the_support_function(theta, r):
     first, second = admissible_offset_intervals(theta, r)
-    candidates = [iv.max_value for iv in (first, second) if not iv.empty]
+    candidates = [iv.hi for iv in (first, second) if not iv.empty]
     assert candidates, "the union is never empty in the first quadrant"
     top = max(candidates)
     if top > 1.0:
@@ -155,11 +155,11 @@ def test_admissible_union_max_is_the_support_function(theta, r):
 
 
 def test_interval_emptiness_flag():
-    assert RangeInterval.closed(2.0, 1.0).empty
-    with pytest.raises(ValueError):
-        RangeInterval(2.0, 1.0, empty=False)
-    with pytest.raises(ValueError):
-        RangeInterval.closed(2.0, 1.0).max_value
+    # Emptiness is derived from the endpoints, never stored
+    assert RangeInterval(2.0, 1.0).empty
+    assert not RangeInterval(1.0, 1.0).empty
+    assert not RangeInterval(-math.inf, math.inf).empty
+    assert RangeInterval._fields == ("lo", "hi")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,21 @@
 """The public names: every exported name exists, and retired ones stay gone."""
 
+import dataclasses
 import importlib
+import json
 
-MODULES = ["fnr", "fnr.boundary", "fnr.truncation", "fnr.exact", "fnr.render", "fnr.checks"]
+from fnr.checks import Tolerances
+from fnr.cli import main
+
+MODULES = [
+    "fnr",
+    "fnr.boundary",
+    "fnr.truncation",
+    "fnr.exact",
+    "fnr.render",
+    "fnr.checks",
+    "fnr.cli",
+]
 
 RETIRED = [
     "TruncatedOperator",
@@ -10,6 +23,10 @@ RETIRED = [
     "BoundaryPoint",
     "envelope_point",
     "sylvester_matrix",
+    "config",
+    "RADIUS_MATCH",
+    "foguel_truncation",
+    "hermitian_rotation",
 ]
 
 
@@ -18,3 +35,13 @@ def test_public_names_resolve():
         module = importlib.import_module(name)
         assert [attr for attr in module.__all__ if not hasattr(module, attr)] == [], name
         assert [attr for attr in RETIRED if hasattr(module, attr)] == [], name
+
+
+def test_verify_records_the_whole_tolerance_record(tmp_path, capsys):
+    tol = Tolerances(algebraic=2e-12, envelope=3e-8, convergence=0.01)
+    flags = ["--tol-alg", "2e-12", "--tol-env", "3e-8", "--tol-conv", "0.01"]
+    assert main(["verify", "--N", "20", *flags, "--out", str(tmp_path)]) in (0, 1)
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    assert payload["tolerances"] == dataclasses.asdict(tol)
+    assert list(payload["tolerances"]) == ["algebraic", "envelope", "convergence"]

@@ -303,18 +303,13 @@ def test_coupling_flag_sets_radius(tmp_path, capsys):
 
 
 def test_conflicting_radius_and_coupling(tmp_path, capsys):
-    assert main([
-        "support-lines", "--r", "0.4", "--a", "1,0", "--out", str(tmp_path)
-    ]) == 2
-    assert "conflicts" in capsys.readouterr().err
-
-
-def test_radius_matching_coupling_to_rounding_is_accepted(tmp_path, capsys):
-    # |a|/2 = 0.8911348102279475 here; the 15-digit radius rounds to another double
-    argv = ["support-lines", "--a", "0.714,1.633", "--samples", "90", "--out", str(tmp_path)]
-    assert main(argv + ["--r", "0.891134810227947"]) == 0
-    assert main(argv + ["--r", "0.8911348102"]) == 2
-    assert "conflicts" in capsys.readouterr().err
+    # --r and --a are exclusive, even where --r repeats |a|/2 = 0.5 exactly
+    for argv in (["--r", "0.4", "--a", "1,0"], ["--a", "1,0", "--r", "0.5"]):
+        assert main(["support-lines", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fnr: ") and err.count("\n") == 1
+        assert "not allowed with argument" in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["--a", "7,0"], ["--r", "1/2", "--a", "1,0"]])

@@ -20,20 +20,37 @@ from fnr import (
     boundary_from_truncation,
     classify_point,
     default_offset_grid,
-    foguel_truncation,
-    hermitian_rotation,
     support_function,
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
 )
-from fnr.checks import closedform_checks
-from fnr.config import Tolerances
+from fnr.checks import Tolerances, closedform_checks
 from fnr.truncation import _PIVMIN
 
 # ---------------------------------------------------------------------------
-# Construction
+# Construction: the dense reference the block entries are checked against
 # ---------------------------------------------------------------------------
+
+
+def foguel_truncation(a: complex, level: int) -> np.ndarray:
+    """The 2N x 2N compression of the Foguel operator with coupling a, N = ``level``."""
+    if level < 1:
+        raise ValueError(f"truncation level must be at least 1, got {level}")
+    out = np.zeros((2 * level, 2 * level), dtype=complex)
+    i = np.arange(level)
+    out[i[:-1], i[1:]] = 1.0  # adjoint shift block: superdiagonal
+    out[level + i[1:], level + i[:-1]] = 1.0  # shift block: subdiagonal
+    out[i, level + i] = complex(a)
+    return out
+
+
+def hermitian_rotation(theta: float, a: complex, level: int) -> np.ndarray:
+    """Hermitian part of e^{-i theta} times :func:`foguel_truncation`, as a dense matrix."""
+    rotated = np.exp(-1j * theta) * foguel_truncation(a, level)
+    # (M + M^†)/2 is hermitian bit-for-bit: entry (j, i) is computed by the
+    # conjugate of the identical float operations as entry (i, j).
+    return (rotated + rotated.conj().T) / 2.0
 
 
 def test_smallest_truncation():
@@ -238,6 +255,24 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "[]"
 
 
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use, 12-15 ms of a default verify run;
+    # the condition scan builds its knots without it.
+    src = Path(fnr.truncation.__file__).resolve().parent.parent
+    code = (
+        "import sys, fnr.cli; code = fnr.cli.main(['verify', '--N', '50', '--out', sys.argv[1]]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
 def test_phase_invariance_of_top_eigenvalue():
     for phi in (0.3, math.pi / 7.0, 2.0):
         phase = complex(math.cos(phi), math.sin(phi))
@@ -371,17 +406,17 @@ def test_symbol_range_grid_takes_an_array_of_angles():
 
 
 def test_closedform_checks_drop_the_circle_tables_before_their_outer_products():
-    # The brute-force check's 100 000-sample tables must be freed when
-    # symbol_range_grid returns: the suite's peak is then set by its 720 x 720
-    # outer products, 8.10 MiB.  Tables kept alive through them add to it; a
-    # memo of cos phi and cos 2phi alone gives 9.6 MiB.
+    # The suite's peak, 5.38 MiB, falls inside the brute-force check, whose
+    # 100 000-sample tables must be freed when symbol_range_grid returns, and
+    # support-consistency must take its margins 64 rows at a time: whole
+    # 720 x 720 outer products raise the peak to 8.10 MiB.
     tracemalloc.start()
     try:
         closedform_checks(0.5, Tolerances())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5 * 2**20
+    assert peak <= 6 * 2**20
 
 
 def test_condition_scan_examples():
