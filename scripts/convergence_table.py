@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     print(f"r = {args.r}, coupling a = {a}, {args.angles} angles")
     print(f"{'level':>6}  {'max gap':>12}  {'min gap':>12}  {'order':>6}")
     previous = None
-    for level, gaps in zip(levels, closed - top_eigenvalue(thetas, a, levels)):
+    for level, gaps in zip(levels, closed - top_eigenvalue(thetas, a, np.array(levels)[:, None])):
         worst = float(np.max(gaps))
         best = float(np.min(gaps))
         order = None

@@ -150,8 +150,9 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
     results.append(_leq("convexity", float(-np.min(cross)), CONVEXITY_SLACK))
 
     worst = 0.0
+    polynomial = exact.sextic_polynomial()
     for rr in (Fraction(1, 2), Fraction(1, 3), Fraction(2)):
-        value = exact.sextic_polynomial().evaluate({"u": 0, "v": 1 + rr * rr, "r": rr})
+        value = polynomial.evaluate({"u": 0, "v": 1 + rr * rr, "r": rr})
         worst = max(worst, abs(float(value)))
     results.append(_leq("sextic-top-vertex-exact", worst, 0.0))
 
@@ -161,17 +162,27 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
 def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
     """Oracle suite: compressions against closed forms, both routes.
 
-    The compressions are measured on 72 angles at four levels up to
-    ``level``, in one call for the ladder; the condition scan runs at 24
-    angles of the first quadrant for each of three radii.
+    The compressions are measured in one call: on 72 angles at four levels up
+    to ``level``, and on 13 probe angles for two phases of ``a``.  The
+    condition scan runs at 24 angles of the first quadrant, in one call for
+    each of three radii.
     """
     results = []
     r = abs(a) / 2.0
     thetas = boundary.angle_grid(72)
+    levels = np.array([max(level // 8, 2), max(level // 4, 3), max(level // 2, 4), level])
+    phase = complex(math.cos(math.pi / 7.0), math.sin(math.pi / 7.0))
+    probes = np.linspace(-math.pi, math.pi, 13)
+    parts = (
+        np.broadcast_arrays(thetas, a, levels[:, None]),
+        np.broadcast_arrays(probes, np.array([abs(a), phase * abs(a)])[:, None], min(level, 100)),
+    )
+    columns = (np.concatenate([x.ravel() for x in arg]) for arg in zip(*parts))
+    tops = truncation.top_eigenvalue(*columns)
+    split = levels.size * thetas.size
+    deltas = boundary.support_function(thetas, r) - tops[:split].reshape(levels.size, -1)
+    straight, rotated = tops[split:].reshape(2, -1)
 
-    levels = [max(level // 8, 2), max(level // 4, 3), max(level // 2, 4), level]
-    closed = boundary.support_function(thetas, r)
-    deltas = closed - truncation.top_eigenvalue(thetas, a, levels)
     gaps = [float(np.max(delta)) for delta in deltas]
     bound_violation = max(0.0, *(float(np.max(-delta)) for delta in deltas))
     results.append(_leq("compression-bound", bound_violation, 1e-10))
@@ -184,19 +195,13 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
             bool(decreasing and gaps[-1] < tol.convergence),
         )
     )
-
-    phase = complex(math.cos(math.pi / 7.0), math.sin(math.pi / 7.0))
-    probe_level = min(level, 100)
-    probes = np.linspace(-math.pi, math.pi, 13)
-    straight = truncation.top_eigenvalue(probes, abs(a), probe_level)
-    rotated = truncation.top_eigenvalue(probes, phase * abs(a), probe_level)
     results.append(_leq("phase-invariance", float(np.max(np.abs(straight - rotated))), 1e-10))
 
     worst = 0.0
+    angles = np.linspace(0.0, math.pi / 2.0, 24)
     for rr in (0.25, 0.5, 1.0):
-        for theta in np.linspace(0.0, math.pi / 2.0, 24):
-            via = truncation.support_function_via_condition(float(theta), rr)
-            worst = max(worst, abs(via - boundary.support_function(float(theta), rr)))
+        via = truncation.support_function_via_condition(angles, rr)
+        worst = max(worst, float(np.max(np.abs(via - boundary.support_function(angles, rr)))))
     results.append(_leq("dual-route", worst, truncation.OFFSET_STEP))
 
     return results

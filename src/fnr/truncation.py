@@ -78,8 +78,10 @@ class ConditionNotSatisfiedError(RuntimeError):
     """No grid offset satisfies the singularity condition."""
 
 
-def _block_entries(thetas: np.ndarray, a: complex, scale: float) -> np.ndarray:
+def _block_entries(thetas: np.ndarray, a, scale) -> np.ndarray:
     """The entries (c, b) of the rotation's blocks, times ``scale``, one column per angle.
+
+    ``a`` and ``scale`` are scalars or hold one entry per angle.
 
     In the basis (e_1, f_1, e_2, f_2, ...) every diagonal block is
     A = [[0, conj(c)], [c, 0]] and every block below it B = diag(conj(b), b),
@@ -90,50 +92,56 @@ def _block_entries(thetas: np.ndarray, a: complex, scale: float) -> np.ndarray:
     return np.array([scale * (np.conj(w * a) / 2.0), scale * (w / 2.0)])
 
 
-def top_eigenvalue(theta, a: complex, level):
-    """Largest eigenvalue of the hermitian rotation of the truncation, per angle.
+def top_eigenvalue(theta, a, level):
+    """Largest eigenvalue of the hermitian rotation of the truncation, per element.
 
-    Takes a scalar or an array of angles and returns a float or an array of
-    their shape.  ``level`` is one level or a sequence of them, in any order
-    and repeats allowed; a sequence puts a leading level axis on the result,
-    equal bit for bit to one call per level.  Bounded above by the closed-form
-    support function and nondecreasing in ``level`` (the compressions shrink
-    the range and nest).  From the :func:`_block_entries` of each angle,
-    :func:`_search` narrows the Gershgorin bracket [-(r + 1), r + 1] to two
-    ulps for every (level, angle) column at once, :func:`_certify` re-checks
-    both ends, and the midpoint is returned.
+    ``theta``, ``a`` and ``level`` broadcast against each other by numpy's
+    rules, and the result has their broadcast shape, a float when all three
+    are scalars; a ladder of levels over an angle grid is spelled
+    ``level=np.array(levels)[:, None]``.  Every element equals its scalar call
+    bit for bit.  Bounded above by the closed-form support function and
+    nondecreasing in ``level`` (the compressions shrink the range and nest).
+    From the :func:`_block_entries` of each element, :func:`_search` narrows
+    its own Gershgorin bracket [-(|a|/2 + 1), |a|/2 + 1] to two ulps for every
+    element at once, :func:`_certify` re-checks both ends, and the midpoint is
+    returned.
     """
-    ladder = np.asarray(level)
-    if ladder.ndim > 1 or ladder.size == 0 or ladder.dtype.kind not in "iu":
-        raise ValueError(f"level must be an integer or a sequence of integers, got {level}")
-    if ladder.min() < 1:
-        raise ValueError(f"truncation level must be at least 1, got {ladder.min()}")
-    thetas = np.asarray(theta, dtype=float)
-    # r + 1 widened by 16 ulps, which rounding of the entries cannot reach
-    bound = (abs(a) / 2.0 + 1.0) * (1.0 + 2.0**-48)
-    if not (np.isfinite(thetas).all() and math.isfinite(bound)):
+    levels = np.asarray(level)
+    if levels.dtype.kind not in "iu":
+        raise ValueError(f"level must be an integer or an array of integers, got {level}")
+    if (levels < 1).any():
+        raise ValueError(f"truncation level must be at least 1, got {levels.min()}")
+    thetas, couplings = np.asarray(theta, dtype=float), np.asarray(a, dtype=complex)
+    try:
+        thetas, couplings, levels = np.broadcast_arrays(thetas, couplings, levels)
+    except ValueError:
+        shapes = f"{thetas.shape}, {couplings.shape} and {levels.shape}"
+        raise ValueError(f"theta, a and level must broadcast, got shapes {shapes}") from None
+    # |a|/2 + 1 widened by 16 ulps, which rounding of the entries cannot reach;
+    # |a| is C hypot, as abs() of a Python complex is and np.abs is not
+    bound = (np.hypot(couplings.real, couplings.imag) / 2.0 + 1.0) * (1.0 + 2.0**-48)
+    if not (np.isfinite(thetas).all() and np.isfinite(bound).all()):
         raise ValueError(f"theta and a must be finite, got {theta}, {a}")
-    scale = 2.0 ** -math.frexp(bound)[1]  # exact, and brings the bound into [1/2, 1)
-    blocks = _block_entries(thetas.ravel(), a, scale)
-    # One column per (level, angle), deepest level first, as _definite needs
-    order = np.argsort(-ladder.ravel(), kind="stable")
-    levels = np.repeat(ladder.ravel()[order], thetas.size)
-    columns = np.tile(blocks, order.size)
-    lo, hi = _search(columns, levels, bound * scale)
-    _certify(columns, levels, lo, hi)
-    top = (0.5 * (lo + hi) / scale).reshape(order.size, -1)[np.argsort(order)]
-    top = top.reshape(ladder.shape + thetas.shape)
-    return float(top) if top.ndim == 0 else top
+    scale = np.ldexp(1.0, -np.frexp(bound)[1])  # exact, and brings each bound into [1/2, 1)
+    # One column per element, deepest level first, as _definite needs
+    order = np.argsort(-levels.ravel(), kind="stable")
+    levels, scale = levels.ravel()[order], scale.ravel()[order]
+    blocks = _block_entries(thetas.ravel()[order], couplings.ravel()[order], scale)
+    lo, hi = _search(blocks, levels, bound.ravel()[order] * scale)
+    _certify(blocks, levels, lo, hi)
+    top = np.empty(order.size)
+    top[order] = 0.5 * (lo + hi) / scale
+    return float(top[0]) if thetas.ndim == 0 else top.reshape(thetas.shape)
 
 
-def _search(blocks: np.ndarray, levels: np.ndarray, bound: float) -> tuple:
+def _search(blocks: np.ndarray, levels: np.ndarray, bound: np.ndarray) -> tuple:
     """Brackets (lo, hi] of the top eigenvalues, at most two ulps wide, one per column.
 
-    Each round splits every open bracket at ``_CANDIDATES`` equally spaced
-    trials and keeps the gap between the last not above the spectrum and the
-    first above it.
+    Column m starts from [-bound[m], bound[m]].  Each round splits every open
+    bracket at ``_CANDIDATES`` equally spaced trials and keeps the gap between
+    the last not above the spectrum and the first above it.
     """
-    lo, hi = np.full(blocks.shape[1], -bound), np.full(blocks.shape[1], bound)
+    lo, hi = -bound, bound.copy()
     steps = np.arange(1, _CANDIDATES + 1)[:, None] / (_CANDIDATES + 1)
     while (rows := np.flatnonzero(hi - lo > 2.0 * np.spacing(np.maximum(-lo, hi)))).size:
         trials = np.vstack([lo[rows], lo[rows] + (hi[rows] - lo[rows]) * steps, hi[rows]])
@@ -289,19 +297,18 @@ def default_offset_grid(r: float, step: float = OFFSET_STEP) -> np.ndarray:
     return (r + 2.0) - step * np.arange(count + 1)
 
 
-def support_function_via_condition(
-    theta: float,
-    r: float,
-    offset_grid: np.ndarray | None = None,
-) -> float:
+def support_function_via_condition(theta, r: float, offset_grid: np.ndarray | None = None):
     """Support function recovered from the singularity condition alone.
 
     Scans a descending offset grid and returns the largest lam for which
     2 (r^2 - lam^2) lies in the brute-force range [lo, hi] of f; agrees with
     the closed form to the grid resolution.  The range oracle samples
     ``_F_SAMPLES`` points (error O(_F_SAMPLES^-2), far below the default
-    ``OFFSET_STEP``).  Raises :class:`ConditionNotSatisfiedError` when no grid
-    offset qualifies.
+    ``OFFSET_STEP``).  A scalar ``theta`` gives a float; a one-dimensional
+    array of angles gives an array of the values, each equal to the one-angle
+    call, with the circle's tables, the targets and the knots built once per
+    call.  Raises :class:`ConditionNotSatisfiedError` when no grid offset
+    qualifies at some angle.
 
     Most offsets are ruled out without building their rows.  Each table entry
     is affine in lam, so lo(lam) is concave and hi(lam) convex on any grid:
@@ -312,7 +319,10 @@ def support_function_via_condition(
     evaluated exactly, in grid order, so the result is the one an exhaustive
     scan returns, bit for bit.
     """
-    if not math.isfinite(theta):
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim > 1:
+        raise ValueError(f"theta must be a scalar or one-dimensional, got shape {thetas.shape}")
+    if not np.isfinite(thetas).all():
         raise ValueError(f"theta must be finite, got {theta}")
     _check_radius(r)
     if offset_grid is None:
@@ -328,28 +338,33 @@ def support_function_via_condition(
     knots = np.arange(0, grid.size, _KNOT_SPACING)
     if knots[-1] != grid.size - 1:
         knots = np.append(knots, grid.size - 1)
-    tables = _circle_tables(theta, _circle(_F_SAMPLES))
-    knot_lo, knot_hi = _range_rows(grid[knots], tables)
     ascending = grid[knots][::-1]
-    lo_chord = np.interp(grid, ascending, knot_lo[::-1])
-    hi_chord = np.interp(grid, ascending, knot_hi[::-1])
     largest = float(np.max(np.abs(grid)))
-    slack = _ROUNDING_SLACK * (
-        2.0 + 4.0 * abs(math.cos(theta)) * largest + 2.0 * (r * r + largest * largest)
-    )
-    ruled_out = (target < lo_chord - slack) | (target > hi_chord + slack)
+    spread = 2.0 * (r * r + largest * largest)
+    circle = _circle(_F_SAMPLES)
+    values = []
+    for angle in thetas.reshape(-1).tolist():
+        tables = _circle_tables(angle, circle)
+        knot_lo, knot_hi = _range_rows(grid[knots], tables)
+        lo_chord = np.interp(grid, ascending, knot_lo[::-1])
+        hi_chord = np.interp(grid, ascending, knot_hi[::-1])
+        slack = _ROUNDING_SLACK * (2.0 + 4.0 * abs(math.cos(angle)) * largest + spread)
+        ruled_out = (target < lo_chord - slack) | (target > hi_chord + slack)
 
-    candidates = np.flatnonzero(~ruled_out)
-    for start in range(0, candidates.size, _BATCH):
-        rows = candidates[start : start + _BATCH]
-        lo, hi = _range_rows(grid[rows], tables)
-        hits = np.flatnonzero((target[rows] >= lo) & (target[rows] <= hi))
-        if hits.size:
-            return float(grid[rows[hits[0]]])
-    raise ConditionNotSatisfiedError(
-        f"no offset in [{grid[-1]:.6g}, {grid[0]:.6g}] satisfies the "
-        f"singularity condition at theta = {theta}, r = {r}"
-    )
+        candidates = np.flatnonzero(~ruled_out)
+        for start in range(0, candidates.size, _BATCH):
+            rows = candidates[start : start + _BATCH]
+            lo, hi = _range_rows(grid[rows], tables)
+            hits = np.flatnonzero((target[rows] >= lo) & (target[rows] <= hi))
+            if hits.size:
+                values.append(float(grid[rows[hits[0]]]))
+                break
+        else:
+            raise ConditionNotSatisfiedError(
+                f"no offset in [{grid[-1]:.6g}, {grid[0]:.6g}] satisfies the "
+                f"singularity condition at theta = {angle}, r = {r}"
+            )
+    return values[0] if thetas.ndim == 0 else np.array(values)
 
 
 def boundary_from_truncation(a: complex, level: int, samples: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Truncation oracle: construction, eigenvalues, condition scan, boundary."""
 
+import functools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from fnr import (
     symbol_range_grid,
     top_eigenvalue,
 )
-from fnr.checks import Tolerances, closedform_checks
+from fnr.checks import Tolerances, closedform_checks, truncation_checks
 from fnr.truncation import _PIVMIN
 
 # ---------------------------------------------------------------------------
@@ -140,14 +141,17 @@ def test_uncoupled_truncation_has_chebyshev_top(theta, level):
 
 
 def test_top_eigenvalue_matches_dense_eigvalsh():
-    # One array call per (level, a); array values equal the one-angle calls
-    # (see test_top_eigenvalue_takes_arrays_of_angles).
+    # One broadcast call for every (level, a, angle); its elements equal the
+    # scalar calls (see test_top_eigenvalue_broadcasts_its_arguments).
     thetas = (-math.pi, -2.1, 0.0, 0.4, 0.9, math.pi / 2.0, math.pi)
-    for level in range(1, 41):
-        for a in (0.0, 1.0, 1.5 - 0.5j, 5.0, 100.0, 1e-8):
-            values = top_eigenvalue(np.array(thetas), a, level)
-            for theta, got in zip(thetas, values.tolist()):
-                expected = np.linalg.eigvalsh(hermitian_rotation(theta, a, level))[-1]
+    couplings = (0.0, 1.0, 1.5 - 0.5j, 5.0, 100.0, 1e-8)
+    levels = np.arange(1, 41)[:, None, None]
+    values = top_eigenvalue(np.array(thetas), np.array(couplings)[:, None], levels)
+    assert values.shape == (40, len(couplings), len(thetas))
+    for level, rows in zip(levels.ravel().tolist(), values):
+        for a, row in zip(couplings, rows):
+            dense = np.array([hermitian_rotation(theta, a, level) for theta in thetas])
+            for got, expected in zip(row.tolist(), np.linalg.eigvalsh(dense)[:, -1].tolist()):
                 assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
@@ -165,7 +169,7 @@ def test_top_eigenvalue_certificate_rejects_a_shifted_bracket(monkeypatch, offse
     with pytest.raises(EigensolverError):
         top_eigenvalue(np.array([-2.0, 0.9, 3.0]), 1.0, 40)
     with pytest.raises(EigensolverError, match="level 5, 40"):
-        top_eigenvalue(np.array([-2.0, 0.9, 3.0]), 1.0, [40, 5, 40])
+        top_eigenvalue(np.array([-2.0, 0.9, 3.0]), 1.0, np.array([40, 5, 40])[:, None])
 
 
 def test_top_eigenvalue_takes_arrays_of_angles():
@@ -184,7 +188,7 @@ def test_level_ladder_equals_one_call_per_level(a):
     # and gives the same row twice.
     levels = [30, 1, 7, 64, 7, 2]
     thetas = np.array([-math.pi, -2.1, 0.0, 0.4, math.pi / 2.0, 2.9])
-    ladder = top_eigenvalue(thetas, a, levels)
+    ladder = top_eigenvalue(thetas, a, np.array(levels)[:, None])
     assert ladder.shape == (len(levels), thetas.size)
     for row, level in zip(ladder, levels):
         assert np.array_equal(row, top_eigenvalue(thetas, a, level))
@@ -192,13 +196,34 @@ def test_level_ladder_equals_one_call_per_level(a):
     one_angle = top_eigenvalue(0.4, a, np.array(levels))
     assert one_angle.shape == (len(levels),)
     assert np.array_equal(one_angle, ladder[:, 3])
-    assert top_eigenvalue(np.array([]), a, levels).shape == (len(levels), 0)
+    empty = top_eigenvalue(np.array([]), a, np.array(levels)[:, None])
+    assert empty.shape == (len(levels), 0)
 
 
-@pytest.mark.parametrize("level", [[], [[5, 6]], [5, 0], 2.5, [4.0]])
+@pytest.mark.parametrize("level", [[], [5, 6], [5, 0], 2.5, [4.0]])
 def test_level_ladder_rejects_bad_levels(level):
+    # [5, 6] is a well-formed level array that does not broadcast against three angles
     with pytest.raises(ValueError, match="level"):
-        top_eigenvalue(0.3, 1.0, level)
+        top_eigenvalue(np.array([0.3, 0.4, 0.5]), 1.0, level)
+
+
+def test_top_eigenvalue_broadcasts_its_arguments():
+    # The Gershgorin bounds |a|/2 + 1 of these couplings lie in [1, 2), [2, 4)
+    # and [4, 8), so the columns of one call carry three different scales.
+    couplings = np.array([0.3, 2.0, 7.5, 1.5 - 0.5j])
+    bounds = (np.hypot(couplings.real, couplings.imag) / 2.0 + 1.0) * (1.0 + 2.0**-48)
+    assert np.unique(np.frexp(bounds)[1]).size == 3
+    levels = np.array([30, 1, 64, 7, 30, 2])
+    thetas = np.array([-math.pi, -2.1, 0.0, 0.4, math.pi / 2.0])
+    values = top_eigenvalue(thetas, couplings[:, None, None], levels[:, None])
+    assert values.shape == (couplings.size, levels.size, thetas.size)
+    for a, block in zip(couplings.tolist(), values):
+        for level, row in zip(levels.tolist(), block):
+            assert row.tolist() == [top_eigenvalue(theta, a, level) for theta in thetas.tolist()]
+    # Elementwise: angle k with coupling pick[k] at level levels[k]
+    pick = [0, 1, 2, 3, 1]
+    per_column = top_eigenvalue(thetas, couplings[pick], levels[: thetas.size])
+    assert per_column.tolist() == [values[i, k, k] for k, i in enumerate(pick)]
 
 
 @pytest.mark.parametrize("level", [1, 2, 50, 400, 1600])
@@ -334,7 +359,7 @@ def _definite_reference(blocks: np.ndarray, levels: np.ndarray, lams: np.ndarray
 @pytest.mark.parametrize("a", [0.0, 1e-8, 1e-3, 1.0, 1.5 - 0.5j, 7.5, 1e4])
 def test_top_eigenvalue_equals_the_reference_kernel(monkeypatch, a):
     thetas = np.linspace(-math.pi, math.pi, 72, endpoint=False)
-    levels = [1, 2, 40, 400]
+    levels = np.array([1, 2, 40, 400])[:, None]
     got = top_eigenvalue(thetas, a, levels)
     monkeypatch.setattr(fnr.truncation, "_definite", _definite_reference)
     assert np.array_equal(got, top_eigenvalue(thetas, a, levels))
@@ -347,7 +372,7 @@ def test_definite_verdicts_equal_the_reference_kernel():
         scale = 2.0 ** -math.frexp(bound)[1]
         blocks = fnr.truncation._block_entries(rng.uniform(-math.pi, math.pi, 40), a, scale)
         levels = np.sort(rng.choice([1, 2, 3, 17, 40, 200], size=40))[::-1].copy()
-        lo, hi = fnr.truncation._search(blocks, levels, bound * scale)
+        lo, hi = fnr.truncation._search(blocks, levels, np.full(40, bound * scale))
         trials = np.vstack([rng.uniform(-1.0, 1.0, (6, 40)), lo, hi, lo + (hi - lo) / 2.0])
         for rows in (trials, trials[-3:-1]):
             verdict = fnr.truncation._definite(blocks, levels, rows)
@@ -405,18 +430,37 @@ def test_symbol_range_grid_takes_an_array_of_angles():
         symbol_range_grid(1.2, np.array([0.3, math.nan]), 1000)
 
 
+_TABLE_PAIR_BYTES = 2 * 100_000 * 8
+"""cos phi and cos 2phi at the 100 000 samples of the brute-force check."""
+
+
+def _traced_closedform_checks() -> tuple:
+    """Bytes still held after closedform_checks returns, and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        closedform_checks(0.5, Tolerances())
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 def test_closedform_checks_drop_the_circle_tables_before_their_outer_products():
     # The suite's peak, 5.38 MiB, falls inside the brute-force check, whose
     # 100 000-sample tables must be freed when symbol_range_grid returns, and
     # support-consistency must take its margins 64 rows at a time: whole
-    # 720 x 720 outer products raise the peak to 8.10 MiB.
-    tracemalloc.start()
-    try:
-        closedform_checks(0.5, Tolerances())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # 720 x 720 outer products raise the peak to 8.10 MiB.  A cache that kept
+    # the tables would not raise the peak, so what is still held after the
+    # call is bounded too: about 40 kB, against 1.64 MB with a memoized table.
+    held, peak = _traced_closedform_checks()
     assert peak <= 6 * 2**20
+    assert held < _TABLE_PAIR_BYTES
+
+
+def test_memory_guard_sees_a_memoized_circle_table(monkeypatch):
+    monkeypatch.setattr(fnr.truncation, "_circle", functools.cache(fnr.truncation._circle))
+    held, peak = _traced_closedform_checks()
+    assert peak <= 6 * 2**20
+    assert held >= _TABLE_PAIR_BYTES
 
 
 def test_condition_scan_examples():
@@ -426,6 +470,47 @@ def test_condition_scan_examples():
     assert abs(
         support_function_via_condition(theta, 0.5) - support_function(theta, 0.5)
     ) <= 1e-4
+
+
+def test_condition_scan_takes_an_array_of_angles():
+    # The default grid against the one-angle scans, which
+    # test_pruned_scan_equals_exhaustive_scan holds to the exhaustive scan at
+    # these angles; coarser grids against the exhaustive scan directly.
+    thetas = np.array([0.0, math.pi / 2.0, -2.0 * math.e / 3.0, 2.0**-0.5, 0.0])
+    graded = 1.0 + 1.5 * np.linspace(1.0, 0.0, 1201) ** 1.7
+    for r, grid in ((1.0, None), (0.25, default_offset_grid(0.25, step=1e-3)), (0.5, graded)):
+        values = support_function_via_condition(thetas, r, offset_grid=grid)
+        assert isinstance(values, np.ndarray) and values.shape == thetas.shape
+        for theta, value in zip(thetas.tolist(), values.tolist()):
+            assert value == support_function_via_condition(theta, r, offset_grid=grid)
+            if grid is not None:
+                assert value == _exhaustive_scan(theta, r, grid)
+    assert support_function_via_condition(np.array([]), 0.5).shape == (0,)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        support_function_via_condition(np.zeros((2, 2)), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        support_function_via_condition(np.array([0.3, math.nan]), 0.5)
+    with pytest.raises(ConditionNotSatisfiedError):
+        support_function_via_condition(thetas, 0.5, offset_grid=np.array([9.0, 8.9, 8.8]))
+
+
+def test_truncation_checks_run_one_search_and_one_circle_table_per_radius(monkeypatch):
+    calls = {"_search": 0, "_circle": []}
+    search, circle = fnr.truncation._search, fnr.truncation._circle
+
+    def counted_search(*args):
+        calls["_search"] += 1
+        return search(*args)
+
+    def counted_circle(samples):
+        calls["_circle"].append(samples)
+        return circle(samples)
+
+    monkeypatch.setattr(fnr.truncation, "_search", counted_search)
+    monkeypatch.setattr(fnr.truncation, "_circle", counted_circle)
+    results = truncation_checks(1.0, 50, Tolerances())
+    assert all(result.passed for result in results)
+    assert calls == {"_search": 1, "_circle": [fnr.truncation._F_SAMPLES] * 3}
 
 
 def test_condition_scan_respects_custom_grid():
