@@ -336,7 +336,8 @@ def classify_point(
 
     Computes s(theta) = x cos + y sin - support_function(theta, r) over a
     uniform angle grid: exterior if max s > tol, boundary if |max s| <= tol,
-    interior otherwise.  ``tol`` defaults to :func:`membership_tolerance`.
+    interior otherwise.  ``tol`` defaults to :func:`membership_tolerance`;
+    a negative or non-finite one raises ValueError.
     """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
         raise ValueError(f"x, y and r must be finite, got ({x}, {y}, {r})")
@@ -344,8 +345,8 @@ def classify_point(
         raise ValueError(f"gridsize must be at least 64, got {gridsize}")
     if tol is None:
         tol = membership_tolerance(r, gridsize)
-    elif not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    elif not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     thetas = angle_grid(gridsize)
     scores = x * np.cos(thetas) + y * np.sin(thetas) - support_function(thetas, r)
     top = float(np.max(scores))

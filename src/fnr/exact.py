@@ -14,7 +14,7 @@ envelope of the supporting-line family.  This module holds
     det Bez(f, g) = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g); the elimination
     system has m = 10, n = 8 and lc(f) = -r^2, so Res = -det Bez / r^4.
     Every route takes that one matrix: fraction-free Bareiss elimination
-    over the integers and over polynomials, and elimination modulo primes;
+    over the integers, and elimination modulo primes;
   * :func:`verify_sextic_resultant_identity` -- an evaluation/interpolation
     certificate that the sextic divides the resultant of the elimination
     system, with exact held-out validation.
@@ -61,8 +61,6 @@ __all__ = [
     "resultant_at",
     "verify_sextic_resultant_identity",
     "MAX_DEGREE_BOUND",
-    "symbolic_resultant",
-    "exact_divide",
 ]
 
 
@@ -156,10 +154,6 @@ class ExactPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "ExactPoly":
-        return cls(variables, {})
-
-    @classmethod
     def constant(cls, variables: Sequence[str], value: Scalar) -> "ExactPoly":
         return cls(variables, {(0,) * len(variables): value})
 
@@ -206,9 +200,6 @@ class ExactPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -240,9 +231,6 @@ class ExactPoly:
         if not isinstance(other, ExactPoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     # -- queries -----------------------------------------------------------
 
@@ -277,20 +265,6 @@ class ExactPoly:
         point = [Fraction(values[v]) for v in self.variables]
         (value,), den = _evaluate_cleared((terms,), _degrees((terms,), len(point)), point)
         return Fraction(value, scale * den)
-
-    def specialize(self, values: Mapping[str, Scalar]) -> "ExactPoly":
-        """Substitute some variables exactly; the rest remain symbolic."""
-        keep = tuple(v for v in self.variables if v not in values)
-        point = {i: Fraction(values[v]) for i, v in enumerate(self.variables) if v in values}
-        out: dict = {}
-        for expo, coeff in self.terms.items():
-            factor = Fraction(coeff)
-            for i, base in point.items():
-                if expo[i]:
-                    factor *= base ** expo[i]
-            key = tuple(e for i, e in enumerate(expo) if i not in point)
-            out[key] = out.get(key, 0) + factor
-        return ExactPoly(keep, out)
 
     def __repr__(self):
         if not self.terms:
@@ -386,26 +360,17 @@ def mutated_sextic() -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 
-def _exact_quotient(a: int, b: int) -> int:
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError("non-exact integer division")
-    return q
-
-
 def _rational_quotient(a: Scalar, b: Scalar) -> Scalar:
     return _normalize_scalar(Fraction(a) / Fraction(b))
 
 
-def bareiss_determinant(rows: Sequence[Sequence], divide=None):
-    """Fraction-free determinant.
+def bareiss_determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Fraction-free determinant of a square matrix of int or Fraction entries.
 
-    Works over any exact integral domain: entries need +, -, * and an exact
-    division ``divide`` (defaults to division in Q, which covers int and
-    Fraction entries; pass :func:`exact_divide` for polynomial entries).
-    Intermediate entries stay in the domain by Bareiss' identity, so an
-    all-int matrix under the default division runs a checked integer
-    division inline.
+    Intermediate entries stay in the ring of the entries by Bareiss'
+    identity, so each step's division by the previous pivot is exact: an
+    all-int matrix runs a checked integer division inline, and any other
+    matrix divides in Q.
     """
     matrix = [list(row) for row in rows]
     n = len(matrix)
@@ -413,9 +378,7 @@ def bareiss_determinant(rows: Sequence[Sequence], divide=None):
         return 1
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    integral = divide is None and all(type(v) is int for row in matrix for v in row)
-    if divide is None:
-        divide = _rational_quotient
+    integral = all(type(v) is int for row in matrix for v in row)
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -440,7 +403,7 @@ def bareiss_determinant(rows: Sequence[Sequence], divide=None):
                         if rem:
                             raise ArithmeticError("non-exact integer division in Bareiss step")
                     else:
-                        value = divide(value, prev)
+                        value = _rational_quotient(value, prev)
                 row[j] = value
         prev = pivot
     return sign * matrix[n - 1][n - 1]
@@ -453,9 +416,10 @@ def _bezout_matrix(f: Sequence, g: Sequence, p: int | None = None) -> list:
     (f(s) g(t) - f(t) g(s)) / (s - t) = sum B[i][j] s^i t^j.  With ascending
     coefficients f_k and g_k (g padded with zeros to degree m), Barnett's
     recurrence fills it: B[i][j] = B[i-1][j+1] + f_{j+1} g_i - f_i g_{j+1}
-    for j >= i.  Entries need only +, - and *, so they may be numbers,
-    polynomials or arrays; with ``p`` every entry is reduced modulo p, which
-    keeps int64 residue arrays in [0, p) exact (each product is below 2^62).
+    for j >= i.  Entries need only +, - and *, so the coefficients may be
+    numbers or int64 residue arrays; with ``p`` every entry is reduced
+    modulo p, which keeps residue arrays in [0, p) exact (each product is
+    below 2^62).
     """
     m = len(f) - 1
     if m < len(g) - 1:
@@ -472,19 +436,6 @@ def _bezout_matrix(f: Sequence, g: Sequence, p: int | None = None) -> list:
                 entry %= p
             rows[i][j] = rows[j][i] = entry
     return rows
-
-
-def _bezout_resultant(f: Sequence, g: Sequence, divide=None):
-    """Res(f, g) for descending coefficients with deg f = m >= deg g = n >= 1.
-
-    The Bezout determinant is det B = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g);
-    it is taken by Bareiss elimination, and lc(f)^(m-n) is divided out
-    exactly, by ``divide`` as in :func:`bareiss_determinant`.
-    """
-    m, n = len(f) - 1, len(g) - 1
-    det = bareiss_determinant(_bezout_matrix(f, g), divide)
-    quotient = (divide or _exact_quotient)(det, f[0] ** (m - n))
-    return -quotient if m * (m - 1) // 2 % 2 else quotient
 
 
 def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
@@ -505,8 +456,6 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
         raise ValueError("leading coefficient must not vanish")
     m = len(f) - 1
     n = len(g) - 1
-    if m == 0 and n == 0:
-        return 1
     if m == 0:
         return _normalize_scalar(f[0] ** n)
     if n == 0:
@@ -522,7 +471,12 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
 
     fi, sf = cleared(f)
     gi, sg = cleared(g)
-    return _normalize_scalar(Fraction(sign * _bezout_resultant(fi, gi), sf**n * sg**m))
+    value, rem = divmod(bareiss_determinant(_bezout_matrix(fi, gi)), fi[0] ** (m - n))
+    if rem:
+        raise ArithmeticError("non-exact integer division by lc(f)^(m - n)")
+    if m * (m - 1) // 2 % 2:
+        sign = -sign
+    return _normalize_scalar(Fraction(sign * value, sf**n * sg**m))
 
 
 @functools.cache
@@ -1206,49 +1160,3 @@ def _settled_fits(cert: _Certificate):
                 break
             terms[divmod(index, width)] = coefficient
         previous = terms
-
-
-# ---------------------------------------------------------------------------
-# Fully symbolic route
-# ---------------------------------------------------------------------------
-
-
-def exact_divide(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    """Exact polynomial division; raises ArithmeticError when not divisible."""
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not p:
-        return ExactPoly.zero(p.variables)
-    if p.variables != q.variables:
-        raise ValueError("variable mismatch")
-    lead_q = max(q.terms)
-    quotient: dict = {}
-    remainder = p
-    while remainder:
-        lead_r = max(remainder.terms)
-        expo = tuple(a - b for a, b in zip(lead_r, lead_q))
-        if any(e < 0 for e in expo):
-            raise ArithmeticError("non-exact polynomial division")
-        coeff = _normalize_scalar(Fraction(remainder.terms[lead_r]) / Fraction(q.terms[lead_q]))
-        quotient[expo] = coeff
-        remainder = remainder - ExactPoly(p.variables, {expo: coeff}) * q
-    return ExactPoly(p.variables, quotient)
-
-
-def symbolic_resultant(r: Scalar | None = None) -> ExactPoly:
-    """Resultant of the elimination system with x, y kept symbolic.
-
-    The 10 x 10 Bezout matrix with polynomial entries goes through the
-    fraction-free determinant, and lc(f)^2 = r^4 is divided out exactly, as
-    in :func:`resultant`; it is a cross-check of the interpolation
-    certificate.  With ``r`` given the computation runs over Z[x, y] (a few
-    seconds); with ``r = None`` it runs over Z[r, x, y] and is slower.
-    """
-    up1, up2 = _system_coefficients()
-    if r is not None:
-        r = Fraction(r)
-        if r == 0:
-            raise ValueError("r = 0: the elimination system degenerates")
-        up1 = [c.specialize({"r": r}) for c in up1]
-        up2 = [c.specialize({"r": r}) for c in up2]
-    return _bezout_resultant(up1, up2, divide=exact_divide)

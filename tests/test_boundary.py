@@ -495,6 +495,7 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: symbol_range_grid(math.nan, 0.3, 1000),
         lambda: classify_point(0.0, 0.0, 0.5, tol=math.nan),
         lambda: classify_point(0.0, 0.0, 0.5, tol=math.inf),
+        lambda: classify_point(1.2, 0.0, 0.5, tol=-0.5),
     ],
 )
 def test_non_finite_input_is_rejected(call):

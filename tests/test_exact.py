@@ -295,7 +295,7 @@ def test_certificate_succeeds_at_half():
     report = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1)
     assert report.success
     assert not report.holdout_failures
-    assert report.cofactor
+    assert report.cofactor.terms
     assert report.cofactor_total_degree <= 28
     # sample budget: at least 25% beyond the fitting-space dimension
     assert report.sample_count >= (29 * 30 // 2) * 5 // 4
@@ -828,46 +828,31 @@ def test_rational_reconstruction_below_the_bound_can_mislead():
 
 
 # ---------------------------------------------------------------------------
-# Fully symbolic route
+# The identity at r = 1/2 on a tensor grid
 # ---------------------------------------------------------------------------
 
 
-def test_symbolic_bareiss_small_matrix():
-    x, y = exact.ExactPoly.generators(("x", "y"))
-    rows = [
-        [x, y, 1 + 0 * x],
-        [y, x, x * y],
-        [1 + 0 * x, x * y, y],
-    ]
-    det = exact.bareiss_determinant(rows, divide=exact.exact_divide)
-    # cofactor expansion by hand
-    want = (
-        x * (x * y - x * y * x * y)
-        - y * (y * y - x * y)
-        + 1 * (y * x * y - x)
-    )
-    assert det == want
-
-
-def test_exact_divide_round_trip():
-    x, y = exact.ExactPoly.generators(("x", "y"))
-    p = (x**2 + 3 * y - 1) * (x * y + 7)
-    assert exact.exact_divide(p, x * y + 7) == x**2 + 3 * y - 1
-    with pytest.raises(ArithmeticError):
-        exact.exact_divide(p + 1, x * y + 7)
-
-
-def test_symbolic_resultant_matches_certificate():
-    resultant_poly = exact.symbolic_resultant(Q(1, 2))
-    report = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1)
-    sextic = exact.sextic_polynomial().specialize({"r": Q(1, 2)})
-    up1, up2 = exact._system_coefficients()
-    for x in (Q(3, 7), Q(-2, 5), Q(9, 4)):
-        for y in (Q(1, 3), Q(-5, 2)):
-            lhs = resultant_poly.evaluate({"x": x, "y": y})
-            cof = report.cofactor.evaluate({"x": x, "y": y})
-            rhs = sextic.evaluate({"u": x * x, "v": y * y}) * cof
-            assert lhs == rhs
-            point = {"r": Q(1, 2), "x": x, "y": y}
-            f, g = ([c.evaluate(point) for c in up] for up in (up1, up2))
-            assert lhs == sylvester_resultant(f, g)
+def test_certified_cofactor_proves_the_identity_at_half_on_a_tensor_grid():
+    # Res has degree <= 28 in x and <= 20 in y, and E(x^2, y^2, 1/2) exactly
+    # 8 and 6 (verify_sextic_resultant_identity), so with the cofactor's
+    # degrees below, Res - E C has degree <= 28 in x and <= 20 in y.  Such a
+    # polynomial that vanishes on 29 x 21 distinct nodes is zero: Res = E C
+    # holds in Q[x, y], not only at sample points.
+    r = Q(1, 2)
+    cofactor = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1).cofactor
+    assert cofactor.degree("x") <= 20 and cofactor.degree("y") <= 14
+    sextic, mutated = exact.sextic_polynomial(), exact.mutated_sextic()
+    failing, off_axis = [], []
+    for x in (Q(i - 14, 3) for i in range(29)):
+        for y in (Q(j - 10, 4) for j in range(21)):
+            res = exact.resultant_at(r, x, y)
+            cof = cofactor.evaluate({"x": x, "y": y})
+            point = {"u": x * x, "v": y * y, "r": r}
+            assert res == sextic.evaluate(point) * cof, (x, y)
+            if res != mutated.evaluate(point) * cof:
+                failing.append((x, y))
+            if x and cof:
+                off_axis.append((x, y))
+    # The mutation adds u^2 r^6 to E, so it leaves the residual -x^4 r^6 C:
+    # the grid rejects it wherever x and C are nonzero.
+    assert failing == off_axis and len(failing) > 29 * 21 // 2

@@ -1,7 +1,8 @@
 """Source hygiene: no module in src/fnr or tests imports a name it never uses,
-every private top-level name of src/fnr is used inside src/fnr, one function
-of src/fnr writes every output file, and no cache in src/fnr keeps results
-across calls."""
+every private top-level name of src/fnr is used inside src/fnr, every name in
+an ``__all__`` of src/fnr is used in src/fnr, scripts/ or perfbench/, one
+function of src/fnr writes every output file, and no cache in src/fnr keeps
+results across calls."""
 
 import ast
 from pathlib import Path
@@ -33,18 +34,32 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def unreferenced_private_names(sources: dict) -> list:
-    """(path, line, name) of each private top-level name that no source references.
+def loaded_names(tree: ast.AST) -> set:
+    """The names a module loads, as bare names or as attributes."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
 
-    ``sources`` maps paths to module sources.  A private name starts with one
-    underscore and is not a dunder; it is defined at module level by a def, a
-    class or an assignment.  It counts as referenced when any of the sources
-    loads it as a bare name or as an attribute, or lists it in ``__all__``.
+
+def unreferenced_names(sources: dict, readers: dict | None = None) -> list:
+    """(path, line, name) of each private or exported name of ``sources`` that nothing loads.
+
+    ``sources`` and ``readers`` map paths to module sources.  A private name
+    starts with one underscore and is not a dunder; it is defined at module
+    level in ``sources`` by a def, a class or an assignment, and it counts
+    as referenced when ``sources`` load it.  An exported name is a string in
+    the ``__all__`` of one of ``sources``, dunders aside, found at the line
+    of that string; it counts as referenced when ``sources`` or ``readers``
+    load it.  An import, a re-export included, is not a load, and neither is
+    an ``__all__`` string.
     """
-    defined = {}
+    defined = {}  # (path, name) -> (line, exported)
     used = set()
     for path, source in sources.items():
         tree = ast.parse(source)
+        used |= loaded_names(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -54,19 +69,20 @@ def unreferenced_private_names(sources: dict) -> list:
                 names = [node.target.id]
             else:
                 continue
+            if names == ["__all__"]:
+                for elt in node.value.elts:
+                    if isinstance(elt, ast.Constant) and not elt.value.startswith("__"):
+                        defined[path, elt.value] = elt.lineno, True
+                continue
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
-                    defined[path, name] = node.lineno
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-            ):
-                used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
-    return sorted((path, line, name) for (path, name), line in defined.items() if name not in used)
+                    defined.setdefault((path, name), (node.lineno, False))
+    read = set().union(*(loaded_names(ast.parse(source)) for source in (readers or {}).values()))
+    return sorted(
+        (path, line, name)
+        for (path, name), (line, exported) in defined.items()
+        if name not in used and not (exported and name in read)
+    )
 
 
 FILE_CALLS = {"open", "write_text", "write_bytes"}
@@ -215,11 +231,27 @@ def test_scan_flags_only_unused_names():
     assert unused_imports(source) == [(3, "js"), (4, "pi")]
 
 
+def src_names_no_one_loads() -> list:
+    """The scan over src/fnr, with scripts/ and perfbench/ as readers of its exported names."""
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "fnr").glob("*.py"))
+    }
+    readers = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for folder in ("scripts", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert len(sources) > 5 and len(readers) > 3
+    return unreferenced_names(sources, readers)
+
+
 def test_no_private_name_of_src_is_used_only_by_the_tests():
-    files = sorted((ROOT / "src" / "fnr").glob("*.py"))
-    assert len(files) > 5
-    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in files}
-    assert unreferenced_private_names(sources) == []
+    assert [found for found in src_names_no_one_loads() if found[2].startswith("_")] == []
+
+
+def test_no_exported_name_of_src_is_used_only_by_the_tests():
+    assert [found for found in src_names_no_one_loads() if not found[2].startswith("_")] == []
 
 
 def test_private_name_scan_flags_only_names_no_source_loads():
@@ -233,13 +265,42 @@ def test_private_name_scan_flags_only_names_no_source_loads():
             "class _Kept:\n"
             "    pass\n"
             "_stored: int = 4\n"
+            "_read_by_a_reader = 5\n"
+            "__all__ = [\n"
+            "    '__version__',\n"
+            "    'api',\n"
+            "    'unused',\n"
+            "    'internal',\n"
+            "    're_exported',\n"
+            "]\n"
+            "def api():\n"
+            "    return internal()\n"
+            "def unused():\n"
+            "    pass\n"
+            "def internal():\n"
+            "    pass\n"
+            "def re_exported():\n"
+            "    pass\n"
         ),
         "b.py": (
             "import a\n"
-            "__all__ = ['_listed']\n"
+            "from a import re_exported\n"
+            "__all__ = ['_listed', 're_exported']\n"
             "_listed = 5\n"
             "print(a._helper(), a._Kept)\n"
             "a._stored = 6\n"
         ),
     }
-    assert unreferenced_private_names(sources) == [("a.py", 2, "_only_defined"), ("a.py", 8, "_stored")]
+    readers = {"run.py": "import a\nimport b\na.api()\nb._listed\na._read_by_a_reader\n"}
+    assert unreferenced_names(sources, readers) == [
+        ("a.py", 2, "_only_defined"),
+        ("a.py", 8, "_stored"),
+        ("a.py", 9, "_read_by_a_reader"),
+        ("a.py", 13, "unused"),
+        ("a.py", 15, "re_exported"),
+        ("b.py", 3, "re_exported"),
+    ]
+    # Without readers, the exported names that only they load are flagged too.
+    assert unreferenced_names(sources) == sorted(
+        unreferenced_names(sources, readers) + [("a.py", 12, "api"), ("b.py", 3, "_listed")]
+    )

@@ -27,6 +27,8 @@ RETIRED = [
     "RADIUS_MATCH",
     "foguel_truncation",
     "hermitian_rotation",
+    "symbolic_resultant",
+    "exact_divide",
 ]
 
 
