@@ -314,41 +314,39 @@ def boundary_curve(r: float, samples: int) -> BoundaryCurve:
     return envelope_points(angle_grid(samples), r)
 
 
-def membership_tolerance(r: float, gridsize: int) -> float:
+# The membership grid: 720 angles with their cosines and sines, about 17 KB
+_MEMBERSHIP_THETAS = angle_grid(720)
+_MEMBERSHIP_COS = np.cos(_MEMBERSHIP_THETAS)
+_MEMBERSHIP_SIN = np.sin(_MEMBERSHIP_THETAS)
+
+
+def membership_tolerance(r: float) -> float:
     """Default boundary-band half-width for :func:`classify_point`.
 
     The support score of a true boundary point dips below zero by at most
     (curvature radius) * (half grid spacing)^2 / 2 when its touching
-    direction falls between grid angles; (1 + r) (2 pi / gridsize)^2 covers
-    that with a comfortable margin.
+    direction falls between grid angles; (1 + r) (2 pi / 720)^2 covers that
+    with a comfortable margin on the 720-angle grid.
     """
-    return (1.0 + r) * (2.0 * math.pi / gridsize) ** 2
+    return (1.0 + r) * (2.0 * math.pi / _MEMBERSHIP_THETAS.size) ** 2
 
 
-def classify_point(
-    x: float,
-    y: float,
-    r: float,
-    gridsize: int = 720,
-    tol: float | None = None,
-) -> Region:
+def classify_point(x: float, y: float, r: float, tol: float | None = None) -> Region:
     """Classify a point against the region via its supporting half-planes.
 
-    Computes s(theta) = x cos + y sin - support_function(theta, r) over a
-    uniform angle grid: exterior if max s > tol, boundary if |max s| <= tol,
-    interior otherwise.  ``tol`` defaults to :func:`membership_tolerance`;
-    a negative or non-finite one raises ValueError.
+    Computes s(theta) = x cos + y sin - support_function(theta, r) over the
+    720 uniformly spaced angles of :func:`angle_grid`: exterior if
+    max s > tol, boundary if |max s| <= tol, interior otherwise.  ``tol``
+    defaults to :func:`membership_tolerance`; a negative or non-finite one
+    raises ValueError.
     """
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r)):
         raise ValueError(f"x, y and r must be finite, got ({x}, {y}, {r})")
-    if gridsize < 64:
-        raise ValueError(f"gridsize must be at least 64, got {gridsize}")
     if tol is None:
-        tol = membership_tolerance(r, gridsize)
+        tol = membership_tolerance(r)
     elif not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    thetas = angle_grid(gridsize)
-    scores = x * np.cos(thetas) + y * np.sin(thetas) - support_function(thetas, r)
+    scores = x * _MEMBERSHIP_COS + y * _MEMBERSHIP_SIN - support_function(_MEMBERSHIP_THETAS, r)
     top = float(np.max(scores))
     if top > tol:
         return Region.EXTERIOR

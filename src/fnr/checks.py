@@ -117,11 +117,11 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
     worst = 0.0
     lams = (1.05, 1.2, 1.7, 2.5)
     angles = np.linspace(0.0, math.pi / 2.0, 25)
-    grids = truncation.symbol_range_grid(np.array(lams), angles, 100_000)
-    for theta, probes in zip(angles.tolist(), grids):
-        for lam, probe in zip(lams, probes):
+    grid_lo, grid_hi = truncation.symbol_range_grid(np.array(lams), angles)
+    for i, theta in enumerate(angles.tolist()):
+        for j, lam in enumerate(lams):
             closed = boundary.symbol_range(lam, theta)
-            worst = max(worst, abs(closed.lo - probe.lo), abs(closed.hi - probe.hi))
+            worst = max(worst, abs(closed.lo - grid_lo[i, j]), abs(closed.hi - grid_hi[i, j]))
     results.append(_leq("symbol-range-bruteforce", worst, 1e-8))
 
     _, xs, ys, branch = boundary.boundary_curve(r, max(grid, 720))

@@ -505,6 +505,12 @@ def _system_degrees() -> tuple:
     return _degrees(_system_terms(), 3)
 
 
+def _split_system(values: Sequence) -> tuple:
+    """The values of the system's coefficients, in :func:`_system_terms` order, as (f's, g's)."""
+    f_count = len(_system_coefficients()[0])
+    return values[:f_count], values[f_count:]
+
+
 def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
     """Resultant in t of the elimination system at (r, x, y), as (numerator, denominator).
 
@@ -514,8 +520,7 @@ def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
     D^18 is the denominator.
     """
     values, den = _evaluate_cleared(_system_terms(), _system_degrees(), (r, x, y))
-    f_count = len(_system_coefficients()[0])
-    return resultant(values[:f_count], values[f_count:]), den ** (len(values) - 2)
+    return resultant(*_split_system(values)), den ** (len(values) - 2)
 
 
 def resultant_at(r: Scalar, x: Scalar, y: Scalar) -> Scalar:
@@ -670,7 +675,6 @@ class _Certificate:
             )
 
         self.r, self.degree_bound, self.seed = r, degree_bound, seed
-        space_dim = (degree_bound + 1) * (degree_bound + 2) // 2
         rng = _certificate_rng(r, seed)
         sextic = mutated_sextic() if mutate else sextic_polynomial()
         self.sextic_terms, self.sextic_scale = _cleared_terms(sextic.terms)
@@ -696,11 +700,6 @@ class _Certificate:
         self.xs = [Fraction(k - xs_count // 2) + off_x for k in range(xs_count)]
         self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
         self.sample_count = xs_count * ys_count + _HOLDOUT
-        if self.sample_count < space_dim * 5 // 4:
-            raise ValueError(
-                f"sample count {self.sample_count} does not exceed the degree-{degree_bound} "
-                f"space dimension {space_dim} by 25%"
-            )
         self.stream = rng.getstate()
 
     def held_out(self, count: int) -> list:
@@ -1025,7 +1024,7 @@ def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
 def _system_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> np.ndarray:
     """Every coefficient of the system at every grid point (y, x), modulo p: shape (20, ny, nx)."""
     terms = _system_terms()
-    top = max(max(j, k) for poly in terms for _, j, k in poly)
+    top = max(_system_degrees()[1:])
     xpow = [np.ones(len(xs), np.int64), np.array(xs, np.int64)]
     ypow = [np.ones(len(ys), np.int64), np.array(ys, np.int64)]
     while len(xpow) <= top:
@@ -1049,13 +1048,12 @@ def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     with m = 10, n = 8 and lc(f) = -r^2, Res = (-1)^(m(m-1)/2) det B / lc(f)^(m-n)
     = -det B / r^4, so r must be a unit modulo p.
     """
-    f_count = len(_system_coefficients()[0])
-    m, n = f_count - 1, len(coeffs) - f_count - 1
-    flat = coeffs.reshape(len(coeffs), -1)
-    rows = _bezout_matrix(list(flat[:f_count]), list(flat[f_count:]), p)
+    f, g = _split_system(list(coeffs.reshape(len(coeffs), -1)))
+    m, n = len(f) - 1, len(g) - 1
+    rows = _bezout_matrix(f, g, p)
     det = _determinants_mod(np.array(rows).transpose(2, 0, 1).copy(), p)
     # lc(f) = -r^2 at every point, so lc(f)^(m - n) is one scalar to invert.
-    values = det * pow(int(flat[0, 0]), -(m - n), p) % p
+    values = det * pow(int(f[0][0]), -(m - n), p) % p
     if m * (m - 1) // 2 % 2:
         values = (p - values) % p
     return values.reshape(coeffs.shape[1:])

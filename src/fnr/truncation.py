@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .boundary import RangeInterval, _check_radius, angle_grid
+from .boundary import _check_radius, angle_grid
 
 __all__ = [
     "EigensolverError",
@@ -64,6 +64,9 @@ _BATCH = 16
 
 _F_SAMPLES = 10_001
 """Points on the unit circle at which the condition scan samples f."""
+
+_RANGE_SAMPLES = 100_000
+"""Points on the unit circle at which :func:`symbol_range_grid` samples f."""
 
 _ROUNDING_SLACK = 64 * np.finfo(float).eps
 """Relative slack of the scan's chord test, several times the rounding of the
@@ -226,21 +229,19 @@ def _definite(blocks: np.ndarray, levels: np.ndarray, lams: np.ndarray) -> np.nd
     return verdict
 
 
-def symbol_range_grid(lam, theta, samples: int):
+def symbol_range_grid(lam, theta) -> tuple:
     """Brute-force range of f(t) = Re t^2 + Re w^2 - 4 lam Re t Re w on |t| = 1.
 
-    Minimum and maximum over ``samples`` uniformly spaced t; the bracket
-    error is O(samples^-2) for this smooth function.  This is the oracle
-    counterpart of :func:`fnr.boundary.symbol_range` and deliberately avoids
-    its case split.  A scalar ``lam`` gives one :class:`RangeInterval`; a
-    one-dimensional array of offsets gives a list of them, one per offset.
-    A scalar ``theta`` gives that entry; a one-dimensional array of angles
-    gives a list of entries, one per angle, each equal to the one-angle call.
-    The circle's cosine tables are built once per call and dropped when it
-    returns.
+    Minimum and maximum over ``_RANGE_SAMPLES`` uniformly spaced t; the
+    bracket error is O(_RANGE_SAMPLES^-2) for this smooth function.  This is
+    the oracle counterpart of :func:`fnr.boundary.symbol_range` and
+    deliberately avoids its case split.  ``lam`` and ``theta`` are each a
+    scalar or a one-dimensional array, and the result is the pair (lo, hi):
+    floats when both are scalars, otherwise two arrays of shape
+    ``np.shape(theta) + np.shape(lam)``, each element equal to its
+    one-element call.  The circle's cosine tables are built once per call
+    and dropped when it returns.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 grid points, got {samples}")
     lams, thetas = np.asarray(lam, dtype=float), np.asarray(theta, dtype=float)
     if lams.ndim > 1 or thetas.ndim > 1:
         raise ValueError(
@@ -249,13 +250,12 @@ def symbol_range_grid(lam, theta, samples: int):
         )
     if not (np.isfinite(lams).all() and np.isfinite(thetas).all()):
         raise ValueError(f"lam and theta must be finite, got {lam}, {theta}")
-    circle = _circle(samples)
-    entries = []
-    for angle in thetas.reshape(-1).tolist():
-        lo, hi = _range_rows(lams.reshape(-1), _circle_tables(angle, circle))
-        intervals = [RangeInterval(low, high) for low, high in zip(lo.tolist(), hi.tolist())]
-        entries.append(intervals[0] if lams.ndim == 0 else intervals)
-    return entries[0] if thetas.ndim == 0 else entries
+    circle = _circle(_RANGE_SAMPLES)
+    lo, hi = np.empty((2, thetas.size, lams.size))
+    for row, angle in enumerate(thetas.reshape(-1).tolist()):
+        lo[row], hi[row] = _range_rows(lams.reshape(-1), _circle_tables(angle, circle))
+    lo, hi = (ends.reshape(thetas.shape + lams.shape) for ends in (lo, hi))
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
 
 def _circle(samples: int) -> tuple:

@@ -206,6 +206,6 @@ def test_ellipse_gap_cross_check_against_truncation():
     oracle_gap = float(np.max(ellipse_distance(points[:, 0], points[:, 1], a_axis, b_axis)))
     assert abs(oracle_gap - FROZEN_ELLIPSE_GAP) <= 2e-4
     assert all(
-        classify_point(x, y, 0.5, 720, tol=1e-2) is not Region.EXTERIOR
+        classify_point(x, y, 0.5, tol=1e-2) is not Region.EXTERIOR
         for x, y in points
     )

@@ -109,9 +109,9 @@ def test_symbol_range_examples():
 
 def test_symbol_range_matches_grid_oracle_on_second_case():
     closed = symbol_range(1.2, 1.0)
-    probe = symbol_range_grid(1.2, 1.0, 100_000)
-    assert abs(closed.lo - probe.lo) <= 1e-9
-    assert abs(closed.hi - probe.hi) <= 1e-9
+    lo, hi = symbol_range_grid(1.2, 1.0)
+    assert abs(closed.lo - lo) <= 1e-9
+    assert abs(closed.hi - hi) <= 1e-9
 
 
 @given(
@@ -120,9 +120,9 @@ def test_symbol_range_matches_grid_oracle_on_second_case():
 )
 def test_symbol_range_brackets_grid_oracle(lam, theta):
     closed = symbol_range(lam, theta)
-    probe = symbol_range_grid(lam, theta, 100_000)
-    assert abs(closed.lo - probe.lo) <= 1e-8
-    assert abs(closed.hi - probe.hi) <= 1e-8
+    lo, hi = symbol_range_grid(lam, theta)
+    assert abs(closed.lo - lo) <= 1e-8
+    assert abs(closed.hi - hi) <= 1e-8
 
 
 def test_admissible_offsets_examples():
@@ -280,14 +280,40 @@ def test_classify_examples():
         assert classify_point(0.0, 0.0, r) is Region.INTERIOR
     assert classify_point(1.5, 0.0, 0.5) is Region.BOUNDARY
     assert classify_point(0.0, 1.25, 0.5) is Region.EXTERIOR
-    with pytest.raises(ValueError):
-        classify_point(0.0, 0.0, 0.5, gridsize=32)
 
 
 def test_boundary_sweep_classifies_as_boundary():
     _, xs, ys, _ = boundary_curve(0.5, 360)
     for x, y in zip(xs.tolist(), ys.tolist()):
         assert classify_point(x, y, 0.5) is Region.BOUNDARY
+
+
+@pytest.mark.parametrize("r", [0.0, 0.01, 0.5, 3.0, 100.0])
+def test_classify_matches_a_fresh_720_angle_grid(r):
+    # Boundary points, the same points moved off the boundary by up to twice
+    # the band's half-width (so many land next to its edges), and random
+    # points around the region; at r = 0 the boundary is the unit circle.
+    if r == 0.0:
+        thetas = angle_grid(360)
+        xs, ys = np.cos(thetas), np.sin(thetas)
+    else:
+        _, xs, ys, _ = boundary_curve(r, 360)
+    tol = (1.0 + r) * (2.0 * math.pi / 720) ** 2
+    rng = np.random.default_rng(19)
+    moved = 1.0 + rng.uniform(-2.0, 2.0, (2, xs.size)) * tol / (1.0 + r)
+    extent = 1.5 * (1.0 + r)
+    xs = np.concatenate([xs, *(moved * xs), rng.uniform(-extent, extent, 1000)])
+    ys = np.concatenate([ys, *(moved * ys), rng.uniform(-extent, extent, 1000)])
+
+    grid = angle_grid(720)
+    scores = np.outer(xs, np.cos(grid)) + np.outer(ys, np.sin(grid)) - support_function(grid, r)
+    top = np.max(scores, axis=1)
+    expected = np.where(
+        top > tol, Region.EXTERIOR, np.where(top >= -tol, Region.BOUNDARY, Region.INTERIOR)
+    )
+    assert set(expected.tolist()) == set(Region)
+    for x, y, region in zip(xs.tolist(), ys.tolist(), expected.tolist()):
+        assert classify_point(x, y, r) is region
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +517,8 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: ellipse_distance(1.0, 1.0, math.inf, 1.0),
         lambda: symbol_range(1.5, math.nan),
         lambda: admissible_offset_intervals(math.nan, 0.5),
-        lambda: symbol_range_grid(1.5, math.nan, 1000),
-        lambda: symbol_range_grid(math.nan, 0.3, 1000),
+        lambda: symbol_range_grid(1.5, math.nan),
+        lambda: symbol_range_grid(math.nan, 0.3),
         lambda: classify_point(0.0, 0.0, 0.5, tol=math.nan),
         lambda: classify_point(0.0, 0.0, 0.5, tol=math.inf),
         lambda: classify_point(1.2, 0.0, 0.5, tol=-0.5),

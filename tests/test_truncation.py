@@ -386,48 +386,47 @@ def test_definite_verdicts_equal_the_reference_kernel():
 
 
 def test_symbol_range_grid_examples():
-    interval = symbol_range_grid(2.0, 0.0, 100_000)
-    assert abs(interval.lo + 6.0) <= 1e-7
-    assert abs(interval.hi - 10.0) <= 1e-7
+    lo, hi = symbol_range_grid(2.0, 0.0)
+    assert type(lo) is type(hi) is float
+    assert abs(lo + 6.0) <= 1e-7
+    assert abs(hi - 10.0) <= 1e-7
 
-    interval = symbol_range_grid(1.5, math.pi / 2.0, 100_000)
-    assert abs(interval.lo + 2.0) <= 1e-7
-    assert abs(interval.hi) <= 1e-7
-
-    with pytest.raises(ValueError):
-        symbol_range_grid(1.5, 0.0, 999)
+    lo, hi = symbol_range_grid(1.5, math.pi / 2.0)
+    assert abs(lo + 2.0) <= 1e-7
+    assert abs(hi) <= 1e-7
 
 
 def test_symbol_range_grid_takes_an_array_of_offsets():
     lams = np.array([1.05, 1.2, 1.7, 2.5, -0.3])
     for theta in (0.0, 0.7, math.pi / 2.0, -2.4):
-        intervals = symbol_range_grid(lams, theta, 100_000)
-        assert len(intervals) == lams.size
-        for lam, interval in zip(lams.tolist(), intervals):
-            single = symbol_range_grid(lam, theta, 100_000)
-            assert (interval.lo, interval.hi) == (single.lo, single.hi)
-    assert symbol_range_grid(np.array([]), 0.3, 1000) == []
+        lo, hi = symbol_range_grid(lams, theta)
+        assert lo.shape == hi.shape == lams.shape
+        for k, lam in enumerate(lams.tolist()):
+            assert (lo[k], hi[k]) == symbol_range_grid(lam, theta)
+    for ends in symbol_range_grid(np.array([]), 0.3):
+        assert ends.shape == (0,)
     with pytest.raises(ValueError, match="finite"):
-        symbol_range_grid(np.array([1.5, math.nan, 2.0]), 0.3, 1000)
+        symbol_range_grid(np.array([1.5, math.nan, 2.0]), 0.3)
     with pytest.raises(ValueError, match="one-dimensional"):
-        symbol_range_grid(np.ones((2, 2)), 0.3, 1000)
+        symbol_range_grid(np.ones((2, 2)), 0.3)
 
 
 def test_symbol_range_grid_takes_an_array_of_angles():
     thetas = np.array([0.0, 0.7, math.pi / 2.0, -2.4, 0.7])
     for lam in (1.2, np.array([1.05, 1.7, 2.5, -0.3])):
-        entries = symbol_range_grid(lam, thetas, 100_000)
-        assert len(entries) == thetas.size
-        for theta, entry in zip(thetas.tolist(), entries):
-            single = symbol_range_grid(lam, theta, 100_000)
-            if np.ndim(lam) == 0:
-                entry, single = [entry], [single]
-            assert [(iv.lo, iv.hi) for iv in entry] == [(iv.lo, iv.hi) for iv in single]
-    assert symbol_range_grid(1.2, np.array([]), 1000) == []
+        lo, hi = symbol_range_grid(lam, thetas)
+        assert lo.shape == hi.shape == thetas.shape + np.shape(lam)
+        for k, theta in enumerate(thetas.tolist()):
+            single_lo, single_hi = symbol_range_grid(lam, theta)
+            assert np.array_equal(lo[k], single_lo) and np.array_equal(hi[k], single_hi)
+    for ends in symbol_range_grid(1.2, np.array([])):
+        assert ends.shape == (0,)
+    for ends in symbol_range_grid(np.array([1.5, 2.0]), np.array([])):
+        assert ends.shape == (0, 2)
     with pytest.raises(ValueError, match="one-dimensional"):
-        symbol_range_grid(1.2, np.zeros((2, 2)), 1000)
+        symbol_range_grid(1.2, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
-        symbol_range_grid(1.2, np.array([0.3, math.nan]), 1000)
+        symbol_range_grid(1.2, np.array([0.3, math.nan]))
 
 
 _TABLE_PAIR_BYTES = 2 * 100_000 * 8
@@ -608,7 +607,7 @@ def straight_boundary():
 def test_truncation_boundary_stays_inside_the_range(straight_boundary):
     assert straight_boundary.shape == (360, 2)
     for x, y in straight_boundary:
-        assert classify_point(x, y, 0.5, 720, tol=1e-2) is not Region.EXTERIOR
+        assert classify_point(x, y, 0.5, tol=1e-2) is not Region.EXTERIOR
 
 
 def test_uncoupled_truncation_boundary_hugs_the_unit_circle():
