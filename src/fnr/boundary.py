@@ -82,10 +82,6 @@ class Branch(Enum):
     SEXTIC_UPPER = "sextic-upper"
     SEXTIC_LOWER = "sextic-lower"
 
-    @property
-    def is_circle(self) -> bool:
-        return self in (Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT)
-
 
 class Region(Enum):
     INTERIOR = "interior"

@@ -5,10 +5,14 @@ which round-trips doubles exactly.  SVG documents are assembled as text, one
 element per line, in a y-up user coordinate system; the boundary figure
 overlays the solid boundary polygon with the dashed full circles, the dashed
 full sextic curve, the four switching points and their dashed supporting
-lines.  Every attribute value is a formatted float or a module constant, so
-no value needs XML escaping.  Every output file of the package is written by
-:func:`_write_text`, in ASCII with LF line ends.  All output is deterministic:
-same inputs, same bytes.
+lines.  Each family of chords (the supporting lines, the switching lines,
+each half of the sextic trace) is clipped to the frame in one call of
+:func:`clip_segments`, which runs Liang-Barsky over whole arrays and keeps,
+element for element, the float operations of the one-segment algorithm.
+Each element kind is spelled by one f-string; every attribute value is a
+formatted float or a module constant, so no value needs XML escaping.  Every
+output file of the package is written by :func:`_write_text`, in ASCII with
+LF line ends.  All output is deterministic: same inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ __all__ = [
     "format_float",
     "write_support_lines_csv",
     "write_boundary_csv",
-    "clip_segment",
-    "support_line_segment",
+    "clip_segments",
+    "support_line_segments",
     "support_lines_svg",
     "boundary_svg",
-    "write_svg",
 ]
 
 # Two-tone figure style: blue curves (solid boundary, dashed auxiliaries) and
@@ -65,54 +68,81 @@ def write_boundary_csv(path, points) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def clip_segment(p0, p1, limit: float):
-    """Clip segment p0-p1 to the square [-limit, limit]^2 (Liang-Barsky)."""
-    x0, y0 = p0
-    x1, y1 = p1
-    dx, dy = x1 - x0, y1 - y0
-    t_lo, t_hi = 0.0, 1.0
-    for delta, start in ((dx, x0), (dy, y0)):
-        for sign in (1.0, -1.0):
-            # sign * coordinate <= limit
-            rate = sign * delta
-            gap = limit - sign * start
-            if rate == 0.0:
-                if gap < 0.0:
-                    return None
-                continue
-            ratio = gap / rate
-            if rate > 0.0:
-                t_hi = min(t_hi, ratio)
-            else:
-                t_lo = max(t_lo, ratio)
-            if t_lo > t_hi:
-                return None
-    head = p0 if t_lo == 0.0 else (x0 + t_lo * dx, y0 + t_lo * dy)
-    tail = p1 if t_hi == 1.0 else (x0 + t_hi * dx, y0 + t_hi * dy)
-    return head, tail
+def clip_segments(x0, y0, x1, y1, limit: float) -> tuple:
+    """Clip the segments (x0, y0)-(x1, y1) to the square [-limit, limit]^2 (Liang-Barsky).
 
-
-def support_line_segment(theta: float, offset: float, limit: float):
-    """Chord of the supporting line inside the bounding square, if any.
-
-    The line is parametrized as (offset cos - s sin, offset sin + s cos);
-    the parameter is clipped against both coordinate bands.
+    The four coordinates broadcast to one shape.  Returns the arrays
+    (hx, hy, tx, ty, kept): the clipped head and tail of each segment, and
+    whether any of it lies in the square.  A head is the segment's start
+    where its parameter stays 0, else x0 + t dx; a tail is its end where its
+    parameter stays 1.  Ends of segments not kept are meaningless.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    base = (offset * c, offset * s)
+    x0, y0, x1, y1 = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (x0, y0, x1, y1)))
+    dx, dy = x1 - x0, y1 - y0
+    t_lo, t_hi = np.zeros(dx.shape), np.ones(dx.shape)
+    kept = np.ones(dx.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # unselected ratios and ends may be inf or nan
+        for delta, start in ((dx, x0), (dy, y0)):
+            for sign in (1.0, -1.0):
+                # sign * coordinate <= limit; a parallel segment needs a nonnegative gap
+                rate = sign * delta
+                gap = limit - sign * start
+                kept &= ~((rate == 0.0) & (gap < 0.0))
+                ratio = gap / rate
+                t_hi = np.where((rate > 0.0) & (ratio < t_hi), ratio, t_hi)
+                t_lo = np.where((rate < 0.0) & (ratio > t_lo), ratio, t_lo)
+        kept &= t_lo <= t_hi
+        head, tail = t_lo == 0.0, t_hi == 1.0
+        return (
+            np.where(head, x0, x0 + t_lo * dx),
+            np.where(head, y0, y0 + t_lo * dy),
+            np.where(tail, x1, x0 + t_hi * dx),
+            np.where(tail, y1, y0 + t_hi * dy),
+            kept,
+        )
+
+
+def support_line_segments(thetas, offsets, limit: float) -> tuple:
+    """Chords of the supporting lines inside the bounding square, by :func:`clip_segments`.
+
+    Line k is parametrized as (offset cos - s sin, offset sin + s cos) for s
+    within 4 limit of 0; that segment is clipped to the square.
+    """
+    c, s = np.cos(thetas), np.sin(thetas)
+    base_x, base_y = offsets * c, offsets * s
     span = 4.0 * limit
-    p0 = (base[0] + span * s, base[1] - span * c)
-    p1 = (base[0] - span * s, base[1] + span * c)
-    return clip_segment(p0, p1, limit)
+    x0, y0 = base_x + span * s, base_y - span * c
+    return clip_segments(x0, y0, base_x - span * s, base_y + span * c, limit)
 
 
-def _coords(x: float, y: float) -> str:
-    return f"{x:.6f},{y:.6f}"
+def _points(xs, ys) -> list:
+    """The "x,y" coordinate pairs of a ``points`` attribute."""
+    return [f"{x:.6f},{y:.6f}" for x, y in zip(xs.tolist(), ys.tolist())]
 
 
-def _element(tag: str, attrs: dict) -> str:
-    """One empty element on its own line, attributes in insertion order."""
-    return "    <" + tag + "".join(f' {key}="{value}"' for key, value in attrs.items()) + " />"
+def _stroke(color: str, width: float, dashed: bool) -> str:
+    """Stroke attributes of a line, polyline or polygon, in their fixed order."""
+    dash = f' stroke-dasharray="{DASH_PATTERN}"' if dashed else ""
+    return f'stroke="{color}" stroke-width="{width:.4f}" fill="none"{dash}'
+
+
+def _lines(cls: str, segments, stroke: str) -> list:
+    """One ``line`` element per kept chord of a :func:`clip_segments` result."""
+    *ends, kept = segments
+    return [
+        f'    <line class="{cls}" x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}" {stroke} />'
+        for x1, y1, x2, y2 in zip(*(end[kept].tolist() for end in ends))
+    ]
+
+
+def _path(tag: str, cls: str, points: list, stroke: str) -> str:
+    """A ``polyline`` or ``polygon`` element through ``points``, from :func:`_points`."""
+    return f'    <{tag} class="{cls}" points="{" ".join(points)}" {stroke} />'
+
+
+def _circle(cls: str, cx: str, cy: str, radius: str, paint: str) -> str:
+    """A ``circle`` element; ``paint`` holds its stroke and fill attributes."""
+    return f'    <circle class="{cls}" cx="{cx}" cy="{cy}" r="{radius}" {paint} />'
 
 
 def _document(limit: float, body: list) -> str:
@@ -124,25 +154,6 @@ def _document(limit: float, body: list) -> str:
     return "\n".join([head, '  <g transform="scale(1,-1)">', *body, "  </g>", "</svg>"]) + "\n"
 
 
-def _stroked(tag, attrs, color, width, dashed) -> str:
-    """``tag`` with ``attrs`` followed by the stroke attributes, in that order."""
-    attrs.update({"stroke": color, "stroke-width": f"{width:.4f}", "fill": "none"})
-    if dashed:
-        attrs["stroke-dasharray"] = DASH_PATTERN
-    return _element(tag, attrs)
-
-
-def _line(segment, cls, color, width, dashed) -> str:
-    (x1, y1), (x2, y2) = segment
-    attrs = {"class": cls, "x1": f"{x1:.6f}", "y1": f"{y1:.6f}", "x2": f"{x2:.6f}", "y2": f"{y2:.6f}"}
-    return _stroked("line", attrs, color, width, dashed)
-
-
-def _polyline(points, cls, color, width, dashed, closed=False) -> str:
-    attrs = {"class": cls, "points": " ".join(_coords(x, y) for x, y in points)}
-    return _stroked("polygon" if closed else "polyline", attrs, color, width, dashed)
-
-
 def support_lines_svg(r: float, thetas, offsets) -> str:
     """Figure: the family of supporting lines, clipped to the frame.
 
@@ -150,47 +161,35 @@ def support_lines_svg(r: float, thetas, offsets) -> str:
     drawn chords silhouettes the numerical range.
     """
     limit = 1.0 + r + 0.5
-    width = 0.0035 * limit
-    body = []
-    for theta, offset in zip(thetas, offsets):
-        segment = support_line_segment(theta, offset, limit)
-        if segment is not None:
-            body.append(_line(segment, "support-line", PRIMARY_COLOR, width, False))
-    return _document(limit, body)
+    segments = support_line_segments(thetas, offsets, limit)
+    stroke = _stroke(PRIMARY_COLOR, 0.0035 * limit, False)
+    return _document(limit, _lines("support-line", segments, stroke))
 
 
-def _sextic_polylines(r: float, limit: float):
-    """Clipped polylines tracing the full sextic curve (both halves).
+def _sextic_polylines(r: float, limit: float, stroke: str) -> list:
+    """Polyline elements tracing the full sextic curve (both halves), clipped.
 
     The curve is swept through its envelope parametrization over the whole
     upper half-range of angles, not only the boundary regime, and clipped to
-    the frame; the lower half is its mirror image.
+    the frame; the lower half is its mirror image.  A polyline runs through
+    consecutive kept chords and ends at a chord that leaves the frame or
+    before one that is dropped.
     """
     n = _SEXTIC_TRACE_POINTS
     delta = 0.5 / n
     thetas = delta + (math.pi - 2.0 * delta) * np.arange(n + 1) / n
-    xs, ys = sextic_envelope(thetas, r)
-    upper = list(zip(xs.tolist(), ys.tolist()))
+    xs, upper = sextic_envelope(thetas, r)
     polylines = []
-    for mirror in (1.0, -1.0):
-        run = []
-        for i in range(len(upper) - 1):
-            p0 = (upper[i][0], mirror * upper[i][1])
-            p1 = (upper[i + 1][0], mirror * upper[i + 1][1])
-            clipped = clip_segment(p0, p1, limit)
-            if clipped is None:
-                if len(run) >= 2:
-                    polylines.append(run)
-                run = []
-                continue
-            if not run:
-                run = [clipped[0]]
-            run.append(clipped[1])
-            if clipped[1] != p1:
-                polylines.append(run)
-                run = []
-        if len(run) >= 2:
-            polylines.append(run)
+    for ys in (upper, -upper):
+        hx, hy, tx, ty, kept = clip_segments(xs[:-1], ys[:-1], xs[1:], ys[1:], limit)
+        leaves = (tx != xs[1:]) | (ty != ys[1:])
+        joined = kept[1:] & kept[:-1] & ~leaves[:-1]  # chord k + 1 extends chord k's polyline
+        firsts = np.flatnonzero(kept & np.append(True, ~joined))
+        lasts = np.flatnonzero(kept & np.append(~joined, True))
+        heads, tails = _points(hx[firsts], hy[firsts]), _points(tx, ty)
+        for head, first, last in zip(heads, firsts.tolist(), lasts.tolist()):
+            points = [head, *tails[first : last + 1]]
+            polylines.append(_path("polyline", "aux-sextic", points, stroke))
     return polylines
 
 
@@ -204,33 +203,23 @@ def boundary_svg(r: float, points) -> str:
     """
     limit = 1.0 + r + 0.5
     thin = 0.0035 * limit
-    thick = 0.007 * limit
-    body = []
-    for centre in (1.0, -1.0):
-        attrs = {"class": "aux-circle", "cx": f"{centre:.6f}", "cy": "0", "r": f"{r:.6f}"}
-        stroke = {"stroke": PRIMARY_COLOR, "stroke-width": f"{thin:.4f}", "stroke-dasharray": DASH_PATTERN}
-        body.append(_element("circle", {**attrs, **stroke, "fill": "none"}))
-    for polyline in _sextic_polylines(r, limit):
-        body.append(_polyline(polyline, "aux-sextic", PRIMARY_COLOR, thin, True))
+    # The circles put the dash pattern before the fill, unlike _stroke
+    paint = f'stroke="{PRIMARY_COLOR}" stroke-width="{thin:.4f}" '
+    paint += f'stroke-dasharray="{DASH_PATTERN}" fill="none"'
+    body = [_circle("aux-circle", f"{c:.6f}", "0", f"{r:.6f}", paint) for c in (1.0, -1.0)]
+    body += _sextic_polylines(r, limit, _stroke(PRIMARY_COLOR, thin, True))
 
     angle = math.acos(switching_cosine(r))
-    switch_thetas = [angle, -angle, math.pi - angle, -(math.pi - angle)]
-    for theta in switch_thetas:
-        segment = support_line_segment(theta, support_function(theta, r), limit)
-        if segment is not None:
-            body.append(_line(segment, "switch-line", SWITCH_COLOR, thin, True))
+    switch_thetas = np.array([angle, -angle, math.pi - angle, -(math.pi - angle)])
+    segments = support_line_segments(switch_thetas, support_function(switch_thetas, r), limit)
+    body += _lines("switch-line", segments, _stroke(SWITCH_COLOR, thin, True))
 
-    boundary = zip(points.x.tolist(), points.y.tolist())
-    body.append(_polyline(boundary, "boundary", PRIMARY_COLOR, thick, False, closed=True))
+    thick = _stroke(PRIMARY_COLOR, 0.007 * limit, False)
+    body.append(_path("polygon", "boundary", _points(points.x, points.y), thick))
 
-    markers = envelope_points(np.array(switch_thetas), r)
+    markers = envelope_points(switch_thetas, r)
     marker_r = f"{0.018 * limit:.6f}"
+    paint = f'fill="{SWITCH_COLOR}" stroke="none"'
     for x, y in zip(markers.x.tolist(), markers.y.tolist()):
-        attrs = {"class": "switch-marker", "cx": f"{x:.6f}", "cy": f"{y:.6f}", "r": marker_r}
-        body.append(_element("circle", {**attrs, "fill": SWITCH_COLOR, "stroke": "none"}))
+        body.append(_circle("switch-marker", f"{x:.6f}", f"{y:.6f}", marker_r, paint))
     return _document(limit, body)
-
-
-def write_svg(svg: str, path) -> None:
-    """Write an svg document made by :func:`support_lines_svg` or :func:`boundary_svg`."""
-    _write_text(path, svg)

@@ -90,7 +90,7 @@ def test_criterion_04_envelope_on_curve(capsys):
     worst_circle = 0.0
     _, xs, ys, branches = boundary_curve(r, 2000)
     for x, y, branch in zip(xs.tolist(), ys.tolist(), branches):
-        if branch.is_circle:
+        if branch in (Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT):
             centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
             worst_circle = max(worst_circle, abs((x - centre) ** 2 + y**2 - r * r))
 

@@ -204,7 +204,7 @@ def test_sextic_value_examples():
 @given(angles, st.floats(0.05, 4.0, allow_nan=False))
 def test_envelope_point_lies_on_its_branch(theta, r):
     x, y, branch = _envelope(theta, r)
-    if branch.is_circle:
+    if branch in (Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT):
         centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
         assert abs((x - centre) ** 2 + y**2 - r * r) <= 1e-12
     else:
@@ -241,7 +241,7 @@ def test_boundary_residuals_per_branch():
     r = 0.5
     _, xs, ys, branches = boundary_curve(r, 2000)
     for x, y, branch in zip(xs.tolist(), ys.tolist(), branches):
-        if branch.is_circle:
+        if branch in (Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT):
             centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
             assert abs((x - centre) ** 2 + y**2 - r * r) <= 1e-12
         else:
@@ -390,7 +390,7 @@ def _reference_envelope_point(theta: float, r: float) -> tuple:
     c = math.cos(theta)
     s = math.sin(theta)
     branch = _reference_selected_branch(theta, r)
-    if branch.is_circle:
+    if branch in (Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT):
         centre = 1.0 if branch is Branch.CIRCLE_RIGHT else -1.0
         return centre + r * c, r * s, branch
     if s == 0.0:

@@ -29,6 +29,9 @@ RETIRED = [
     "hermitian_rotation",
     "symbolic_resultant",
     "exact_divide",
+    "clip_segment",
+    "support_line_segment",
+    "write_svg",
 ]
 
 

@@ -9,11 +9,12 @@ import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fnr import Region, cli, classify_point, exact, support_function
-from fnr.cli import MAX_RADIUS, main
-from fnr.render import clip_segment, format_float, support_line_segment
+from fnr import Region, angle_grid, boundary_curve, cli, classify_point, exact, render, support_function
+from fnr.cli import MAX_GRID, MAX_LEVEL, MAX_RADIUS, MAX_SAMPLES, main
+from fnr.render import clip_segments, format_float, support_line_segments
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -37,20 +38,143 @@ def test_float_format_round_trips():
         assert float(format_float(value)) == value
 
 
+def clip_segment(p0, p1, limit: float):
+    """Reference: clip segment p0-p1 to the square [-limit, limit]^2 (Liang-Barsky), one at a time."""
+    x0, y0 = p0
+    x1, y1 = p1
+    dx, dy = x1 - x0, y1 - y0
+    t_lo, t_hi = 0.0, 1.0
+    for delta, start in ((dx, x0), (dy, y0)):
+        for sign in (1.0, -1.0):
+            # sign * coordinate <= limit
+            rate = sign * delta
+            gap = limit - sign * start
+            if rate == 0.0:
+                if gap < 0.0:
+                    return None
+                continue
+            ratio = gap / rate
+            if rate > 0.0:
+                t_hi = min(t_hi, ratio)
+            else:
+                t_lo = max(t_lo, ratio)
+            if t_lo > t_hi:
+                return None
+    head = p0 if t_lo == 0.0 else (x0 + t_lo * dx, y0 + t_lo * dy)
+    tail = p1 if t_hi == 1.0 else (x0 + t_hi * dx, y0 + t_hi * dy)
+    return head, tail
+
+
+def _clipped(segments):
+    """A clip_segments result as one reference-style result per segment, None where not kept."""
+    hx, hy, tx, ty, kept = (np.asarray(part).tolist() for part in segments)
+    return [((a, b), (c, d)) if k else None for a, b, c, d, k in zip(hx, hy, tx, ty, kept)]
+
+
+def _bits(clipped):
+    """Every float of a clip result in hex, so -0.0 differs from 0.0 and nan equals nan."""
+    return None if clipped is None else [float(z).hex() for point in clipped for z in point]
+
+
 def test_clip_segment():
-    assert clip_segment((-5.0, 0.0), (5.0, 0.0), 2.0) == ((-2.0, 0.0), (2.0, 0.0))
-    assert clip_segment((0.0, 3.0), (0.0, 5.0), 2.0) is None
-    inside = clip_segment((0.1, 0.2), (0.3, -0.4), 2.0)
-    assert inside == ((0.1, 0.2), (0.3, -0.4))
+    assert _clipped(clip_segments([-5.0], [0.0], [5.0], [0.0], 2.0)) == [((-2.0, 0.0), (2.0, 0.0))]
+    assert _clipped(clip_segments([0.0], [3.0], [0.0], [5.0], 2.0)) == [None]
+    inside = _clipped(clip_segments([0.1], [0.2], [0.3], [-0.4], 2.0))
+    assert inside == [((0.1, 0.2), (0.3, -0.4))]
+
+
+def test_clip_segments_equals_the_reference_bit_for_bit():
+    rng = np.random.default_rng(2020)
+    limit = 2.0
+    n = 400
+    wide = rng.uniform(-3 * limit, 3 * limit, (4, n))
+    inside = rng.uniform(-limit, limit, (4, n))
+    outside = rng.uniform(limit, 3 * limit, (4, n)) * rng.choice([-1.0, 1.0], (1, n))
+    edges = rng.choice([-limit, limit], (4, n))
+    on_edge = wide.copy()  # one end exactly on a side of the square, the other anywhere
+    on_edge[0, : n // 2], on_edge[3, n // 2 :] = edges[0, : n // 2], edges[3, n // 2 :]
+    grid = rng.integers(-6, 7, (4, n)) * (limit / 2)  # exact ratios, ends on edges and corners
+    flat = wide.copy()  # axis-parallel: rate == 0 for one pair of sides
+    flat[2, : n // 2], flat[1, n // 2 :] = flat[0, : n // 2], flat[3, n // 2 :]
+    point = np.repeat(rng.choice([0.0, -0.0, limit, -limit, 0.5, 2.5, -7.0], (2, n)), 2, axis=0)
+    signed_zero = inside * np.array([[-0.0], [-0.0], [1.0], [1.0]])  # starts at 0.0 or -0.0
+    cases = [wide, inside, outside, on_edge, grid, flat, point[[0, 2, 1, 3]], signed_zero]
+    x0, y0, x1, y1 = np.hstack(cases)
+    for size in (limit, 0.75):
+        found = _clipped(clip_segments(x0, y0, x1, y1, size))
+        ends = zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist())
+        expected = [clip_segment((a, b), (c, d), size) for a, b, c, d in ends]
+        assert [_bits(z) for z in found] == [_bits(z) for z in expected]
+        assert 0 < sum(z is None for z in expected) < len(expected)
 
 
 def test_support_line_segment_touches_the_offset_point():
-    segment = support_line_segment(0.3, 1.4, 2.0)
+    [segment] = _clipped(support_line_segments(np.array([0.3]), np.array([1.4]), 2.0))
     assert segment is not None
     (x0, y0), (x1, y1) = segment
     # both endpoints satisfy the line equation x cos + y sin = offset
     for x, y in ((x0, y0), (x1, y1)):
         assert abs(x * math.cos(0.3) + y * math.sin(0.3) - 1.4) <= 1e-9
+
+
+def _reference_polylines(xs, ys, limit):
+    """The sextic trace clipped one chord at a time, both halves.
+
+    A polyline starts at the clipped head of a kept chord, takes the tail of
+    each further kept chord, and ends at a chord whose tail is not its end or
+    before a chord that is dropped.
+    """
+    polylines = []
+    for mirror in (1.0, -1.0):
+        points = [(x, mirror * y) for x, y in zip(xs.tolist(), ys.tolist())]
+        run = []
+        for p0, p1 in zip(points, points[1:]):
+            clipped = clip_segment(p0, p1, limit)
+            if clipped is None:
+                if run:
+                    polylines.append(run)
+                run = []
+                continue
+            run = run or [clipped[0]]
+            run.append(clipped[1])
+            if clipped[1] != p1:
+                polylines.append(run)
+                run = []
+        if run:
+            polylines.append(run)
+    return [" ".join(f"{x:.6f},{y:.6f}" for x, y in run) for run in polylines]
+
+
+def test_sextic_polylines_break_where_the_one_chord_clip_breaks(monkeypatch):
+    # A trace that leaves and re-enters the frame, crosses it, runs along
+    # and ends on its edges, and repeats points; boundary_svg's frame at r = 0.5
+    # is [-2, 2]^2.
+    rng = np.random.default_rng(7)
+    steps = rng.choice([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], (2, 1201))
+    xs, ys = np.where(rng.random((2, 1201)) < 0.5, steps, rng.uniform(-4.0, 4.0, (2, 1201)))
+    monkeypatch.setattr(render, "sextic_envelope", lambda thetas, r: (xs, ys))
+    svg = render.boundary_svg(0.5, boundary_curve(0.5, 90))
+    found = re.findall(r'<polyline class="aux-sextic" points="([^"]*)"', svg)
+    assert found == _reference_polylines(xs, ys, 2.0)
+    assert len(found) > 300
+
+
+@pytest.mark.parametrize("samples", [90, 2000])
+def test_each_figure_clips_its_chords_in_a_fixed_number_of_calls(monkeypatch, samples):
+    calls = []
+    clip = render.clip_segments
+
+    def counted(*ends):
+        calls.append(np.shape(ends[0]))
+        return clip(*ends)
+
+    monkeypatch.setattr(render, "clip_segments", counted)
+    thetas = angle_grid(samples)
+    render.support_lines_svg(0.5, thetas, support_function(thetas, 0.5))
+    assert calls == [(samples,)]  # every supporting line at once
+    calls.clear()
+    render.boundary_svg(0.5, boundary_curve(0.5, samples))
+    assert calls == [(1200,), (1200,), (4,)]  # the two sextic halves, then the switching lines
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +342,12 @@ def test_verify_json_bytes_are_pinned(tmp_path, capsys, flags, code, digest):
     assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == digest
 
 
-# sha256 of the figure files at four configurations, computed while the SVG
-# documents were still built with ElementTree; assembling them as text must not
-# change a byte.  The platform caveat of VERIFY_DIGESTS applies.
+# sha256 of the figure files.  The first four configurations were computed
+# while the SVG documents were still built with ElementTree, the last two
+# while the chords were clipped one at a time; assembling the documents as
+# text and clipping in arrays must not change a byte.  The last two lie
+# outside the benchmark's radii, and their odd sample counts put no angle on an
+# axis.  The platform caveat of VERIFY_DIGESTS applies.
 FIGURE_DIGESTS = [
     (["--r", "0.5", "--samples", "720"], {
         "support_lines.csv": "e00db444de758650075cb571081e89aa8136f0477367a9950014963a98bea137",
@@ -245,6 +372,18 @@ FIGURE_DIGESTS = [
         "support_lines.svg": "40f9f2e78c8cfb29ac2f11b97d4b6b3e56fa40c751ceaf4d5c6b0cdbacd7a50e",
         "boundary.csv": "15f72e4f2e7472f05b950f6e1ccd7cb24e050773f32da252615235dbfa4274ac",
         "boundary.svg": "0750aab3ecef64a0c9013b0f9f72e940ee61f0be195260ca983b407ee1534418",
+    }),
+    (["--r", "1e-300", "--samples", "91"], {
+        "support_lines.csv": "f78d7cbc7cdf326aaa895873cdce09e92129a0d91074092d47d70a47aba4d198",
+        "support_lines.svg": "c5055ce3654c8d79dc32b1bc37fccfd6205c210b5e35a169396e0294546a51ee",
+        "boundary.csv": "6f704cf4c3b250fd8b8ca21a1eb854235c76f14c2f1dd7269c8142f5352f6290",
+        "boundary.svg": "c55bcf52dc35661f3e1e9a8908117b345ed3bebe68f61ed0f009cd4be6e170ae",
+    }),
+    (["--r", "1e150", "--samples", "1001"], {
+        "support_lines.csv": "038cde757b5d7398d25301a2ee2b95b5b7164deb1936cc27faff0df68eab571d",
+        "support_lines.svg": "049c6ca22dcb9c828e63475b03fdc9f5e53c5c50be9c906f1041010bef6af307",
+        "boundary.csv": "3da0032abc4a68fd1de0677a52eaa1b0f95e1d06089b19f475268ba798087a90",
+        "boundary.svg": "413d3e5f809e93396e54bea3dbc87b296afca839303944442bc1776923494bf8",
     }),
 ]
 
@@ -527,6 +666,24 @@ def test_level_zero_is_rejected_before_any_work(tmp_path, capsys, command):
     # The benchmark's setup probe times exactly this rejection.
     assert main([command, "--N", "0", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("fnr: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, flag, bound",
+    [
+        ("support-lines", "--samples", MAX_SAMPLES),
+        ("boundary", "--samples", MAX_SAMPLES),
+        ("verify", "--samples", MAX_SAMPLES),
+        ("verify", "--grid", MAX_GRID),
+        ("verify", "--N", MAX_LEVEL),
+    ],
+)
+def test_a_count_above_its_bound_is_rejected_before_any_work(tmp_path, capsys, command, flag, bound):
+    assert main([command, flag, str(bound + 1), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"fnr: {flag} must be at most {bound}, got {bound + 1}\n"
+    assert out == ""
     assert not any(tmp_path.iterdir())
 
 
