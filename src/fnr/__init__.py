@@ -6,8 +6,8 @@ Three independent routes to the same convex region, cross-validated:
   arcs, switching points, membership tests, and the deviation from the
   comparison ellipse;
 * :mod:`fnr.truncation` -- finite matrix compressions whose top eigenvalues
-  approach the support function from below, plus a brute-force scan of the
-  underlying singularity condition;
+  approach the support function from below, plus the underlying
+  singularity condition, solved sample by sample on the circle;
 * :mod:`fnr.exact` -- exact rational arithmetic reproducing the elimination
   that produces the sextic, certified by interpolation with held-out
   validation.
@@ -48,10 +48,8 @@ from .exact import (
     verify_sextic_resultant_identity,
 )
 from .truncation import (
-    ConditionNotSatisfiedError,
     EigensolverError,
     boundary_from_truncation,
-    default_offset_grid,
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
@@ -89,10 +87,8 @@ __all__ = [
     "resultant_at",
     "sextic_polynomial",
     "verify_sextic_resultant_identity",
-    "ConditionNotSatisfiedError",
     "EigensolverError",
     "boundary_from_truncation",
-    "default_offset_grid",
     "support_function_via_condition",
     "symbol_range_grid",
     "top_eigenvalue",

@@ -164,7 +164,7 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
 
     The compressions are measured in one call: on 72 angles at four levels up
     to ``level``, and on 13 probe angles for two phases of ``a``.  The
-    condition scan runs at 24 angles of the first quadrant, in one call for
+    condition route runs at 24 angles of the first quadrant, in one call for
     each of three radii.
     """
     results = []

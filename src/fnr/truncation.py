@@ -16,16 +16,13 @@ supporting lines sits inside the true region.  In the interleaved basis
 given by two numbers per angle, and bisection on a block LDL^T inertia test
 brackets its top eigenvalue to two ulps in O(N) without forming the matrix.
 
-A second, fully independent route evaluates the singularity condition
+A second, fully independent route solves the singularity condition
 directly: an offset lam > 1 is admissible in direction theta exactly when
 2 (r^2 - lam^2) falls in the range of f(t) = Re t^2 + Re w^2 - 4 lam Re t
-Re w over the unit circle, and that range is measured here by brute-force
-grid minimisation, not by the closed-form case split.  The scan over offsets
-is pruned, not approximated: f is affine in lam for each sample, so the
-sampled minimum is concave and the sampled maximum convex in lam, and chords
-between a few exactly evaluated offsets prove most offsets misses.  Only the
-offsets they leave open are evaluated, and the first hit is the one an
-exhaustive scan finds.
+Re w over the unit circle.  f is affine in lam at each sample of the circle,
+so the condition has one closed root per sample, and the largest admissible
+offset is the largest of those roots, found without the closed-form case
+split.
 """
 
 from __future__ import annotations
@@ -38,10 +35,8 @@ from .boundary import _check_radius, angle_grid
 
 __all__ = [
     "EigensolverError",
-    "ConditionNotSatisfiedError",
     "top_eigenvalue",
     "symbol_range_grid",
-    "default_offset_grid",
     "support_function_via_condition",
     "boundary_from_truncation",
 ]
@@ -53,32 +48,19 @@ _PIVMIN = 2.0**-150
 """Pivot floor of the definiteness test, relative to the Gershgorin bound."""
 
 OFFSET_STEP = 1e-4
-"""Step of the condition scan's default offset grid, and so the bound the
-``dual-route`` check holds the scan to."""
-
-_KNOT_SPACING = 1024
-"""Offsets between the exactly evaluated knots of the condition scan's chords."""
-
-_BATCH = 16
-"""Rows per exact evaluation once the condition scan reaches an open offset."""
+"""Step of the offset grid (r + 2) - OFFSET_STEP k, k >= 0, that
+:func:`support_function_via_condition` snaps its value down to, and so the
+bound the ``dual-route`` check holds that route to."""
 
 _F_SAMPLES = 10_001
-"""Points on the unit circle at which the condition scan samples f."""
+"""Points on the unit circle at which the condition route samples f."""
 
 _RANGE_SAMPLES = 100_000
 """Points on the unit circle at which :func:`symbol_range_grid` samples f."""
 
-_ROUNDING_SLACK = 64 * np.finfo(float).eps
-"""Relative slack of the scan's chord test, several times the rounding of the
-table entries, the chord interpolation and the target."""
-
 
 class EigensolverError(RuntimeError):
     """The top eigenvalue could not be computed or certified."""
-
-
-class ConditionNotSatisfiedError(RuntimeError):
-    """No grid offset satisfies the singularity condition."""
 
 
 def _block_entries(thetas: np.ndarray, a, scale) -> np.ndarray:
@@ -250,10 +232,16 @@ def symbol_range_grid(lam, theta) -> tuple:
         )
     if not (np.isfinite(lams).all() and np.isfinite(thetas).all()):
         raise ValueError(f"lam and theta must be finite, got {lam}, {theta}")
-    circle = _circle(_RANGE_SAMPLES)
+    cos_2phi, cos_phi = _circle(_RANGE_SAMPLES)
     lo, hi = np.empty((2, thetas.size, lams.size))
+    # One table-sized buffer for every angle, filled in place: a second one
+    # costs more in fresh pages than the arithmetic does
+    table = np.empty((lams.size, _RANGE_SAMPLES))
     for row, angle in enumerate(thetas.reshape(-1).tolist()):
-        lo[row], hi[row] = _range_rows(lams.reshape(-1), _circle_tables(angle, circle))
+        # Entry (lam, phi) is (cos 2phi + cos 2theta) - ((4 cos theta lam) cos phi)
+        np.multiply.outer(4.0 * math.cos(angle) * lams.reshape(-1), cos_phi, out=table)
+        np.subtract(cos_2phi + math.cos(2.0 * angle), table, out=table)
+        lo[row], hi[row] = table.min(axis=1), table.max(axis=1)
     lo, hi = (ends.reshape(thetas.shape + lams.shape) for ends in (lo, hi))
     return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
@@ -264,60 +252,36 @@ def _circle(samples: int) -> tuple:
     return np.cos(2.0 * phi), np.cos(phi)
 
 
-def _circle_tables(theta: float, circle: tuple) -> tuple:
-    """The parts of f's table that every offset shares at angle theta.
-
-    Over the points phi of ``circle``: cos 2phi + cos 2theta, the weight
-    4 cos theta, and cos phi.
-    """
-    cos_2phi, cos_phi = circle
-    return cos_2phi + math.cos(2.0 * theta), 4.0 * math.cos(theta), cos_phi
-
-
-def _range_rows(lams: np.ndarray, tables: tuple):
-    """Sampled (min, max) of f, one entry per offset in ``lams``.
-
-    Entry (lam, phi) of the table is (cos 2phi + cos 2theta) - ((4 cos theta
-    lam) cos phi), the same float operations for every caller.
-    """
-    even, weight, cos_phi = tables
-    # One table-sized buffer, filled in place: a second one costs more in
-    # fresh pages than the arithmetic does
-    table = np.multiply.outer(weight * lams, cos_phi)
-    np.subtract(even, table, out=table)
-    return table.min(axis=1), table.max(axis=1)
-
-
-def default_offset_grid(r: float, step: float = OFFSET_STEP) -> np.ndarray:
-    """Descending offset grid covering [1, r + 2] with the given step."""
-    _check_radius(r)
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    count = int(math.floor((r + 1.0) / step)) + 1
-    return (r + 2.0) - step * np.arange(count + 1)
-
-
-def support_function_via_condition(theta, r: float, offset_grid: np.ndarray | None = None):
+def support_function_via_condition(theta, r: float):
     """Support function recovered from the singularity condition alone.
 
-    Scans a descending offset grid and returns the largest lam for which
-    2 (r^2 - lam^2) lies in the brute-force range [lo, hi] of f; agrees with
-    the closed form to the grid resolution.  The range oracle samples
-    ``_F_SAMPLES`` points (error O(_F_SAMPLES^-2), far below the default
-    ``OFFSET_STEP``).  A scalar ``theta`` gives a float; a one-dimensional
-    array of angles gives an array of the values, each equal to the one-angle
-    call, with the circle's tables, the targets and the knots built once per
-    call.  Raises :class:`ConditionNotSatisfiedError` when no grid offset
-    qualifies at some angle.
+    At t = e^{i phi} the condition's f is
+    f_phi(lam) = cos 2phi + cos 2theta - 4 lam cos theta cos phi, affine in
+    lam.  With cos 2x = 2 cos^2 x - 1, 2 (r^2 - lam^2) = f_phi(lam) is the
+    quadratic lam^2 - 2 lam cos theta cos phi + cos^2 theta + cos^2 phi - 1
+    - r^2 = 0, whose discriminant over 4 factors as
+    r^2 + (1 - cos^2 theta)(1 - cos^2 phi), so its larger root is
 
-    Most offsets are ruled out without building their rows.  Each table entry
-    is affine in lam, so lo(lam) is concave and hi(lam) convex on any grid:
-    between two exactly evaluated knots the chord lies below lo and above hi.
-    An offset whose target falls below the lower chord or above the upper
-    chord, by more than a slack covering the rounding of the table, the
-    chords and the target, cannot be a hit.  The remaining offsets are
-    evaluated exactly, in grid order, so the result is the one an exhaustive
-    scan returns, bit for bit.
+        lam_phi = cos theta cos phi + sqrt(r^2 + sin^2 theta sin^2 phi),
+
+    real at every sample, with no square root of a negative number.  Above
+    lam_phi the target 2 (r^2 - lam^2) lies below f_phi(lam).  So above
+    Lam = max_phi lam_phi the target lies below the sampled minimum of f, and
+    at Lam it equals f at the maximising sample: Lam is the largest offset
+    that the condition admits on the ``_F_SAMPLES`` samples of the circle,
+    and lam_phi is the support, in direction theta, of the elliptical range
+    of the symbol at phi (C.-K. Li, Proc. AMS 124, 1996).
+
+    The value returned is the largest offset (r + 2) - OFFSET_STEP k,
+    k >= 0, at or below Lam, spelled with the float operations of that grid
+    element; k comes from one division, corrected by at most one step
+    either way, and no grid is built.  Every sample has its root, and
+    cos(pi / _F_SAMPLES) <= Lam <= 1 + sqrt(r^2 + 1) <= r + 2, as the
+    samples phi and -phi come within pi / _F_SAMPLES of theta, so Lam lies
+    in the grid's span and every angle has a value.  A scalar
+    ``theta`` gives a float; a one-dimensional array of angles gives an
+    array of the values, each equal to the one-angle call, with the
+    circle's tables built once per call.
     """
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim > 1:
@@ -325,45 +289,19 @@ def support_function_via_condition(theta, r: float, offset_grid: np.ndarray | No
     if not np.isfinite(thetas).all():
         raise ValueError(f"theta must be finite, got {theta}")
     _check_radius(r)
-    if offset_grid is None:
-        offset_grid = default_offset_grid(r)
-    grid = np.asarray(offset_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("offset grid must be a one-dimensional descending list")
-    if not np.all(np.diff(grid) < 0):
-        raise ValueError("offset grid must be strictly descending")
-
-    target = 2.0 * (r * r - grid * grid)
-
-    knots = np.arange(0, grid.size, _KNOT_SPACING)
-    if knots[-1] != grid.size - 1:
-        knots = np.append(knots, grid.size - 1)
-    ascending = grid[knots][::-1]
-    largest = float(np.max(np.abs(grid)))
-    spread = 2.0 * (r * r + largest * largest)
-    circle = _circle(_F_SAMPLES)
+    cos_phi = _circle(_F_SAMPLES)[1]
+    sin2_phi = 1.0 - cos_phi * cos_phi
+    top = r + 2.0
     values = []
     for angle in thetas.reshape(-1).tolist():
-        tables = _circle_tables(angle, circle)
-        knot_lo, knot_hi = _range_rows(grid[knots], tables)
-        lo_chord = np.interp(grid, ascending, knot_lo[::-1])
-        hi_chord = np.interp(grid, ascending, knot_hi[::-1])
-        slack = _ROUNDING_SLACK * (2.0 + 4.0 * abs(math.cos(angle)) * largest + spread)
-        ruled_out = (target < lo_chord - slack) | (target > hi_chord + slack)
-
-        candidates = np.flatnonzero(~ruled_out)
-        for start in range(0, candidates.size, _BATCH):
-            rows = candidates[start : start + _BATCH]
-            lo, hi = _range_rows(grid[rows], tables)
-            hits = np.flatnonzero((target[rows] >= lo) & (target[rows] <= hi))
-            if hits.size:
-                values.append(float(grid[rows[hits[0]]]))
-                break
-        else:
-            raise ConditionNotSatisfiedError(
-                f"no offset in [{grid[-1]:.6g}, {grid[0]:.6g}] satisfies the "
-                f"singularity condition at theta = {angle}, r = {r}"
-            )
+        roots = math.cos(angle) * cos_phi + np.sqrt(r * r + math.sin(angle) ** 2 * sin2_phi)
+        largest = float(roots.max())
+        k = max(0, math.ceil((top - largest) / OFFSET_STEP))
+        if top - OFFSET_STEP * k > largest:
+            k += 1
+        elif k > 0 and top - OFFSET_STEP * (k - 1) <= largest:
+            k -= 1
+        values.append(top - OFFSET_STEP * k)
     return values[0] if thetas.ndim == 0 else np.array(values)
 
 

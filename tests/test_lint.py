@@ -188,10 +188,10 @@ def test_no_cache_keeps_results_across_calls():
 def test_cache_scan_flags_a_memoized_circle_table():
     source = (ROOT / "src" / "fnr" / "truncation.py").read_text(encoding="utf-8")
     assert memoized_functions(source) == []
-    definition = "def _circle_tables("
+    definition = "def _circle("
     line = source[: source.index(definition)].count("\n") + 2
     memoized = source.replace(definition, "@functools.lru_cache(maxsize=None)\n" + definition)
-    assert memoized_functions(memoized) == [(line, "_circle_tables")]
+    assert memoized_functions(memoized) == [(line, "_circle")]
     other = (
         "from functools import cache, lru_cache\n"
         "@cache\n"

@@ -32,6 +32,8 @@ RETIRED = [
     "clip_segment",
     "support_line_segment",
     "write_svg",
+    "default_offset_grid",
+    "ConditionNotSatisfiedError",
 ]
 
 

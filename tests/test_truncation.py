@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,19 +16,17 @@ import pytest
 
 import fnr.truncation
 from fnr import (
-    ConditionNotSatisfiedError,
     EigensolverError,
     Region,
     boundary_from_truncation,
     classify_point,
-    default_offset_grid,
     support_function,
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
 )
 from fnr.checks import Tolerances, closedform_checks, truncation_checks
-from fnr.truncation import _PIVMIN
+from fnr.truncation import _PIVMIN, OFFSET_STEP
 
 # ---------------------------------------------------------------------------
 # Construction: the dense reference the block entries are checked against
@@ -232,10 +231,10 @@ def test_axis_top_eigenvalue_is_exact(level):
     # T = tridiag(1/2, 0, 1/2), whose spectrum is symmetric, so its top
     # eigenvalue is r + cos(pi/(N+1)).  Most of these cases meet trial values
     # with an exactly zero pivot, so the test also guards the pivot floor.
-    for r in (1e-6, 1e-2, 0.5, 1.0, 100.0, 1e4):
-        expected = r + math.cos(math.pi / (level + 1))
-        got = top_eigenvalue(np.array([0.0, math.pi]), 2.0 * r, level)
-        assert np.all(np.abs(got - expected) <= 4.0 * np.finfo(float).eps * max(1.0, expected))
+    rs = np.array([1e-6, 1e-2, 0.5, 1.0, 100.0, 1e4])
+    expected = rs[:, None] + math.cos(math.pi / (level + 1))
+    got = top_eigenvalue(np.array([0.0, math.pi]), 2.0 * rs[:, None], level)
+    assert np.all(np.abs(got - expected) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, expected))
 
 
 def test_compression_value_approaches_radius_from_below():
@@ -472,25 +471,17 @@ def test_condition_scan_examples():
 
 
 def test_condition_scan_takes_an_array_of_angles():
-    # The default grid against the one-angle scans, which
-    # test_pruned_scan_equals_exhaustive_scan holds to the exhaustive scan at
-    # these angles; coarser grids against the exhaustive scan directly.
     thetas = np.array([0.0, math.pi / 2.0, -2.0 * math.e / 3.0, 2.0**-0.5, 0.0])
-    graded = 1.0 + 1.5 * np.linspace(1.0, 0.0, 1201) ** 1.7
-    for r, grid in ((1.0, None), (0.25, default_offset_grid(0.25, step=1e-3)), (0.5, graded)):
-        values = support_function_via_condition(thetas, r, offset_grid=grid)
+    for r in (1.0, 0.25, 0.5):
+        values = support_function_via_condition(thetas, r)
         assert isinstance(values, np.ndarray) and values.shape == thetas.shape
         for theta, value in zip(thetas.tolist(), values.tolist()):
-            assert value == support_function_via_condition(theta, r, offset_grid=grid)
-            if grid is not None:
-                assert value == _exhaustive_scan(theta, r, grid)
+            assert value == support_function_via_condition(theta, r)
     assert support_function_via_condition(np.array([]), 0.5).shape == (0,)
     with pytest.raises(ValueError, match="one-dimensional"):
         support_function_via_condition(np.zeros((2, 2)), 0.5)
     with pytest.raises(ValueError, match="finite"):
         support_function_via_condition(np.array([0.3, math.nan]), 0.5)
-    with pytest.raises(ConditionNotSatisfiedError):
-        support_function_via_condition(thetas, 0.5, offset_grid=np.array([9.0, 8.9, 8.8]))
 
 
 def test_truncation_checks_run_one_search_and_one_circle_table_per_radius(monkeypatch):
@@ -512,74 +503,108 @@ def test_truncation_checks_run_one_search_and_one_circle_table_per_radius(monkey
     assert calls == {"_search": 1, "_circle": [fnr.truncation._F_SAMPLES] * 3}
 
 
-def test_condition_scan_respects_custom_grid():
-    grid = default_offset_grid(0.5, step=5e-5)
-    assert grid[0] == 2.5 and grid[-1] <= 1.0
-    value = support_function_via_condition(0.0, 0.5, offset_grid=grid)
-    assert abs(value - 1.5) <= 5e-5
-    with pytest.raises(ValueError):
-        support_function_via_condition(0.0, 0.5, offset_grid=grid[::-1])
+def _offset_grid(r, step):
+    """The descending offsets (r + 2) - step k that cover [1, r + 2]."""
+    return (r + 2.0) - step * np.arange(int(math.floor((r + 1.0) / step)) + 2)
 
 
-def test_condition_scan_signals_when_nothing_qualifies():
-    # Offsets well above the numerical radius never satisfy the condition.
-    bad_grid = np.array([9.0, 8.9, 8.8])
-    with pytest.raises(ConditionNotSatisfiedError):
-        support_function_via_condition(0.0, 0.5, offset_grid=bad_grid)
-
-
-def _exhaustive_scan(theta, r, grid, f_samples=10_001, chunk=256):
-    """The condition scan without pruning: every offset's row, in grid order."""
+def _row_hits(theta, r, lams, f_samples=10_001):
+    """Whether 2 (r^2 - lam^2) lies in the sampled range of f, one entry per offset."""
     phi = 2.0 * math.pi * np.arange(f_samples) / f_samples
     cos_phi = np.cos(phi)
     cos_two_phi = np.cos(2.0 * phi)
     cos_theta = math.cos(theta)
     cos_two_theta = math.cos(2.0 * theta)
+    table = (
+        cos_two_phi[None, :]
+        + cos_two_theta
+        - 4.0 * cos_theta * lams[:, None] * cos_phi[None, :]
+    )
+    target = 2.0 * (r * r - lams * lams)
+    return (target >= table.min(axis=1)) & (target <= table.max(axis=1))
 
+
+def _exhaustive_scan(theta, r, grid, chunk=256):
+    """The condition scan: every offset's row, in grid order, up to the first hit."""
     for start in range(0, grid.size, chunk):
         lams = grid[start : start + chunk]
-        table = (
-            cos_two_phi[None, :]
-            + cos_two_theta
-            - 4.0 * cos_theta * lams[:, None] * cos_phi[None, :]
-        )
-        lo = table.min(axis=1)
-        hi = table.max(axis=1)
-        target = 2.0 * (r * r - lams * lams)
-        hits = np.nonzero((target >= lo) & (target <= hi))[0]
+        hits = np.flatnonzero(_row_hits(theta, r, lams))
         if hits.size:
             return float(lams[hits[0]])
-    raise ConditionNotSatisfiedError("no offset qualifies")
+    raise AssertionError(f"no offset qualifies at theta = {theta}, r = {r}")
 
 
-@pytest.mark.parametrize("r", [0.01, 0.25, 0.5, 1.0, 3.0, 10.0])
-def test_pruned_scan_equals_exhaustive_scan(r):
-    grid = default_offset_grid(r)
-    for theta in (0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, 2.0**-0.5, -2.0 * math.e / 3.0):
-        assert support_function_via_condition(theta, r) == _exhaustive_scan(theta, r, grid)
+_DUAL_ROUTE_ANGLES = np.linspace(0.0, math.pi / 2.0, 24)
+"""The angles at which the ``dual-route`` check runs the condition route."""
 
 
-def test_pruned_scan_equals_exhaustive_scan_on_custom_grids():
-    uniform = default_offset_grid(0.5, step=5e-5)
-    graded = 1.0 + 1.5 * np.linspace(1.0, 0.0, 12_001) ** 1.7
-    three = np.array([1.5, 1.3, 1.1])
-    for grid in (uniform, graded, three):
-        for theta in (0.0, 0.8, math.pi / 2.0):
-            got = support_function_via_condition(theta, 0.5, offset_grid=grid)
-            assert got == _exhaustive_scan(theta, 0.5, grid)
-    bad_grid = np.array([9.0, 8.9, 8.8])
-    with pytest.raises(ConditionNotSatisfiedError):
-        _exhaustive_scan(0.0, 0.5, bad_grid)
-    with pytest.raises(ConditionNotSatisfiedError):
-        support_function_via_condition(0.0, 0.5, offset_grid=bad_grid)
+def test_condition_route_returns_the_first_offset_the_scan_admits():
+    # At the 72 pairs of dual-route, the value is a grid offset whose row
+    # passes the scan's test, and the next offset up fails it
+    for r in (0.25, 0.5, 1.0):
+        values = support_function_via_condition(_DUAL_ROUTE_ANGLES, r)
+        for theta, value in zip(_DUAL_ROUTE_ANGLES.tolist(), values.tolist()):
+            k = round(((r + 2.0) - value) / OFFSET_STEP)
+            assert k >= 1 and value == (r + 2.0) - OFFSET_STEP * k
+            above = (r + 2.0) - OFFSET_STEP * (k - 1)
+            assert _row_hits(theta, r, np.array([value, above])).tolist() == [True, False]
 
 
-@pytest.mark.parametrize("spacing", [64, 4096])
-def test_pruned_scan_does_not_depend_on_the_knot_spacing(monkeypatch, spacing):
-    cases = [(0.0, 0.5), (0.8, 0.25), (-2.0, 3.0), (math.pi / 2.0, 0.01)]
-    expected = [support_function_via_condition(theta, r) for theta, r in cases]
-    monkeypatch.setattr(fnr.truncation, "_KNOT_SPACING", spacing)
-    assert [support_function_via_condition(theta, r) for theta, r in cases] == expected
+def test_condition_route_equals_the_exhaustive_scan_on_a_coarse_grid(monkeypatch):
+    # Off theta = 0 and pi, where the largest root r + 1 lands on a grid
+    # offset and the root and the row test may split the tie
+    monkeypatch.setattr(fnr.truncation, "OFFSET_STEP", 1e-2)
+    thetas = np.array([math.pi / 2.0, -math.pi / 2.0, 2.0**-0.5, -2.0 * math.e / 3.0, 0.3, 2.5])
+    for r in (0.01, 0.5, 3.0, 10.0):
+        grid = _offset_grid(r, 1e-2)
+        expected = [_exhaustive_scan(theta, r, grid) for theta in thetas.tolist()]
+        assert support_function_via_condition(thetas, r).tolist() == expected
+
+
+def test_condition_route_snaps_to_the_largest_grid_offset_at_or_below_its_root(monkeypatch):
+    # With one sample, cos phi = c, the root at theta = 0 is exactly c + r, so
+    # it can be put on a grid offset or next to one, where the division that
+    # finds k lands on either side and a fix-up decides
+    def one_sample(c):
+        return lambda samples: (np.array([2.0 * c * c - 1.0]), np.array([c]))
+
+    rng = np.random.default_rng(21)
+    for r in np.concatenate([[0.25, 0.5, 1.0, 3.0], 10.0 ** rng.uniform(-3, 8, 60)]).tolist():
+        top = r + 2.0
+        for k in rng.integers(10_000, 30_001, 3).tolist():
+            offset = top - OFFSET_STEP * k
+            for c in (offset - r, math.nextafter(offset - r, -2.0), math.nextafter(offset - r, 2.0)):
+                monkeypatch.setattr(fnr.truncation, "_circle", one_sample(c))
+                window = top - OFFSET_STEP * np.arange(k - 3, k + 4)
+                assert window[0] > c + r
+                expected = float(window[window <= c + r].max())
+                assert support_function_via_condition(0.0, r) == expected
+
+
+def _traced_peak(function, *args) -> int:
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_condition_route_holds_its_step_at_large_radii():
+    # The route builds no offset grid, which would hold (r + 1) / OFFSET_STEP
+    # offsets: what it allocates does not grow with r
+    for r in (1e2, 1e4, 1e6, 1e8):
+        values = support_function_via_condition(_DUAL_ROUTE_ANGLES, r)
+        assert np.max(np.abs(values - support_function(_DUAL_ROUTE_ANGLES, r))) <= OFFSET_STEP
+    small = _traced_peak(support_function_via_condition, _DUAL_ROUTE_ANGLES, 1.0)
+    assert _traced_peak(support_function_via_condition, _DUAL_ROUTE_ANGLES, 1e8) <= small
+
+
+def test_condition_route_at_radius_zero_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = support_function_via_condition(_DUAL_ROUTE_ANGLES, 0.0)
+    assert np.max(np.abs(values - support_function(_DUAL_ROUTE_ANGLES, 0.0))) <= OFFSET_STEP
 
 
 @pytest.mark.parametrize(
@@ -589,9 +614,6 @@ def test_pruned_scan_does_not_depend_on_the_knot_spacing(monkeypatch, spacing):
 def test_condition_scan_rejects_non_finite_or_negative_input(theta, r):
     with pytest.raises(ValueError, match="finite"):
         support_function_via_condition(theta, r)
-    if math.isfinite(theta):
-        with pytest.raises(ValueError, match="finite"):
-            default_offset_grid(r)
 
 
 # ---------------------------------------------------------------------------
