@@ -130,6 +130,23 @@ def switching_cosine(r: float) -> float:
     return (math.sqrt(4.0 + r * r) - r) / 2.0
 
 
+def _support(c: np.ndarray, s: np.ndarray, r: float, cut: float) -> np.ndarray:
+    """Support function from c = |cos theta|, s = sin theta and cut = switching_cosine(r).
+
+    The one transcription of both branches: r + c, overwritten where c < cut
+    by the sextic branch sqrt(1 + (r / s)^2), which is evaluated only there.
+    There s != 0 (sin theta = 0 gives c = 1) unless r * r overflows and cut
+    is inf; r / 0 is then inf, the branch's limit, as is (r / s)^2 where it
+    overflows.
+    """
+    out = np.add(r, c, out=np.empty(c.shape))
+    sextic = c < cut
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = r / s[sextic]
+        out[sextic] = np.sqrt(1.0 + ratio * ratio)
+    return out
+
+
 def support_function(theta, r: float):
     """Support function of the numerical range in direction theta.
 
@@ -143,17 +160,7 @@ def support_function(theta, r: float):
     th = np.asarray(theta, dtype=float)
     if not np.isfinite(th).all():
         raise ValueError("theta must be finite")
-    c = np.abs(np.cos(th))
-    s = np.sin(th)
-    circle = r + c
-    # The sextic branch is only selected where sin is well away from 0
-    # (|cos| = 1 stays in the circle regime); mask the division and let the
-    # unselected branch overflow to inf harmlessly.
-    safe = np.where(s == 0.0, 1.0, s)
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.where(s == 0.0, np.inf, r / safe)
-        sextic = np.sqrt(1.0 + ratio * ratio)
-    out = np.where(c >= cut, circle, sextic)
+    out = _support(np.abs(np.cos(th)), np.sin(th), r, cut)
     if th.ndim == 0:
         return float(out)
     return out
@@ -310,9 +317,11 @@ def boundary_curve(r: float, samples: int) -> BoundaryCurve:
     return envelope_points(angle_grid(samples), r)
 
 
-# The membership grid: 720 angles with their cosines and sines, about 17 KB
+# The membership grid, built once at import: 720 angles with their cosines,
+# |cosines| and sines, about 23 KB, so a query does no trig
 _MEMBERSHIP_THETAS = angle_grid(720)
 _MEMBERSHIP_COS = np.cos(_MEMBERSHIP_THETAS)
+_MEMBERSHIP_ABS_COS = np.abs(_MEMBERSHIP_COS)
 _MEMBERSHIP_SIN = np.sin(_MEMBERSHIP_THETAS)
 
 
@@ -331,7 +340,9 @@ def classify_point(x: float, y: float, r: float, tol: float | None = None) -> Re
     """Classify a point against the region via its supporting half-planes.
 
     Computes s(theta) = x cos + y sin - support_function(theta, r) over the
-    720 uniformly spaced angles of :func:`angle_grid`: exterior if
+    720 uniformly spaced angles of :func:`angle_grid`, from their cosines
+    and sines computed once at import and support_function's own kernel,
+    so the scores equal support_function's bit for bit: exterior if
     max s > tol, boundary if |max s| <= tol, interior otherwise.  ``tol``
     defaults to :func:`membership_tolerance`; a negative or non-finite one
     raises ValueError.
@@ -342,7 +353,8 @@ def classify_point(x: float, y: float, r: float, tol: float | None = None) -> Re
         tol = membership_tolerance(r)
     elif not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    scores = x * _MEMBERSHIP_COS + y * _MEMBERSHIP_SIN - support_function(_MEMBERSHIP_THETAS, r)
+    support = _support(_MEMBERSHIP_ABS_COS, _MEMBERSHIP_SIN, r, switching_cosine(r))
+    scores = x * _MEMBERSHIP_COS + y * _MEMBERSHIP_SIN - support
     top = float(np.max(scores))
     if top > tol:
         return Region.EXTERIOR

@@ -84,11 +84,15 @@ def test_support_monotone_in_radius(theta, r1, r2):
     assert support_function(theta, lo) <= support_function(theta, hi) + 1e-12
 
 
-@given(angles)
-def test_scalar_and_grid_support_agree(theta):
-    grid = support_function(np.array([theta]), 0.5)
-    assert grid.shape == (1,)
-    assert grid[0] == support_function(theta, 0.5)
+def test_scalar_and_grid_support_agree():
+    # At 1e200 and 1e308 r * r overflows, the switching cosine is inf and
+    # theta = 0 takes the sextic branch through r / 0.
+    edges = [0.0, -0.0, math.pi, -math.pi, math.pi / 2.0, 5e-324, 1e-300, -1e-300]
+    thetas = np.concatenate([angle_grid(720), edges])
+    for r in (0.0, 1e-300, 1e-8, 0.5, 1e4, 1e9, 1e150, 1e200, 1e308):
+        grid = support_function(thetas, r)
+        assert grid.shape == thetas.shape
+        assert grid.tolist() == [support_function(theta, r) for theta in thetas.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +292,7 @@ def test_boundary_sweep_classifies_as_boundary():
         assert classify_point(x, y, 0.5) is Region.BOUNDARY
 
 
-@pytest.mark.parametrize("r", [0.0, 0.01, 0.5, 3.0, 100.0])
+@pytest.mark.parametrize("r", [0.0, 0.01, 0.5, 3.0, 100.0, 1e-8, 1e4, 1e8, 1e150])
 def test_classify_matches_a_fresh_720_angle_grid(r):
     # Boundary points, the same points moved off the boundary by up to twice
     # the band's half-width (so many land next to its edges), and random
@@ -522,6 +526,7 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: classify_point(0.0, 0.0, 0.5, tol=math.nan),
         lambda: classify_point(0.0, 0.0, 0.5, tol=math.inf),
         lambda: classify_point(1.2, 0.0, 0.5, tol=-0.5),
+        lambda: classify_point(0.0, 0.0, -0.5),
     ],
 )
 def test_non_finite_input_is_rejected(call):

@@ -244,10 +244,10 @@ def test_compression_value_approaches_radius_from_below():
 
 def test_compression_monotone_in_level_and_below_closed_form():
     thetas = np.linspace(-math.pi, math.pi, 9)
+    ladder = top_eigenvalue(thetas, 1.0, np.array([10, 20, 40, 80])[:, None])
+    closed = support_function(thetas, 0.5)
     previous = None
-    for level in (10, 20, 40, 80):
-        values = np.array([top_eigenvalue(float(t), 1.0, level) for t in thetas])
-        closed = support_function(thetas, 0.5)
+    for values in ladder:
         assert np.all(values <= closed + 1e-10)
         if previous is not None:
             assert np.all(values >= previous - 1e-12)
