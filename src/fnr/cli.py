@@ -6,6 +6,7 @@
     fnr resultant [--r 1/2,1/3]        divisibility certificates, text + JSON
 
 Each command takes only the flags it reads; any other flag is a usage error.
+The parser is built once, at import, and every ``main`` call parses with it.
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 I/O error.  Outputs land in --out (default: current directory) under
 fixed names, and identical configurations and seeds produce byte-identical
@@ -346,12 +347,14 @@ def cmd_resultant(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args, unknown = parser.parse_known_args(argv)
+        args, unknown = _PARSER.parse_known_args(argv)
         if unknown:
-            flags = ", ".join(_command_flags(parser)[args.command])
+            flags = ", ".join(_command_flags(_PARSER)[args.command])
             raise UsageError(
                 f"{args.command} does not take {' '.join(unknown)}; its flags are {flags}"
             )

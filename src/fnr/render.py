@@ -9,7 +9,7 @@ lines.  Each family of chords (the supporting lines, the switching lines,
 each half of the sextic trace) is clipped to the frame in one call of
 :func:`clip_segments`, which runs Liang-Barsky over whole arrays and keeps,
 element for element, the float operations of the one-segment algorithm.
-Each element kind is spelled by one f-string; every attribute value is a
+Each element kind is spelled by one template; every attribute value is a
 formatted float or a module constant, so no value needs XML escaping.  Every
 output file of the package is written by :func:`_write_text`, in ASCII with
 LF line ends.  All output is deterministic: same inputs, same bytes.
@@ -21,10 +21,9 @@ import math
 
 import numpy as np
 
-from .boundary import envelope_points, sextic_envelope, support_function, switching_cosine
+from .boundary import Branch, envelope_points, sextic_envelope, support_function, switching_cosine
 
 __all__ = [
-    "format_float",
     "write_support_lines_csv",
     "write_boundary_csv",
     "clip_segments",
@@ -40,10 +39,11 @@ SWITCH_COLOR = "#c23b22"
 DASH_PATTERN = "0.06,0.05"
 _SEXTIC_TRACE_POINTS = 1200
 
-
-def format_float(value: float) -> str:
-    """17 significant digits: exact round-trip for IEEE doubles."""
-    return format(float(value), ".17g")
+# A CSV float field: 17 significant digits round-trip every IEEE double.
+_FIELD = "%.17g"
+_SUPPORT_ROW = f"{_FIELD},{_FIELD}\n"
+_BOUNDARY_ROW = f"{_FIELD},{_FIELD},{_FIELD},%s\n"
+_BRANCH_LABELS = {branch: branch.value for branch in Branch}
 
 
 def _write_text(path, text: str) -> None:
@@ -53,19 +53,15 @@ def _write_text(path, text: str) -> None:
 
 
 def write_support_lines_csv(path, rows) -> None:
-    """Rows of (theta, offset) under a ``theta,offset`` header."""
-    lines = ["theta,offset"]
-    for theta, offset in rows:
-        lines.append(f"{format_float(theta)},{format_float(offset)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    """Rows of (theta, offset) tuples under a ``theta,offset`` header."""
+    _write_text(path, "theta,offset\n" + "".join(map(_SUPPORT_ROW.__mod__, rows)))
 
 
 def write_boundary_csv(path, points) -> None:
     """A :class:`~fnr.boundary.BoundaryCurve` under a ``theta,x,y,branch`` header."""
-    lines = ["theta,x,y,branch"]
-    for theta, x, y, branch in zip(*(column.tolist() for column in points)):
-        lines.append(f"{format_float(theta)},{format_float(x)},{format_float(y)},{branch.value}")
-    _write_text(path, "\n".join(lines) + "\n")
+    *floats, branches = (column.tolist() for column in points)
+    rows = zip(*floats, map(_BRANCH_LABELS.__getitem__, branches))
+    _write_text(path, "theta,x,y,branch\n" + "".join(map(_BOUNDARY_ROW.__mod__, rows)))
 
 
 def clip_segments(x0, y0, x1, y1, limit: float) -> tuple:
@@ -117,7 +113,7 @@ def support_line_segments(thetas, offsets, limit: float) -> tuple:
 
 def _points(xs, ys) -> list:
     """The "x,y" coordinate pairs of a ``points`` attribute."""
-    return [f"{x:.6f},{y:.6f}" for x, y in zip(xs.tolist(), ys.tolist())]
+    return list(map("%.6f,%.6f".__mod__, zip(xs.tolist(), ys.tolist())))
 
 
 def _stroke(color: str, width: float, dashed: bool) -> str:
@@ -129,10 +125,9 @@ def _stroke(color: str, width: float, dashed: bool) -> str:
 def _lines(cls: str, segments, stroke: str) -> list:
     """One ``line`` element per kept chord of a :func:`clip_segments` result."""
     *ends, kept = segments
-    return [
-        f'    <line class="{cls}" x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}" {stroke} />'
-        for x1, y1, x2, y2 in zip(*(end[kept].tolist() for end in ends))
-    ]
+    # The class and stroke hold no "%", so they are baked into the template once
+    line = f'    <line class="{cls}" x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" {stroke} />'
+    return list(map(line.__mod__, zip(*(end[kept].tolist() for end in ends))))
 
 
 def _path(tag: str, cls: str, points: list, stroke: str) -> str:

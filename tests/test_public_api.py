@@ -34,6 +34,7 @@ RETIRED = [
     "write_svg",
     "default_offset_grid",
     "ConditionNotSatisfiedError",
+    "format_float",
 ]
 
 

@@ -12,9 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fnr import Region, angle_grid, boundary_curve, cli, classify_point, exact, render, support_function
+from fnr import (
+    BoundaryCurve,
+    Branch,
+    Region,
+    angle_grid,
+    boundary_curve,
+    cli,
+    classify_point,
+    exact,
+    render,
+    support_function,
+)
 from fnr.cli import MAX_GRID, MAX_LEVEL, MAX_RADIUS, MAX_SAMPLES, main
-from fnr.render import clip_segments, format_float, support_line_segments
+from fnr.render import clip_segments, support_line_segments
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -33,9 +44,38 @@ def _classes(root):
 # ---------------------------------------------------------------------------
 
 
-def test_float_format_round_trips():
-    for value in (1.5, math.sqrt(1.25), -0.8042477193189872, 1e-17, 0.0):
-        assert float(format_float(value)) == value
+# Signed zero, the least subnormal, extremes, and values that print in exponent form.
+CSV_VALUES = np.array([
+    -0.0, 0.0, 5e-324, 1e-300, 1e150, math.pi, 0.1, -0.8042477193189872, 1e-5,
+    -2.5e-8, 1e16, 1e17, 2.0**60, 1.7976931348623157e308, -1e-17, math.sqrt(1.25),
+])
+
+
+def _double_bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_csv_fields_round_trip_bit_for_bit(tmp_path):
+    values = CSV_VALUES
+    reversed_values = values[::-1].copy()
+    branches = np.array([list(Branch)[k % 4] for k in range(values.size)], dtype=object)
+    render.write_support_lines_csv(tmp_path / "lines.csv", zip(values.tolist(), reversed_values.tolist()))
+    curve = BoundaryCurve(values, reversed_values, -values, branches)
+    render.write_boundary_csv(tmp_path / "boundary.csv", curve)
+
+    for name, header, columns, branch_fields in (
+        ("lines.csv", "theta,offset", [values, reversed_values], [[]] * values.size),
+        ("boundary.csv", "theta,x,y,branch", [values, reversed_values, -values], [[b.value] for b in branches]),
+    ):
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        assert b"e-" in data and b"e+" in data  # exponent forms are exercised
+        lines = data.decode("ascii").split("\n")
+        assert lines[0] == header and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [row[len(columns):] for row in rows] == branch_fields
+        for k, column in enumerate(columns):
+            assert _double_bits([float(row[k]) for row in rows]) == _double_bits(column), (name, k)
 
 
 def clip_segment(p0, p1, limit: float):
@@ -632,8 +672,9 @@ REMOVED = [
 
 
 def _parser_flags():
+    """The option strings of each command, read from the parser ``main`` uses."""
     (commands,) = [
-        action.choices for action in cli._build_parser()._actions
+        action.choices for action in cli._PARSER._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
     return {
@@ -708,6 +749,40 @@ def test_parser_errors_are_returned_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("fnr: ") and "usage:" not in err
     assert out == ""
     assert not any(tmp_path.iterdir())
+
+
+# A usage error, a figure in one and in both formats, --a after a call with
+# --r, an unknown flag, and the level-zero rejection the setup probe times.
+SHARED_PARSER_SEQUENCE = [
+    ["verify", "--N", "abc"],
+    ["boundary", "--r", "0.5", "--samples", "90", "--format", "csv"],
+    ["boundary", "--r", "0.5", "--samples", "90"],
+    ["boundary", "--a", "0.714,1.633", "--samples", "90"],
+    ["boundary", "--samples", "90", "--grid", "720"],
+    ["verify", "--N", "0"],
+]
+
+
+def _outcome(argv, out, capsys):
+    """Exit code, stderr and output file bytes of one ``main`` call."""
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.exists() else {}
+    return code, err, files
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    shared = [_outcome(argv, tmp_path / f"shared{k}", capsys) for k, argv in enumerate(SHARED_PARSER_SEQUENCE)]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2, 2]
+    assert [sorted(files) for _, _, files in shared[1:4]] == [
+        ["boundary.csv"], ["boundary.csv", "boundary.svg"], ["boundary.csv", "boundary.svg"]
+    ]
+    for k, argv in enumerate(SHARED_PARSER_SEQUENCE):
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        assert _outcome(argv, tmp_path / f"fresh{k}", capsys) == shared[k], argv
+    for code, err, _ in shared:
+        assert (err == "") == (code == 0)
+        assert err == "" or (err.startswith("fnr: ") and err.count("\n") == 1)
 
 
 def test_help_still_exits_zero(capsys):
