@@ -382,6 +382,31 @@ def test_verify_json_bytes_are_pinned(tmp_path, capsys, flags, code, digest):
     assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == digest
 
 
+# sha256 of resultant.json and resultant.txt and the exit code for the
+# certificate at three radii and its mutation self-test, both at seed 1,
+# computed while the sample grid was still sized by --degree-bound 28.  The
+# certificate is exact integer and rational arithmetic, so these hold on any
+# platform.
+RESULTANT_DIGESTS = [
+    (["--r", "1/2,1/3,2"], 0, {
+        "resultant.json": "99db95b41bbe29396f7937fc96e978f03b944d30b3fef0043d1b2c58c9725b07",
+        "resultant.txt": "3c7b35cb057bcb0b6cd7dc39ce92c3db8eb92a8eec1cafee24742ce608e1da06",
+    }),
+    (["--r", "1/2", "--mutate"], 1, {
+        "resultant.json": "24ba74a848f23c37d91a9c600da8e036f118e845120f449ad2742f265f26d964",
+        "resultant.txt": "084c300190f10a99ca6fce2ead6521366bd79935aaccf3e3bb0159146467d524",
+    }),
+]
+
+
+@pytest.mark.parametrize("flags, code, digests", RESULTANT_DIGESTS)
+def test_resultant_bytes_are_pinned(tmp_path, capsys, flags, code, digests):
+    assert main(["resultant", *flags, "--seed", "1", "--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert found == digests
+
+
 # sha256 of the figure files.  The first four configurations were computed
 # while the SVG documents were still built with ElementTree, the last two
 # while the chords were clipped one at a time; assembling the documents as
