@@ -225,7 +225,7 @@ def ellipse_check(r: float, samples: int) -> CheckResult:
 
 
 def resultant_check(r: Fraction, seed: int) -> CheckResult:
-    """Divisibility certificate outcome (degree bound 28) folded into a check record."""
+    """Divisibility certificate outcome, on its fixed sample grid, folded into a check record."""
     report = exact.verify_sextic_resultant_identity(r, seed=seed)
     return CheckResult(
         f"resultant-identity-r={r}",

@@ -5,6 +5,10 @@
     fnr verify [--r 0.5 --N 400]       runs the verification suites, JSON report
     fnr resultant [--r 1/2,1/3]        divisibility certificates, text + JSON
 
+The certificate samples one fixed grid at every radius (``fnr.exact``), so
+``resultant`` takes no size setting; its reports record the grid's degree
+bound, 28.
+
 Each command takes only the flags it reads; any other flag is a usage error.
 The parser is built once, at import, and every ``main`` call parses with it.
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
@@ -143,12 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     res.set_defaults(handler=cmd_resultant)
     res.add_argument("--r", type=str, default="1/2,1/3", help="comma-separated exact radii p/q")
     res.add_argument("--seed", type=int, default=1, help="seed for certificate sampling")
-    res.add_argument(
-        "--degree-bound",
-        type=int,
-        default=28,
-        help=f"cofactor total degree bound, 0 to {exact.MAX_DEGREE_BOUND}",
-    )
     res.add_argument(
         "--mutate",
         action="store_true",
@@ -302,13 +300,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_resultant(args: argparse.Namespace) -> int:
     parts = args.r.split(",")
     radii = [_parse_rational(part) for part in parts]
-    if args.degree_bound < 0:
-        raise UsageError(f"--degree-bound must be nonnegative, got {args.degree_bound}")
-    if args.degree_bound > exact.MAX_DEGREE_BOUND:
-        raise UsageError(
-            f"--degree-bound must be at most {exact.MAX_DEGREE_BOUND}, the largest total "
-            f"degree the cofactor can have, got {args.degree_bound}"
-        )
     # Every radius must be nonzero, and nonnegative and finite as a double.
     for part, rr in zip(parts, radii):
         value = _parse_radius(part)
@@ -318,9 +309,7 @@ def cmd_resultant(args: argparse.Namespace) -> int:
             raise UsageError("r = 0 degenerates the elimination; pick a nonzero rational")
     out = _out_dir(args)
     reports = [
-        exact.verify_sextic_resultant_identity(
-            rr, degree_bound=args.degree_bound, seed=args.seed, mutate=args.mutate
-        )
+        exact.verify_sextic_resultant_identity(rr, seed=args.seed, mutate=args.mutate)
         for rr in radii
     ]
     ok = all(rep.success for rep in reports)
@@ -331,7 +320,7 @@ def cmd_resultant(args: argparse.Namespace) -> int:
     payload = {
         "command": "resultant",
         "seed": args.seed,
-        "degree_bound": args.degree_bound,
+        "degree_bound": reports[0].degree_bound,
         "mutated": args.mutate,
         "reports": [rep.to_json_dict() for rep in reports],
         "all_success": ok,

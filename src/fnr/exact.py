@@ -60,7 +60,6 @@ __all__ = [
     "resultant",
     "resultant_at",
     "verify_sextic_resultant_identity",
-    "MAX_DEGREE_BOUND",
 ]
 
 
@@ -626,9 +625,19 @@ class ResultantReport:
 # Pseudo-random rational points at which the fitted identity is re-checked exactly.
 _HOLDOUT = 64
 
-# The largest cofactor degree bound any radius can need (derived in
-# verify_sextic_resultant_identity); a larger one is rejected before any work.
-MAX_DEGREE_BOUND = 34
+# The certificate fits one sample grid at every r != 0, the grid a cofactor
+# of total degree at most 28 asks for: each section Res(x, y_k) through 37 =
+# 28 + 9 abscissae, divided by the sextic section of degree 8 in x into 29
+# quotient coefficients, and 29 sections y_k.  Res has degree at most 28 in x
+# and 20 in y (the degrees of the Sylvester entries prove it for every r), and
+# E(x^2, y^2, r) has degree exactly 8 in x and 6 in y at every r != 0: its u^4
+# coefficient is 1 + r^2 and its v^3 coefficient -16 r^4.  So C = Res / E has
+# degree at most 20 in x and 14 in y, and the grid covers every proven degree:
+#   deg_x Res <= 28 < 37 samples,  deg_y C <= 14 < 29 sections,
+#   deg_x C <= 20 < 29 coefficients.
+# A fitted cofactor of total degree above 28 fails, and only the held-out
+# check can declare success.
+_DEGREE_BOUND = 28
 
 
 def _certificate_rng(r: Fraction, seed: int) -> random.Random:
@@ -652,9 +661,9 @@ def _divide_univariate(num: Sequence[Fraction], den: Sequence[Fraction]) -> tupl
 class _Certificate:
     """Sample grid, seeded stream and exact evaluators of one certificate run.
 
-    Construction validates the arguments and draws the grid offsets; every
-    held-out draw then replays the stream from that point, so each
-    conclusion or failure report draws what a fresh run draws.  With
+    Construction validates r and draws the grid offsets; every held-out
+    draw then replays the stream from that point, so each conclusion or
+    failure report draws what a fresh run draws.  With
     ``mutate`` the sextic is :func:`mutated_sextic`.  Every exact point value
     -- Res, the sextic, its sections and the cofactor -- is taken by
     :func:`_evaluate_cleared`: an integer sum over a known denominator from
@@ -662,19 +671,12 @@ class _Certificate:
     once per certificate.
     """
 
-    def __init__(self, r, degree_bound, seed, mutate=False):
+    def __init__(self, r, seed, mutate=False):
         r = Fraction(r)
         if r == 0:
             raise ValueError("r = 0: the elimination system degenerates")
-        if degree_bound < 0:
-            raise ValueError("degree bound must be nonnegative")
-        if degree_bound > MAX_DEGREE_BOUND:
-            raise ValueError(
-                f"degree bound {degree_bound} exceeds {MAX_DEGREE_BOUND}, "
-                "the largest total degree the cofactor can have"
-            )
 
-        self.r, self.degree_bound, self.seed = r, degree_bound, seed
+        self.r, self.seed = r, seed
         rng = _certificate_rng(r, seed)
         sextic = mutated_sextic() if mutate else sextic_polynomial()
         self.sextic_terms, self.sextic_scale = _cleared_terms(sextic.terms)
@@ -686,12 +688,8 @@ class _Certificate:
             for i in range(self.sextic_degrees[0] + 1)
         ]
 
-        # The section degree bound: deg_x Res <= degree_bound + deg_x E, and
-        # deg_x E = 8 for both sextics (the u^4 coefficient is 1 + r^2), so
-        # every section quotient has exactly degree_bound + 1 coefficients.
-        section_degree = degree_bound + 8
-        xs_count = section_degree + 1
-        ys_count = degree_bound + 1
+        xs_count = _DEGREE_BOUND + 9
+        ys_count = _DEGREE_BOUND + 1
 
         den_x = rng.choice((7, 11, 13))
         den_y = rng.choice((7, 11, 13))
@@ -734,7 +732,7 @@ class _Certificate:
     def report(self, **fields) -> ResultantReport:
         return ResultantReport(
             r=self.r,
-            degree_bound=self.degree_bound,
+            degree_bound=_DEGREE_BOUND,
             sample_count=self.sample_count,
             seed=self.seed,
             **fields,
@@ -764,10 +762,10 @@ class _Certificate:
                 failures.append((x, y, Fraction(residual, res_den * sextic_den * cof_den)))
 
         reason = None
-        if total_degree > self.degree_bound:
+        if total_degree > _DEGREE_BOUND:
             reason = (
                 f"interpolated cofactor has total degree {total_degree} "
-                f"> bound {self.degree_bound}"
+                f"> bound {_DEGREE_BOUND}"
             )
         if failures:
             reason = f"{len(failures)} held-out residuals are nonzero"
@@ -812,25 +810,25 @@ def _section_failure(cert: _Certificate, y: Fraction) -> ResultantReport:
 
 def verify_sextic_resultant_identity(
     r: Scalar,
-    degree_bound: int = 28,
     seed: int = 1,
     mutate: bool = False,
 ) -> ResultantReport:
     """Certify that the sextic divides the eliminated resultant at fixed r.
 
     For the given rational r, the resultant Res(x, y) of the elimination
-    system is sampled on a shifted tensor grid large enough to pin down a
-    cofactor of total degree ``degree_bound``: along each horizontal section
-    y = y_k the section polynomial Res(x, y_k) (degree at most
-    degree_bound + 8) is recovered by Newton interpolation and divided
-    exactly by the sextic section E(x^2, y_k^2, r).  The section quotients
-    are interpolated across y into the cofactor C(x, y), and the identity
-    Res = E * C is re-verified exactly at 64 pseudo-random rational points;
-    every held-out residual must be exactly zero, and only that check can
-    declare success.  At each point Res, E and C are integers over known
-    denominators: power tables of the coordinates clear every term, the
-    integer coefficient vectors of the system go to :func:`resultant`, and
-    Res - E * C is one integer cross-difference.
+    system is sampled on one shifted tensor grid of 37 abscissae by 29
+    sections, fixed for every r and large enough for every degree the
+    elimination can have (the bounds are derived next to ``_DEGREE_BOUND``):
+    along each horizontal section y = y_k the section polynomial Res(x, y_k)
+    is recovered by Newton interpolation and divided exactly by the sextic
+    section E(x^2, y_k^2, r).  The section quotients are interpolated across
+    y into the cofactor C(x, y), and the identity Res = E * C is re-verified
+    exactly at 64 pseudo-random rational points; every held-out residual
+    must be exactly zero, and only that check can declare success.  At each
+    point Res, E and C are integers over known denominators: power tables of
+    the coordinates clear every term, the integer coefficient vectors of the
+    system go to :func:`resultant`, and Res - E * C is one integer
+    cross-difference.
 
     The fitting runs modulo one prime after another (Collins' multi-modular
     method), with primes drawn on demand, so r may have any height: the
@@ -849,18 +847,11 @@ def verify_sextic_resultant_identity(
     are drawn from a generator seeded by ``seed`` (and r), so reports are
     bit-reproducible.  Sample coordinates are rationals with numerator and
     denominator bounded by 1000.  ``mutate`` certifies
-    :func:`mutated_sextic` instead, a self-test that must fail.
-
-    ``degree_bound`` is at most ``MAX_DEGREE_BOUND`` = 34, and a larger one
-    raises ValueError before any work.  Res has degree at most 28 in x and
-    20 in y (the bounds the degrees of the Sylvester entries prove, for
-    every r).  E(x^2, y^2, r) has degree exactly 8 in x and 6 in y at every
-    r != 0: its u^4 coefficient is 1 + r^2 and its v^3 coefficient -16 r^4.
-    So C = Res / E has degree at most 28 - 8 = 20 in x and 20 - 6 = 14 in
-    y, and total degree at most 20 + 14 = 34; a larger bound only enlarges
-    the sample grid.
+    :func:`mutated_sextic` instead, a self-test that must fail.  Each report
+    records the grid's degree bound, 28, and 1137 samples: the 37 x 29 grid
+    points and 64 held out.
     """
-    cert = _Certificate(r, degree_bound, seed, mutate)
+    cert = _Certificate(r, seed, mutate)
     concluded = report = None
     try:
         for terms in _settled_fits(cert):
@@ -1077,7 +1068,7 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
     den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
     width = den.shape[1]
     lead_inverse = np.array([pow(int(c), -1, p) for c in den[:, -1]], np.int64)
-    bound = cert.degree_bound
+    bound = _DEGREE_BOUND
     fitted = np.zeros((bound + 1, ny), np.int64)
     # Interpolation is linear: row i of the basis holds the coefficients of the
     # Lagrange polynomial of node i, so a block's coefficients are one product.

@@ -28,6 +28,7 @@ split.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -278,7 +279,8 @@ def support_function_via_condition(theta, r: float):
     either way, and no grid is built.  Every sample has its root, and
     cos(pi / _F_SAMPLES) <= Lam <= 1 + sqrt(r^2 + 1) <= r + 2, as the
     samples phi and -phi come within pi / _F_SAMPLES of theta, so Lam lies
-    in the grid's span and every angle has a value.  A scalar
+    in the grid's span and every angle has a value.  r^2 must be finite, so
+    r above sqrt(DBL_MAX) = 1.34e154 raises ValueError.  A scalar
     ``theta`` gives a float; a one-dimensional array of angles gives an
     array of the values, each equal to the one-angle call, with the
     circle's tables built once per call.
@@ -289,6 +291,9 @@ def support_function_via_condition(theta, r: float):
     if not np.isfinite(thetas).all():
         raise ValueError(f"theta must be finite, got {theta}")
     _check_radius(r)
+    limit = math.sqrt(sys.float_info.max)
+    if r > limit:
+        raise ValueError(f"r must be at most {limit!r}, above which r^2 overflows a double, got {r}")
     cos_phi = _circle(_F_SAMPLES)[1]
     sin2_phi = 1.0 - cos_phi * cos_phi
     top = r + 2.0

@@ -292,7 +292,7 @@ def test_resultant_vanishes_on_envelope_points_only():
 
 
 def test_certificate_succeeds_at_half():
-    report = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1)
+    report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
     assert report.success
     assert not report.holdout_failures
     assert report.cofactor.terms
@@ -304,21 +304,21 @@ def test_certificate_succeeds_at_half():
 def test_certificate_cofactor_degree_stable_across_radii():
     degrees = set()
     for r in (Q(1, 2), Q(1, 3)):
-        report = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1)
+        report = exact.verify_sextic_resultant_identity(r, seed=1)
         assert report.success
         degrees.add(report.cofactor_total_degree)
     assert len(degrees) == 1
 
 
 def test_certificate_detects_single_coefficient_mutation():
-    report = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1, mutate=True)
+    report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1, mutate=True)
     assert not report.success
     assert report.holdout_failures
     assert all(res != 0 for (_, _, res) in report.holdout_failures)
 
 
 def test_certificate_report_serializes():
-    report = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=3)
+    report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=3)
     payload = report.to_json_dict()
     assert payload["success"] is True
     assert payload["r"] == "1/2"
@@ -336,10 +336,10 @@ CERTIFIED_RADII = [Q(1, 2), Q(1, 3), Q(2), Q(-1, 2), Q(1, 1000), Q(1000), Q(355,
 
 @pytest.mark.parametrize("r", CERTIFIED_RADII, ids=str)
 def test_certificate_holds_and_mutation_fails_across_radii(r):
-    report = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1)
+    report = exact.verify_sextic_resultant_identity(r, seed=1)
     assert report.success and not report.holdout_failures
     assert report.cofactor_total_degree <= 28
-    mutated = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1, mutate=True)
+    mutated = exact.verify_sextic_resultant_identity(r, seed=1, mutate=True)
     assert not mutated.success
     assert mutated.holdout_failures
     assert all(res != 0 for (_, _, res) in mutated.holdout_failures)
@@ -353,7 +353,7 @@ def _exact_route(cert):
     A nonzero remainder ends the run with the section residuals at up to 8
     held-out abscissae.
     """
-    bound = cert.degree_bound
+    bound = exact._DEGREE_BOUND
     section_quotients = []
     for y in cert.ys:
         values = [cert.res_value(x, y) for x in cert.xs]
@@ -393,10 +393,10 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     calls = []
     resultant = exact.resultant
     monkeypatch.setattr(exact, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
-    fast = exact.verify_sextic_resultant_identity(Q(1, 2), degree_bound=28, seed=1)
+    fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
     assert len(calls) == 64  # the held-out points only
     monkeypatch.undo()
-    slow = _exact_route(exact._Certificate(Q(1, 2), 28, 1))
+    slow = _exact_route(exact._Certificate(Q(1, 2), 1))
     assert fast.to_json_dict() == slow.to_json_dict()
     assert fast.to_text() == slow.to_text()
 
@@ -407,18 +407,22 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, mutate=True)
     assert len(calls) == 37 + 8
     monkeypatch.undo()
-    assert fast.to_json_dict() == _exact_route(exact._Certificate(Q(1, 2), 28, 9, True)).to_json_dict()
+    assert fast.to_json_dict() == _exact_route(exact._Certificate(Q(1, 2), 9, True)).to_json_dict()
 
 
 @pytest.mark.parametrize(
     "r, bound", [(Q(1, 2), 28), (Q(1, 3), 28), (Q(2), 28), (Q(1, 2), 10), (Q(355, 113), 14)], ids=str
 )
 @pytest.mark.parametrize("seed", [1, 2, 5])
-def test_a_section_failure_is_the_one_the_exact_route_reports(r, bound, seed):
+def test_a_section_failure_is_the_one_the_exact_route_reports(monkeypatch, r, bound, seed):
+    # The mutated sextic fails on the certificate's grid; the true one fails
+    # only on a grid too small for Res, that of a degree bound of 10 or 14.
+    monkeypatch.setattr(exact, "_DEGREE_BOUND", bound)
     mutate = bound == 28
-    fast = exact.verify_sextic_resultant_identity(r, bound, seed, mutate)
+    fast = exact.verify_sextic_resultant_identity(r, seed, mutate)
     assert not fast.success and fast.failure_reason.startswith("fitting system inconsistent")
-    assert fast.to_json_dict() == _exact_route(exact._Certificate(r, bound, seed, mutate)).to_json_dict()
+    assert fast.to_json_dict() == _exact_route(exact._Certificate(r, seed, mutate)).to_json_dict()
+    assert fast.degree_bound == bound
 
 
 def test_a_failing_block_ends_the_modular_fit(monkeypatch):
@@ -429,7 +433,7 @@ def test_a_failing_block_ends_the_modular_fit(monkeypatch):
     monkeypatch.setattr(
         exact, "_determinants_mod", lambda mats, p: blocks.append(len(mats)) or determinants(mats, p)
     )
-    cert = exact._Certificate(Q(1, 2), 28, 1, mutate=True)
+    cert = exact._Certificate(Q(1, 2), 1, mutate=True)
     with pytest.raises(exact._Indivisible) as failure:
         next(exact._settled_fits(cert))
     assert blocks == [exact._BLOCK_SECTIONS * 37]
@@ -460,7 +464,7 @@ def test_a_wrong_settled_fit_is_refitted_with_more_primes(monkeypatch):
     settled = len(primes)
     primes.clear()
     monkeypatch.setattr(exact, "_settled_fits", corrupted)
-    report = exact.verify_sextic_resultant_identity(Q(1, 3), degree_bound=28, seed=2)
+    report = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
     assert report.success
     assert report.to_json_dict() == clean.to_json_dict()
     assert report.to_text() == clean.to_text()
@@ -515,7 +519,7 @@ def test_primes_on_demand_agree_with_trial_division():
 def test_a_127_bit_radius_pair_certifies_past_the_old_table(monkeypatch):
     r = Q(2**127 - 1, 2**127 - 3)
     primes = _recorded_primes(monkeypatch)
-    report = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1)
+    report = exact.verify_sextic_resultant_identity(r, seed=1)
     assert report.success and not report.holdout_failures
     assert len(primes) > len(PRIMES)
     assert primes[: len(PRIMES)] == list(PRIMES)
@@ -524,7 +528,7 @@ def test_a_127_bit_radius_pair_certifies_past_the_old_table(monkeypatch):
 def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
     # The first block of one _cofactor_mod call: its mod-p Bezout values are
     # the exact resultants at those grid points, reduced modulo p.
-    cert = exact._Certificate(Q(1, 2), 28, 1)
+    cert = exact._Certificate(Q(1, 2), 1)
     blocks = []
     resultants = exact._resultants_mod
     monkeypatch.setattr(
@@ -545,35 +549,36 @@ def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
 def test_certificate_skips_a_prime_dividing_the_radius_numerator(monkeypatch):
     # The Bezout resultants divide by lc(f)^2 = r^4, so r must be a unit.
     primes = _recorded_primes(monkeypatch)
-    report = exact.verify_sextic_resultant_identity(Q(PRIMES[0]), degree_bound=28, seed=1)
+    report = exact.verify_sextic_resultant_identity(Q(PRIMES[0]), seed=1)
     assert report.success
     assert primes[0] == PRIMES[1] and PRIMES[0] not in primes
 
 
 def test_certificate_skips_a_prime_dividing_the_radius_denominator(monkeypatch):
     primes = _recorded_primes(monkeypatch)
-    report = exact.verify_sextic_resultant_identity(Q(1, PRIMES[0]), degree_bound=28, seed=1)
+    report = exact.verify_sextic_resultant_identity(Q(1, PRIMES[0]), seed=1)
     assert report.success
     assert primes[0] == PRIMES[1] and PRIMES[0] not in primes
 
 
-def test_a_degree_bound_beyond_the_proven_degrees_is_rejected_before_any_work(monkeypatch):
-    # deg_x Res <= 28 and deg_y Res <= 20, and E(x^2, y^2, r) has degree
-    # 2 deg_u E in x and 2 deg_v E in y, so C has total degree at most 34.
+def test_the_fixed_grid_covers_the_proven_degrees():
+    # deg_x Res <= 28 and deg_y Res <= 20 at every r, and E(x^2, y^2, r) has
+    # degree 2 deg_u E in x and 2 deg_v E in y, so C = Res / E has degree at
+    # most 20 in x and 14 in y.
     sextic = exact.sextic_polynomial()
-    assert exact.MAX_DEGREE_BOUND == (28 - 2 * sextic.degree("u")) + (20 - 2 * sextic.degree("v")) == 34
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the certificate started")
-
-    for name in ("_certificate_rng", "sextic_polynomial", "_settled_fits", "_section_failure"):
-        monkeypatch.setattr(exact, name, no_work)
-    for bound in (exact.MAX_DEGREE_BOUND + 1, 2000):
-        with pytest.raises(ValueError, match=f"degree bound {bound} exceeds 34"):
-            exact.verify_sextic_resultant_identity(Q(3), degree_bound=bound)
-    monkeypatch.undo()
-    cert = exact._Certificate(Q(3), exact.MAX_DEGREE_BOUND, 1)
-    assert (len(cert.xs), len(cert.ys)) == (43, 35)
+    res_x, res_y = 28, 20
+    sextic_x, sextic_y = 2 * sextic.degree("u"), 2 * sextic.degree("v")
+    cofactor_x, cofactor_y = res_x - sextic_x, res_y - sextic_y
+    assert (sextic_x, sextic_y, cofactor_x, cofactor_y) == (8, 6, 20, 14)
+    for r in (Q(1, 2), Q(3), Q(-1, 1000)):
+        cert = exact._Certificate(r, 1)
+        samples, sections = len(cert.xs), len(cert.ys)
+        coefficients = samples - sextic_x  # of each section quotient
+        assert (samples, sections, coefficients) == (37, 29, 29)
+        assert res_x < samples and cofactor_y < sections and cofactor_x < coefficients
+        assert len(set(cert.xs)) == samples and len(set(cert.ys)) == sections
+    report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
+    assert (report.degree_bound, report.sample_count) == (28, 37 * 29 + exact._HOLDOUT) == (28, 1137)
 
 
 def _settled_by_rereconstruction(sequence):
@@ -617,7 +622,7 @@ def test_modular_fit_stops_where_rereconstruction_stops(monkeypatch, r):
         return sequence[-1][1]
 
     monkeypatch.setattr(exact, "_cofactor_mod", recorded)
-    terms = next(exact._settled_fits(exact._Certificate(r, 28, 1)))
+    terms = next(exact._settled_fits(exact._Certificate(r, 1)))
     assert (terms, [p for p, _ in sequence]) == _settled_by_rereconstruction(sequence)
     if r.denominator == PRIMES[0]:
         assert sequence[0][0] == PRIMES[1]
@@ -677,7 +682,7 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
     sextic = exact.mutated_sextic() if mutated else exact.sextic_polynomial()
     values = _rationals(13, 16)
     for r in (Q(1, 2), Q(-998, 997), Q(1000), Q(7)):
-        cert = exact._Certificate(r, 28, 1, mutated)
+        cert = exact._Certificate(r, 1, mutated)
         for x in values:
             want_section = []
             for i in range(sextic.degree("u") + 1):
@@ -725,7 +730,7 @@ def _reference_failures(cert, terms):
     "r, key, delta", [(Q(1, 2), (0, 0), Q(1)), (Q(355, 113), (4, 6), Q(-1, 7))], ids=["half", "355/113"]
 )
 def test_a_perturbed_cofactor_fails_at_the_reference_points(r, key, delta):
-    cert = exact._Certificate(r, 28, 1)
+    cert = exact._Certificate(r, 1)
     terms = next(exact._settled_fits(cert))
     assert not cert.conclude(terms).holdout_failures
     perturbed = {**terms, key: terms[key] + delta}
@@ -839,7 +844,7 @@ def test_certified_cofactor_proves_the_identity_at_half_on_a_tensor_grid():
     # polynomial that vanishes on 29 x 21 distinct nodes is zero: Res = E C
     # holds in Q[x, y], not only at sample points.
     r = Q(1, 2)
-    cofactor = exact.verify_sextic_resultant_identity(r, degree_bound=28, seed=1).cofactor
+    cofactor = exact.verify_sextic_resultant_identity(r, seed=1).cofactor
     assert cofactor.degree("x") <= 20 and cofactor.degree("y") <= 14
     sextic, mutated = exact.sextic_polynomial(), exact.mutated_sextic()
     failing, off_axis = [], []

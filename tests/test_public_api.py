@@ -35,6 +35,7 @@ RETIRED = [
     "default_offset_grid",
     "ConditionNotSatisfiedError",
     "format_float",
+    "MAX_DEGREE_BOUND",
 ]
 
 

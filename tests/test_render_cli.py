@@ -20,7 +20,6 @@ from fnr import (
     boundary_curve,
     cli,
     classify_point,
-    exact,
     render,
     support_function,
 )
@@ -541,27 +540,6 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-def test_negative_degree_bound_is_a_usage_error(tmp_path, capsys):
-    assert main(["resultant", "--degree-bound", "-1", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("fnr: ") and "--degree-bound" in err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("bound", [exact.MAX_DEGREE_BOUND + 1, 2000])
-def test_degree_bound_beyond_the_cofactor_degrees_is_a_usage_error(tmp_path, capsys, monkeypatch, bound):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the certificate started")
-
-    monkeypatch.setattr(exact, "verify_sextic_resultant_identity", no_work)
-    argv = ["resultant", "--r", "3", "--degree-bound", str(bound), "--out", str(tmp_path)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("fnr: ") and err.count("\n") == 1
-    assert f"at most {exact.MAX_DEGREE_BOUND}" in err and str(bound) in err
-    assert not any(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -678,7 +656,7 @@ COMMAND_FLAGS = {
         "--r", "--a", "--samples", "--N", "--grid", "--seed", "--out",
         "--tol-alg", "--tol-env", "--tol-conv", "--with-resultant",
     },
-    "resultant": {"--r", "--seed", "--out", "--degree-bound", "--mutate"},
+    "resultant": {"--r", "--seed", "--out", "--mutate"},
 }
 
 # Each flag that every command used to accept, with a value it used to take.
@@ -694,6 +672,10 @@ REMOVED = [
     for flag in FORMER_COMMON_FLAGS
     if flag not in flags
 ]
+
+# Flags retired from one command, with a value each used to take: the
+# certificate's sample grid is fixed.
+RETIRED_FLAGS = {("resultant", "--degree-bound"): "28"}
 
 
 def _parser_flags():
@@ -714,16 +696,20 @@ def _parser_flags():
 def test_each_command_has_only_the_flags_it_reads():
     flags = _parser_flags()
     assert {name: set(options) for name, options in flags.items()} == COMMAND_FLAGS
-    assert sum(len(options) for options in flags.values()) == 26
+    assert sum(len(options) for options in flags.values()) == 25
     assert len(REMOVED) == 21
+    assert not any(flag in COMMAND_FLAGS[command] for command, flag in RETIRED_FLAGS)
 
 
-@pytest.mark.parametrize("command, flag", REMOVED)
+@pytest.mark.parametrize("command, flag", REMOVED + list(RETIRED_FLAGS))
 def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
-    argv = [command, flag, FORMER_COMMON_FLAGS[flag], "--out", str(tmp_path)]
+    value = RETIRED_FLAGS.get((command, flag), FORMER_COMMON_FLAGS.get(flag))
+    argv = [command, flag, value, "--out", str(tmp_path)]
     assert main(argv) == 2  # returned, not raised as SystemExit
     err = capsys.readouterr().err
-    assert err.startswith("fnr: ") and flag in err
+    assert err.startswith("fnr: ") and err.count("\n") == 1 and flag in err
+    # The one line names every flag the command does take.
+    assert set(err.split("its flags are ")[1].rstrip("\n").split(", ")) == COMMAND_FLAGS[command]
     assert not any(tmp_path.iterdir())
 
 

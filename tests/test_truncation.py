@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -482,6 +483,16 @@ def test_condition_scan_takes_an_array_of_angles():
         support_function_via_condition(np.zeros((2, 2)), 0.5)
     with pytest.raises(ValueError, match="finite"):
         support_function_via_condition(np.array([0.3, math.nan]), 0.5)
+
+
+def test_condition_scan_rejects_a_radius_whose_square_overflows():
+    # Above sqrt(DBL_MAX) r^2 is inf, and the offset index was ceil(-inf).
+    limit = math.sqrt(sys.float_info.max)
+    assert support_function_via_condition(0.3, 1e154) == 1e154
+    assert support_function_via_condition(0.3, limit) == limit
+    for r in (math.nextafter(limit, math.inf), 1e155, 1e160, 1e200, sys.float_info.max):
+        with pytest.raises(ValueError, match=re.escape(f"at most {limit!r},")):
+            support_function_via_condition(np.array([0.0, 0.3]), r)
 
 
 def test_truncation_checks_run_one_search_and_one_circle_table_per_radius(monkeypatch):
