@@ -34,6 +34,7 @@ safe.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
@@ -115,8 +116,12 @@ def angle_grid(n: int) -> np.ndarray:
 
 
 def _check_radius(r: float) -> None:
+    """Refuse r unless 0 <= r <= sqrt(DBL_MAX) = 1.34e154, so r^2 is a finite double."""
     if not (math.isfinite(r) and r >= 0):
         raise ValueError(f"r must be finite and nonnegative, got {r}")
+    limit = math.sqrt(sys.float_info.max)
+    if r > limit:
+        raise ValueError(f"r must be at most {limit!r}, above which r^2 overflows a double, got {r}")
 
 
 def switching_cosine(r: float) -> float:
@@ -135,13 +140,12 @@ def _support(c: np.ndarray, s: np.ndarray, r: float, cut: float) -> np.ndarray:
 
     The one transcription of both branches: r + c, overwritten where c < cut
     by the sextic branch sqrt(1 + (r / s)^2), which is evaluated only there.
-    There s != 0 (sin theta = 0 gives c = 1) unless r * r overflows and cut
-    is inf; r / 0 is then inf, the branch's limit, as is (r / s)^2 where it
-    overflows.
+    There s != 0, since sin theta = 0 gives c = 1 >= cut; (r / s)^2 may
+    overflow near the axis to inf, the branch's limit.
     """
     out = np.add(r, c, out=np.empty(c.shape))
     sextic = c < cut
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         ratio = r / s[sextic]
         out[sextic] = np.sqrt(1.0 + ratio * ratio)
     return out
@@ -154,7 +158,7 @@ def support_function(theta, r: float):
     else sqrt(1 + (r / sin theta)^2).  Accepts a scalar angle or an ndarray;
     the value is >= 1 everywhere, symmetric under theta -> -theta and
     theta -> pi - theta, and the two branches agree at the switching cosine.
-    A non-finite theta or r raises ValueError.
+    A non-finite theta, or r outside [0, sqrt(DBL_MAX)], raises ValueError.
     """
     cut = switching_cosine(r)
     th = np.asarray(theta, dtype=float)

@@ -3,11 +3,13 @@
 Each check measures one quantity (a worst-case residual, gap or deviation),
 compares it against its tolerance and reports a named pass/fail record; the
 CLI serializes the records to JSON.  Every bound lives here: :class:`Tolerances`
-holds the three that ``fnr verify`` flags set, module constants the rest.  The
-closed-form suite exercises the internal consistency of :mod:`fnr.boundary`;
-the truncation suite plays the matrix compressions of :mod:`fnr.truncation`
-against the closed forms; the ellipse check quantifies the failure of the
-elliptical-disk description.
+holds the three that ``fnr verify`` flags set, module constants the rest.  So
+does every grid: the closed-form and degenerate suites sample 720 angles, and
+the ellipse check 2000 boundary points.  The closed-form suite exercises the
+internal consistency of :mod:`fnr.boundary`; the truncation suite plays the
+matrix compressions of :mod:`fnr.truncation` against the closed forms; the
+ellipse check quantifies the failure of the elliptical-disk description.  The
+exact route's certificate runs under ``fnr resultant``, not here.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "closedform_checks",
     "truncation_checks",
     "ellipse_check",
-    "resultant_check",
     "degenerate_checks",
 ]
 
@@ -84,10 +85,10 @@ def _leq(name: str, measured: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(measured), float(tolerance), bool(measured <= tolerance))
 
 
-def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
-    """Internal-consistency suite for the closed-form geometry at radius r."""
+def closedform_checks(r: float, tol: Tolerances) -> list:
+    """Internal-consistency suite for the closed-form geometry at radius r, on 720 angles."""
     results = []
-    thetas = boundary.angle_grid(grid)
+    thetas = boundary.angle_grid(720)
     values = boundary.support_function(thetas, r)
 
     sym = np.max(np.abs(values - boundary.support_function(-thetas, r)))
@@ -124,7 +125,7 @@ def closedform_checks(r: float, tol: Tolerances, grid: int = 720) -> list:
             worst = max(worst, abs(closed.lo - grid_lo[i, j]), abs(closed.hi - grid_hi[i, j]))
     results.append(_leq("symbol-range-bruteforce", worst, 1e-8))
 
-    _, xs, ys, branch = boundary.boundary_curve(r, max(grid, 720))
+    _, xs, ys, branch = boundary.boundary_curve(r, 720)
     right = branch == boundary.Branch.CIRCLE_RIGHT
     circle = right | (branch == boundary.Branch.CIRCLE_LEFT)
     u = xs[~circle] * xs[~circle]
@@ -207,37 +208,27 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
     return results
 
 
-def ellipse_check(r: float, samples: int) -> CheckResult:
+def ellipse_check(r: float) -> CheckResult:
     """The boundary must depart from the comparison ellipse for r > 0.
 
-    The gap must exceed ``min(ELLIPSE_GAP_THRESHOLD, 0.1 r)``.  An absolute
-    threshold cannot hold at small r, because the gap itself shrinks like r:
-    the ellipse's major half-axis is 1 + r, while away from the real axis the
-    sextic arc lies within O(r^2 / sin^2 theta) of the unit circle, so the gap
-    tends to r as r -> 0.  Measured at 2000 samples, gap / r is 0.859 at
+    The gap, measured at 2000 boundary samples, must exceed
+    ``min(ELLIPSE_GAP_THRESHOLD, 0.1 r)``.  An absolute threshold cannot hold
+    at small r, because the gap itself shrinks like r: the ellipse's major
+    half-axis is 1 + r, while away from the real axis the sextic arc lies
+    within O(r^2 / sin^2 theta) of the unit circle, so the gap tends to r as
+    r -> 0.  At those 2000 samples, gap / r is 0.859 at
     r = 1e-2, 0.955 at 1e-3 and 0.9986 at 1e-6, so 0.1 r leaves a margin of at
     least 8.6 below r = 0.01.  From r = 0.01 up, 0.1 r >= 1e-3 and the
     threshold is the absolute one.
     """
-    gap, _ = boundary.ellipse_gap(r, samples)
+    gap, _ = boundary.ellipse_gap(r, 2000)
     threshold = min(ELLIPSE_GAP_THRESHOLD, 0.1 * r)
     return CheckResult("ellipse-gap-positive", gap, threshold, bool(gap > threshold))
 
 
-def resultant_check(r: Fraction, seed: int) -> CheckResult:
-    """Divisibility certificate outcome, on its fixed sample grid, folded into a check record."""
-    report = exact.verify_sextic_resultant_identity(r, seed=seed)
-    return CheckResult(
-        f"resultant-identity-r={r}",
-        float(len(report.holdout_failures)),
-        0.0,
-        report.success,
-    )
-
-
-def degenerate_checks(grid: int = 720) -> list:
-    """Unit-disk case r = 0: constant support function and documented refusals."""
-    thetas = boundary.angle_grid(grid)
+def degenerate_checks() -> list:
+    """Unit-disk case r = 0: constant support function on 720 angles and documented refusals."""
+    thetas = boundary.angle_grid(720)
     values = boundary.support_function(thetas, 0.0)
     results = [_leq("support-constant-one", float(np.max(np.abs(values - 1.0))), 0.0)]
     refused = 0

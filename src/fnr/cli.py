@@ -5,9 +5,11 @@
     fnr verify [--r 0.5 --N 400]       runs the verification suites, JSON report
     fnr resultant [--r 1/2,1/3]        divisibility certificates, text + JSON
 
-The certificate samples one fixed grid at every radius (``fnr.exact``), so
-``resultant`` takes no size setting; its reports record the grid's degree
-bound, 28.
+``verify`` runs one fixed suite: its angle grids and sample counts belong to
+the checks (``fnr.checks``), and the certificate runs only under
+``resultant``, on exact radii.  The certificate samples one fixed grid at
+every radius (``fnr.exact``), so ``resultant`` takes no size setting; its
+reports record the grid's degree bound, 28.
 
 Each command takes only the flags it reads; any other flag is a usage error.
 The parser is built once, at import, and every ``main`` call parses with it.
@@ -44,10 +46,6 @@ about r = 1e151, and the support-line offsets turn to inf from about 1e155."""
 MAX_SAMPLES = 1_000_000
 """Largest --samples.  The figures hold every sample as text: at 100 000
 samples the support-line SVG is 14 MB and the command peaks near 85 MB."""
-
-MAX_GRID = 100_000
-"""Largest --grid.  The support-consistency check compares every boundary
-point with every supporting line of the grid, grid^2 products."""
 
 MAX_LEVEL = 100_000
 """Largest --N.  The eigenvalue sweeps step through the truncation one level
@@ -108,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Flag groups shared by several commands: --out by all four, and the float
-    # radius with its sample count by all but resultant.
+    # radius by all but resultant.
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=".", help="output directory")
     floats = argparse.ArgumentParser(add_help=False)
@@ -116,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # A default of None, never equal to a parsed flag, keeps argparse's exclusion
     radius.add_argument("--r", type=str, default=None, help="radius |a|/2, float or p/q (0.5)")
     radius.add_argument("--a", type=str, default=None, help="coupling scalar as 're,im'")
-    floats.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
 
     for name, handler, help_text in (
         ("support-lines", cmd_support_lines, "emit the supporting-line family"),
@@ -124,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         figure = sub.add_parser(name, parents=[floats, out], help=help_text)
         figure.set_defaults(handler=handler)
+        figure.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
         figure.add_argument(
             "--format",
             action="append",
@@ -135,13 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[floats, out], help="run the verification suites")
     ver.set_defaults(handler=cmd_verify)
     ver.add_argument("--N", type=int, default=400, dest="level", help="truncation level")
-    ver.add_argument("--grid", type=int, default=720, help="angle grid size for checks")
-    ver.add_argument("--seed", type=int, default=1, help="seed for --with-resultant")
     tol = checks.DEFAULT_TOLERANCES
     ver.add_argument("--tol-alg", type=float, default=tol.algebraic, help="algebraic tolerance")
     ver.add_argument("--tol-env", type=float, default=tol.envelope, help="envelope tolerance")
     ver.add_argument("--tol-conv", type=float, default=tol.convergence, help="convergence tolerance")
-    ver.add_argument("--with-resultant", action="store_true", help="also run the certificate")
 
     res = sub.add_parser("resultant", parents=[out], help="run the divisibility certificates")
     res.set_defaults(handler=cmd_resultant)
@@ -175,14 +170,13 @@ def _within(flag: str, value: int, minimum: int, maximum: int) -> None:
 
 
 def _float_radius(args: argparse.Namespace) -> tuple:
-    """(r, a) of a float command from --r/--a; checks --samples too."""
+    """(r, a) of a float command from --r/--a."""
     if args.a is not None:
         a = _parse_complex(args.a)
         r = abs(a) / 2.0
     else:
         r = _parse_radius(args.r if args.r is not None else "0.5")
         a = complex(2.0 * r, 0.0)
-    _within("--samples", args.samples, 8, MAX_SAMPLES)
     if r < 0:
         raise UsageError(f"--r must be nonnegative, got {r}")
     if r > MAX_RADIUS:
@@ -218,6 +212,7 @@ def _emit_figure(args: argparse.Namespace, stem: str, write_csv, figure) -> int:
 
 def cmd_support_lines(args: argparse.Namespace) -> int:
     r, _ = _float_radius(args)
+    _within("--samples", args.samples, 8, MAX_SAMPLES)
     thetas = boundary.angle_grid(args.samples)
     offsets = boundary.support_function(thetas, r)
     return _emit_figure(
@@ -230,6 +225,7 @@ def cmd_support_lines(args: argparse.Namespace) -> int:
 
 def cmd_boundary(args: argparse.Namespace) -> int:
     r, _ = _float_radius(args)
+    _within("--samples", args.samples, 8, MAX_SAMPLES)
     if r == 0:
         raise UsageError(
             "r = 0: the numerical range is the open unit disk; there is no "
@@ -252,35 +248,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "so the comparison ellipse degenerates to the unit circle"
         )
     _within("--N", args.level, 1, MAX_LEVEL)
-    _within("--grid", args.grid, 64, MAX_GRID)
     tolerances = {"--tol-alg": args.tol_alg, "--tol-env": args.tol_env, "--tol-conv": args.tol_conv}
     for flag, value in tolerances.items():
         if not (math.isfinite(value) and value >= 0):
             raise UsageError(f"{flag} must be a finite number >= 0, got {value}")
-    rational = Fraction(r).limit_denominator(10**6)  # the radius the certificate runs at
-    if args.with_resultant and r > 0 and rational == 0:
-        raise UsageError(
-            f"--with-resultant needs r > 5e-7: r = {r!r} rounds to 0 at denominators up to 10^6"
-        )
     tol = checks.Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv)
     out = _out_dir(args)
     if r == 0:
-        results = checks.degenerate_checks(args.grid)
+        results = checks.degenerate_checks()
     else:
-        results = checks.closedform_checks(r, tol, args.grid)
+        results = checks.closedform_checks(r, tol)
         results.extend(checks.truncation_checks(a, args.level, tol))
-        results.append(checks.ellipse_check(r, max(args.samples, 2000)))
-        if args.with_resultant:
-            results.append(checks.resultant_check(rational, args.seed))
+        results.append(checks.ellipse_check(r))
     all_pass = all(c.passed for c in results)
     payload = {
         "command": "verify",
         "r": r,
         "a": [a.real, a.imag],
         "level": args.level,
-        "samples": args.samples,
-        "grid": args.grid,
-        "seed": args.seed,
         "tolerances": dataclasses.asdict(tol),
         "checks": [c.to_json_dict() for c in results],
         "all_pass": all_pass,

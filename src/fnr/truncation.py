@@ -28,7 +28,6 @@ split.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -291,9 +290,6 @@ def support_function_via_condition(theta, r: float):
     if not np.isfinite(thetas).all():
         raise ValueError(f"theta must be finite, got {theta}")
     _check_radius(r)
-    limit = math.sqrt(sys.float_info.max)
-    if r > limit:
-        raise ValueError(f"r must be at most {limit!r}, above which r^2 overflows a double, got {r}")
     cos_phi = _circle(_F_SAMPLES)[1]
     sin2_phi = 1.0 - cos_phi * cos_phi
     top = r + 2.0

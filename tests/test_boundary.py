@@ -1,7 +1,9 @@
 """Closed-form geometry: examples, invariants and property tests."""
 
 import math
+import re
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from fnr import (
     switching_cosine,
     symbol_range,
 )
-from fnr.truncation import symbol_range_grid
+from fnr.truncation import support_function_via_condition, symbol_range_grid
 
 from conftest import FROZEN_ELLIPSE_ARGMAX, FROZEN_ELLIPSE_GAP
 
@@ -85,14 +87,33 @@ def test_support_monotone_in_radius(theta, r1, r2):
 
 
 def test_scalar_and_grid_support_agree():
-    # At 1e200 and 1e308 r * r overflows, the switching cosine is inf and
-    # theta = 0 takes the sextic branch through r / 0.
     edges = [0.0, -0.0, math.pi, -math.pi, math.pi / 2.0, 5e-324, 1e-300, -1e-300]
     thetas = np.concatenate([angle_grid(720), edges])
-    for r in (0.0, 1e-300, 1e-8, 0.5, 1e4, 1e9, 1e150, 1e200, 1e308):
+    for r in (0.0, 1e-300, 1e-8, 0.5, 1e4, 1e9, 1e150):
         grid = support_function(thetas, r)
         assert grid.shape == thetas.shape
         assert grid.tolist() == [support_function(theta, r) for theta in thetas.tolist()]
+    for r in (1e200, 1e308):
+        with pytest.raises(ValueError, match="overflows"):
+            support_function(thetas, r)
+
+
+RADIUS_TAKERS = {
+    "switching_cosine": switching_cosine,
+    "support_function": lambda r: support_function(0.3, r),
+    "admissible_offset_intervals": lambda r: admissible_offset_intervals(0.3, r),
+    "support_function_via_condition": lambda r: support_function_via_condition(0.3, r),
+    "classify_point": lambda r: classify_point(0.0, 0.0, r),
+}
+
+
+@pytest.mark.parametrize("call", RADIUS_TAKERS.values(), ids=RADIUS_TAKERS)
+def test_every_radius_taker_shares_one_limit(call):
+    # Above sqrt(DBL_MAX) r^2 overflows; the closed form used to return inf.
+    limit = math.sqrt(sys.float_info.max)
+    call(limit)
+    with pytest.raises(ValueError, match=re.escape(f"at most {limit!r},")):
+        call(math.nextafter(limit, math.inf))
 
 
 # ---------------------------------------------------------------------------

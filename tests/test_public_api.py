@@ -36,6 +36,8 @@ RETIRED = [
     "ConditionNotSatisfiedError",
     "format_float",
     "MAX_DEGREE_BOUND",
+    "MAX_GRID",
+    "resultant_check",
 ]
 
 

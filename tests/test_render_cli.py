@@ -23,7 +23,7 @@ from fnr import (
     render,
     support_function,
 )
-from fnr.cli import MAX_GRID, MAX_LEVEL, MAX_RADIUS, MAX_SAMPLES, main
+from fnr.cli import MAX_LEVEL, MAX_RADIUS, MAX_SAMPLES, main
 from fnr.render import clip_segments, support_line_segments
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -332,17 +332,6 @@ def test_verify_degenerate_radius(tmp_path, capsys):
     assert names == {"support-constant-one", "degenerate-refusals"}
 
 
-def test_verify_with_resultant(tmp_path, capsys):
-    code = main([
-        "verify", "--r", "0.5", "--N", "64", "--with-resultant", "--out", str(tmp_path)
-    ])
-    capsys.readouterr()
-    assert code == 0
-    payload = json.loads((tmp_path / "verify.json").read_text())
-    names = {check["name"] for check in payload["checks"]}
-    assert "resultant-identity-r=1/2" in names
-
-
 @pytest.mark.parametrize("r", ["1e-3", "1e-6"])
 def test_verify_passes_below_the_absolute_ellipse_threshold(tmp_path, capsys, r):
     # The ellipse gap shrinks like r, so below r = 0.01 it is held to 0.1 r.
@@ -357,20 +346,22 @@ def test_verify_passes_below_the_absolute_ellipse_threshold(tmp_path, capsys, r)
 # three were computed with one brute-force table per offset and one recurrence
 # sweep per level, the last two (the defaults, and a large radius) with fresh
 # temporaries at every recurrence step and circle tables built once per angle;
-# sharing tables and work arrays must not change a byte.  The digests hold on
-# the platform they were computed on: another CPU or numpy build may round
-# numpy's vectorised cosines differently.
+# sharing tables and work arrays must not change a byte.  All five were
+# recomputed from the files of the earlier code with the lines "samples",
+# "grid" and "seed" removed, which echoed flags verify no longer takes.  The
+# digests hold on the platform they were computed on: another CPU or numpy
+# build may round numpy's vectorised cosines differently.
 VERIFY_DIGESTS = [
     (["--r", "0.3", "--N", "64"], 0,
-     "ded3696b5fe3daf27cfba335103d7b3aa973891601c63b540d714b361a3c45ac"),
+     "67ad62a953446206a45124c615beaa98662a83133f08ccd3a200c7bc0da4c4af"),
     (["--a", "0.714,1.633", "--N", "100"], 0,
-     "e02e9fd587f39bb7c2f0c5152c6d75905c1b843fe8a2aab020cf17cee4714865"),
+     "0b8b4a7cda0aa8ab78008f56857b60c594c0b8a35d2a7d4e16d5f73da1389ab9"),
     (["--N", "3"], 1,
-     "b8aa3f84cd0fe661fdeb5b9e02313a845eba8f6d70e6d75d8cdd4cc45084677e"),
+     "fadadbe5faecbb0ee65c83fb27eb2df4741cf04a462e6862ccd1780643dae94f"),
     ([], 0,
-     "5bfbb271c5fd14061d670b7663e0355ecf7d2d37a4d2ac67c38b3dba39fc50de"),
+     "eaedd7e67a85d6eebe557a89c695ba9da9aa7e987a7f2fc29f8cbe2f61e1893c"),
     (["--r", "7.5", "--N", "200"], 0,
-     "aa120c6466296fd4d880262a14fc5b20c3a1c2673ccb6a1808146b27d6f08b7f"),
+     "057dfe14e7367d1c76f547384126fb9c19bb41051ac666595f133738301255f6"),
 ]
 
 
@@ -379,6 +370,14 @@ def test_verify_json_bytes_are_pinned(tmp_path, capsys, flags, code, digest):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     capsys.readouterr()
     assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r", ["0.3", "0"])
+def test_verify_json_records_the_run_and_no_settings_of_its_grids(tmp_path, capsys, r):
+    assert main(["verify", "--r", r, "--N", "64", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    assert list(payload) == ["command", "r", "a", "level", "tolerances", "checks", "all_pass"]
 
 
 # sha256 of resultant.json and resultant.txt and the exit code for the
@@ -625,16 +624,6 @@ def test_verify_rejects_a_radius_lost_next_to_one(tmp_path, capsys, argv, named)
     assert not any(tmp_path.iterdir())
 
 
-def test_with_resultant_rejects_a_radius_that_rounds_to_zero(tmp_path, capsys):
-    # The certificate runs at r rounded to a denominator of at most 10^6.
-    argv = ["verify", "--r", "4.9e-7", "--N", "20", "--with-resultant", "--out", str(tmp_path)]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("fnr: ") and err.count("\n") == 1 and "5e-7" in err
-    assert "Traceback" not in out + err
-    assert not any(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize("flag", ["--tol-alg", "--tol-env", "--tol-conv"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "1e400", "abc"])
 def test_a_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, flag, value):
@@ -652,10 +641,7 @@ def test_a_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, flag, valu
 COMMAND_FLAGS = {
     "support-lines": {"--r", "--a", "--samples", "--out", "--format"},
     "boundary": {"--r", "--a", "--samples", "--out", "--format"},
-    "verify": {
-        "--r", "--a", "--samples", "--N", "--grid", "--seed", "--out",
-        "--tol-alg", "--tol-env", "--tol-conv", "--with-resultant",
-    },
+    "verify": {"--r", "--a", "--N", "--out", "--tol-alg", "--tol-env", "--tol-conv"},
     "resultant": {"--r", "--seed", "--out", "--mutate"},
 }
 
@@ -673,9 +659,9 @@ REMOVED = [
     if flag not in flags
 ]
 
-# Flags retired from one command, with a value each used to take: the
-# certificate's sample grid is fixed.
-RETIRED_FLAGS = {("resultant", "--degree-bound"): "28"}
+# Flags retired from one command, with a value each used to take (None for a
+# switch): the certificate's sample grid is fixed, and verify runs it no more.
+RETIRED_FLAGS = {("resultant", "--degree-bound"): "28", ("verify", "--with-resultant"): None}
 
 
 def _parser_flags():
@@ -696,15 +682,15 @@ def _parser_flags():
 def test_each_command_has_only_the_flags_it_reads():
     flags = _parser_flags()
     assert {name: set(options) for name, options in flags.items()} == COMMAND_FLAGS
-    assert sum(len(options) for options in flags.values()) == 25
-    assert len(REMOVED) == 21
+    assert sum(len(options) for options in flags.values()) == 21
+    assert len(REMOVED) == 24
     assert not any(flag in COMMAND_FLAGS[command] for command, flag in RETIRED_FLAGS)
 
 
 @pytest.mark.parametrize("command, flag", REMOVED + list(RETIRED_FLAGS))
 def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
     value = RETIRED_FLAGS.get((command, flag), FORMER_COMMON_FLAGS.get(flag))
-    argv = [command, flag, value, "--out", str(tmp_path)]
+    argv = [command, flag, *([value] if value else []), "--out", str(tmp_path)]
     assert main(argv) == 2  # returned, not raised as SystemExit
     err = capsys.readouterr().err
     assert err.startswith("fnr: ") and err.count("\n") == 1 and flag in err
@@ -726,8 +712,6 @@ def test_level_zero_is_rejected_before_any_work(tmp_path, capsys, command):
     [
         ("support-lines", "--samples", MAX_SAMPLES),
         ("boundary", "--samples", MAX_SAMPLES),
-        ("verify", "--samples", MAX_SAMPLES),
-        ("verify", "--grid", MAX_GRID),
         ("verify", "--N", MAX_LEVEL),
     ],
 )
@@ -749,7 +733,7 @@ def test_json_is_not_a_figure_format(tmp_path, capsys):
     "argv",
     [
         ["verify", "--N", "abc"],
-        ["verify", "--s", "5"],  # ambiguous: --samples or --seed
+        ["verify", "--tol", "5"],  # ambiguous: three --tol-* flags
         ["support-lines", "--format", "json"],
         [],
     ],
