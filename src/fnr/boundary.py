@@ -374,6 +374,7 @@ def ellipse_axes(r: float) -> tuple:
     half-axis is fixed to the numerical radius 1 + r so the ellipse touches
     the true boundary at all four axis extremes.
     """
+    _check_radius(r)
     return 1.0 + r, math.sqrt(1.0 + r * r)
 
 

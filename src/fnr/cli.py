@@ -11,6 +11,10 @@ the checks (``fnr.checks``), and the certificate runs only under
 every radius (``fnr.exact``), so ``resultant`` takes no size setting; its
 reports record the grid's degree bound, 28.
 
+The figures depend on the coupling a only through r = |a|/2, so they take
+``--r`` alone and always write both files; ``verify`` builds its truncations
+from a and takes ``--a`` too.
+
 Each command takes only the flags it reads; any other flag is a usage error.
 The parser is built once, at import, and every ``main`` call parses with it.
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
@@ -67,7 +71,8 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational number") from exc
 
 
-def _parse_radius(text: str) -> float:
+def _parse_radius(text: str) -> tuple:
+    """(rational, double) of a radius, refused if the double is inf, negative or underflows."""
     rational = _parse_rational(text)
     try:
         value = float(rational)
@@ -75,7 +80,9 @@ def _parse_radius(text: str) -> float:
         raise UsageError(f"--r {text} overflows a double") from exc
     if value == 0 and rational != 0:
         raise UsageError(f"--r {text} underflows a double to zero")
-    return value
+    if value < 0:
+        raise UsageError(f"--r must be nonnegative, got {value}")
+    return rational, value
 
 
 def _parse_complex(text: str) -> complex:
@@ -105,12 +112,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flag groups shared by several commands: --out by all four, and the float
-    # radius by all but resultant.
+    # Flag groups: --out is shared by all four commands, the figure flags by
+    # both figures, and the radius or coupling belongs to verify.
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=str, default=".", help="output directory")
-    floats = argparse.ArgumentParser(add_help=False)
-    radius = floats.add_mutually_exclusive_group()
+    figure = argparse.ArgumentParser(add_help=False)
+    figure.add_argument("--r", type=str, default="0.5", help="radius |a|/2, float or p/q")
+    figure.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
+    coupling = argparse.ArgumentParser(add_help=False)
+    radius = coupling.add_mutually_exclusive_group()
     # A default of None, never equal to a parsed flag, keeps argparse's exclusion
     radius.add_argument("--r", type=str, default=None, help="radius |a|/2, float or p/q (0.5)")
     radius.add_argument("--a", type=str, default=None, help="coupling scalar as 're,im'")
@@ -119,18 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("support-lines", cmd_support_lines, "emit the supporting-line family"),
         ("boundary", cmd_boundary, "emit the boundary curve"),
     ):
-        figure = sub.add_parser(name, parents=[floats, out], help=help_text)
-        figure.set_defaults(handler=handler)
-        figure.add_argument("--samples", type=int, default=720, help="boundary/line sample count")
-        figure.add_argument(
-            "--format",
-            action="append",
-            choices=("csv", "svg"),
-            default=None,
-            help="output formats (repeatable; default both)",
-        )
+        sub.add_parser(name, parents=[figure, out], help=help_text).set_defaults(handler=handler)
 
-    ver = sub.add_parser("verify", parents=[floats, out], help="run the verification suites")
+    ver = sub.add_parser("verify", parents=[coupling, out], help="run the verification suites")
     ver.set_defaults(handler=cmd_verify)
     ver.add_argument("--N", type=int, default=400, dest="level", help="truncation level")
     tol = checks.DEFAULT_TOLERANCES
@@ -169,16 +170,14 @@ def _within(flag: str, value: int, minimum: int, maximum: int) -> None:
         raise UsageError(f"{flag} must be at most {maximum}, got {value}")
 
 
-def _float_radius(args: argparse.Namespace) -> tuple:
-    """(r, a) of a float command from --r/--a."""
-    if args.a is not None:
-        a = _parse_complex(args.a)
+def _float_radius(r_text: str, a_text: str | None = None) -> tuple:
+    """(r, a) of a float command from the --a text if given, else from the --r text."""
+    if a_text is not None:
+        a = _parse_complex(a_text)
         r = abs(a) / 2.0
     else:
-        r = _parse_radius(args.r if args.r is not None else "0.5")
+        _, r = _parse_radius(r_text)
         a = complex(2.0 * r, 0.0)
-    if r < 0:
-        raise UsageError(f"--r must be nonnegative, got {r}")
     if r > MAX_RADIUS:
         raise UsageError(f"r = {r:g} exceeds the largest supported radius {MAX_RADIUS:g}")
     return r, a
@@ -195,23 +194,18 @@ def _dump_json(payload: dict, path: Path) -> None:
 
 
 def _emit_figure(args: argparse.Namespace, stem: str, write_csv, figure) -> int:
-    """Write ``stem``.csv by ``write_csv(path)`` and ``stem``.svg from ``figure()``, as asked."""
-    formats = args.format or ["csv", "svg"]
+    """Write ``stem``.csv by ``write_csv(path)``, then ``stem``.svg from ``figure()``."""
     out = _out_dir(args)
-    written = []
-    if "csv" in formats:
-        written.append(out / f"{stem}.csv")
-        write_csv(written[-1])
-    if "svg" in formats:
-        written.append(out / f"{stem}.svg")
-        render._write_text(written[-1], figure())
-    for path in written:
-        print(path)
+    csv_path, svg_path = out / f"{stem}.csv", out / f"{stem}.svg"
+    write_csv(csv_path)
+    render._write_text(svg_path, figure())
+    print(csv_path)
+    print(svg_path)
     return EXIT_OK
 
 
 def cmd_support_lines(args: argparse.Namespace) -> int:
-    r, _ = _float_radius(args)
+    r, _ = _float_radius(args.r)
     _within("--samples", args.samples, 8, MAX_SAMPLES)
     thetas = boundary.angle_grid(args.samples)
     offsets = boundary.support_function(thetas, r)
@@ -224,7 +218,7 @@ def cmd_support_lines(args: argparse.Namespace) -> int:
 
 
 def cmd_boundary(args: argparse.Namespace) -> int:
-    r, _ = _float_radius(args)
+    r, _ = _float_radius(args.r)
     _within("--samples", args.samples, 8, MAX_SAMPLES)
     if r == 0:
         raise UsageError(
@@ -241,7 +235,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    r, a = _float_radius(args)
+    r, a = _float_radius(args.r if args.r is not None else "0.5", args.a)
     if r > 0 and 1.0 + r == 1.0:
         raise UsageError(
             f"r = {r!r} is below the double resolution at 1: 1 + r rounds to 1, "
@@ -283,15 +277,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_resultant(args: argparse.Namespace) -> int:
-    parts = args.r.split(",")
-    radii = [_parse_rational(part) for part in parts]
-    # Every radius must be nonzero, and nonnegative and finite as a double.
-    for part, rr in zip(parts, radii):
-        value = _parse_radius(part)
-        if value < 0:
-            raise UsageError(f"--r must be nonnegative, got {value}")
+    radii = []
+    for part in args.r.split(","):
+        rr, _ = _parse_radius(part)
         if rr == 0:
             raise UsageError("r = 0 degenerates the elimination; pick a nonzero rational")
+        radii.append(rr)
     out = _out_dir(args)
     reports = [
         exact.verify_sextic_resultant_identity(rr, seed=args.seed, mutate=args.mutate)

@@ -104,6 +104,7 @@ RADIUS_TAKERS = {
     "admissible_offset_intervals": lambda r: admissible_offset_intervals(0.3, r),
     "support_function_via_condition": lambda r: support_function_via_condition(0.3, r),
     "classify_point": lambda r: classify_point(0.0, 0.0, r),
+    "ellipse_axes": ellipse_axes,
 }
 
 

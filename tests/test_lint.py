@@ -1,8 +1,8 @@
 """Source hygiene: no module in src/fnr or tests imports a name it never uses,
 every private top-level name of src/fnr is used inside src/fnr, every name in
 an ``__all__`` of src/fnr is used in src/fnr, scripts/ or perfbench/, one
-function of src/fnr writes every output file, and no cache in src/fnr keeps
-results across calls."""
+function of src/fnr writes every output file, no cache in src/fnr keeps
+results across calls, and no route imports another route's transcriptions."""
 
 import ast
 from pathlib import Path
@@ -304,3 +304,82 @@ def test_private_name_scan_flags_only_names_no_source_loads():
     assert unreferenced_names(sources) == sorted(
         unreferenced_names(sources, readers) + [("a.py", 12, "api"), ("b.py", 3, "_listed")]
     )
+
+
+def sibling_imports(source: str) -> list:
+    """(module, name) of each import of a module from another module of fnr.
+
+    ``from .boundary import angle_grid`` and ``from fnr.boundary import
+    angle_grid`` give ("boundary", "angle_grid").  An import that binds the
+    whole module, ``from . import boundary`` or ``import fnr.boundary``, gives
+    ("boundary", "*"), and so does a star import.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                (alias.name.split(".")[1], "*") for alias in node.names
+                if alias.name.startswith("fnr.")
+            ]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "fnr"):
+            module = (node.module or "") if node.level else node.module.removeprefix("fnr").lstrip(".")
+            if module:
+                found += [(module.split(".")[0], alias.name) for alias in node.names]
+            else:
+                found += [(alias.name, "*") for alias in node.names]
+    return found
+
+
+# The routes check one another only while none reads another's formulas: the
+# truncation route may load the closed form's input checks and nothing else,
+# and the exact route loads none of the float routes or their checks.
+TRUNCATION_MAY_LOAD_FROM_BOUNDARY = {"_check_radius", "angle_grid"}
+EXACT_MAY_NOT_LOAD = {"boundary", "truncation", "checks"}
+
+
+def route_leaks(truncation: str, exact: str) -> list:
+    """(module, imported module, name) of each import that breaks route independence."""
+    leaks = [
+        ("truncation", module, name) for module, name in sibling_imports(truncation)
+        if module == "boundary" and name not in TRUNCATION_MAY_LOAD_FROM_BOUNDARY
+    ]
+    leaks += [
+        ("exact", module, name) for module, name in sibling_imports(exact)
+        if module in EXACT_MAY_NOT_LOAD
+    ]
+    return leaks
+
+
+def test_no_route_imports_another_routes_transcriptions():
+    src = ROOT / "src" / "fnr"
+    truncation = (src / "truncation.py").read_text(encoding="utf-8")
+    exact = (src / "exact.py").read_text(encoding="utf-8")
+    assert ("boundary", "angle_grid") in sibling_imports(truncation)
+    assert route_leaks(truncation, exact) == []
+
+
+def test_route_scan_flags_every_form_of_import():
+    truncation = (
+        "from .boundary import _check_radius, angle_grid, support_function\n"
+        "from . import boundary, exact\n"
+        "import fnr.boundary\n"
+        "from fnr.boundary import *\n"
+        "from .exact import sextic_polynomial\n"
+        "import numpy\n"
+    )
+    exact = (
+        "from .checks import Tolerances\n"
+        "from fnr import truncation\n"
+        "import fnr.render\n"
+        "def late():\n"
+        "    from .boundary import angle_grid\n"
+    )
+    assert route_leaks(truncation, exact) == [
+        ("truncation", "boundary", "support_function"),
+        ("truncation", "boundary", "*"),
+        ("truncation", "boundary", "*"),
+        ("truncation", "boundary", "*"),
+        ("exact", "checks", "Tolerances"),
+        ("exact", "truncation", "*"),
+        ("exact", "boundary", "angle_grid"),
+    ]

@@ -365,7 +365,12 @@ VERIFY_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("flags, code, digest", VERIFY_DIGESTS)
+# Named by their flags, so a re-pin keeps the test ids.
+@pytest.mark.parametrize(
+    "flags, code, digest",
+    VERIFY_DIGESTS,
+    ids=["_".join(flag.lstrip("-") for flag in flags) or "defaults" for flags, _, _ in VERIFY_DIGESTS],
+)
 def test_verify_json_bytes_are_pinned(tmp_path, capsys, flags, code, digest):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     capsys.readouterr()
@@ -408,9 +413,11 @@ def test_resultant_bytes_are_pinned(tmp_path, capsys, flags, code, digests):
 # sha256 of the figure files.  The first four configurations were computed
 # while the SVG documents were still built with ElementTree, the last two
 # while the chords were clipped one at a time; assembling the documents as
-# text and clipping in arrays must not change a byte.  The last two lie
-# outside the benchmark's radii, and their odd sample counts put no angle on an
-# axis.  The platform caveat of VERIFY_DIGESTS applies.
+# text and clipping in arrays must not change a byte.  The fourth was computed
+# as --a 0.714,1.633, which the figures read as r = |a|/2, the radius given
+# here as repr(abs(a) / 2).  The last two lie outside the benchmark's radii,
+# and their odd sample counts put no angle on an axis.  The platform caveat of
+# VERIFY_DIGESTS applies.
 FIGURE_DIGESTS = [
     (["--r", "0.5", "--samples", "720"], {
         "support_lines.csv": "e00db444de758650075cb571081e89aa8136f0477367a9950014963a98bea137",
@@ -430,7 +437,7 @@ FIGURE_DIGESTS = [
         "boundary.csv": "da6c8a4c3e421e3c19f0199c43aede88077826818f0702450ca5df1d3963af84",
         "boundary.svg": "40c12d0bc915c1d05acb90158f2a52f493a2dc614463ced254984a166285a71e",
     }),
-    (["--a", "0.714,1.633", "--samples", "90"], {
+    (["--r", "0.8911348102279475", "--samples", "90"], {
         "support_lines.csv": "8d784735c12bcf493804ea145fd16cac630f4e90f0adb00533edf81e89e07f30",
         "support_lines.svg": "40f9f2e78c8cfb29ac2f11b97d4b6b3e56fa40c751ceaf4d5c6b0cdbacd7a50e",
         "boundary.csv": "15f72e4f2e7472f05b950f6e1ccd7cb24e050773f32da252615235dbfa4274ac",
@@ -497,17 +504,16 @@ def test_resultant_rejects_degenerate_radius(tmp_path, capsys):
 
 
 def test_coupling_flag_sets_radius(tmp_path, capsys):
-    assert main(["support-lines", "--a", "0,1", "--samples", "90", "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--a", "0,1", "--N", "64", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    rows = list(csv.DictReader(open(tmp_path / "support_lines.csv")))
-    by_theta = {float(row["theta"]): float(row["offset"]) for row in rows}
-    assert by_theta[0.0] == 1.5  # |i|/2 = 0.5
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    assert payload["r"] == 0.5 and payload["a"] == [0.0, 1.0]  # |i|/2 = 0.5
 
 
 def test_conflicting_radius_and_coupling(tmp_path, capsys):
     # --r and --a are exclusive, even where --r repeats |a|/2 = 0.5 exactly
     for argv in (["--r", "0.4", "--a", "1,0"], ["--a", "1,0", "--r", "0.5"]):
-        assert main(["support-lines", *argv, "--out", str(tmp_path)]) == 2
+        assert main(["verify", *argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("fnr: ") and err.count("\n") == 1
         assert "not allowed with argument" in err
@@ -525,10 +531,10 @@ def test_resultant_rejects_the_coupling_flag(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["support-lines", "--a", "nan,0"],
-        ["boundary", "--a", "nan,0"],
-        ["boundary", "--a", "inf,0"],
-        ["support-lines", "--a", "1.5e308,1.5e308"],
+        ["verify", "--a", "nan,0"],
+        ["verify", "--a", "0,nan"],
+        ["verify", "--a", "inf,0"],
+        ["verify", "--a", "1.5e308,1.5e308"],
         ["support-lines", "--r", "1e400"],
         ["resultant", "--r", "1e400"],
     ],
@@ -547,7 +553,7 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
         ["boundary", "--r", "1e154"],
         ["support-lines", "--r", "1e160"],
         ["verify", "--r", "1e151"],
-        ["boundary", "--a", "2.5e150,0"],
+        ["verify", "--a", "2.5e150,0"],
     ],
 )
 def test_radius_above_the_limit_is_a_usage_error(tmp_path, capsys, argv):
@@ -638,11 +644,13 @@ def test_a_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, flag, valu
 # Flags per command
 # ---------------------------------------------------------------------------
 
+# In the order a usage error lists them.  The figures read r alone, since they
+# depend on a only through |a|/2.
 COMMAND_FLAGS = {
-    "support-lines": {"--r", "--a", "--samples", "--out", "--format"},
-    "boundary": {"--r", "--a", "--samples", "--out", "--format"},
-    "verify": {"--r", "--a", "--N", "--out", "--tol-alg", "--tol-env", "--tol-conv"},
-    "resultant": {"--r", "--seed", "--out", "--mutate"},
+    "support-lines": ["--r", "--samples", "--out"],
+    "boundary": ["--r", "--samples", "--out"],
+    "verify": ["--r", "--a", "--out", "--N", "--tol-alg", "--tol-env", "--tol-conv"],
+    "resultant": ["--out", "--r", "--seed", "--mutate"],
 }
 
 # Each flag that every command used to accept, with a value it used to take.
@@ -681,9 +689,9 @@ def _parser_flags():
 
 def test_each_command_has_only_the_flags_it_reads():
     flags = _parser_flags()
-    assert {name: set(options) for name, options in flags.items()} == COMMAND_FLAGS
-    assert sum(len(options) for options in flags.values()) == 21
-    assert len(REMOVED) == 24
+    assert flags == COMMAND_FLAGS
+    assert sum(len(options) for options in flags.values()) == 17
+    assert len(REMOVED) == 28
     assert not any(flag in COMMAND_FLAGS[command] for command, flag in RETIRED_FLAGS)
 
 
@@ -694,8 +702,8 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
     assert main(argv) == 2  # returned, not raised as SystemExit
     err = capsys.readouterr().err
     assert err.startswith("fnr: ") and err.count("\n") == 1 and flag in err
-    # The one line names every flag the command does take.
-    assert set(err.split("its flags are ")[1].rstrip("\n").split(", ")) == COMMAND_FLAGS[command]
+    # The one line names every flag the command does take, in order.
+    assert err.split("its flags are ")[1].rstrip("\n").split(", ") == COMMAND_FLAGS[command]
     assert not any(tmp_path.iterdir())
 
 
@@ -723,18 +731,12 @@ def test_a_count_above_its_bound_is_rejected_before_any_work(tmp_path, capsys, c
     assert not any(tmp_path.iterdir())
 
 
-def test_json_is_not_a_figure_format(tmp_path, capsys):
-    assert main(["support-lines", "--format", "json", "--out", str(tmp_path)]) == 2
-    assert "invalid choice" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--N", "abc"],
         ["verify", "--tol", "5"],  # ambiguous: three --tol-* flags
-        ["support-lines", "--format", "json"],
+        ["support-lines", "--samples", "abc"],
         [],
     ],
 )
@@ -746,8 +748,8 @@ def test_parser_errors_are_returned_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-# A usage error, a figure in one and in both formats, --a after a call with
-# --r, an unknown flag, and the level-zero rejection the setup probe times.
+# A usage error, an unknown --format, a figure, an unknown --a, an unknown
+# --grid, and the level-zero rejection the setup probe times.
 SHARED_PARSER_SEQUENCE = [
     ["verify", "--N", "abc"],
     ["boundary", "--r", "0.5", "--samples", "90", "--format", "csv"],
@@ -768,10 +770,8 @@ def _outcome(argv, out, capsys):
 
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     shared = [_outcome(argv, tmp_path / f"shared{k}", capsys) for k, argv in enumerate(SHARED_PARSER_SEQUENCE)]
-    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2, 2]
-    assert [sorted(files) for _, _, files in shared[1:4]] == [
-        ["boundary.csv"], ["boundary.csv", "boundary.svg"], ["boundary.csv", "boundary.svg"]
-    ]
+    assert [code for code, _, _ in shared] == [2, 2, 0, 2, 2, 2]
+    assert [sorted(files) for _, _, files in shared[1:4]] == [[], ["boundary.csv", "boundary.svg"], []]
     for k, argv in enumerate(SHARED_PARSER_SEQUENCE):
         monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
         assert _outcome(argv, tmp_path / f"fresh{k}", capsys) == shared[k], argv
