@@ -36,7 +36,6 @@ from .boundary import (
     switching_cosine,
     symbol_range,
 )
-from .checks import DEFAULT_TOLERANCES, Tolerances
 from .exact import (
     ExactPoly,
     ResultantReport,
@@ -77,8 +76,6 @@ __all__ = [
     "support_function",
     "switching_cosine",
     "symbol_range",
-    "DEFAULT_TOLERANCES",
-    "Tolerances",
     "ExactPoly",
     "ResultantReport",
     "envelope_system",

@@ -2,10 +2,12 @@
 
 Each check measures one quantity (a worst-case residual, gap or deviation),
 compares it against its tolerance and reports a named pass/fail record; the
-CLI serializes the records to JSON.  Every bound lives here: :class:`Tolerances`
-holds the three that ``fnr verify`` flags set, module constants the rest.  So
-does every grid: the closed-form and degenerate suites sample 720 angles, and
-the ellipse check 2000 boundary points.  The closed-form suite exercises the
+CLI serializes the records to JSON.  The bounds are fixed: the named ones are
+module constants here, while ``dual-route`` is held to
+``truncation.OFFSET_STEP`` and ``compression-bound``, ``phase-invariance`` and
+``symbol-range-bruteforce`` to literal bounds (1e-10, 1e-10 and 1e-8).  Every
+grid lives here too: the closed-form and degenerate suites sample 720 angles,
+and the ellipse check 2000 boundary points.  The closed-form suite exercises the
 internal consistency of :mod:`fnr.boundary`; the truncation suite plays the
 matrix compressions of :mod:`fnr.truncation` against the closed forms; the
 ellipse check quantifies the failure of the elliptical-disk description.  The
@@ -23,8 +25,6 @@ import numpy as np
 from . import boundary, exact, truncation
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "CheckResult",
     "closedform_checks",
     "truncation_checks",
@@ -43,26 +43,17 @@ CONVEXITY_SLACK = 1e-10
 """Slack for cross products of consecutive boundary edges."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The bounds that ``fnr verify``'s flags set, shared by library, CLI and tests.
+ALGEBRAIC_SLACK = 1e-12
+"""Absolute slack for closed-form identities evaluated in floats (branch
+continuity, circle equations, interval consistency)."""
 
-    Algebraic identities (branch continuity, circle equations, interval
-    consistency) are held to an absolute 1e-12; the sextic residual is checked
-    relative to its largest monomial, because the curve's coefficients span
-    several orders of magnitude at moderate radii."""
+ENVELOPE_SLACK = 1e-8
+"""Relative slack for the sextic residual at envelope points: the residual is
+taken relative to its largest monomial, because the curve's coefficients span
+several orders of magnitude at moderate radii."""
 
-    algebraic: float = 1e-12
-    """Absolute slack for closed-form identities evaluated in floats."""
-
-    envelope: float = 1e-8
-    """Relative slack for the sextic residual at envelope points."""
-
-    convergence: float = 5e-3
-    """Largest admissible support gap of the level-400 truncation."""
-
-
-DEFAULT_TOLERANCES = Tolerances()
+CONVERGENCE_BOUND = 5e-3
+"""Largest admissible support gap of the level-400 truncation."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,7 @@ def _leq(name: str, measured: float, tolerance: float) -> CheckResult:
     return CheckResult(name, float(measured), float(tolerance), bool(measured <= tolerance))
 
 
-def closedform_checks(r: float, tol: Tolerances) -> list:
+def closedform_checks(r: float) -> list:
     """Internal-consistency suite for the closed-form geometry at radius r, on 720 angles."""
     results = []
     thetas = boundary.angle_grid(720)
@@ -93,12 +84,12 @@ def closedform_checks(r: float, tol: Tolerances) -> list:
 
     sym = np.max(np.abs(values - boundary.support_function(-thetas, r)))
     sym = max(sym, np.max(np.abs(values - boundary.support_function(math.pi - thetas, r))))
-    results.append(_leq("support-symmetry", sym, tol.algebraic))
+    results.append(_leq("support-symmetry", sym, ALGEBRAIC_SLACK))
 
-    results.append(_leq("support-floor", 1.0 - float(np.min(values)), tol.algebraic))
+    results.append(_leq("support-floor", 1.0 - float(np.min(values)), ALGEBRAIC_SLACK))
 
     shrink = boundary.support_function(thetas, r * 0.5) - values
-    results.append(_leq("support-monotone-r", float(np.max(shrink)), tol.algebraic))
+    results.append(_leq("support-monotone-r", float(np.max(shrink)), ALGEBRAIC_SLACK))
 
     worst = 0.0
     for rr in (0.1, 0.25, 0.5, 1.0, 2.0, 5.0):
@@ -106,14 +97,14 @@ def closedform_checks(r: float, tol: Tolerances) -> list:
         circle = rr + cut
         sextic = math.sqrt(1.0 + rr * rr / (1.0 - cut * cut))
         worst = max(worst, abs(circle - sextic))
-    results.append(_leq("switching-continuity", worst, tol.algebraic))
+    results.append(_leq("switching-continuity", worst, ALGEBRAIC_SLACK))
 
     worst = 0.0
     for theta in np.linspace(0.0, math.pi / 2.0, 181):
         top = max(iv.hi for iv in boundary.admissible_offset_intervals(theta, r) if not iv.empty)
         if top > 1.0:
             worst = max(worst, abs(top - boundary.support_function(float(theta), r)))
-    results.append(_leq("interval-consistency", worst, tol.algebraic))
+    results.append(_leq("interval-consistency", worst, ALGEBRAIC_SLACK))
 
     worst = 0.0
     lams = (1.05, 1.2, 1.7, 2.5)
@@ -131,11 +122,11 @@ def closedform_checks(r: float, tol: Tolerances) -> list:
     u = xs[~circle] * xs[~circle]
     v = ys[~circle] * ys[~circle]
     residual = np.abs(boundary.sextic_value(u, v, r)) / boundary.sextic_scale(u, v, r)
-    results.append(_leq("envelope-on-sextic", float(np.max(residual)), tol.envelope))
+    results.append(_leq("envelope-on-sextic", float(np.max(residual)), ENVELOPE_SLACK))
 
     centre = np.where(right, 1.0, -1.0)[circle]
     worst = np.max(np.abs((xs[circle] - centre) ** 2 + ys[circle] ** 2 - r * r), initial=0.0)
-    results.append(_leq("envelope-on-circle", worst, tol.algebraic))
+    results.append(_leq("envelope-on-circle", worst, ALGEBRAIC_SLACK))
 
     # 64 boundary points at a time: a whole 720 x 720 table would set the suite's memory peak
     cos, sin = np.cos(thetas), np.sin(thetas)
@@ -160,7 +151,7 @@ def closedform_checks(r: float, tol: Tolerances) -> list:
     return results
 
 
-def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
+def truncation_checks(a: complex, level: int) -> list:
     """Oracle suite: compressions against closed forms, both routes.
 
     The compressions are measured in one call: on 72 angles at four levels up
@@ -192,8 +183,8 @@ def truncation_checks(a: complex, level: int, tol: Tolerances) -> list:
         CheckResult(
             "compression-convergence",
             gaps[-1],
-            tol.convergence,
-            bool(decreasing and gaps[-1] < tol.convergence),
+            CONVERGENCE_BOUND,
+            bool(decreasing and gaps[-1] < CONVERGENCE_BOUND),
         )
     )
     results.append(_leq("phase-invariance", float(np.max(np.abs(straight - rotated))), 1e-10))

@@ -5,8 +5,8 @@
     fnr verify [--r 0.5 --N 400]       runs the verification suites, JSON report
     fnr resultant [--r 1/2,1/3]        divisibility certificates, text + JSON
 
-``verify`` runs one fixed suite: its angle grids and sample counts belong to
-the checks (``fnr.checks``), and the certificate runs only under
+``verify`` runs one fixed suite: its angle grids, sample counts and bounds
+belong to the checks (``fnr.checks``), and the certificate runs only under
 ``resultant``, on exact radii.  The certificate samples one fixed grid at
 every radius (``fnr.exact``), so ``resultant`` takes no size setting; its
 reports record the grid's degree bound, 28.
@@ -26,7 +26,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -44,8 +43,9 @@ EXIT_IO = 3
 
 MAX_RADIUS = 1e150
 """Largest radius the float commands accept.  Above it the closed-form sweeps
-overflow: the sextic trace of the boundary figure raises OverflowError from
-about r = 1e151, and the support-line offsets turn to inf from about 1e155."""
+fail: the sextic trace of the boundary figure raises OverflowError from about
+r = 1e151, and from sqrt(DBL_MAX) = 1.34e154, where r^2 overflows a double,
+the closed forms refuse r with ValueError."""
 
 MAX_SAMPLES = 1_000_000
 """Largest --samples.  The figures hold every sample as text: at 100 000
@@ -134,10 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[coupling, out], help="run the verification suites")
     ver.set_defaults(handler=cmd_verify)
     ver.add_argument("--N", type=int, default=400, dest="level", help="truncation level")
-    tol = checks.DEFAULT_TOLERANCES
-    ver.add_argument("--tol-alg", type=float, default=tol.algebraic, help="algebraic tolerance")
-    ver.add_argument("--tol-env", type=float, default=tol.envelope, help="envelope tolerance")
-    ver.add_argument("--tol-conv", type=float, default=tol.convergence, help="convergence tolerance")
 
     res = sub.add_parser("resultant", parents=[out], help="run the divisibility certificates")
     res.set_defaults(handler=cmd_resultant)
@@ -242,17 +238,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "so the comparison ellipse degenerates to the unit circle"
         )
     _within("--N", args.level, 1, MAX_LEVEL)
-    tolerances = {"--tol-alg": args.tol_alg, "--tol-env": args.tol_env, "--tol-conv": args.tol_conv}
-    for flag, value in tolerances.items():
-        if not (math.isfinite(value) and value >= 0):
-            raise UsageError(f"{flag} must be a finite number >= 0, got {value}")
-    tol = checks.Tolerances(algebraic=args.tol_alg, envelope=args.tol_env, convergence=args.tol_conv)
     out = _out_dir(args)
     if r == 0:
         results = checks.degenerate_checks()
     else:
-        results = checks.closedform_checks(r, tol)
-        results.extend(checks.truncation_checks(a, args.level, tol))
+        results = checks.closedform_checks(r)
+        results.extend(checks.truncation_checks(a, args.level))
         results.append(checks.ellipse_check(r))
     all_pass = all(c.passed for c in results)
     payload = {
@@ -260,7 +251,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "r": r,
         "a": [a.real, a.imag],
         "level": args.level,
-        "tolerances": dataclasses.asdict(tol),
+        "tolerances": {
+            "algebraic": checks.ALGEBRAIC_SLACK,
+            "envelope": checks.ENVELOPE_SLACK,
+            "convergence": checks.CONVERGENCE_BOUND,
+        },
         "checks": [c.to_json_dict() for c in results],
         "all_pass": all_pass,
     }

@@ -30,7 +30,6 @@ from fnr import (
 )
 from fnr.checks import truncation_checks
 from fnr.cli import main
-from fnr.checks import DEFAULT_TOLERANCES
 from fnr.exact import resultant_at, sextic_polynomial, verify_sextic_resultant_identity
 from fnr.truncation import boundary_from_truncation
 
@@ -107,7 +106,7 @@ def oracle_checks():
     Runtime: about a second.  It sweeps 72 angles at levels 50, 100, 200 and
     400 and runs 72 condition scans (three radii, 24 angles each).
     """
-    return {c.name: c for c in truncation_checks(1.0, 400, DEFAULT_TOLERANCES)}
+    return {c.name: c for c in truncation_checks(1.0, 400)}
 
 
 def test_criterion_05_oracle_convergence(capsys, oracle_checks):

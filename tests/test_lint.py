@@ -368,7 +368,7 @@ def test_route_scan_flags_every_form_of_import():
         "import numpy\n"
     )
     exact = (
-        "from .checks import Tolerances\n"
+        "from .checks import CheckResult\n"
         "from fnr import truncation\n"
         "import fnr.render\n"
         "def late():\n"
@@ -379,7 +379,7 @@ def test_route_scan_flags_every_form_of_import():
         ("truncation", "boundary", "*"),
         ("truncation", "boundary", "*"),
         ("truncation", "boundary", "*"),
-        ("exact", "checks", "Tolerances"),
+        ("exact", "checks", "CheckResult"),
         ("exact", "truncation", "*"),
         ("exact", "boundary", "angle_grid"),
     ]

@@ -1,10 +1,9 @@
 """The public names: every exported name exists, and retired ones stay gone."""
 
-import dataclasses
 import importlib
 import json
 
-from fnr.checks import Tolerances
+from fnr import checks
 from fnr.cli import main
 
 MODULES = [
@@ -38,6 +37,8 @@ RETIRED = [
     "MAX_DEGREE_BOUND",
     "MAX_GRID",
     "resultant_check",
+    "Tolerances",
+    "DEFAULT_TOLERANCES",
 ]
 
 
@@ -48,11 +49,13 @@ def test_public_names_resolve():
         assert [attr for attr in RETIRED if hasattr(module, attr)] == [], name
 
 
-def test_verify_records_the_whole_tolerance_record(tmp_path, capsys):
-    tol = Tolerances(algebraic=2e-12, envelope=3e-8, convergence=0.01)
-    flags = ["--tol-alg", "2e-12", "--tol-env", "3e-8", "--tol-conv", "0.01"]
-    assert main(["verify", "--N", "20", *flags, "--out", str(tmp_path)]) in (0, 1)
+def test_verify_records_the_whole_tolerance_record(tmp_path, capsys, monkeypatch):
+    # verify.json reads the bounds from the constants at call time.
+    bounds = {"ALGEBRAIC_SLACK": 2e-12, "ENVELOPE_SLACK": 3e-8, "CONVERGENCE_BOUND": 0.01}
+    for name, value in bounds.items():
+        monkeypatch.setattr(checks, name, value)
+    assert main(["verify", "--N", "20", "--out", str(tmp_path)]) in (0, 1)
     capsys.readouterr()
     payload = json.loads((tmp_path / "verify.json").read_text())
-    assert payload["tolerances"] == dataclasses.asdict(tol)
+    assert payload["tolerances"] == {"algebraic": 2e-12, "envelope": 3e-8, "convergence": 0.01}
     assert list(payload["tolerances"]) == ["algebraic", "envelope", "convergence"]

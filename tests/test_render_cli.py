@@ -18,6 +18,7 @@ from fnr import (
     Region,
     angle_grid,
     boundary_curve,
+    checks,
     cli,
     classify_point,
     render,
@@ -313,15 +314,44 @@ def test_verify_small_passes(tmp_path, capsys):
         assert set(check) == {"name", "measured", "tolerance", "pass"}
 
 
-def test_verify_zero_tolerance_fails(tmp_path, capsys):
-    code = main([
-        "verify", "--r", "0.5", "--N", "64", "--tol-conv", "0", "--out", str(tmp_path)
-    ])
+def test_verify_zero_tolerance_fails(tmp_path, capsys, monkeypatch):
+    # The checks read their bounds at call time, so a patched bound fails the run.
+    monkeypatch.setattr(checks, "CONVERGENCE_BOUND", 0.0)
+    code = main(["verify", "--r", "0.5", "--N", "64", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert "compression-convergence" in err
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert payload["all_pass"] is False
+    assert payload["tolerances"]["convergence"] == 0.0
+
+
+# The checks of the default suite that record a run-level bound, by its key.
+CLAIMED_BOUNDS = {
+    "algebraic": [
+        "support-symmetry", "support-floor", "support-monotone-r",
+        "switching-continuity", "interval-consistency", "envelope-on-circle",
+    ],
+    "envelope": ["envelope-on-sextic"],
+    "convergence": ["compression-convergence"],
+}
+
+
+def test_each_check_records_the_bound_it_claims(tmp_path, capsys):
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    constants = {
+        "algebraic": checks.ALGEBRAIC_SLACK,
+        "envelope": checks.ENVELOPE_SLACK,
+        "convergence": checks.CONVERGENCE_BOUND,
+    }
+    assert payload["tolerances"] == constants == {
+        "algebraic": 1e-12, "envelope": 1e-8, "convergence": 5e-3
+    }
+    recorded = {check["name"]: check["tolerance"] for check in payload["checks"]}
+    for key, names in CLAIMED_BOUNDS.items():
+        assert {name: recorded[name] for name in names} == dict.fromkeys(names, constants[key])
 
 
 def test_verify_degenerate_radius(tmp_path, capsys):
@@ -630,16 +660,6 @@ def test_verify_rejects_a_radius_lost_next_to_one(tmp_path, capsys, argv, named)
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag", ["--tol-alg", "--tol-env", "--tol-conv"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "1e400", "abc"])
-def test_a_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, flag, value):
-    assert main(["verify", "--N", "20", f"{flag}={value}", "--out", str(tmp_path)]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("fnr: ") and err.count("\n") == 1 and flag in err
-    assert "Traceback" not in out + err
-    assert not any(tmp_path.iterdir())
-
-
 # ---------------------------------------------------------------------------
 # Flags per command
 # ---------------------------------------------------------------------------
@@ -649,7 +669,7 @@ def test_a_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, flag, valu
 COMMAND_FLAGS = {
     "support-lines": ["--r", "--samples", "--out"],
     "boundary": ["--r", "--samples", "--out"],
-    "verify": ["--r", "--a", "--out", "--N", "--tol-alg", "--tol-env", "--tol-conv"],
+    "verify": ["--r", "--a", "--out", "--N"],
     "resultant": ["--out", "--r", "--seed", "--mutate"],
 }
 
@@ -690,8 +710,8 @@ def _parser_flags():
 def test_each_command_has_only_the_flags_it_reads():
     flags = _parser_flags()
     assert flags == COMMAND_FLAGS
-    assert sum(len(options) for options in flags.values()) == 17
-    assert len(REMOVED) == 28
+    assert sum(len(options) for options in flags.values()) == 14
+    assert len(REMOVED) == 31
     assert not any(flag in COMMAND_FLAGS[command] for command, flag in RETIRED_FLAGS)
 
 
@@ -735,7 +755,7 @@ def test_a_count_above_its_bound_is_rejected_before_any_work(tmp_path, capsys, c
     "argv",
     [
         ["verify", "--N", "abc"],
-        ["verify", "--tol", "5"],  # ambiguous: three --tol-* flags
+        ["resultant", "--seed", "abc"],
         ["support-lines", "--samples", "abc"],
         [],
     ],

@@ -26,7 +26,7 @@ from fnr import (
     symbol_range_grid,
     top_eigenvalue,
 )
-from fnr.checks import Tolerances, closedform_checks, truncation_checks
+from fnr.checks import closedform_checks, truncation_checks
 from fnr.truncation import _PIVMIN, OFFSET_STEP
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def _traced_closedform_checks() -> tuple:
     """Bytes still held after closedform_checks returns, and its peak, under tracemalloc."""
     tracemalloc.start()
     try:
-        closedform_checks(0.5, Tolerances())
+        closedform_checks(0.5)
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -509,7 +509,7 @@ def test_truncation_checks_run_one_search_and_one_circle_table_per_radius(monkey
 
     monkeypatch.setattr(fnr.truncation, "_search", counted_search)
     monkeypatch.setattr(fnr.truncation, "_circle", counted_circle)
-    results = truncation_checks(1.0, 50, Tolerances())
+    results = truncation_checks(1.0, 50)
     assert all(result.passed for result in results)
     assert calls == {"_search": 1, "_circle": [fnr.truncation._F_SAMPLES] * 3}
 
