@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from fnr import angle_grid, support_function, top_eigenvalue
+from fnr.boundary import angle_grid, support_function
+from fnr.truncation import top_eigenvalue
 
 
 def main(argv=None) -> int:

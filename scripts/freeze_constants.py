@@ -15,12 +15,8 @@ import argparse
 
 import numpy as np
 
-from fnr import (
-    boundary_from_truncation,
-    ellipse_axes,
-    ellipse_distance,
-    ellipse_gap,
-)
+from fnr.boundary import ellipse_axes, ellipse_distance, ellipse_gap
+from fnr.truncation import boundary_from_truncation
 
 
 def main(argv=None) -> int:

@@ -12,81 +12,13 @@ Three independent routes to the same convex region, cross-validated:
   that produces the sextic, certified by interpolation with held-out
   validation.
 
+Each public name is imported from the module that defines it, as in
+``from fnr.boundary import support_function``.
+
 The ``fnr`` command line tool renders the supporting-line and boundary
 figures and runs the verification suites; see :mod:`fnr.cli`.
 """
 
-from .boundary import (
-    BoundaryCurve,
-    Branch,
-    RangeInterval,
-    Region,
-    UnitDiskDegeneracyError,
-    admissible_offset_intervals,
-    angle_grid,
-    boundary_curve,
-    classify_point,
-    ellipse_axes,
-    ellipse_distance,
-    ellipse_gap,
-    envelope_points,
-    sextic_scale,
-    sextic_value,
-    support_function,
-    switching_cosine,
-    symbol_range,
-)
-from .exact import (
-    ExactPoly,
-    ResultantReport,
-    envelope_system,
-    mutated_sextic,
-    resultant,
-    resultant_at,
-    sextic_polynomial,
-    verify_sextic_resultant_identity,
-)
-from .truncation import (
-    EigensolverError,
-    boundary_from_truncation,
-    support_function_via_condition,
-    symbol_range_grid,
-    top_eigenvalue,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "BoundaryCurve",
-    "Branch",
-    "RangeInterval",
-    "Region",
-    "UnitDiskDegeneracyError",
-    "admissible_offset_intervals",
-    "angle_grid",
-    "boundary_curve",
-    "classify_point",
-    "ellipse_axes",
-    "ellipse_distance",
-    "ellipse_gap",
-    "envelope_points",
-    "sextic_scale",
-    "sextic_value",
-    "support_function",
-    "switching_cosine",
-    "symbol_range",
-    "ExactPoly",
-    "ResultantReport",
-    "envelope_system",
-    "mutated_sextic",
-    "resultant",
-    "resultant_at",
-    "sextic_polynomial",
-    "verify_sextic_resultant_identity",
-    "EigensolverError",
-    "boundary_from_truncation",
-    "support_function_via_condition",
-    "symbol_range_grid",
-    "top_eigenvalue",
-]
+__all__ = ["__version__"]

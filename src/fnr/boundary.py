@@ -231,8 +231,11 @@ def sextic_envelope(thetas, r: float) -> tuple:
     There p = sqrt(1 + (r / sin)^2) and p' = -r^2 cos / (sin^3 p), and the
     envelope (p cos - p' sin, p sin + p' cos) is returned as the arrays
     (x, y).  Defined wherever sin theta != 0: outside the sextic regime it
-    traces the part of the sextic curve that is not on the boundary.
+    traces the part of the sextic curve that is not on the boundary.  A
+    scalar r outside [0, sqrt(DBL_MAX)] raises ValueError; below that limit
+    C ``pow`` still overflows wherever r / |sin theta| exceeds sqrt(DBL_MAX).
     """
+    _check_radius(r)
     thetas = np.asarray(thetas, dtype=float)
     c = np.cos(thetas)
     s = np.sin(thetas)
@@ -289,8 +292,10 @@ def sextic_value(u, v, r):
     """Implicit sextic evaluated at (u, v) = (x^2, y^2); scalars or arrays.
 
     Evaluates the same integer term table as the exact-arithmetic
-    polynomial, so the two routes agree to rounding error.
+    polynomial, so the two routes agree to rounding error.  A scalar r
+    outside [0, sqrt(DBL_MAX)] raises ValueError; r^6 overflows from ~1e51.
     """
+    _check_radius(r)
     return _fold_monomials(np.add, u, v, r)
 
 
@@ -299,7 +304,9 @@ def sextic_scale(u, v, r):
 
     Natural normalizer for residuals: the coefficients span several orders
     of magnitude, so raw residuals are only meaningful relative to this.
+    Takes r as :func:`sextic_value` does, and overflows where it does.
     """
+    _check_radius(r)
     return _fold_monomials(lambda scale, term: np.maximum(scale, np.abs(term)), u, v, r)
 
 

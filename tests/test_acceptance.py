@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from fnr import (
+from fnr.boundary import (
     Branch,
     Region,
     UnitDiskDegeneracyError,

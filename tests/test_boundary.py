@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fnr import (
+from fnr.boundary import (
     Branch,
     RangeInterval,
     Region,
@@ -24,6 +24,7 @@ from fnr import (
     ellipse_distance,
     ellipse_gap,
     envelope_points,
+    sextic_envelope,
     sextic_scale,
     sextic_value,
     support_function,
@@ -105,6 +106,7 @@ RADIUS_TAKERS = {
     "support_function_via_condition": lambda r: support_function_via_condition(0.3, r),
     "classify_point": lambda r: classify_point(0.0, 0.0, r),
     "ellipse_axes": ellipse_axes,
+    "sextic_envelope": lambda r: sextic_envelope(np.array([math.pi / 2.0]), r),
 }
 
 
@@ -115,6 +117,22 @@ def test_every_radius_taker_shares_one_limit(call):
     call(limit)
     with pytest.raises(ValueError, match=re.escape(f"at most {limit!r},")):
         call(math.nextafter(limit, math.inf))
+
+
+SEXTIC_EVALUATORS = {
+    "sextic_envelope": lambda r: sextic_envelope(np.array([0.3]), r),
+    "sextic_value": lambda r: sextic_value(1.0, 1.0, r),
+    "sextic_scale": lambda r: sextic_scale(1.0, 1.0, r),
+}
+
+
+@pytest.mark.parametrize("call", SEXTIC_EVALUATORS.values(), ids=SEXTIC_EVALUATORS)
+def test_sextic_evaluators_refuse_a_radius_out_of_range(call):
+    # Refused before any arithmetic, with the message of every radius taker.
+    with pytest.raises(ValueError, match="at most"):
+        call(1e200)
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +565,9 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         lambda: classify_point(0.0, 0.0, 0.5, tol=math.inf),
         lambda: classify_point(1.2, 0.0, 0.5, tol=-0.5),
         lambda: classify_point(0.0, 0.0, -0.5),
+        lambda: sextic_envelope(np.array([0.3]), math.nan),
+        lambda: sextic_value(1.0, 1.0, math.nan),
+        lambda: sextic_scale(1.0, 1.0, math.nan),
     ],
 )
 def test_non_finite_input_is_rejected(call):

@@ -108,6 +108,34 @@ def test_sextic_right_vertex_value():
     assert exact.sextic_polynomial().evaluate({"u": 1, "v": 0, "r": Q(1, 2)}) == Q(5, 4)
 
 
+def _derivative(poly, variable):
+    """The partial derivative of ``poly`` in ``variable``, term by term."""
+    k = poly.variables.index(variable)
+    return exact.ExactPoly(poly.variables, {
+        (*expo[:k], expo[k] - 1, *expo[k + 1:]): coeff * expo[k]
+        for expo, coeff in poly.terms.items() if expo[k]
+    })
+
+
+@pytest.mark.parametrize("t", [Q(1, 2), Q(1, 3), Q(2, 3)], ids=str)
+def test_circle_and_sextic_join_at_rational_switching_points(t):
+    # (c, s) = ((1 - t^2), 2t) / (1 + t^2) is a rational point of the unit
+    # circle and r = s^2 / c makes c the switching cosine: 16/15, 9/20, 144/65.
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    r = s * s / c
+    assert c * (c + r) == 1
+    sextic = exact.sextic_polynomial()
+    x, y = 1 + r * c, r * s  # the right circle's point with normal (c, s)
+    point = {"u": x * x, "v": y * y, "r": r}
+    assert sextic.evaluate(point) == 0
+    # The sextic's (x, y) gradient (2x E_u, 2y E_v) is parallel to the normal.
+    grad_x = 2 * x * _derivative(sextic, "u").evaluate(point)
+    grad_y = 2 * y * _derivative(sextic, "v").evaluate(point)
+    assert (grad_x, grad_y) != (0, 0)
+    assert grad_x * s - grad_y * c == 0
+    assert abs(switching_cosine(float(r)) - float(c)) <= 4 * math.ulp(float(c))
+
+
 @given(
     st.integers(-16, 16),
     st.integers(4, 9),

@@ -1,8 +1,12 @@
-"""The public names: every exported name exists, and retired ones stay gone."""
+"""The public names: every exported name exists, retired ones stay gone, and
+the package itself exports only its version."""
 
 import importlib
 import json
+import tomllib
+from pathlib import Path
 
+import fnr
 from fnr import checks
 from fnr.cli import main
 
@@ -47,6 +51,16 @@ def test_public_names_resolve():
         module = importlib.import_module(name)
         assert [attr for attr in module.__all__ if not hasattr(module, attr)] == [], name
         assert [attr for attr in RETIRED if hasattr(module, attr)] == [], name
+
+
+def test_the_package_exports_only_its_version():
+    # Every public name is imported from the module that defines it.
+    assert fnr.__all__ == ["__version__"]
+
+
+def test_the_package_version_is_the_project_version():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert fnr.__version__ == tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
 
 
 def test_verify_records_the_whole_tolerance_record(tmp_path, capsys, monkeypatch):

@@ -12,16 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fnr import (
+from fnr import checks, cli, render
+from fnr.boundary import (
     BoundaryCurve,
     Branch,
     Region,
     angle_grid,
     boundary_curve,
-    checks,
-    cli,
     classify_point,
-    render,
     support_function,
 )
 from fnr.cli import MAX_LEVEL, MAX_RADIUS, MAX_SAMPLES, main
@@ -438,6 +436,29 @@ def test_resultant_bytes_are_pinned(tmp_path, capsys, flags, code, digests):
     capsys.readouterr()
     found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
     assert found == digests
+
+
+# The benchmark keeps its own copy of the expected outputs in
+# perfbench/reference.json; these two tests hold it to the pins above and to
+# the code, so neither store can move without the other.
+BENCHMARK_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def test_benchmark_reference_holds_the_pinned_resultant_digests():
+    reference = json.loads(BENCHMARK_REFERENCE.read_text(encoding="utf-8"))["certify"]["1"]
+    assert reference == {"certify": RESULTANT_DIGESTS[0][2], "mutate": RESULTANT_DIGESTS[1][2]}
+
+
+def test_benchmark_reference_holds_the_default_verify_checks(tmp_path, capsys):
+    # The benchmark's phase-0 input, --a 1,0, is the default run.  Floats are
+    # held to the benchmark's own rule: within 1e-12 max(1, |x|).
+    reference = json.loads(BENCHMARK_REFERENCE.read_text(encoding="utf-8"))["verify"]["checks"]
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    found = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert [(c["name"], c["pass"]) for c in found] == [(name, passed) for name, _, passed in reference]
+    for check, (name, measured, _) in zip(found, reference):
+        assert abs(check["measured"] - measured) <= 1e-12 * max(1.0, abs(measured)), name
 
 
 # sha256 of the figure files.  The first four configurations were computed

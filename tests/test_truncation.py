@@ -16,18 +16,17 @@ import numpy as np
 import pytest
 
 import fnr.truncation
-from fnr import (
+from fnr.boundary import Region, classify_point, support_function
+from fnr.checks import closedform_checks, truncation_checks
+from fnr.truncation import (
+    _PIVMIN,
+    OFFSET_STEP,
     EigensolverError,
-    Region,
     boundary_from_truncation,
-    classify_point,
-    support_function,
     support_function_via_condition,
     symbol_range_grid,
     top_eigenvalue,
 )
-from fnr.checks import closedform_checks, truncation_checks
-from fnr.truncation import _PIVMIN, OFFSET_STEP
 
 # ---------------------------------------------------------------------------
 # Construction: the dense reference the block entries are checked against
