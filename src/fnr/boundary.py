@@ -215,14 +215,14 @@ def admissible_offset_intervals(theta: float, r: float) -> tuple:
 
 
 def _libm(fn, x: np.ndarray, y) -> np.ndarray:
-    """``fn(x, y)`` by C ``pow`` or ``hypot`` for each element; y may be a float.
+    """``fn(x, y)`` by C ``pow`` or ``hypot`` per element, shaped as x; y may be a float.
 
     These are what Python's float ``**`` and ``math.hypot`` compute.  numpy
     squares by x * x and has its own pow and hypot, which can differ in the
     last bit, and the boundary CSV and the frozen ellipse gap keep every bit.
     """
-    ys = y.tolist() if isinstance(y, np.ndarray) else repeat(y)
-    return np.fromiter(map(fn, x.tolist(), ys), float, x.size)
+    ys = y.ravel().tolist() if isinstance(y, np.ndarray) else repeat(y)
+    return np.fromiter(map(fn, x.ravel().tolist(), ys), float, x.size).reshape(x.shape)
 
 
 def sextic_envelope(thetas, r: float) -> tuple:
@@ -230,18 +230,23 @@ def sextic_envelope(thetas, r: float) -> tuple:
 
     There p = sqrt(1 + (r / sin)^2) and p' = -r^2 cos / (sin^3 p), and the
     envelope (p cos - p' sin, p sin + p' cos) is returned as the arrays
-    (x, y).  Defined wherever sin theta != 0: outside the sextic regime it
-    traces the part of the sextic curve that is not on the boundary.  A
-    scalar r outside [0, sqrt(DBL_MAX)] raises ValueError; below that limit
-    C ``pow`` still overflows wherever r / |sin theta| exceeds sqrt(DBL_MAX).
+    (x, y), or as two floats for a scalar angle.  Defined wherever
+    sin theta != 0: outside the sextic regime it traces the part of the
+    sextic curve that is not on the boundary.  A scalar r outside
+    [0, sqrt(DBL_MAX)] raises ValueError; below that limit C ``pow`` still
+    overflows wherever r / |sin theta| exceeds sqrt(DBL_MAX).
     """
     _check_radius(r)
-    thetas = np.asarray(thetas, dtype=float)
+    angles = np.asarray(thetas, dtype=float)
+    thetas = np.atleast_1d(angles)
     c = np.cos(thetas)
     s = np.sin(thetas)
     p = np.sqrt(1.0 + _libm(math.pow, r / s, 2.0))
     dp = -(r * r) * c / (_libm(math.pow, s, 3.0) * p)
-    return p * c - dp * s, p * s + dp * c
+    x, y = p * c - dp * s, p * s + dp * c
+    if angles.ndim == 0:
+        return float(x[0]), float(y[0])
+    return x, y
 
 
 def envelope_points(thetas, r: float) -> BoundaryCurve:
@@ -251,12 +256,14 @@ def envelope_points(thetas, r: float) -> BoundaryCurve:
     (p cos - p' sin, p sin + p' cos).  On the circle regime (|cos theta| at
     least the switching cosine; ties go to the circles) this reduces to
     (+-1 + r cos, r sin); on the sextic regime it is :func:`sextic_envelope`.
-    Requires a finite r > 0 (see :class:`UnitDiskDegeneracyError` for the
-    r = 0 case).
+    A scalar angle gives one point: floats and a :class:`Branch`.  Requires
+    a finite r > 0 (see :class:`UnitDiskDegeneracyError` for the r = 0
+    case).
     """
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"r must be positive and finite, got {r}")
-    thetas = np.asarray(thetas, dtype=float)
+    angles = np.asarray(thetas, dtype=float)
+    thetas = np.atleast_1d(angles)
     c = np.cos(thetas)
     s = np.sin(thetas)
     circle = np.abs(c) >= switching_cosine(r)
@@ -269,6 +276,8 @@ def envelope_points(thetas, r: float) -> BoundaryCurve:
         np.where(right, Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT),
         np.where(s > 0.0, Branch.SEXTIC_UPPER, Branch.SEXTIC_LOWER),
     )
+    if angles.ndim == 0:
+        return BoundaryCurve(float(thetas[0]), float(x[0]), float(y[0]), branch[0])
     return BoundaryCurve(thetas, x, y, branch)
 
 

@@ -20,9 +20,11 @@ envelope of the supporting-line family.  This module holds
     system, with exact held-out validation.
 
 The certificate fits its cofactor multi-modularly (Collins, J. ACM 18,
-1971): modulo one 31-bit prime after another, drawn on demand, the 1073
-Bezout determinants of the sample grid, the Newton interpolation and the
-exact division by the sextic sections run as int64 numpy arrays, and the
+1971): modulo one 31-bit prime after another, drawn on demand, the Bezout
+determinants, the Newton interpolation and the exact division by the sextic
+sections run as int64 numpy arrays.  Res is even in x, and the grid's 37
+abscissae are symmetric about 0, so the determinants are taken at the 19
+distinct |x| of each of the 29 sections, 551 per prime, and mirrored.  The
 cofactor's rational coefficients come back by the Chinese remainder theorem
 and rational reconstruction, with no bound on the height of r.  The fit is
 only a candidate: the held-out check in exact cleared-integer arithmetic is
@@ -40,6 +42,7 @@ certificate's sample evaluations are independent of each other.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -637,6 +640,17 @@ _HOLDOUT = 64
 #   deg_x C <= 20 < 29 coefficients.
 # A fitted cofactor of total degree above 28 fails, and only the held-out
 # check can declare success.
+#
+# Res is even in x.  Every coefficient of the system depends on x only
+# through x^2 and x y, and x y multiplies exactly the odd powers of t, so
+# f(-t; x, y) = f(t; -x, y) and likewise for g.  Negating t negates every
+# root and multiplies lc(f) by (-1)^m and lc(g) by (-1)^n, so
+# Res_t(f(-t), g(-t)) = (-1)^(3mn) Res_t(f, g) = (-1)^(mn) Res_t(f, g), and
+# mn = 80: Res(-x, y) = Res(x, y).  The grid's abscissae are therefore 0 and
+# +-(k + off_x), k = 0..17, and Res is taken at the 19 distinct |x| only.
+# The interpolation needs nothing of the nodes but that they are distinct:
+# through any 37 distinct abscissae it recovers every Res(x, y_k) of degree
+# at most 28, so the fit, its cofactor and every report stay the same.
 _DEGREE_BOUND = 28
 
 
@@ -695,7 +709,12 @@ class _Certificate:
         den_y = rng.choice((7, 11, 13))
         off_x = Fraction(rng.randrange(1, den_x), den_x)
         off_y = Fraction(rng.randrange(1, den_y), den_y)
-        self.xs = [Fraction(k - xs_count // 2) + off_x for k in range(xs_count)]
+        # The distinct |x| (xs_count is odd), and xs[i] = +-x_magnitudes[mirror[i]]
+        # in ascending order.
+        half = xs_count // 2
+        self.x_magnitudes = [Fraction(0)] + [k + off_x for k in range(half)]
+        self.mirror = list(range(half, 0, -1)) + list(range(half + 1))
+        self.xs = [-x for x in self.x_magnitudes[:0:-1]] + self.x_magnitudes
         self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
         self.sample_count = xs_count * ys_count + _HOLDOUT
         self.stream = rng.getstate()
@@ -784,12 +803,14 @@ class _Certificate:
 def _section_failure(cert: _Certificate, y: Fraction) -> ResultantReport:
     """The report of a section y that does not divide modulo a prime, computed exactly.
 
-    Res(x, y) is interpolated through the grid abscissae and divided by the
-    sextic section, and the quotient's residuals are taken at 8 held-out
-    abscissae.  Every denominator and node difference is a unit modulo that
-    prime, so the exact remainder reduces to the modular one: it is nonzero.
+    Res(x, y) is taken at the distinct |x|, mirrored, interpolated through
+    the grid abscissae and divided by the sextic section, and the quotient's
+    residuals are taken at 8 held-out abscissae.  Every denominator and node
+    difference is a unit modulo that prime, so the exact remainder reduces to
+    the modular one: it is nonzero.
     """
-    values = [cert.res_value(x, y) for x in cert.xs]
+    distinct = [cert.res_value(x, y) for x in cert.x_magnitudes]
+    values = [distinct[i] for i in cert.mirror]
     quot, rem = _divide_univariate(_newton_interpolate(cert.xs, values), cert.sextic_section(y))
     quotient = ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
     failures = []
@@ -816,9 +837,10 @@ def verify_sextic_resultant_identity(
     """Certify that the sextic divides the eliminated resultant at fixed r.
 
     For the given rational r, the resultant Res(x, y) of the elimination
-    system is sampled on one shifted tensor grid of 37 abscissae by 29
-    sections, fixed for every r and large enough for every degree the
-    elimination can have (the bounds are derived next to ``_DEGREE_BOUND``):
+    system is sampled on one tensor grid of 37 abscissae, symmetric about 0,
+    by 29 shifted sections, fixed for every r and large enough for every
+    degree the elimination can have (the bounds and the symmetry are derived
+    next to ``_DEGREE_BOUND``):
     along each horizontal section y = y_k the section polynomial Res(x, y_k)
     is recovered by Newton interpolation and divided exactly by the sextic
     section E(x^2, y_k^2, r).  The section quotients are interpolated across
@@ -833,7 +855,9 @@ def verify_sextic_resultant_identity(
     The fitting runs modulo one prime after another (Collins' multi-modular
     method), with primes drawn on demand, so r may have any height: the
     Bezout determinants, the interpolation and the section divisions are
-    int64 array arithmetic, the residues are joined by the Chinese remainder
+    int64 array arithmetic.  The 37 abscissae are 0 and 18 pairs +-x, and Res
+    is even in x, so each section takes its determinants at the 19 distinct
+    |x| only.  The residues are joined by the Chinese remainder
     theorem, and each cofactor coefficient is rationally reconstructed
     (Wang's bound) until one more prime leaves every coefficient unchanged.
     If the held-out check rejects that fit, primes are added until the
@@ -899,9 +923,10 @@ def _primes():
 
 
 # Sections per determinant block: the first block whose sections do not
-# divide ends the fit, so a block of 6 sections of 37 Bezout matrices (10 x 10,
-# about 0.2 MB of int64 entries) bounds the work a failing run spends.
-_BLOCK_SECTIONS = 6
+# divide ends the fit, so a block of 12 sections of 19 Bezout matrices, one
+# per distinct |x| (10 x 10, about 0.2 MB of int64 entries), bounds the work
+# a failing run spends.
+_BLOCK_SECTIONS = 12
 
 
 def _residue(value: Fraction, p: int) -> int:
@@ -922,41 +947,43 @@ def _inverse_mod(values: np.ndarray, p: int) -> np.ndarray:
 
 
 def _determinants_mod(matrices: np.ndarray, p: int) -> np.ndarray:
-    """Determinants modulo the prime p of a stack of square int64 matrices.
+    """Determinants modulo the prime p of square int64 matrices stacked along the last axis.
 
-    Entries must lie in [0, p); ``matrices`` is overwritten.  Step k swaps
-    the first row with a nonzero entry in column k up to the diagonal, then
-    replaces every lower row by pivot * row - lead * pivot row.  That scales
-    the determinant by pivot^(rows below), a factor divided out once per
-    matrix at the end; a column with no nonzero entry gives determinant 0.
+    ``matrices`` has shape (n, n, count), entries in [0, p), and is
+    overwritten; entry [i, j] of every matrix is one contiguous row, so each
+    step runs over rows of length count.  Step k swaps the first row with a
+    nonzero entry in column k up to the diagonal, then replaces every lower
+    row by pivot * row - lead * pivot row.  That scales the determinant by
+    pivot^(rows below), a factor divided out once per matrix at the end; a
+    column with no nonzero entry gives determinant 0.
     """
-    count, n, _ = matrices.shape
+    n, _, count = matrices.shape
     m = matrices
     negate = np.zeros(count, bool)
     diagonal = np.ones(count, np.int64)  # product of the pivots so far
     scale = np.ones(count, np.int64)  # product of pivot^(rows below)
-    work = np.empty((count, n - 1, n - 1), np.int64)
+    work = np.empty((n - 1, n - 1, count), np.int64)
     for k in range(n - 1):
-        first = np.argmax(m[:, k:, k] != 0, axis=1)
+        first = np.argmax(m[k:, k] != 0, axis=0)
         swap = np.flatnonzero(first)
         if swap.size:
             rows = k + first[swap]
-            top = m[swap, k].copy()
-            m[swap, k] = m[swap, rows]
-            m[swap, rows] = top
+            top = m[k, :, swap]
+            m[k, :, swap] = m[rows, :, swap]
+            m[rows, :, swap] = top
             negate[swap] ^= True
-        pivot = m[:, k, k]
+        pivot = m[k, k]
         diagonal = diagonal * pivot % p
         scale = scale * diagonal % p
-        lower = m[:, k + 1 :, k + 1 :]
-        cross = work[:, : n - 1 - k, : n - 1 - k]
+        lower = m[k + 1 :, k + 1 :]
+        cross = work[: n - 1 - k, : n - 1 - k]
         # Both products lie in [0, (p - 1)^2] with (p - 1)^2 < 2^62, so their
         # difference fits int64 and is reduced before anything is added to it.
-        np.multiply(m[:, k + 1 :, k, None], m[:, k, None, k + 1 :], out=cross)
-        lower *= pivot[:, None, None]
+        np.multiply(m[k + 1 :, k, None], m[None, k, k + 1 :], out=cross)
+        lower *= pivot
         lower -= cross
         lower %= p
-    det = diagonal * m[:, n - 1, n - 1] % p * _inverse_mod(scale, p) % p
+    det = diagonal * m[n - 1, n - 1] % p * _inverse_mod(scale, p) % p
     return np.where(negate, (p - det) % p, det)
 
 
@@ -1041,8 +1068,7 @@ def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     """
     f, g = _split_system(list(coeffs.reshape(len(coeffs), -1)))
     m, n = len(f) - 1, len(g) - 1
-    rows = _bezout_matrix(f, g, p)
-    det = _determinants_mod(np.array(rows).transpose(2, 0, 1).copy(), p)
+    det = _determinants_mod(np.array(_bezout_matrix(f, g, p)), p)
     # lc(f) = -r^2 at every point, so lc(f)^(m - n) is one scalar to invert.
     values = det * pow(int(f[0][0]), -(m - n), p) % p
     if m * (m - 1) // 2 % 2:
@@ -1059,11 +1085,13 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
 
     Sections are fitted and divided a block at a time, so the first block
     with a section that does not divide ends the run: :class:`_Indivisible`
-    names the first such section.
+    names the first such section.  The resultants are taken at the distinct
+    |x| and mirrored to every abscissa, since Res is even in x.
     """
     xs = [_residue(x, p) for x in cert.xs]
     ys = [_residue(y, p) for y in cert.ys]
-    coeffs = _system_values_mod(_residue(cert.r, p), xs, ys, p)
+    magnitudes = [_residue(x, p) for x in cert.x_magnitudes]
+    coeffs = _system_values_mod(_residue(cert.r, p), magnitudes, ys, p)
     ny, nx = len(ys), len(xs)
     den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
     width = den.shape[1]
@@ -1076,7 +1104,7 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
 
     for start in range(0, ny, _BLOCK_SECTIONS):
         stop = min(start + _BLOCK_SECTIONS, ny)
-        values = _resultants_mod(coeffs[:, start:stop], p)
+        values = _resultants_mod(coeffs[:, start:stop], p)[:, cert.mirror]
         rem = _matmul_mod(values, basis, p)
         divisor, lead = den[start:stop], lead_inverse[start:stop]
         quot = np.zeros((stop - start, bound + 1), np.int64)
@@ -1095,18 +1123,26 @@ def _settled_fits(cert: _Certificate):
     """Each cofactor the modular fit settles on, as a {(i, j): Fraction} table of x^i y^j.
 
     A prime is skipped when it divides a sample, r or sextic-section
-    denominator, the leading coefficient of a sextic section, or the
-    numerator of r.  The fit has settled when one more prime leaves every
-    reconstructed coefficient unchanged; each later prime is absorbed too,
-    and every prime that leaves the coefficients unchanged yields them again.
+    denominator, the leading coefficient of a sextic section, the numerator
+    of r, or the difference of two abscissae or of two sections.  The fit
+    has settled when one more prime leaves every reconstructed coefficient
+    unchanged; each later prime is absorbed too, and every prime that leaves
+    the coefficients unchanged yields them again.
     Raises :class:`_Indivisible` at the first section that does not divide
     modulo a prime.
     """
     sections = [cert.sextic_section(y) for y in cert.ys]
     # Every denominator must be a unit modulo p, and so must every leading
     # coefficient: the exact division divides by it, and the Bezout
-    # resultants divide by lc(f)^2 = r^4.
-    avoid = [cert.r.numerator, cert.r.denominator, cert.xs[0].denominator, cert.ys[0].denominator]
+    # resultants divide by lc(f)^2 = r^4.  The interpolation divides by the
+    # node differences, so the nodes must stay distinct modulo p: over the
+    # lcm D of the sample denominators, D (a - b) is an integer difference.
+    avoid = [cert.r.numerator, cert.r.denominator]
+    for samples in (cert.xs, cert.ys):
+        den = math.lcm(*(s.denominator for s in samples))
+        scaled = [s.numerator * (den // s.denominator) for s in samples]
+        avoid.append(den)
+        avoid += {a - b for a, b in itertools.combinations(scaled, 2)}
     avoid += [c.denominator for s in sections for c in s]
     avoid += [s[-1].numerator for s in sections]
 

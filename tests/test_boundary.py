@@ -213,8 +213,25 @@ def test_interval_emptiness_flag():
 
 def _envelope(theta: float, r: float) -> tuple:
     """(x, y, branch) of the envelope point at the single angle theta."""
+    return envelope_points(theta, r)[1:]
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.2, -2.0, math.pi], ids=str)
+def test_a_scalar_angle_gives_the_point_of_a_one_element_array(theta):
+    # As support_function does, a scalar angle gives floats.
+    r = 0.5
     curve = envelope_points(np.array([theta]), r)
-    return float(curve.x[0]), float(curve.y[0]), curve.branch[0]
+    point = envelope_points(theta, r)
+    assert point == (theta, curve.x[0], curve.y[0], curve.branch[0])
+    assert all(type(value) is float for value in point[:3])
+    assert isinstance(point.branch, Branch)
+    xs, ys = sextic_envelope(np.array([theta]), r)
+    x, y = sextic_envelope(theta, r)
+    assert (type(x), type(y)) == (float, float) and (x, y) == (xs[0], ys[0])
+    # Any shape is kept, as support_function keeps it.
+    square = np.full((2, 2), theta)
+    assert envelope_points(square, r).x.shape == (2, 2)
+    assert [z.tolist() for z in sextic_envelope(square, r)] == [[[x, x], [x, x]], [[y, y], [y, y]]]
 
 
 def test_envelope_examples():
@@ -529,47 +546,53 @@ def test_ellipse_distance_equals_the_scalar_reference(r):
         assert ellipse_distance(x, y, a_axis, b_axis) == d
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: classify_point(math.nan, 0.0, 0.5),
-        lambda: classify_point(0.0, math.nan, 0.5),
-        lambda: classify_point(0.0, 0.0, math.nan),
-        lambda: classify_point(math.inf, 0.0, 0.5),
-        lambda: classify_point(0.0, 0.0, math.inf),
-        lambda: envelope_points(angle_grid(16), math.inf),
-        lambda: envelope_points(angle_grid(16), math.nan),
-        lambda: envelope_points(np.array([0.3]), math.inf),
-        lambda: boundary_curve(math.inf, 100),
-        lambda: boundary_curve(math.nan, 100),
-        lambda: ellipse_gap(math.inf, 2000),
-        lambda: ellipse_gap(math.nan, 2000),
-        lambda: support_function(0.3, math.nan),
-        lambda: support_function(0.3, math.inf),
-        lambda: support_function(math.nan, 0.5),
-        lambda: support_function(math.inf, 0.5),
-        lambda: support_function(np.array([0.0, math.nan, 1.0]), 0.5),
-        lambda: switching_cosine(math.nan),
-        lambda: switching_cosine(math.inf),
-        lambda: admissible_offset_intervals(0.3, math.inf),
-        lambda: ellipse_distance(math.nan, 1.0, 2.0, 1.0),
-        lambda: ellipse_distance(math.inf, 1.0, 2.0, 1.0),
-        lambda: ellipse_distance(1.0, math.nan, 2.0, 1.0),
-        lambda: ellipse_distance(np.array([0.5, math.inf]), 0.5, 2.0, 1.0),
-        lambda: ellipse_distance(1.0, 1.0, math.inf, 1.0),
-        lambda: symbol_range(1.5, math.nan),
-        lambda: admissible_offset_intervals(math.nan, 0.5),
-        lambda: symbol_range_grid(1.5, math.nan),
-        lambda: symbol_range_grid(math.nan, 0.3),
-        lambda: classify_point(0.0, 0.0, 0.5, tol=math.nan),
-        lambda: classify_point(0.0, 0.0, 0.5, tol=math.inf),
-        lambda: classify_point(1.2, 0.0, 0.5, tol=-0.5),
-        lambda: classify_point(0.0, 0.0, -0.5),
-        lambda: sextic_envelope(np.array([0.3]), math.nan),
-        lambda: sextic_value(1.0, 1.0, math.nan),
-        lambda: sextic_scale(1.0, 1.0, math.nan),
-    ],
-)
+# Explicit ids, so a case inserted anywhere leaves every other id on its
+# input.  These are the ids pytest numbered the cases by before they were
+# pinned, kept so that runs stay comparable by test name; a new case takes a
+# new descriptive id.
+NON_FINITE_CALLS = {
+    "<lambda>0": lambda: classify_point(math.nan, 0.0, 0.5),
+    "<lambda>1": lambda: classify_point(0.0, math.nan, 0.5),
+    "<lambda>2": lambda: classify_point(0.0, 0.0, math.nan),
+    "<lambda>3": lambda: classify_point(math.inf, 0.0, 0.5),
+    "<lambda>4": lambda: classify_point(0.0, 0.0, math.inf),
+    "<lambda>5": lambda: envelope_points(angle_grid(16), math.inf),
+    "<lambda>6": lambda: envelope_points(angle_grid(16), math.nan),
+    "<lambda>7": lambda: envelope_points(np.array([0.3]), math.inf),
+    "<lambda>8": lambda: boundary_curve(math.inf, 100),
+    "<lambda>9": lambda: boundary_curve(math.nan, 100),
+    "<lambda>10": lambda: ellipse_gap(math.inf, 2000),
+    "<lambda>11": lambda: ellipse_gap(math.nan, 2000),
+    "<lambda>12": lambda: support_function(0.3, math.nan),
+    "<lambda>13": lambda: support_function(0.3, math.inf),
+    "<lambda>14": lambda: support_function(math.nan, 0.5),
+    "<lambda>15": lambda: support_function(math.inf, 0.5),
+    "<lambda>16": lambda: support_function(np.array([0.0, math.nan, 1.0]), 0.5),
+    "<lambda>17": lambda: switching_cosine(math.nan),
+    "<lambda>18": lambda: switching_cosine(math.inf),
+    "<lambda>19": lambda: admissible_offset_intervals(0.3, math.inf),
+    "<lambda>20": lambda: ellipse_distance(math.nan, 1.0, 2.0, 1.0),
+    "<lambda>21": lambda: ellipse_distance(math.inf, 1.0, 2.0, 1.0),
+    "<lambda>22": lambda: ellipse_distance(1.0, math.nan, 2.0, 1.0),
+    "<lambda>23": lambda: ellipse_distance(np.array([0.5, math.inf]), 0.5, 2.0, 1.0),
+    "<lambda>24": lambda: ellipse_distance(1.0, 1.0, math.inf, 1.0),
+    "<lambda>25": lambda: symbol_range(1.5, math.nan),
+    "<lambda>26": lambda: admissible_offset_intervals(math.nan, 0.5),
+    "<lambda>27": lambda: symbol_range_grid(1.5, math.nan),
+    "<lambda>28": lambda: symbol_range_grid(math.nan, 0.3),
+    "<lambda>29": lambda: classify_point(0.0, 0.0, 0.5, tol=math.nan),
+    "<lambda>30": lambda: classify_point(0.0, 0.0, 0.5, tol=math.inf),
+    "<lambda>31": lambda: classify_point(1.2, 0.0, 0.5, tol=-0.5),
+    "<lambda>32": lambda: classify_point(0.0, 0.0, -0.5),
+    "<lambda>33": lambda: sextic_envelope(np.array([0.3]), math.nan),
+    "<lambda>34": lambda: sextic_value(1.0, 1.0, math.nan),
+    "<lambda>35": lambda: sextic_scale(1.0, 1.0, math.nan),
+    "envelope_points-scalar-angle": lambda: envelope_points(0.3, math.inf),
+    "sextic_envelope-scalar-angle": lambda: sextic_envelope(0.3, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS)
 def test_non_finite_input_is_rejected(call):
     with pytest.raises(ValueError, match="finite"):
         call()

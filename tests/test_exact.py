@@ -233,6 +233,15 @@ def test_resultant_at_rejects_degenerate_radius():
         exact.resultant_at(0, 1, 1)
 
 
+@pytest.mark.parametrize("r", [Q(1, 2), Q(355, 113), Q(2**127 - 1, 2**127 - 3)], ids=str)
+def test_the_resultant_is_even_in_x(r):
+    # The certificate takes Res at the distinct |x| only and mirrors it.
+    points = [(Q(1), Q(0)), (Q(2, 3), Q(5, 7)), (Q(-999, 998), Q(1, 999)), (Q(12, 13), Q(-40, 3))]
+    for x, y in points:
+        value = exact.resultant_at(r, x, y)
+        assert value != 0 and exact.resultant_at(r, -x, y) == value
+
+
 def sylvester_matrix(f, g):
     """Sylvester matrix of two coefficient sequences (descending degree).
 
@@ -429,11 +438,11 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     assert fast.to_text() == slow.to_text()
 
     # A section that does not divide modulo the first prime is recomputed
-    # exactly at once: one section of 37 points, then 8 residuals.
+    # exactly at once: one section at its 19 distinct |x|, then 8 residuals.
     calls.clear()
     monkeypatch.setattr(exact, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, mutate=True)
-    assert len(calls) == 37 + 8
+    assert len(calls) == 19 + 8
     monkeypatch.undo()
     assert fast.to_json_dict() == _exact_route(exact._Certificate(Q(1, 2), 9, True)).to_json_dict()
 
@@ -453,18 +462,34 @@ def test_a_section_failure_is_the_one_the_exact_route_reports(monkeypatch, r, bo
     assert fast.degree_bound == bound
 
 
+def _recorded_determinant_counts(monkeypatch):
+    """The number of modular determinants of each block from now on, in order."""
+    counts = []
+    determinants = exact._determinants_mod
+    monkeypatch.setattr(
+        exact, "_determinants_mod", lambda mats, p: counts.append(mats.shape[-1]) or determinants(mats, p)
+    )
+    return counts
+
+
+def test_one_prime_takes_the_determinants_at_the_distinct_abscissae_only(monkeypatch):
+    # Res is even in x: 19 distinct |x| per section, 29 sections, per prime.
+    blocks = _recorded_determinant_counts(monkeypatch)
+    cert = exact._Certificate(Q(1, 2), 1)
+    sections = [cert.sextic_section(y) for y in cert.ys]
+    exact._cofactor_mod(cert, sections, PRIMES[0])
+    assert sum(blocks) == 19 * 29 == 551
+    assert len(blocks) == math.ceil(29 / exact._BLOCK_SECTIONS)
+
+
 def test_a_failing_block_ends_the_modular_fit(monkeypatch):
     # The mutated sextic leaves a remainder in the first block of sections,
     # so the first prime takes that block's determinants and no more.
-    blocks = []
-    determinants = exact._determinants_mod
-    monkeypatch.setattr(
-        exact, "_determinants_mod", lambda mats, p: blocks.append(len(mats)) or determinants(mats, p)
-    )
+    blocks = _recorded_determinant_counts(monkeypatch)
     cert = exact._Certificate(Q(1, 2), 1, mutate=True)
     with pytest.raises(exact._Indivisible) as failure:
         next(exact._settled_fits(cert))
-    assert blocks == [exact._BLOCK_SECTIONS * 37]
+    assert blocks == [exact._BLOCK_SECTIONS * 19]
     assert failure.value.args[0] in cert.ys[: exact._BLOCK_SECTIONS]
 
 
@@ -566,7 +591,9 @@ def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
     sections = [cert.sextic_section(y) for y in cert.ys]
     assert exact._cofactor_mod(cert, sections, p) is not None
     first = blocks[0]
-    assert first.shape == (exact._BLOCK_SECTIONS, len(cert.xs))
+    assert first.shape == (exact._BLOCK_SECTIONS, len(cert.x_magnitudes))
+    # Mirrored to all 37 abscissae, each value is the exact resultant there.
+    first = first[:, cert.mirror]
     want = [
         [exact._residue(Q(exact.resultant_at(cert.r, x, y)), p) for x in cert.xs]
         for y in cert.ys[: exact._BLOCK_SECTIONS]
@@ -589,6 +616,18 @@ def test_certificate_skips_a_prime_dividing_the_radius_denominator(monkeypatch):
     assert primes[0] == PRIMES[1] and PRIMES[0] not in primes
 
 
+def test_small_primes_that_would_merge_nodes_are_skipped(monkeypatch):
+    # 7, 11 and 13 are the possible sample denominators, and each divides a
+    # difference of two abscissae or of two sections, so none is a unit there.
+    clean = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
+    primes = _recorded_primes(monkeypatch)
+    primes_on_demand = exact._primes
+    monkeypatch.setattr(exact, "_primes", lambda: itertools.chain((7, 11, 13), primes_on_demand()))
+    report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
+    assert report.to_json_dict() == clean.to_json_dict() and report.to_text() == clean.to_text()
+    assert primes and not {7, 11, 13} & set(primes)
+
+
 def test_the_fixed_grid_covers_the_proven_degrees():
     # deg_x Res <= 28 and deg_y Res <= 20 at every r, and E(x^2, y^2, r) has
     # degree 2 deg_u E in x and 2 deg_v E in y, so C = Res / E has degree at
@@ -605,6 +644,10 @@ def test_the_fixed_grid_covers_the_proven_degrees():
         assert (samples, sections, coefficients) == (37, 29, 29)
         assert res_x < samples and cofactor_y < sections and cofactor_x < coefficients
         assert len(set(cert.xs)) == samples and len(set(cert.ys)) == sections
+        # Symmetric about 0, so Res, even in x, is taken at the 19 distinct |x|.
+        assert cert.xs == sorted(cert.xs) == [-x for x in reversed(cert.xs)]
+        assert len(cert.x_magnitudes) == len(set(cert.x_magnitudes)) == 19 and cert.x_magnitudes[0] == 0
+        assert [abs(x) for x in cert.xs] == [cert.x_magnitudes[i] for i in cert.mirror]
     report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
     assert (report.degree_bound, report.sample_count) == (28, 37 * 29 + exact._HOLDOUT) == (28, 1137)
 
@@ -799,7 +842,8 @@ def test_modular_determinants_match_bareiss(p):
     rng = random.Random(p)
     for n in (1, 2, 3, 5, 8, 18):
         cases = _determinant_cases(rng, n)
-        stack = np.array(cases, dtype=np.int64) % p
+        # Stacked along the last axis: entry [i, j] of every matrix is one row.
+        stack = np.moveaxis(np.array(cases, dtype=np.int64), 0, -1) % p
         got = exact._determinants_mod(stack, p).tolist()
         assert got == [exact.bareiss_determinant(rows) % p for rows in cases], n
 
