@@ -232,12 +232,14 @@ def sextic_envelope(thetas, r: float) -> tuple:
     envelope (p cos - p' sin, p sin + p' cos) is returned as the arrays
     (x, y), or as two floats for a scalar angle.  Defined wherever
     sin theta != 0: outside the sextic regime it traces the part of the
-    sextic curve that is not on the boundary.  A scalar r outside
-    [0, sqrt(DBL_MAX)] raises ValueError; below that limit C ``pow`` still
-    overflows wherever r / |sin theta| exceeds sqrt(DBL_MAX).
+    sextic curve that is not on the boundary.  A non-finite angle, or a
+    scalar r outside [0, sqrt(DBL_MAX)], raises ValueError; below that limit
+    C ``pow`` still overflows wherever r / |sin theta| exceeds sqrt(DBL_MAX).
     """
     _check_radius(r)
     angles = np.asarray(thetas, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError("theta must be finite")
     thetas = np.atleast_1d(angles)
     c = np.cos(thetas)
     s = np.sin(thetas)
@@ -257,12 +259,14 @@ def envelope_points(thetas, r: float) -> BoundaryCurve:
     least the switching cosine; ties go to the circles) this reduces to
     (+-1 + r cos, r sin); on the sextic regime it is :func:`sextic_envelope`.
     A scalar angle gives one point: floats and a :class:`Branch`.  Requires
-    a finite r > 0 (see :class:`UnitDiskDegeneracyError` for the r = 0
-    case).
+    finite angles and a finite r > 0 (see :class:`UnitDiskDegeneracyError`
+    for the r = 0 case).
     """
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"r must be positive and finite, got {r}")
     angles = np.asarray(thetas, dtype=float)
+    if not np.isfinite(angles).all():
+        raise ValueError("theta must be finite")
     thetas = np.atleast_1d(angles)
     c = np.cos(thetas)
     s = np.sin(thetas)

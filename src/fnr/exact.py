@@ -20,11 +20,11 @@ envelope of the supporting-line family.  This module holds
     system, with exact held-out validation.
 
 The certificate fits its cofactor multi-modularly (Collins, J. ACM 18,
-1971): modulo one 31-bit prime after another, drawn on demand, the Bezout
-determinants, the Newton interpolation and the exact division by the sextic
-sections run as int64 numpy arrays.  Res is even in x, and the grid's 37
-abscissae are symmetric about 0, so the determinants are taken at the 19
-distinct |x| of each of the 29 sections, 551 per prime, and mirrored.  The
+1971): modulo one 31-bit prime after another, drawn on demand, one pass of
+int64 numpy arrays takes the Bezout determinants of all 29 sections, their
+Newton interpolation and their exact division by the sextic sections.  Res
+is even in x and the 37 abscissae are symmetric about 0, so the 551
+determinants of a prime are taken at the 19 distinct |x| and mirrored.  The
 cofactor's rational coefficients come back by the Chinese remainder theorem
 and rational reconstruction, with no bound on the height of r.  The fit is
 only a candidate: the held-out check in exact cleared-integer arithmetic is
@@ -922,13 +922,6 @@ def _primes():
             yield n
 
 
-# Sections per determinant block: the first block whose sections do not
-# divide ends the fit, so a block of 12 sections of 19 Bezout matrices, one
-# per distinct |x| (10 x 10, about 0.2 MB of int64 entries), bounds the work
-# a failing run spends.
-_BLOCK_SECTIONS = 12
-
-
 def _residue(value: Fraction, p: int) -> int:
     return value.numerator * pow(value.denominator, -1, p) % p
 
@@ -992,15 +985,18 @@ def _newton_mod(values: np.ndarray, nodes: Sequence[int], p: int) -> np.ndarray:
 
     Row-wise the same divided differences and Horner expansion as
     :func:`_newton_interpolate`, for all rows at once; ``nodes`` are the
-    abscissae as residues.
+    abscissae as residues, and two equal ones raise :class:`ZeroDivisionError`.
     """
     n = len(nodes)
+    # [i, j] is nodes[i] - nodes[j]; only the diagonal may vanish.
+    differences = np.subtract.outer(nodes, nodes) % p
+    if np.count_nonzero(differences) < n * (n - 1):
+        raise ZeroDivisionError("two interpolation nodes are equal modulo p")
+    inverse = _inverse_mod(differences, p)
     divided = values.copy()
     for level in range(1, n):
-        inverse = np.array(
-            [pow(nodes[i] - nodes[i - level], -1, p) for i in range(level, n)], np.int64
-        )
-        divided[:, level:] = (divided[:, level:] - divided[:, level - 1 : -1]) % p * inverse % p
+        step = np.diagonal(inverse, -level)  # 1 / (nodes[i] - nodes[i - level]), i >= level
+        divided[:, level:] = (divided[:, level:] - divided[:, level - 1 : -1]) % p * step % p
     coeffs = np.zeros_like(divided)
     coeffs[:, 0] = divided[:, n - 1]
     for i in range(n - 2, -1, -1):
@@ -1010,15 +1006,6 @@ def _newton_mod(values: np.ndarray, nodes: Sequence[int], p: int) -> np.ndarray:
         coeffs[:, : length - 1] = (coeffs[:, : length - 1] - nodes[i] * coeffs[:, 1:length]) % p
         coeffs[:, 0] = (coeffs[:, 0] + divided[:, i]) % p
     return coeffs
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b modulo p for residue matrices with fewer than 2^15 columns in a.
-
-    Each entry of a is split into 16-bit limbs: a limb times a residue is below
-    2^47, so no sum of fewer than 2^15 such terms reaches 2^62.
-    """
-    return ((a >> 16) @ b % p * 65536 + (a & 0xFFFF) @ b) % p
 
 
 def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
@@ -1081,42 +1068,32 @@ class _Indivisible(ArithmeticError):
 
 
 def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
-    """Cofactor coefficients [i, j] of x^i y^j modulo p.
+    """Cofactor coefficients [i, j] of x^i y^j modulo p, in one pass over the grid.
 
-    Sections are fitted and divided a block at a time, so the first block
-    with a section that does not divide ends the run: :class:`_Indivisible`
-    names the first such section.  The resultants are taken at the distinct
-    |x| and mirrored to every abscissa, since Res is even in x.
+    The resultants are taken at the distinct |x| of every section and
+    mirrored to every abscissa, since Res is even in x; each section is
+    interpolated and divided by its sextic section, and :class:`_Indivisible`
+    names the first section that does not divide.
     """
     xs = [_residue(x, p) for x in cert.xs]
     ys = [_residue(y, p) for y in cert.ys]
     magnitudes = [_residue(x, p) for x in cert.x_magnitudes]
     coeffs = _system_values_mod(_residue(cert.r, p), magnitudes, ys, p)
-    ny, nx = len(ys), len(xs)
+    rem = _newton_mod(_resultants_mod(coeffs, p)[:, cert.mirror], xs, p)
     den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
     width = den.shape[1]
-    lead_inverse = np.array([pow(int(c), -1, p) for c in den[:, -1]], np.int64)
-    bound = _DEGREE_BOUND
-    fitted = np.zeros((bound + 1, ny), np.int64)
-    # Interpolation is linear: row i of the basis holds the coefficients of the
-    # Lagrange polynomial of node i, so a block's coefficients are one product.
-    basis = _newton_mod(np.eye(nx, dtype=np.int64), xs, p)
-
-    for start in range(0, ny, _BLOCK_SECTIONS):
-        stop = min(start + _BLOCK_SECTIONS, ny)
-        values = _resultants_mod(coeffs[:, start:stop], p)[:, cert.mirror]
-        rem = _matmul_mod(values, basis, p)
-        divisor, lead = den[start:stop], lead_inverse[start:stop]
-        quot = np.zeros((stop - start, bound + 1), np.int64)
-        for k in range(bound, -1, -1):
-            factor = rem[:, width - 1 + k] * lead % p
-            quot[:, k] = factor
-            rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * divisor % p) % p
-        failing = np.flatnonzero(rem.any(axis=1))
-        if failing.size:
-            raise _Indivisible(cert.ys[start + failing[0]])
-        fitted[:, start:stop] = quot.T
-    return _newton_mod(fitted, ys, p)
+    if not den[:, -1].all():
+        raise ZeroDivisionError("a sextic section's leading coefficient is 0 modulo p")
+    lead_inverse = _inverse_mod(den[:, -1], p)
+    quot = np.zeros((len(ys), _DEGREE_BOUND + 1), np.int64)
+    for k in range(_DEGREE_BOUND, -1, -1):
+        factor = rem[:, width - 1 + k] * lead_inverse % p
+        quot[:, k] = factor
+        rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * den % p) % p
+    failing = np.flatnonzero(rem.any(axis=1))
+    if failing.size:
+        raise _Indivisible(cert.ys[failing[0]])
+    return _newton_mod(quot.T, ys, p)
 
 
 def _settled_fits(cert: _Certificate):

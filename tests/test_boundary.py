@@ -589,6 +589,14 @@ NON_FINITE_CALLS = {
     "<lambda>35": lambda: sextic_scale(1.0, 1.0, math.nan),
     "envelope_points-scalar-angle": lambda: envelope_points(0.3, math.inf),
     "sextic_envelope-scalar-angle": lambda: sextic_envelope(0.3, math.nan),
+    "envelope_points-nan-angle": lambda: envelope_points(math.nan, 0.5),
+    "envelope_points-inf-angle": lambda: envelope_points(-math.inf, 0.5),
+    "envelope_points-nan-in-array": lambda: envelope_points(np.array([0.3, math.nan]), 0.5),
+    "envelope_points-inf-in-array": lambda: envelope_points(np.array([0.3, math.inf]), 0.5),
+    "sextic_envelope-nan-angle": lambda: sextic_envelope(math.nan, 0.5),
+    "sextic_envelope-inf-angle": lambda: sextic_envelope(math.inf, 0.5),
+    "sextic_envelope-nan-in-array": lambda: sextic_envelope(np.array([1.2, math.nan]), 0.5),
+    "sextic_envelope-inf-in-array": lambda: sextic_envelope(np.array([1.2, -math.inf]), 0.5),
 }
 
 
@@ -600,7 +608,18 @@ def test_non_finite_input_is_rejected(call):
 
 def test_freeze_constants_script_prints_the_frozen_constants(capsys):
     script = Path(__file__).resolve().parent.parent / "scripts" / "freeze_constants.py"
-    assert runpy.run_path(str(script))["main"]([]) == 0
+    main = runpy.run_path(str(script))["main"]
+    assert main([]) == 0
     out = capsys.readouterr().out
     assert f"FROZEN_ELLIPSE_GAP    = {FROZEN_ELLIPSE_GAP!r}" in out
     assert f"FROZEN_ELLIPSE_ARGMAX = {FROZEN_ELLIPSE_ARGMAX!r}" in out
+    # The oracle path, the script's call of boundary_from_truncation, at a
+    # small level: its gap is within 2e-3 of the closed form's (8.2e-4).
+    assert main(["--with-oracle", "--level", "50"]) == 0
+    out = capsys.readouterr().out
+    assert "truncation boundary (level 50) ellipse gap:" in out
+    oracle = re.search(r"^  oracle gap            = (\S+)$", out, re.MULTILINE)
+    difference = re.search(r"^  difference            = (\S+)$", out, re.MULTILINE)
+    assert oracle and difference
+    assert abs(float(oracle[1]) - FROZEN_ELLIPSE_GAP) <= 2e-3
+    assert float(difference[1]) == pytest.approx(abs(float(oracle[1]) - FROZEN_ELLIPSE_GAP), rel=1e-3)

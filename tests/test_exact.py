@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fnr import exact
-from fnr.boundary import envelope_points, sextic_value, switching_cosine
+from fnr.boundary import Branch, envelope_points, sextic_envelope, sextic_value, switching_cosine
 
 # The 64 largest primes below 2^31, in descending order: the fixed table of
 # fitting moduli that the modular fit used before it drew primes on demand.
@@ -134,6 +134,69 @@ def test_circle_and_sextic_join_at_rational_switching_points(t):
     assert (grad_x, grad_y) != (0, 0)
     assert grad_x * s - grad_y * c == 0
     assert abs(switching_cosine(float(r)) - float(c)) <= 4 * math.ulp(float(c))
+
+
+def _sextic_witness(t, k):
+    """(r, c, x, y): the sextic envelope point at theta = 2 atan t, exactly.
+
+    There (c, s) = ((1 - t^2), 2t) / (1 + t^2), and r = s (k - 1/k) / 2 makes
+    p = sqrt(1 + (r / s)^2) the rational (k + 1/k) / 2, so the envelope point
+    (p c - p' s, p s + p' c), p' = -r^2 c / (s^3 p), is rational too.
+    """
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    r, p = s * (k - 1 / k) / 2, (k + 1 / k) / 2
+    dp = -r * r * c / (s**3 * p)
+    return r, c, p * c - dp * s, p * s + dp * c
+
+
+@pytest.mark.parametrize(
+    "t, k, r", [(Q(1, 2), Q(2), Q(3, 5)), (Q(2, 3), Q(3, 2), Q(5, 13)), (Q(1, 2), Q(5, 4), Q(9, 50))], ids=str
+)
+def test_sextic_envelope_points_at_rational_witnesses(t, k, r):
+    """A rational point of the sextic regime is on the sextic, exactly and in floats.
+
+    The float bound: envelope_points gets theta~ = 2 atan(t~) and r~, with
+    t~ and r~ the doubles nearest t and r (doubling is exact).  The roundings
+    of t and of atan leave |theta~ - theta| below one ulp of theta (0.41,
+    0.43 and 0.41 ulp here), and the point moves with theta at the speed
+    |p + p''|, at most 2.4 here, so the inputs shift a coordinate by at
+    most 2.3 ulps (measured).  The evaluation's dozen correctly rounded or
+    faithful steps meet no cancellation, since x = p c + |p'| s adds two
+    positive terms and y = p s - |p'| c subtracts one at most a fifth of
+    the other, and add at most 1.3 ulps (measured).  4 ulps bounds the sum,
+    3.6; the measured error is at most 2.
+    """
+    witness_r, c, x, y = _sextic_witness(t, k)
+    assert witness_r == r
+    point = {"u": x * x, "v": y * y, "r": r}
+    assert exact.sextic_polynomial().evaluate(point) == 0
+    for poly in exact.envelope_system():
+        assert poly.evaluate({"t": t, "r": r, "x": x, "y": y}) == 0
+    # |c| is below the switching cosine, the root of c (c + r) = 1.
+    assert abs(c) * (abs(c) + r) < 1
+    assert exact.mutated_sextic().evaluate(point) != 0
+    got = envelope_points(2 * math.atan(t), float(r))
+    assert got.branch is Branch.SEXTIC_UPPER
+    assert abs(got.x - float(x)) <= 4 * math.ulp(float(x))
+    assert abs(got.y - float(y)) <= 4 * math.ulp(float(y))
+
+
+def test_a_sextic_witness_outside_the_sextic_regime_is_off_the_boundary():
+    # (t, k) = (1/3, 3): the point is exactly on the sextic and solves the
+    # elimination system, but |c| = 4/5 is past the switching cosine of
+    # r = 4/5, so the supporting line there touches the right circle.
+    r, c, x, y = _sextic_witness(Q(1, 3), Q(3))
+    assert (r, x, y) == (Q(4, 5), Q(164, 75), Q(-31, 225))
+    assert exact.sextic_polynomial().evaluate({"u": x * x, "v": y * y, "r": r}) == 0
+    for poly in exact.envelope_system():
+        assert poly.evaluate({"t": Q(1, 3), "r": r, "x": x, "y": y}) == 0
+    assert abs(c) * (abs(c) + r) >= 1
+    theta = 2 * math.atan(1 / 3)
+    assert envelope_points(theta, 0.8).branch is Branch.CIRCLE_RIGHT
+    # x = 2.19 and y's two terms, 1 and 1.14, are below 4: each coordinate
+    # is within one ulp of [2, 4), 4.4e-16.
+    got = sextic_envelope(theta, 0.8)
+    assert abs(got[0] - float(x)) <= math.ulp(2.0) and abs(got[1] - float(y)) <= math.ulp(2.0)
 
 
 @given(
@@ -463,7 +526,7 @@ def test_a_section_failure_is_the_one_the_exact_route_reports(monkeypatch, r, bo
 
 
 def _recorded_determinant_counts(monkeypatch):
-    """The number of modular determinants of each block from now on, in order."""
+    """The number of modular determinants of each call from now on, in order."""
     counts = []
     determinants = exact._determinants_mod
     monkeypatch.setattr(
@@ -473,24 +536,27 @@ def _recorded_determinant_counts(monkeypatch):
 
 
 def test_one_prime_takes_the_determinants_at_the_distinct_abscissae_only(monkeypatch):
-    # Res is even in x: 19 distinct |x| per section, 29 sections, per prime.
-    blocks = _recorded_determinant_counts(monkeypatch)
+    # Res is even in x: 19 distinct |x| per section, 29 sections, in one call per prime.
+    calls = _recorded_determinant_counts(monkeypatch)
     cert = exact._Certificate(Q(1, 2), 1)
     sections = [cert.sextic_section(y) for y in cert.ys]
     exact._cofactor_mod(cert, sections, PRIMES[0])
-    assert sum(blocks) == 19 * 29 == 551
-    assert len(blocks) == math.ceil(29 / exact._BLOCK_SECTIONS)
+    assert calls == [19 * 29] == [551]
 
 
-def test_a_failing_block_ends_the_modular_fit(monkeypatch):
-    # The mutated sextic leaves a remainder in the first block of sections,
-    # so the first prime takes that block's determinants and no more.
-    blocks = _recorded_determinant_counts(monkeypatch)
-    cert = exact._Certificate(Q(1, 2), 1, mutate=True)
-    with pytest.raises(exact._Indivisible) as failure:
-        next(exact._settled_fits(cert))
-    assert blocks == [exact._BLOCK_SECTIONS * 19]
-    assert failure.value.args[0] in cert.ys[: exact._BLOCK_SECTIONS]
+def test_a_failing_section_ends_the_modular_fit_at_the_first_prime(monkeypatch):
+    # The mutated sextic leaves a remainder in the first section, so the
+    # first prime's one pass ends the fit there.
+    calls = _recorded_determinant_counts(monkeypatch)
+    primes = _recorded_primes(monkeypatch)
+    for r, seed in ((Q(1, 2), 1), (Q(355, 113), 3), (Q(1, 3), 9)):
+        calls.clear()
+        primes.clear()
+        cert = exact._Certificate(r, seed, mutate=True)
+        with pytest.raises(exact._Indivisible) as failure:
+            next(exact._settled_fits(cert))
+        assert calls == [551] and len(primes) == 1
+        assert failure.value.args[0] == cert.ys[0]
 
 
 def _recorded_primes(monkeypatch):
@@ -579,26 +645,22 @@ def test_a_127_bit_radius_pair_certifies_past_the_old_table(monkeypatch):
 
 
 def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
-    # The first block of one _cofactor_mod call: its mod-p Bezout values are
-    # the exact resultants at those grid points, reduced modulo p.
+    # The one _resultants_mod call of a _cofactor_mod call: its mod-p Bezout
+    # values are the exact resultants at the grid points, reduced modulo p.
     cert = exact._Certificate(Q(1, 2), 1)
-    blocks = []
+    calls = []
     resultants = exact._resultants_mod
     monkeypatch.setattr(
-        exact, "_resultants_mod", lambda coeffs, p: blocks.append(resultants(coeffs, p)) or blocks[-1]
+        exact, "_resultants_mod", lambda coeffs, p: calls.append(resultants(coeffs, p)) or calls[-1]
     )
     p = PRIMES[0]
     sections = [cert.sextic_section(y) for y in cert.ys]
     assert exact._cofactor_mod(cert, sections, p) is not None
-    first = blocks[0]
-    assert first.shape == (exact._BLOCK_SECTIONS, len(cert.x_magnitudes))
+    (values,) = calls
+    assert values.shape == (len(cert.ys), len(cert.x_magnitudes)) == (29, 19)
     # Mirrored to all 37 abscissae, each value is the exact resultant there.
-    first = first[:, cert.mirror]
-    want = [
-        [exact._residue(Q(exact.resultant_at(cert.r, x, y)), p) for x in cert.xs]
-        for y in cert.ys[: exact._BLOCK_SECTIONS]
-    ]
-    assert first.tolist() == want
+    want = [[exact._residue(Q(exact.resultant_at(cert.r, x, y)), p) for x in cert.xs] for y in cert.ys]
+    assert values[:, cert.mirror].tolist() == want
 
 
 def test_certificate_skips_a_prime_dividing_the_radius_numerator(monkeypatch):
@@ -859,14 +921,22 @@ def test_modular_newton_matches_exact_interpolation():
     assert got == want
 
 
-def test_modular_matmul_matches_integer_matmul():
+def test_modular_newton_refuses_nodes_equal_modulo_p():
+    # Q(1, 2) and Q(1 + p, 2) are distinct rationals with one residue.
+    p = PRIMES[3]
+    nodes = [exact._residue(x, p) for x in (Q(1, 2), Q(3), Q(1 + p, 2))]
+    with pytest.raises(ZeroDivisionError):
+        exact._newton_mod(np.ones((1, 3), np.int64), nodes, p)
+
+
+def test_modular_division_refuses_a_sextic_section_leading_coefficient_of_zero_modulo_p():
+    # _settled_fits skips such primes; the division must not divide by 0.
     p = PRIMES[0]
-    rng = random.Random(5)
-    a = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(37)] for _ in range(6)]
-    b = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(37)] for _ in range(37)]
-    got = exact._matmul_mod(np.array(a, np.int64), np.array(b, np.int64), p).tolist()
-    want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
-    assert got == want
+    cert = exact._Certificate(Q(1, 2), 1)
+    sections = [cert.sextic_section(y) for y in cert.ys]
+    sections[5][-1] = Q(p)
+    with pytest.raises(ZeroDivisionError):
+        exact._cofactor_mod(cert, sections, p)
 
 
 def test_rational_reconstruction_round_trips():
