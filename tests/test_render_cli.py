@@ -416,8 +416,10 @@ def test_verify_json_records_the_run_and_no_settings_of_its_grids(tmp_path, caps
 # sha256 of resultant.json and resultant.txt and the exit code for the
 # certificate at three radii and its mutation self-test, both at seed 1,
 # computed while the sample grid was still sized by --degree-bound 28.  The
-# certificate is exact integer and rational arithmetic, so these hold on any
-# platform.
+# last two rows pin radii the benchmark never runs: a 355/113 whose numerator
+# and denominator both exceed the samples', and a small 1/1000, each plain and
+# mutated.  The certificate is exact integer and rational arithmetic, so these
+# hold on any platform.
 RESULTANT_DIGESTS = [
     (["--r", "1/2,1/3,2"], 0, {
         "resultant.json": "99db95b41bbe29396f7937fc96e978f03b944d30b3fef0043d1b2c58c9725b07",
@@ -426,6 +428,14 @@ RESULTANT_DIGESTS = [
     (["--r", "1/2", "--mutate"], 1, {
         "resultant.json": "24ba74a848f23c37d91a9c600da8e036f118e845120f449ad2742f265f26d964",
         "resultant.txt": "084c300190f10a99ca6fce2ead6521366bd79935aaccf3e3bb0159146467d524",
+    }),
+    (["--r", "355/113,1/1000"], 0, {
+        "resultant.json": "f2d88831a09806adb246b229bd0d2359fc2be11b9adc243e1ffba494f0ce43e5",
+        "resultant.txt": "f94b7c0b6f6671808c56a648fcc935c41aae2238127b35a194661b050d0d49e1",
+    }),
+    (["--r", "355/113,1/1000", "--mutate"], 1, {
+        "resultant.json": "d57cae64dd9bb79f3c005dedbfaf17ccc0bed653b4b7b78968de6a5001f39b8a",
+        "resultant.txt": "da7cc5d7f1302cc499920df92bede45512d15b55c54ed0ce79f15732184b8dc6",
     }),
 ]
 
