@@ -225,6 +225,13 @@ def _libm(fn, x: np.ndarray, y) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist(), ys), float, x.size).reshape(x.shape)
 
 
+def _sextic_points(c: np.ndarray, s: np.ndarray, r: float) -> tuple:
+    """The envelope points (x, y) of :func:`sextic_envelope` from c = cos and s = sin, unchecked."""
+    p = np.sqrt(1.0 + _libm(math.pow, r / s, 2.0))
+    dp = -(r * r) * c / (_libm(math.pow, s, 3.0) * p)
+    return p * c - dp * s, p * s + dp * c
+
+
 def sextic_envelope(thetas, r: float) -> tuple:
     """Sextic-regime envelope point of the supporting line at each angle.
 
@@ -241,11 +248,7 @@ def sextic_envelope(thetas, r: float) -> tuple:
     if not np.isfinite(angles).all():
         raise ValueError("theta must be finite")
     thetas = np.atleast_1d(angles)
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    p = np.sqrt(1.0 + _libm(math.pow, r / s, 2.0))
-    dp = -(r * r) * c / (_libm(math.pow, s, 3.0) * p)
-    x, y = p * c - dp * s, p * s + dp * c
+    x, y = _sextic_points(np.cos(thetas), np.sin(thetas), r)
     if angles.ndim == 0:
         return float(x[0]), float(y[0])
     return x, y
@@ -274,7 +277,7 @@ def envelope_points(thetas, r: float) -> BoundaryCurve:
     right = c >= 0.0
     x = np.where(right, 1.0, -1.0) + r * c
     y = r * s
-    x[~circle], y[~circle] = sextic_envelope(thetas[~circle], r)
+    x[~circle], y[~circle] = _sextic_points(c[~circle], s[~circle], r)
     branch = np.where(
         circle,
         np.where(right, Branch.CIRCLE_RIGHT, Branch.CIRCLE_LEFT),

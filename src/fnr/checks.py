@@ -232,7 +232,7 @@ def degenerate_checks() -> list:
         except boundary.UnitDiskDegeneracyError:
             refused += 1
     try:
-        exact.resultant_at(0, 1, 1)
+        exact.verify_sextic_resultant_identity(0)
     except ValueError:
         refused += 1
     results.append(_leq("degenerate-refusals", float(3 - refused), 0.0))

@@ -23,8 +23,9 @@ The certificate fits its cofactor multi-modularly (Collins, J. ACM 18,
 1971): modulo one 31-bit prime after another, drawn on demand, one pass of
 int64 numpy arrays takes the Bezout determinants of all 29 sections, their
 Newton interpolation and their exact division by the sextic sections.  Res
-is even in x and the 37 abscissae are symmetric about 0, so the 551
-determinants of a prime are taken at the 19 distinct |x| and mirrored.  The
+and the sextic are even in x, so each section is fitted in u = x^2: the 551
+determinants of a prime are taken at the 19 distinct |x| of the 37
+abscissae, symmetric about 0, and interpolated through their squares.  The
 cofactor's rational coefficients come back by the Chinese remainder theorem
 and rational reconstruction, with no bound on the height of r.  The fit is
 only a candidate: the held-out check in exact cleared-integer arithmetic is
@@ -61,7 +62,6 @@ __all__ = [
     "mutated_sextic",
     "bareiss_determinant",
     "resultant",
-    "resultant_at",
     "verify_sextic_resultant_identity",
 ]
 
@@ -525,21 +525,6 @@ def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
     return resultant(*_split_system(values)), den ** (len(values) - 2)
 
 
-def resultant_at(r: Scalar, x: Scalar, y: Scalar) -> Scalar:
-    """Resultant (in t) of the elimination system at an exact point.
-
-    Both leading coefficients equal -r^2, so the elimination degenerates at
-    r = 0 and the call is rejected there.
-    """
-    r = Fraction(r)
-    if r == 0:
-        raise ValueError(
-            "r = 0: leading coefficients of the elimination system vanish "
-            "and the resultant degenerates"
-        )
-    return _normalize_scalar(Fraction(*_system_resultant(r, Fraction(x), Fraction(y))))
-
-
 # ---------------------------------------------------------------------------
 # Interpolation
 # ---------------------------------------------------------------------------
@@ -629,15 +614,16 @@ class ResultantReport:
 _HOLDOUT = 64
 
 # The certificate fits one sample grid at every r != 0, the grid a cofactor
-# of total degree at most 28 asks for: each section Res(x, y_k) through 37 =
-# 28 + 9 abscissae, divided by the sextic section of degree 8 in x into 29
-# quotient coefficients, and 29 sections y_k.  Res has degree at most 28 in x
-# and 20 in y (the degrees of the Sylvester entries prove it for every r), and
-# E(x^2, y^2, r) has degree exactly 8 in x and 6 in y at every r != 0: its u^4
-# coefficient is 1 + r^2 and its v^3 coefficient -16 r^4.  So C = Res / E has
-# degree at most 20 in x and 14 in y, and the grid covers every proven degree:
-#   deg_x Res <= 28 < 37 samples,  deg_y C <= 14 < 29 sections,
-#   deg_x C <= 20 < 29 coefficients.
+# of total degree at most 28 asks for.  Res has degree at most 28 in x and 20
+# in y (the degrees of the Sylvester entries prove it for every r) and is even
+# in x (below), so it has degree at most 14 in u = x^2.  E(u, v, r) has degree
+# exactly 4 in u and 3 in v at every r != 0: its u^4 coefficient is 1 + r^2
+# and its v^3 coefficient -16 r^4.  So C = Res / E has degree at most 10 in u
+# and 14 in y.  Each of 29 sections y_k is fitted through 19 nodes u and
+# divided by its sextic section into 15 quotient coefficients, so the grid
+# covers every proven degree:
+#   deg_u Res <= 14 < 19 nodes,  deg_y C <= 14 < 29 sections,
+#   deg_u C <= 10 < 15 quotient coefficients.
 # A fitted cofactor of total degree above 28 fails, and only the held-out
 # check can declare success.
 #
@@ -646,11 +632,12 @@ _HOLDOUT = 64
 # f(-t; x, y) = f(t; -x, y) and likewise for g.  Negating t negates every
 # root and multiplies lc(f) by (-1)^m and lc(g) by (-1)^n, so
 # Res_t(f(-t), g(-t)) = (-1)^(3mn) Res_t(f, g) = (-1)^(mn) Res_t(f, g), and
-# mn = 80: Res(-x, y) = Res(x, y).  The grid's abscissae are therefore 0 and
-# +-(k + off_x), k = 0..17, and Res is taken at the 19 distinct |x| only.
-# The interpolation needs nothing of the nodes but that they are distinct:
-# through any 37 distinct abscissae it recovers every Res(x, y_k) of degree
-# at most 28, so the fit, its cofactor and every report stay the same.
+# mn = 80: Res(-x, y) = Res(x, y).  The grid's 37 = 28 + 9 abscissae are
+# therefore 0 and +-(k + off_x), k = 0..17, which needs an even bound; Res is
+# taken at the 19 distinct |x|, and the nodes are their squares.  Through the
+# symmetric abscissae the interpolant in x is the interpolant in u with x^2
+# put for u, and the division in x of polynomials in x^2 is the division in
+# u, so the fit and every report are those of a fit in x.
 _DEGREE_BOUND = 28
 
 
@@ -709,12 +696,10 @@ class _Certificate:
         den_y = rng.choice((7, 11, 13))
         off_x = Fraction(rng.randrange(1, den_x), den_x)
         off_y = Fraction(rng.randrange(1, den_y), den_y)
-        # The distinct |x| (xs_count is odd), and xs[i] = +-x_magnitudes[mirror[i]]
-        # in ascending order.
-        half = xs_count // 2
-        self.x_magnitudes = [Fraction(0)] + [k + off_x for k in range(half)]
-        self.mirror = list(range(half, 0, -1)) + list(range(half + 1))
-        self.xs = [-x for x in self.x_magnitudes[:0:-1]] + self.x_magnitudes
+        # The distinct |x| of the xs_count abscissae (an odd count), and the
+        # nodes u = x^2 of the fit.
+        self.x_magnitudes = [Fraction(0)] + [k + off_x for k in range(xs_count // 2)]
+        self.us = [x * x for x in self.x_magnitudes]
         self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
         self.sample_count = xs_count * ys_count + _HOLDOUT
         self.stream = rng.getstate()
@@ -729,14 +714,11 @@ class _Certificate:
         return Fraction(*_system_resultant(self.r, x, y))
 
     def sextic_section(self, y: Fraction) -> list:
-        """Coefficients (ascending in x) of E(x^2, y^2, r) for fixed y."""
+        """Coefficients (ascending in u) of E(u, y^2, r) for fixed y."""
         sums, den = _evaluate_cleared(
             self.sextic_rows, self.sextic_degrees, (Fraction(1), y * y, self.r)
         )
-        out = [Fraction(0)] * (2 * len(sums) - 1)
-        for i, c in enumerate(sums):
-            out[2 * i] = Fraction(c, self.sextic_scale * den)
-        return out
+        return [Fraction(c, self.sextic_scale * den) for c in sums]
 
     def sextic_cleared(self, x: Fraction, y: Fraction) -> tuple:
         """E(x^2, y^2, r) as (numerator, denominator)."""
@@ -803,16 +785,16 @@ class _Certificate:
 def _section_failure(cert: _Certificate, y: Fraction) -> ResultantReport:
     """The report of a section y that does not divide modulo a prime, computed exactly.
 
-    Res(x, y) is taken at the distinct |x|, mirrored, interpolated through
-    the grid abscissae and divided by the sextic section, and the quotient's
-    residuals are taken at 8 held-out abscissae.  Every denominator and node
-    difference is a unit modulo that prime, so the exact remainder reduces to
-    the modular one: it is nonzero.
+    Res(x, y) is taken at the distinct |x|, interpolated in u = x^2 through
+    their squares and divided by the sextic section, and the quotient's
+    residuals Res - E Q are taken at 8 held-out abscissae.  Every denominator
+    and node difference is a unit modulo that prime, so the exact remainder
+    reduces to the modular one: it is nonzero.  The report gives its degree
+    in x.
     """
-    distinct = [cert.res_value(x, y) for x in cert.x_magnitudes]
-    values = [distinct[i] for i in cert.mirror]
-    quot, rem = _divide_univariate(_newton_interpolate(cert.xs, values), cert.sextic_section(y))
-    quotient = ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
+    values = [cert.res_value(x, y) for x in cert.x_magnitudes]
+    quot, rem = _divide_univariate(_newton_interpolate(cert.us, values), cert.sextic_section(y))
+    quotient = ExactPoly(("x",), {(2 * i,): c for i, c in enumerate(quot)})
     failures = []
     for x in cert.held_out(8):
         residual = cert.res_value(x, y) - cert.sextic_value(x, y) * quotient.evaluate({"x": x})
@@ -824,7 +806,7 @@ def _section_failure(cert: _Certificate, y: Fraction) -> ResultantReport:
         holdout_failures=failures,
         failure_reason=(
             f"fitting system inconsistent: section y = {y} leaves a "
-            f"degree-{len(rem) - 1} remainder under exact division"
+            f"degree-{2 * (len(rem) - 1)} remainder under exact division"
         ),
     )
 
@@ -841,25 +823,26 @@ def verify_sextic_resultant_identity(
     by 29 shifted sections, fixed for every r and large enough for every
     degree the elimination can have (the bounds and the symmetry are derived
     next to ``_DEGREE_BOUND``):
-    along each horizontal section y = y_k the section polynomial Res(x, y_k)
-    is recovered by Newton interpolation and divided exactly by the sextic
-    section E(x^2, y_k^2, r).  The section quotients are interpolated across
-    y into the cofactor C(x, y), and the identity Res = E * C is re-verified
-    exactly at 64 pseudo-random rational points; every held-out residual
-    must be exactly zero, and only that check can declare success.  At each
-    point Res, E and C are integers over known denominators: power tables of
-    the coordinates clear every term, the integer coefficient vectors of the
-    system go to :func:`resultant`, and Res - E * C is one integer
-    cross-difference.
+    along each horizontal section y = y_k the section polynomial Res(x, y_k),
+    even in x, is recovered in u = x^2 by Newton interpolation and divided
+    exactly by the sextic section E(u, y_k^2, r).  The section quotients are
+    interpolated across y into the cofactor C(x, y), and the identity
+    Res = E * C is re-verified exactly at 64 pseudo-random rational points;
+    every held-out residual must be exactly zero, and only that check can
+    declare success.  At each point Res, E and C are integers over known
+    denominators: power tables of the coordinates clear every term, the
+    integer coefficient vectors of the system go to :func:`resultant`, and
+    Res - E * C is one integer cross-difference.
 
     The fitting runs modulo one prime after another (Collins' multi-modular
     method), with primes drawn on demand, so r may have any height: the
     Bezout determinants, the interpolation and the section divisions are
     int64 array arithmetic.  The 37 abscissae are 0 and 18 pairs +-x, and Res
     is even in x, so each section takes its determinants at the 19 distinct
-    |x| only.  The residues are joined by the Chinese remainder
-    theorem, and each cofactor coefficient is rationally reconstructed
-    (Wang's bound) until one more prime leaves every coefficient unchanged.
+    |x| only and is interpolated through their squares.  The residues are
+    joined by the Chinese remainder theorem, and each cofactor coefficient is
+    rationally reconstructed (Wang's bound) until one more prime leaves every
+    coefficient unchanged.
     If the held-out check rejects that fit, primes are added until the
     reconstruction settles again: on the same terms the rejection stands,
     and new terms are checked afresh.  A section that does not divide modulo
@@ -873,7 +856,7 @@ def verify_sextic_resultant_identity(
     denominator bounded by 1000.  ``mutate`` certifies
     :func:`mutated_sextic` instead, a self-test that must fail.  Each report
     records the grid's degree bound, 28, and 1137 samples: the 37 x 29 grid
-    points and 64 held out.
+    points, whose values at -x the evenness supplies, and 64 held out.
     """
     cert = _Certificate(r, seed, mutate)
     concluded = report = None
@@ -1068,25 +1051,24 @@ class _Indivisible(ArithmeticError):
 
 
 def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
-    """Cofactor coefficients [i, j] of x^i y^j modulo p, in one pass over the grid.
+    """Cofactor coefficients [i, j] of u^i y^j, u = x^2, modulo p, in one pass over the grid.
 
-    The resultants are taken at the distinct |x| of every section and
-    mirrored to every abscissa, since Res is even in x; each section is
-    interpolated and divided by its sextic section, and :class:`_Indivisible`
-    names the first section that does not divide.
+    The resultants are taken at the distinct |x| of every section; each
+    section is interpolated in u through their squares and divided by its
+    sextic section, and :class:`_Indivisible` names the first section that
+    does not divide.
     """
-    xs = [_residue(x, p) for x in cert.xs]
     ys = [_residue(y, p) for y in cert.ys]
     magnitudes = [_residue(x, p) for x in cert.x_magnitudes]
     coeffs = _system_values_mod(_residue(cert.r, p), magnitudes, ys, p)
-    rem = _newton_mod(_resultants_mod(coeffs, p)[:, cert.mirror], xs, p)
+    rem = _newton_mod(_resultants_mod(coeffs, p), [_residue(u, p) for u in cert.us], p)
     den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
     width = den.shape[1]
     if not den[:, -1].all():
         raise ZeroDivisionError("a sextic section's leading coefficient is 0 modulo p")
     lead_inverse = _inverse_mod(den[:, -1], p)
-    quot = np.zeros((len(ys), _DEGREE_BOUND + 1), np.int64)
-    for k in range(_DEGREE_BOUND, -1, -1):
+    quot = np.zeros((len(ys), _DEGREE_BOUND // 2 + 1), np.int64)
+    for k in range(_DEGREE_BOUND // 2, -1, -1):
         factor = rem[:, width - 1 + k] * lead_inverse % p
         quot[:, k] = factor
         rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * den % p) % p
@@ -1101,7 +1083,7 @@ def _settled_fits(cert: _Certificate):
 
     A prime is skipped when it divides a sample, r or sextic-section
     denominator, the leading coefficient of a sextic section, the numerator
-    of r, or the difference of two abscissae or of two sections.  The fit
+    of r, or the difference of two nodes u or of two sections.  The fit
     has settled when one more prime leaves every reconstructed coefficient
     unchanged; each later prime is absorbed too, and every prime that leaves
     the coefficients unchanged yields them again.
@@ -1114,8 +1096,10 @@ def _settled_fits(cert: _Certificate):
     # resultants divide by lc(f)^2 = r^4.  The interpolation divides by the
     # node differences, so the nodes must stay distinct modulo p: over the
     # lcm D of the sample denominators, D (a - b) is an integer difference.
+    # For nodes a^2, b^2 that is the product of D' (a - b) and D' (a + b),
+    # D = D'^2, so an odd prime is skipped as for the abscissae +-a, +-b.
     avoid = [cert.r.numerator, cert.r.denominator]
-    for samples in (cert.xs, cert.ys):
+    for samples in (cert.us, cert.ys):
         den = math.lcm(*(s.denominator for s in samples))
         scaled = [s.numerator * (den // s.denominator) for s in samples]
         avoid.append(den)
@@ -1160,5 +1144,6 @@ def _settled_fits(cert: _Certificate):
             if coefficient is None:
                 terms = None
                 break
-            terms[divmod(index, width)] = coefficient
+            i, j = divmod(index, width)
+            terms[(2 * i, j)] = coefficient
         previous = terms

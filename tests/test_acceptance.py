@@ -30,7 +30,7 @@ from fnr.boundary import (
 )
 from fnr.checks import truncation_checks
 from fnr.cli import main
-from fnr.exact import resultant_at, sextic_polynomial, verify_sextic_resultant_identity
+from fnr.exact import sextic_polynomial, verify_sextic_resultant_identity
 from fnr.truncation import boundary_from_truncation
 
 from conftest import FROZEN_ELLIPSE_GAP
@@ -192,7 +192,7 @@ def test_criterion_10_degenerate_unit_disk(capsys):
     except UnitDiskDegeneracyError:
         refusals += 1
     try:
-        resultant_at(0, 1, 1)
+        verify_sextic_resultant_identity(0)
     except ValueError:
         refusals += 1
 

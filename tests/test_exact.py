@@ -11,7 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fnr import exact
-from fnr.boundary import Branch, envelope_points, sextic_envelope, sextic_value, switching_cosine
+from fnr.boundary import (
+    Branch,
+    envelope_points,
+    sextic_envelope,
+    sextic_value,
+    support_function,
+    switching_cosine,
+)
 
 # The 64 largest primes below 2^31, in descending order: the fixed table of
 # fitting moduli that the modular fit used before it drew primes on demand.
@@ -117,11 +124,16 @@ def _derivative(poly, variable):
     })
 
 
+def _unit_normal(t):
+    """(c, s) = ((1 - t^2), 2t) / (1 + t^2): the rational point of the unit circle at theta = 2 atan t."""
+    return (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+
+
 @pytest.mark.parametrize("t", [Q(1, 2), Q(1, 3), Q(2, 3)], ids=str)
 def test_circle_and_sextic_join_at_rational_switching_points(t):
     # (c, s) = ((1 - t^2), 2t) / (1 + t^2) is a rational point of the unit
     # circle and r = s^2 / c makes c the switching cosine: 16/15, 9/20, 144/65.
-    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    c, s = _unit_normal(t)
     r = s * s / c
     assert c * (c + r) == 1
     sextic = exact.sextic_polynomial()
@@ -143,7 +155,7 @@ def _sextic_witness(t, k):
     p = sqrt(1 + (r / s)^2) the rational (k + 1/k) / 2, so the envelope point
     (p c - p' s, p s + p' c), p' = -r^2 c / (s^3 p), is rational too.
     """
-    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    c, s = _unit_normal(t)
     r, p = s * (k - 1 / k) / 2, (k + 1 / k) / 2
     dp = -r * r * c / (s**3 * p)
     return r, c, p * c - dp * s, p * s + dp * c
@@ -164,7 +176,9 @@ def test_sextic_envelope_points_at_rational_witnesses(t, k, r):
     faithful steps meet no cancellation, since x = p c + |p'| s adds two
     positive terms and y = p s - |p'| c subtracts one at most a fifth of
     the other, and add at most 1.3 ulps (measured).  4 ulps bounds the sum,
-    3.6; the measured error is at most 2.
+    3.6; the measured error is at most 2.  The support value there is
+    h = p = (k^2 + 1) / (2k), and support_function is within 2 ulps of it
+    (measured: 0).
     """
     witness_r, c, x, y = _sextic_witness(t, k)
     assert witness_r == r
@@ -179,6 +193,61 @@ def test_sextic_envelope_points_at_rational_witnesses(t, k, r):
     assert got.branch is Branch.SEXTIC_UPPER
     assert abs(got.x - float(x)) <= 4 * math.ulp(float(x))
     assert abs(got.y - float(y)) <= 4 * math.ulp(float(y))
+    h = (k * k + 1) / (2 * k)
+    assert x * c + y * _unit_normal(t)[1] == h  # the point is on its supporting line
+    assert abs(support_function(2 * math.atan(t), float(r)) - float(h)) <= 2 * math.ulp(float(h))
+
+
+@pytest.mark.parametrize("t, r", [(Q(1, 3), Q(1)), (Q(1, 5), Q(1, 2)), (Q(1, 4), Q(3))], ids=str)
+def test_circle_envelope_points_and_support_values_at_rational_witnesses(t, r):
+    """A rational point of the circle regime and its support value, exactly and in floats.
+
+    At the normal (c, s) of :func:`_unit_normal` with c (c + r) >= 1
+    the supporting line touches the right circle at (1 + r c, r s), and the
+    support value is h = r + c.  The floats are within 2 ulps of the exact
+    values (measured: at most 1); support_function scaled by 1 + 1e-9 is
+    4.6e6 to 8.7e6 ulps off.
+    """
+    c, s = _unit_normal(t)
+    assert c * (c + r) >= 1  # c is at least the switching cosine
+    x, y, h = 1 + r * c, r * s, r + c
+    assert (x - 1) ** 2 + y**2 == r * r and x * c + y * s == h
+    theta = 2 * math.atan(t)
+    got = envelope_points(theta, float(r))
+    assert got.branch is Branch.CIRCLE_RIGHT
+    assert abs(got.x - float(x)) <= 2 * math.ulp(float(x))
+    assert abs(got.y - float(y)) <= 2 * math.ulp(float(y))
+    assert abs(support_function(theta, float(r)) - float(h)) <= 2 * math.ulp(float(h))
+
+
+def test_no_ellipse_bounds_the_numerical_range_at_radius_one():
+    """The paper's headline, exactly: at r = 1 six boundary points lie on no conic.
+
+    The right-arc points (1 + c, s) at t = 0, +-1/3 and +-1/4 and the left
+    vertex (-2, 0) are on the boundary of W(F).  Were W(F) an elliptical
+    disk, its boundary would be a conic through all six, and the 6 x 6
+    determinant of their rows (x^2, x y, y^2, x, y, 1) would vanish.  With a
+    sixth point on the right circle instead, it does vanish.
+    """
+    def conic_row(x, y):
+        return [x * x, x * y, y * y, x, y, Q(1)]
+
+    points = []
+    for t in (Q(0), Q(1, 3), Q(-1, 3), Q(1, 4), Q(-1, 4)):
+        c, s = _unit_normal(t)
+        assert c * (c + 1) >= 1
+        points.append((1 + c, s, envelope_points(2 * math.atan(t), 1.0), Branch.CIRCLE_RIGHT))
+    points.append((Q(-2), Q(0), envelope_points(math.pi, 1.0), Branch.CIRCLE_LEFT))
+    # Every coordinate is at most 2 in magnitude, and the code is within 2 ulps of 2 of it.
+    for x, y, got, branch in points:
+        assert got.branch is branch
+        assert abs(got.x - float(x)) <= 2 * math.ulp(2.0) and abs(got.y - float(y)) <= 2 * math.ulp(2.0)
+    assert support_function(math.pi, 1.0) == 2
+
+    rows = [conic_row(x, y) for x, y, _, _ in points]
+    assert exact.bareiss_determinant(rows) == Q(-75264, 52200625) != 0
+    rows[-1] = conic_row(Q(8, 5), Q(4, 5))  # t = 1/2: (1 + c, s) with (c, s) = (3/5, 4/5)
+    assert exact.bareiss_determinant(rows) == 0
 
 
 def test_a_sextic_witness_outside_the_sextic_regime_is_off_the_boundary():
@@ -291,18 +360,18 @@ def test_resultant_vanishes_iff_common_root(c, g1, g0, h1, h0):
         assert exact.resultant(shifted, g) != 0
 
 
-def test_resultant_at_rejects_degenerate_radius():
-    with pytest.raises(ValueError):
-        exact.resultant_at(0, 1, 1)
+def resultant_at(r, x, y):
+    """Resultant in t of the elimination system at an exact point, as a Fraction."""
+    return Q(*exact._system_resultant(Q(r), Q(x), Q(y)))
 
 
 @pytest.mark.parametrize("r", [Q(1, 2), Q(355, 113), Q(2**127 - 1, 2**127 - 3)], ids=str)
 def test_the_resultant_is_even_in_x(r):
-    # The certificate takes Res at the distinct |x| only and mirrors it.
+    # The certificate takes Res at the distinct |x| only and fits it in x^2.
     points = [(Q(1), Q(0)), (Q(2, 3), Q(5, 7)), (Q(-999, 998), Q(1, 999)), (Q(12, 13), Q(-40, 3))]
     for x, y in points:
-        value = exact.resultant_at(r, x, y)
-        assert value != 0 and exact.resultant_at(r, -x, y) == value
+        value = resultant_at(r, x, y)
+        assert value != 0 and resultant_at(r, -x, y) == value
 
 
 def sylvester_matrix(f, g):
@@ -337,7 +406,7 @@ def test_elimination_bezout_matrix_is_10_by_10():
     # det B = (-1)^(10*9/2) lc(f)^2 Res = -r^4 Res
     det = exact.bareiss_determinant(rows)
     assert det == -Q(1, 2) ** 4 * sylvester_resultant(f, g)
-    assert exact.resultant_at(Q(1, 2), Q(2, 3), Q(5, 7)) == sylvester_resultant(f, g)
+    assert resultant_at(Q(1, 2), Q(2, 3), Q(5, 7)) == sylvester_resultant(f, g)
 
 
 def _random_polynomial(rng, degree):
@@ -378,8 +447,8 @@ def test_resultant_vanishes_on_envelope_points_only():
     for x_float, y_float in zip(points.x.tolist(), points.y.tolist()):
         x = Q(x_float).limit_denominator(10**10)
         y = Q(y_float).limit_denominator(10**10)
-        on_curve = abs(exact.resultant_at(Q(1, 2), x, y))
-        companion = abs(exact.resultant_at(Q(1, 2), x + Q(1, 10), y))
+        on_curve = abs(resultant_at(Q(1, 2), x, y))
+        companion = abs(resultant_at(Q(1, 2), x + Q(1, 10), y))
         assert companion > 0
         assert float(on_curve / companion) < 1e-5
         count += 1
@@ -449,16 +518,23 @@ def _exact_route(cert):
     """The certificate with the whole fitting stage in exact rational arithmetic: the reference.
 
     Along each section y = y_k the section polynomial Res(x, y_k) is recovered
-    by exact Newton interpolation and divided exactly by the sextic section.
-    A nonzero remainder ends the run with the section residuals at up to 8
-    held-out abscissae.
+    by exact Newton interpolation in x, through all the abscissae 0 and
+    +-x_magnitudes with Res taken at each (the evenness of Res is not used),
+    and divided exactly by the sextic section in x.  A nonzero remainder ends
+    the run with the section residuals at up to 8 held-out abscissae.
     """
     bound = exact._DEGREE_BOUND
+    xs = [-x for x in reversed(cert.x_magnitudes[1:])] + cert.x_magnitudes
+    assert len(xs) == len(set(xs)) == bound + 9
     section_quotients = []
     for y in cert.ys:
-        values = [cert.res_value(x, y) for x in cert.xs]
-        res_section = exact._newton_interpolate(cert.xs, values)
-        quot, rem = exact._divide_univariate(res_section, cert.sextic_section(y))
+        values = [cert.res_value(x, y) for x in xs]
+        res_section = exact._newton_interpolate(xs, values)
+        # E(x^2, y^2, r) in x: the coefficient of u^i at x^(2i).
+        in_u = cert.sextic_section(y)
+        in_x = [Q(0)] * (2 * len(in_u) - 1)
+        in_x[::2] = in_u
+        quot, rem = exact._divide_univariate(res_section, in_x)
         if rem:
             # Fitting system Res = E * C is inconsistent on this section;
             # report residuals of the divided quotient at held-out abscissae.
@@ -658,9 +734,9 @@ def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
     assert exact._cofactor_mod(cert, sections, p) is not None
     (values,) = calls
     assert values.shape == (len(cert.ys), len(cert.x_magnitudes)) == (29, 19)
-    # Mirrored to all 37 abscissae, each value is the exact resultant there.
-    want = [[exact._residue(Q(exact.resultant_at(cert.r, x, y)), p) for x in cert.xs] for y in cert.ys]
-    assert values[:, cert.mirror].tolist() == want
+    # At every section and distinct |x|, each value is the exact resultant there.
+    want = [[exact._residue(resultant_at(cert.r, x, y), p) for x in cert.x_magnitudes] for y in cert.ys]
+    assert values.tolist() == want
 
 
 def test_certificate_skips_a_prime_dividing_the_radius_numerator(monkeypatch):
@@ -691,25 +767,25 @@ def test_small_primes_that_would_merge_nodes_are_skipped(monkeypatch):
 
 
 def test_the_fixed_grid_covers_the_proven_degrees():
-    # deg_x Res <= 28 and deg_y Res <= 20 at every r, and E(x^2, y^2, r) has
-    # degree 2 deg_u E in x and 2 deg_v E in y, so C = Res / E has degree at
-    # most 20 in x and 14 in y.
+    # deg_x Res <= 28 and deg_y Res <= 20 at every r, and Res is even in x,
+    # so deg_u Res <= 14 in u = x^2.  E(u, v, r) has degree 4 in u and 3 in
+    # v, 6 in y, so C = Res / E has degree at most 10 in u and 14 in y.
     sextic = exact.sextic_polynomial()
-    res_x, res_y = 28, 20
-    sextic_x, sextic_y = 2 * sextic.degree("u"), 2 * sextic.degree("v")
-    cofactor_x, cofactor_y = res_x - sextic_x, res_y - sextic_y
-    assert (sextic_x, sextic_y, cofactor_x, cofactor_y) == (8, 6, 20, 14)
+    res_u, res_y = 28 // 2, 20
+    sextic_u, sextic_y = sextic.degree("u"), 2 * sextic.degree("v")
+    cofactor_u, cofactor_y = res_u - sextic_u, res_y - sextic_y
+    assert (sextic_u, sextic_y, cofactor_u, cofactor_y) == (4, 6, 10, 14)
+    assert exact._DEGREE_BOUND % 2 == 0  # 0 and pairs +-x: an odd count of abscissae
     for r in (Q(1, 2), Q(3), Q(-1, 1000)):
         cert = exact._Certificate(r, 1)
-        samples, sections = len(cert.xs), len(cert.ys)
-        coefficients = samples - sextic_x  # of each section quotient
-        assert (samples, sections, coefficients) == (37, 29, 29)
-        assert res_x < samples and cofactor_y < sections and cofactor_x < coefficients
-        assert len(set(cert.xs)) == samples and len(set(cert.ys)) == sections
-        # Symmetric about 0, so Res, even in x, is taken at the 19 distinct |x|.
-        assert cert.xs == sorted(cert.xs) == [-x for x in reversed(cert.xs)]
-        assert len(cert.x_magnitudes) == len(set(cert.x_magnitudes)) == 19 and cert.x_magnitudes[0] == 0
-        assert [abs(x) for x in cert.xs] == [cert.x_magnitudes[i] for i in cert.mirror]
+        nodes, sections = len(cert.us), len(cert.ys)
+        coefficients = nodes - sextic_u  # of each section quotient
+        assert (nodes, sections, coefficients) == (19, 29, 15)
+        assert res_u < nodes and cofactor_y < sections and cofactor_u < coefficients
+        assert len(set(cert.us)) == nodes and len(set(cert.ys)) == sections
+        # The nodes are the squares of the 19 distinct |x| of 37 abscissae symmetric about 0.
+        assert cert.x_magnitudes == sorted(set(cert.x_magnitudes)) and cert.x_magnitudes[0] == 0
+        assert cert.us == [x * x for x in cert.x_magnitudes]
     report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
     assert (report.degree_bound, report.sample_count) == (28, 37 * 29 + exact._HOLDOUT) == (28, 1137)
 
@@ -736,7 +812,8 @@ def _settled_by_rereconstruction(sequence):
             if coefficient is None:
                 terms = None
                 break
-            terms[divmod(index, residues.shape[1])] = coefficient
+            i, j = divmod(index, residues.shape[1])
+            terms[(2 * i, j)] = coefficient  # row i holds the powers of u = x^2
         if terms is not None and terms == previous:
             return terms, [q for q, _ in sequence[:count]]
         previous = terms
@@ -820,8 +897,8 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
             want_section = []
             for i in range(sextic.degree("u") + 1):
                 row = {e: c for e, c in sextic.terms.items() if e[0] == i}
-                want_section += [fraction_evaluate(row, (1, x * x, r)), Q(0)]
-            assert cert.sextic_section(x) == want_section[:-1]
+                want_section.append(fraction_evaluate(row, (1, x * x, r)))
+            assert cert.sextic_section(x) == want_section
             for y in values[::3]:
                 want = fraction_evaluate(sextic.terms, (x * x, y * y, r))
                 assert cert.sextic_value(x, y) == want
@@ -992,7 +1069,7 @@ def test_certified_cofactor_proves_the_identity_at_half_on_a_tensor_grid():
     failing, off_axis = [], []
     for x in (Q(i - 14, 3) for i in range(29)):
         for y in (Q(j - 10, 4) for j in range(21)):
-            res = exact.resultant_at(r, x, y)
+            res = resultant_at(r, x, y)
             cof = cofactor.evaluate({"x": x, "y": y})
             point = {"u": x * x, "v": y * y, "r": r}
             assert res == sextic.evaluate(point) * cof, (x, y)
