@@ -416,9 +416,12 @@ def test_verify_json_records_the_run_and_no_settings_of_its_grids(tmp_path, caps
 # sha256 of resultant.json and resultant.txt and the exit code for the
 # certificate at three radii and its mutation self-test, both at seed 1,
 # computed while the sample grid was still sized by --degree-bound 28.  The
-# last two rows pin radii the benchmark never runs: a 355/113 whose numerator
+# next two rows pin radii the benchmark never runs: a 355/113 whose numerator
 # and denominator both exceed the samples', and a small 1/1000, each plain and
-# mutated.  The certificate is exact integer and rational arithmetic, so these
+# mutated.  The last row mutates at (2^127 - 1)/(2^127 - 3): its exact
+# resultants carry the largest coefficients, and its failing section's
+# report takes them at x = 0, where the system has only even powers of t.
+# The certificate is exact integer and rational arithmetic, so these
 # hold on any platform.
 RESULTANT_DIGESTS = [
     (["--r", "1/2,1/3,2"], 0, {
@@ -436,6 +439,14 @@ RESULTANT_DIGESTS = [
     (["--r", "355/113,1/1000", "--mutate"], 1, {
         "resultant.json": "d57cae64dd9bb79f3c005dedbfaf17ccc0bed653b4b7b78968de6a5001f39b8a",
         "resultant.txt": "da7cc5d7f1302cc499920df92bede45512d15b55c54ed0ce79f15732184b8dc6",
+    }),
+    ([
+        "--r",
+        "170141183460469231731687303715884105727/170141183460469231731687303715884105725",
+        "--mutate",
+    ], 1, {
+        "resultant.json": "7af2422a55da31004a2445dc09e2aec5f027c185975fdeeea47c30c492e9113f",
+        "resultant.txt": "65df0363faa83c19540d56ed82ccd364117da8a19c119714df4aeda2c107205c",
     }),
 ]
 
