@@ -9,12 +9,12 @@ envelope of the supporting-line family.  This module holds
     or rational coefficients,
   * the verbatim transcriptions of the elimination system
     (:func:`envelope_system`) and of the sextic (:func:`sextic_polynomial`),
-  * resultants from the Bezout matrix: for deg f = m >= deg g = n it is
-    m x m where the Sylvester matrix is (m+n) x (m+n), and
+  * exact resultants by the subresultant remainder sequence
+    (:func:`resultant`), and resultants modulo primes from the Bezout
+    matrix: for deg f = m >= deg g = n it is m x m where the Sylvester
+    matrix is (m+n) x (m+n), and
     det Bez(f, g) = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g); the elimination
-    system has m = 10, n = 8 and lc(f) = -r^2, so Res = -det Bez / r^4.
-    Every route takes that one matrix: fraction-free Bareiss elimination
-    over the integers, and elimination modulo primes;
+    system has m = 10, n = 8 and lc(f) = -r^2, so Res = -det Bez / r^4;
   * :func:`verify_sextic_resultant_identity` -- an evaluation/interpolation
     certificate that the sextic divides the resultant of the elimination
     system, with exact held-out validation.
@@ -60,7 +60,6 @@ __all__ = [
     "envelope_system",
     "sextic_polynomial",
     "mutated_sextic",
-    "bareiss_determinant",
     "resultant",
     "verify_sextic_resultant_identity",
 ]
@@ -291,13 +290,15 @@ class ExactPoly:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def sextic_polynomial() -> ExactPoly:
     """Implicit curve of the upper/lower boundary arcs, in Z[u, v, r].
 
     The zero set, read in u = x^2 and v = y^2, contains every envelope point
     of the sextic regime.  This grouped construction is the single
     transcription shared with the floating-point evaluator in
-    :mod:`fnr.boundary`.
+    :mod:`fnr.boundary`.  It is built once per process; the polynomial is
+    immutable, and :func:`mutated_sextic` copies its terms.
     """
     u, v, r = ExactPoly.generators(("u", "v", "r"))
     return (
@@ -358,57 +359,8 @@ def mutated_sextic() -> ExactPoly:
 
 
 # ---------------------------------------------------------------------------
-# Determinants and resultants
+# Resultants
 # ---------------------------------------------------------------------------
-
-
-def _rational_quotient(a: Scalar, b: Scalar) -> Scalar:
-    return _normalize_scalar(Fraction(a) / Fraction(b))
-
-
-def bareiss_determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Fraction-free determinant of a square matrix of int or Fraction entries.
-
-    Intermediate entries stay in the ring of the entries by Bareiss'
-    identity, so each step's division by the previous pivot is exact: an
-    all-int matrix runs a checked integer division inline, and any other
-    matrix divides in Q.
-    """
-    matrix = [list(row) for row in rows]
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    integral = all(type(v) is int for row in matrix for v in row)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not matrix[k][k]:
-            for i in range(k + 1, n):
-                if matrix[i][k]:
-                    matrix[k], matrix[i] = matrix[i], matrix[k]
-                    sign = -sign
-                    break
-            else:
-                return matrix[0][0] * 0
-        pivot_row = matrix[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = matrix[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                value = pivot * row[j] - lead * pivot_row[j]
-                if prev is not None:
-                    if integral:
-                        value, rem = divmod(value, prev)
-                        if rem:
-                            raise ArithmeticError("non-exact integer division in Bareiss step")
-                    else:
-                        value = _rational_quotient(value, prev)
-                row[j] = value
-        prev = pivot
-    return sign * matrix[n - 1][n - 1]
 
 
 def _bezout_matrix(f: Sequence, g: Sequence, p: int | None = None) -> list:
@@ -418,10 +370,10 @@ def _bezout_matrix(f: Sequence, g: Sequence, p: int | None = None) -> list:
     (f(s) g(t) - f(t) g(s)) / (s - t) = sum B[i][j] s^i t^j.  With ascending
     coefficients f_k and g_k (g padded with zeros to degree m), Barnett's
     recurrence fills it: B[i][j] = B[i-1][j+1] + f_{j+1} g_i - f_i g_{j+1}
-    for j >= i.  Entries need only +, - and *, so the coefficients may be
-    numbers or int64 residue arrays; with ``p`` every entry is reduced
-    modulo p, which keeps residue arrays in [0, p) exact (each product is
-    below 2^62).
+    for j >= i.  Only the modular route takes it, on int64 residue arrays:
+    entries need only +, - and *, and with ``p`` every entry is reduced
+    modulo p, which keeps the arrays in [0, p) exact (each product is below
+    2^62).
     """
     m = len(f) - 1
     if m < len(g) - 1:
@@ -445,11 +397,20 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
 
     Rational coefficients are cleared to integers per polynomial and the pair
     is ordered so that deg f = m >= deg g = n, using
-    Res(f, g) = (-1)^(mn) Res(g, f).  The integer Bezout matrix (m x m, where
-    the Sylvester matrix is (m+n) x (m+n)) gives the resultant through
-    det B = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g), with the determinant taken
-    by Bareiss elimination and lc(f)^(m-n) divided out exactly; then the
-    clearing scales are divided back out, so the value is the canonical
+    Res(f, g) = (-1)^(mn) Res(g, f).  The integer pair then runs the
+    subresultant polynomial remainder sequence (Collins, J. ACM 14, 1967;
+    Brown and Traub, J. ACM 18, 1971): with A = f, B = g and lead = h = 1,
+    each step takes the pseudo-remainder R of lc(B)^(delta + 1) A = Q B + R,
+    delta = deg A - deg B, and sets A, B = B, R / (lead h^delta),
+    lead = lc(A) and h = lead^delta / h^(delta - 1).  Each new B is, up to
+    sign, a subresultant: a determinant of a submatrix of the Sylvester
+    matrix, so an integer, and each division is exact; so is h, which is
+    the leading coefficient of one up to sign.  A degree drop delta >= 2
+    (an abnormal step, as when both polynomials are in t^2 only) is covered
+    by the same formulas.  A zero remainder means a common factor and
+    Res = 0; when B reaches degree 0, Res = lc(B)^d / h^(d - 1) with
+    d = deg A, times -1 for each step where deg A and deg B are both odd.
+    The clearing scales are divided back out, so the value is the canonical
     resultant of the inputs as given.
     """
     f = [c if type(c) is int else Fraction(c) for c in f]
@@ -471,14 +432,28 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
         scale = math.lcm(*(c.denominator for c in coeffs))
         return [c.numerator * (scale // c.denominator) for c in coeffs], scale
 
-    fi, sf = cleared(f)
-    gi, sg = cleared(g)
-    value, rem = divmod(bareiss_determinant(_bezout_matrix(fi, gi)), fi[0] ** (m - n))
-    if rem:
-        raise ArithmeticError("non-exact integer division by lc(f)^(m - n)")
-    if m * (m - 1) // 2 % 2:
-        sign = -sign
-    return _normalize_scalar(Fraction(sign * value, sf**n * sg**m))
+    a, sf = cleared(f)
+    b, sg = cleared(g)
+    lead = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        # Pseudo-division: each pass cancels rem's leading term against B's
+        # and multiplies the rest by lc(B), delta + 1 times in all.
+        rem, tail = a, b[1:] + [0] * delta
+        for _ in range(delta + 1):
+            rem = [b[0] * c - rem[0] * d for c, d in zip(rem[1:], tail)]
+        while rem and not rem[0]:
+            del rem[0]
+        if not rem:
+            return 0
+        divisor = lead * h**delta
+        a, b = b, [c // divisor for c in rem]
+        lead = a[0]
+        h = lead**delta * h // h**delta
+    d = len(a) - 1
+    return _normalize_scalar(Fraction(sign * (b[0] ** d * h // h**d), sf**n * sg**m))
 
 
 @functools.cache
@@ -831,8 +806,9 @@ def verify_sextic_resultant_identity(
     every held-out residual must be exactly zero, and only that check can
     declare success.  At each point Res, E and C are integers over known
     denominators: power tables of the coordinates clear every term, the
-    integer coefficient vectors of the system go to :func:`resultant`, and
-    Res - E * C is one integer cross-difference.
+    integer coefficient vectors of the system go to :func:`resultant`'s
+    subresultant remainder sequence, and Res - E * C is one integer
+    cross-difference.
 
     The fitting runs modulo one prime after another (Collins' multi-modular
     method), with primes drawn on demand, so r may have any height: the

@@ -245,9 +245,9 @@ def test_no_ellipse_bounds_the_numerical_range_at_radius_one():
     assert support_function(math.pi, 1.0) == 2
 
     rows = [conic_row(x, y) for x, y, _, _ in points]
-    assert exact.bareiss_determinant(rows) == Q(-75264, 52200625) != 0
+    assert bareiss_determinant(rows) == Q(-75264, 52200625) != 0
     rows[-1] = conic_row(Q(8, 5), Q(4, 5))  # t = 1/2: (1 + c, s) with (c, s) = (3/5, 4/5)
-    assert exact.bareiss_determinant(rows) == 0
+    assert bareiss_determinant(rows) == 0
 
 
 def test_a_sextic_witness_outside_the_sextic_regime_is_off_the_boundary():
@@ -324,16 +324,66 @@ def test_textbook_resultants():
     assert exact.resultant([3], [1, 0, -2]) == 9
 
 
+def _rational_quotient(a, b):
+    return exact._normalize_scalar(Q(a) / Q(b))
+
+
+def bareiss_determinant(rows):
+    """Fraction-free determinant of a square matrix of int or Fraction entries.
+
+    The reference that the resultants and the modular determinants are
+    checked against.  Intermediate entries stay in the ring of the entries
+    by Bareiss' identity, so each step's division by the previous pivot is
+    exact: an all-int matrix runs a checked integer division inline, and any
+    other matrix divides in Q.
+    """
+    matrix = [list(row) for row in rows]
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    integral = all(type(v) is int for row in matrix for v in row)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not matrix[k][k]:
+            for i in range(k + 1, n):
+                if matrix[i][k]:
+                    matrix[k], matrix[i] = matrix[i], matrix[k]
+                    sign = -sign
+                    break
+            else:
+                return matrix[0][0] * 0
+        pivot_row = matrix[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = matrix[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                value = pivot * row[j] - lead * pivot_row[j]
+                if prev is not None:
+                    if integral:
+                        value, rem = divmod(value, prev)
+                        if rem:
+                            raise ArithmeticError("non-exact integer division in Bareiss step")
+                    else:
+                        value = _rational_quotient(value, prev)
+                row[j] = value
+        prev = pivot
+    return sign * matrix[n - 1][n - 1]
+
+
 def test_bareiss_default_division_covers_ints_and_fractions():
     rows = [[2, 1, 1], [1, 3, 2], [1, 0, 0]]
-    assert exact.bareiss_determinant(rows) == -1
-    assert exact.bareiss_determinant([[Q(v, 2) for v in row] for row in rows]) == Q(-1, 8)
-    assert exact.bareiss_determinant([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == -5
+    assert bareiss_determinant(rows) == -1
+    assert bareiss_determinant([[Q(v, 2) for v in row] for row in rows]) == Q(-1, 8)
+    assert bareiss_determinant([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == -5
     # Rational entries whose elimination divides an integral value by an
     # integral pivot with a non-integral quotient: exact in Q all the same.
     half = Q(1, 2)
     rows = [[0, 0, half, 0], [2, 2, half, half], [2, 1, half, 1], [2, 2, half, 0]]
-    assert exact.bareiss_determinant(rows) == half
+    assert bareiss_determinant(rows) == half
 
 
 def test_resultant_of_shared_root_vanishes():
@@ -391,7 +441,7 @@ def sylvester_matrix(f, g):
 
 
 def sylvester_resultant(f, g):
-    return exact.bareiss_determinant(sylvester_matrix(f, g))
+    return bareiss_determinant(sylvester_matrix(f, g))
 
 
 def test_elimination_bezout_matrix_is_10_by_10():
@@ -404,7 +454,7 @@ def test_elimination_bezout_matrix_is_10_by_10():
     assert len(rows) == 10 and all(len(row) == 10 for row in rows)
     assert all(rows[i][j] == rows[j][i] for i in range(10) for j in range(10))
     # det B = (-1)^(10*9/2) lc(f)^2 Res = -r^4 Res
-    det = exact.bareiss_determinant(rows)
+    det = bareiss_determinant(rows)
     assert det == -Q(1, 2) ** 4 * sylvester_resultant(f, g)
     assert resultant_at(Q(1, 2), Q(2, 3), Q(5, 7)) == sylvester_resultant(f, g)
 
@@ -433,6 +483,54 @@ def test_resultant_matches_the_sylvester_reference_for_every_degree_pair(m):
             u, w = _random_polynomial(rng, m - 1), _random_polynomial(rng, n - 1)
             shared = [[a - c * b for a, b in zip(p + [0], [0] + p)] for p in (u, w)]
             assert exact.resultant(*shared) == sylvester_resultant(*shared) == 0, (m, n)
+
+
+# Pairs whose remainder sequences are abnormal: a remainder's degree drops by
+# 2 or more below its divisor's, or to nothing at a common factor.
+ABNORMAL_PAIRS = {
+    "even": ([3, 0, -1, 0, 4, 0, -2, 0, 5], [2, 0, 7, 0, -3, 0, 1]),
+    "even_by_odd": ([1, 0, -4, 0, 2, 0], [5, 0, 1, 0, -6]),
+    "in_t_cubed": ([1, 0, 0, 2, 0, 0, -3], [4, 0, 0, -1]),
+    "zero_middle": ([2, 0, 0, 0, 0, 0, 7], [3, 0, 0, 0, 1]),
+    "zero_middle_rational": ([Q(1, 2), 0, 0, 0, Q(-3, 5)], [Q(7, 3), 0, Q(1, 4)]),
+    # (t^2 + 1) (2 t^2 - t + 3) and (t^2 + 1) (t^3 + 4 t^2 - 5)
+    "common_factor": ([2, -1, 5, -1, 3], [1, 4, 1, -1, 0, -5]),
+    "common_root_zero": ([1, 2, 0, 0], [3, 0, 0]),
+    "equal_degrees": ([2, -1, 3, 0, 5], [-3, 4, 0, 1, 1]),
+    "equal_odd_degrees": ([1, 2, 3, 4], [5, 0, -6, 7]),
+    "equal_degrees_even": ([1, 0, -2, 0, 3], [4, 0, 5, 0, -1]),
+    "equal_degrees_rational": ([Q(1, 2), 0, Q(-3, 4)], [Q(2, 3), Q(1, 5), 0]),
+}
+
+
+@pytest.mark.parametrize("f, g", ABNORMAL_PAIRS.values(), ids=ABNORMAL_PAIRS.keys())
+def test_resultant_matches_the_sylvester_reference_through_abnormal_steps(f, g):
+    assert exact.resultant(f, g) == sylvester_resultant(f, g)
+    assert exact.resultant(g, f) == sylvester_resultant(g, f)
+
+
+@pytest.mark.parametrize(
+    "r, y", [(Q(1, 2), Q(5, 7)), (Q(355, 113), Q(-180, 13)), (Q(2**127 - 1, 2**127 - 3), Q(-3, 11))], ids=str
+)
+def test_the_system_at_x_zero_matches_the_sylvester_reference(r, y):
+    # At x = 0 both polynomials are in t^2 only, so every remainder drops by
+    # 2 or more degrees; the certificate's section reports take Res there.
+    point = {"r": r, "x": Q(0), "y": y}
+    f, g = ([c.evaluate(point) for c in coeffs] for coeffs in exact._system_coefficients())
+    assert not any(f[1::2]) and not any(g[1::2])
+    assert exact.resultant(f, g) == sylvester_resultant(f, g) == resultant_at(r, 0, y) != 0
+
+
+def test_resultant_matches_the_sylvester_reference_on_sparse_integer_pairs():
+    rng = random.Random(32)
+
+    def polynomial():
+        lead = rng.choice((-1, 1)) * rng.randint(1, 9)
+        return [lead] + [0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
+
+    for _ in range(3000):
+        f, g = polynomial(), polynomial()
+        assert exact.resultant(f, g) == sylvester_resultant(f, g), (f, g)
 
 
 def test_resultant_vanishes_on_envelope_points_only():
@@ -984,7 +1082,7 @@ def test_modular_determinants_match_bareiss(p):
         # Stacked along the last axis: entry [i, j] of every matrix is one row.
         stack = np.moveaxis(np.array(cases, dtype=np.int64), 0, -1) % p
         got = exact._determinants_mod(stack, p).tolist()
-        assert got == [exact.bareiss_determinant(rows) % p for rows in cases], n
+        assert got == [bareiss_determinant(rows) % p for rows in cases], n
 
 
 def test_modular_newton_matches_exact_interpolation():
