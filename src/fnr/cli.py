@@ -53,7 +53,7 @@ samples the support-line SVG is 14 MB and the command peaks near 85 MB."""
 
 MAX_LEVEL = 100_000
 """Largest --N.  The eigenvalue sweeps step through the truncation one level
-at a time, so time grows with the level: --N 4000 takes about 3 s."""
+at a time, so time grows with the level: --N 4000 takes about 1.5 s."""
 
 
 class UsageError(ValueError):

@@ -14,7 +14,8 @@ function from below as N grows, and the polygon cut out by the measured
 supporting lines sits inside the true region.  In the interleaved basis
 (e_1, f_1, e_2, f_2, ...) the rotation is block tridiagonal, its 2 x 2 blocks
 given by two numbers per angle, and bisection on a block LDL^T inertia test
-brackets its top eigenvalue to two ulps in O(N) without forming the matrix.
+brackets its top eigenvalue to at most two ulps in O(N) without forming the
+matrix.
 
 A second, fully independent route solves the singularity condition
 directly: an offset lam > 1 is admissible in direction theta exactly when
@@ -46,6 +47,15 @@ _CANDIDATES = 15
 
 _PIVMIN = 2.0**-150
 """Pivot floor of the definiteness test, relative to the Gershgorin bound."""
+
+_PARKED_SHARE = 0.25
+"""Share of the entries that may wait parked before :func:`_definite` drops them.
+
+The 15 sweeps of ``fnr verify``'s call took 136 ms with this share, 137 ms
+at 1/8, 139 ms at 1/2 or when dropping only as levels end, and 147 ms when
+dropping each failure at once (sums of per-sweep minima over 11 runs, one
+2.1 GHz Xeon core).  Dropping only as levels end would sweep values that
+all failed at the first step on to their level."""
 
 OFFSET_STEP = 1e-4
 """Step of the offset grid (r + 2) - OFFSET_STEP k, k >= 0, that
@@ -87,9 +97,17 @@ def top_eigenvalue(theta, a, level):
     bit for bit.  Bounded above by the closed-form support function and
     nondecreasing in ``level`` (the compressions shrink the range and nest).
     From the :func:`_block_entries` of each element, :func:`_search` narrows
-    its own Gershgorin bracket [-(|a|/2 + 1), |a|/2 + 1] to two ulps for every
-    element at once, :func:`_certify` re-checks both ends, and the midpoint is
-    returned.
+    its own Gershgorin bracket [-(|a|/2 + 1), |a|/2 + 1] to at most two ulps
+    for every element at once, :func:`_certify` re-checks both ends, and the
+    midpoint is returned.  Over 72 angles, levels 1, 2, 40 and 400 and seven
+    couplings from 0 to 1e4, 1697 of the 2016 final brackets are one ulp wide
+    and the rest two; which of the two the search ends in depends on its
+    trial grid, so ``_CANDIDATES`` can move the result by one ulp.  Each
+    sweep of the bisection is :func:`_definite`, which drops a trial value
+    at the step where it fails.  A top eigenvalue below the pivot floor,
+    ``_PIVMIN`` over the element's scale, comes back as that floor:
+    ``top_eigenvalue(0.0, 0.0, 1)`` returns 2^-149, not 0.  Every rotation
+    has trace 0, so no top eigenvalue is negative.
     """
     levels = np.asarray(level)
     if levels.dtype.kind not in "iu":
@@ -157,58 +175,81 @@ def _definite(blocks: np.ndarray, levels: np.ndarray, lams: np.ndarray) -> np.nd
     D_k = [[p, conj(q)], [q, s]] of the block LDL^T recurrence
     D_{k+1} = lam I - A - B D_k^{-1} B^* are positive; here that is
     p' = lam - |b|^2 s / det, s' = lam - |b|^2 p / det and
-    q' = b^2 q / det - c.  A pivot at or below ``_PIVMIN`` fails the test, and
-    the failed value's later blocks are carried with det = 1 so every entry
-    stays finite.  One sweep serves every level: the trailing columns whose
-    level the sweep has reached record their verdict and leave it.
+    q' = b^2 q / det - c.  A pivot at or below ``_PIVMIN`` fails the test,
+    NaN included, and a failed value's verdict is False for good.  So t needs
+    no floor on p: where p is at or below ``_PIVMIN`` the value fails
+    whatever t is.
 
-    The sweep runs up to thousands of steps over arrays of a few thousand
-    entries, where allocating fresh temporaries costs more than the
-    arithmetic.  So the work arrays are allocated once, every step writes
-    into them in place, and they are cut to contiguous copies only when a
-    level's columns leave.  Each step performs the same float operations, in
-    the same order, as the expressions above.
+    One sweep serves every trial value of every column.  An entry is one
+    trial value of one column, and the entries lie on one flat axis, column
+    by column, so their levels do not increase along it.  An entry leaves the
+    sweep at the step where a pivot fails or where its level ends, and the
+    loop stops once no entry is left.  Dropping entries copies every work
+    array, so a failed entry first waits parked at an exact fixed point of
+    the recurrence, lam = 1, c = b = 0 and D = I, which never fails; the
+    parked entries are dropped together when a level ends or when they pass
+    ``_PARKED_SHARE`` of the entries.  Every entry that has not failed keeps
+    finite pivots above ``_PIVMIN`` and performs the same float operations,
+    in the same order, as the expressions above, in work arrays written in
+    place.
     """
     coupling, shift = blocks
-    verdict = np.empty(lams.shape, dtype=bool)
+    trials = lams.shape[0]
+    verdict = np.zeros(lams.size, dtype=bool)
+    # Entry e = m * trials + j holds lams[j, m]; the state is copied, as parking writes to it
+    entry = np.arange(lams.size)
+    level, lam, c = np.repeat(levels, trials), lams.T.flatten(), np.repeat(coupling, trials)
     # B_0 = 0 stands above the first block, so the loop starts from D_0 = I
     square = cross = 0.0
-    p, s, det, t, work = np.ones((5, *lams.shape))
-    q = np.zeros(lams.shape, dtype=complex)
-    definite, mask = np.ones((2, *lams.shape), dtype=bool)
-    width = lams.shape[1]
-    for k in range(1, int(levels.max(initial=0)) + 1):
-        inv = np.divide(1.0, det, out=det)
-        # p' = lam - square (s inv) is formed in s and s' in p, so the names swap
-        for x in (s, p):
-            np.multiply(x, inv, out=x)
-            np.multiply(square, x, out=x)
-            np.subtract(lams, x, out=x)
-        p, s = s, p
-        # q' = cross (q inv) - c; products use FMA, so cross stays the first factor
-        q *= inv
-        np.multiply(cross, q, out=q)
-        q -= coupling
-        # t = s - (q.real^2 + q.imag^2) / max(p, _PIVMIN)
-        np.square(q.real, out=t)
-        t += np.square(q.imag, out=work)
-        t /= np.maximum(p, _PIVMIN, out=work)
-        np.subtract(s, t, out=t)
-        definite &= np.greater(np.minimum(p, t, out=work), _PIVMIN, out=mask)
-        # det = p t where definite, else 1
-        np.multiply(p, t, out=det)
-        np.copyto(det, 1.0, where=np.logical_not(definite, out=mask))
-        if k == 1:
-            square, cross = shift.real**2 + shift.imag**2, shift * shift
-        if levels[width - 1] == k:  # the last running column ends here
-            running = int(np.count_nonzero(levels[:width] > k))
-            verdict[:, running:width] = definite[:, running:]
-            lams, coupling, square, cross, p, s, det, t, work, q, definite, mask = (
-                np.ascontiguousarray(x[..., :running])
-                for x in (lams, coupling, square, cross, p, s, det, t, work, q, definite, mask)
-            )
-            width = running
-    return verdict
+    p, s, det, t, work = np.ones((5, lam.size))
+    q = np.zeros(lam.size, dtype=complex)
+    live = np.ones(lam.size, dtype=bool)
+    parked = k = 0
+    # Only an entry whose pivot fails at this step can divide by zero, overflow or
+    # turn NaN, and it is parked or dropped before the next step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while entry.size:
+            k += 1
+            inv = np.divide(1.0, det, out=det)
+            # p' = lam - square (s inv) is formed in s and s' in p, so the names swap
+            for x in (s, p):
+                np.multiply(x, inv, out=x)
+                np.multiply(square, x, out=x)
+                np.subtract(lam, x, out=x)
+            p, s = s, p
+            # q' = cross (q inv) - c; products use FMA, so cross stays the first factor
+            q *= inv
+            np.multiply(cross, q, out=q)
+            q -= c
+            # t = s - (q.real^2 + q.imag^2) / p
+            np.square(q.real, out=t)
+            t += np.square(q.imag, out=work)
+            t /= p
+            np.subtract(s, t, out=t)
+            np.minimum(p, t, out=work)
+            np.multiply(p, t, out=det)
+            if k == 1:
+                square = np.repeat(shift.real**2 + shift.imag**2, trials)
+                cross = np.repeat(shift * shift, trials)
+            leave = level[-1] == k  # the last entries' level ends here
+            if not work.min() > _PIVMIN:  # a pivot failed, or is NaN
+                failed = np.flatnonzero(~(work > _PIVMIN))
+                live[failed] = False
+                parked += failed.size
+                leave = leave or parked > _PARKED_SHARE * entry.size
+                if not leave:
+                    lam[failed] = p[failed] = s[failed] = det[failed] = 1.0
+                    square[failed] = c[failed] = cross[failed] = q[failed] = 0.0
+            if leave:
+                verdict[entry[live & (level == k)]] = True
+                keep = np.flatnonzero(live & (level > k))
+                entry, level, lam, c, square, cross, p, s, det, q = (
+                    x.take(keep) for x in (entry, level, lam, c, square, cross, p, s, det, q)
+                )
+                t, work = np.empty((2, keep.size))
+                live = np.ones(keep.size, dtype=bool)
+                parked = 0
+    return verdict.reshape(lams.shape[::-1]).T
 
 
 def symbol_range_grid(lam, theta) -> tuple:

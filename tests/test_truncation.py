@@ -8,6 +8,7 @@ import re
 import runpy
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import fnr.truncation
-from fnr.boundary import Region, classify_point, support_function
+from fnr.boundary import Region, classify_point, support_function, switching_cosine
 from fnr.checks import closedform_checks, truncation_checks
 from fnr.truncation import (
     _PIVMIN,
@@ -377,6 +378,68 @@ def test_definite_verdicts_equal_the_reference_kernel():
             verdict = fnr.truncation._definite(blocks, levels, rows)
             assert np.array_equal(verdict, _definite_reference(blocks, levels, rows))
         assert not verdict[0].any() and verdict[1].all()
+
+
+def test_definite_stops_once_every_trial_has_failed():
+    # Every trial lies below the spectrum, so every pivot fails at the first
+    # step; a sweep that ran on to the level would take about 30 s.
+    blocks = fnr.truncation._block_entries(np.linspace(-3.0, 3.0, 8), 1.5 - 0.5j, 0.5)
+    start = time.perf_counter()
+    verdict = fnr.truncation._definite(blocks, np.full(8, 10**6), np.full((15, 8), -1.0))
+    assert time.perf_counter() - start < 1.0
+    assert verdict.shape == (15, 8) and not verdict.any()
+
+
+@pytest.mark.parametrize("a", [0.0, 1.5 - 0.5j, 1e4])
+def test_candidate_count_moves_the_output_by_at_most_one_ulp(monkeypatch, a):
+    # The search stops once its bracket is at most two ulps wide (three across
+    # a binade edge), so the bracket's width and midpoint depend on the trial
+    # grid.  Here the outputs of 7, 15 and 63 candidates differ in up to 86 of
+    # the 288 elements, by at most one ulp.
+    thetas = np.linspace(-math.pi, math.pi, 72, endpoint=False)
+    levels = np.array([1, 2, 40, 400])[:, None]
+    expected = top_eigenvalue(thetas, a, levels)
+    for candidates in (7, 63):
+        monkeypatch.setattr(fnr.truncation, "_CANDIDATES", candidates)
+        got = top_eigenvalue(thetas, a, levels)
+        assert np.all(np.abs(got - expected) <= np.spacing(np.abs(expected)))
+
+
+_CLAMPED_BEAM = 4.730040744862704**4
+"""First eigenvalue mu of u'''' = mu u on [0, 1] with u = u' = 0 at both ends."""
+
+
+def test_gap_at_the_switching_angle_follows_the_quartic_law():
+    """gap (N+1)^4 8r / mu = 1 at the switching angle, within spread + 2 ulp(h) / gap.
+
+    With c = cos theta, s = sin theta and x = sin^2 phi, the top of the
+    symbol's numerical range expands as
+    lam_phi = c cos phi + sqrt(r^2 + s^2 x)
+            = (c + r) + x (s^2 - r c) / (2r) - x^2 (c + s^4 / r^3) / 8 + O(x^3).
+    At the switching angle c (c + r) = 1, so s^2 = 1 - c^2 = r c: the x term
+    vanishes and the x^2 term is -c (c + r) / (8r) = -1 / (8r).  With
+    x = phi^2 + O(phi^4), lam_phi = h - phi^4 / (8r) + O(phi^6): a quartic
+    maximum, not a quadratic one.  The compression to N blocks sees it as
+    the lowest eigenvalue of (1 / 8r) d^4/dx^4 on [0, N + 1] with clamped
+    ends, so the gap h - lam_N tends to mu / (8r (N + 1)^4).
+
+    The bound has two parts.  The spread 1e-3 bounds the finite-N error of
+    the law: measured |ratio - 1| is 9.6e-4, 2.0e-4 and 7.1e-5 at
+    r = 0.1, 0.5 and 2 for N = 400, and 5.8e-5, 6.6e-6 and 6.5e-5 for
+    N = 1600.  The rounding term covers the computed gap: h and the top
+    eigenvalue each carry about an ulp of h of rounding, so the gap, and
+    with it the ratio, carries a relative error of about 2 ulp(h) / gap;
+    that is 1.9e-4 at r = 2 and N = 1600 and below 2.4e-5 elsewhere.
+    Lowering the top eigenvalue by 1e-9 moves the ratio by 0.04 at r = 0.1
+    and N = 400, and by 0.2 to 210 elsewhere.
+    """
+    rs = np.array([0.1, 0.5, 2.0])
+    thetas = np.array([math.acos(switching_cosine(r)) for r in rs.tolist()])
+    levels = np.array([400, 1600])[:, None]
+    h = np.array([support_function(theta, r) for theta, r in zip(thetas.tolist(), rs.tolist())])
+    gaps = h - top_eigenvalue(thetas, 2.0 * rs, levels)
+    ratios = gaps * (levels + 1.0) ** 4 * 8.0 * rs / _CLAMPED_BEAM
+    assert np.all(np.abs(ratios - 1.0) <= 1e-3 + 2.0 * np.spacing(h) / gaps)
 
 
 # ---------------------------------------------------------------------------
