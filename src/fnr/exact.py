@@ -31,8 +31,9 @@ and rational reconstruction, with no bound on the height of r.  The fit is
 only a candidate: the held-out check in exact cleared-integer arithmetic is
 the sole judge of success.  A section that does not divide modulo a prime
 is recomputed exactly, that section alone, so failure reports are exact
-too.  Every exact point value is an integer sum over a known denominator
-(:func:`_evaluate_cleared`).
+too.  The held-out check and that report take one residual, Res - E C as
+one integer cross-difference (:meth:`_Certificate.residuals`), from values
+that are integer sums over known denominators (:func:`_evaluate_cleared`).
 
 Rationals are plain :class:`fractions.Fraction` values: arbitrary-precision
 numerator, positive denominator, always in lowest terms.  Polynomials are
@@ -635,16 +636,17 @@ def _divide_univariate(num: Sequence[Fraction], den: Sequence[Fraction]) -> tupl
 
 
 class _Certificate:
-    """Sample grid, seeded stream and exact evaluators of one certificate run.
+    """Sample grid, seeded stream and exact residual of one certificate run.
 
     Construction validates r and draws the grid offsets; every held-out
     draw then replays the stream from that point, so each conclusion or
     failure report draws what a fresh run draws.  With
-    ``mutate`` the sextic is :func:`mutated_sextic`.  Every exact point value
-    -- Res, the sextic, its sections and the cofactor -- is taken by
-    :func:`_evaluate_cleared`: an integer sum over a known denominator from
-    one power table per coordinate, with the sextic's coefficients cleared
-    once per certificate.
+    ``mutate`` the sextic is :func:`mutated_sextic`, its coefficients
+    cleared once per certificate.  One cleared-integer residual Res - E C,
+    :meth:`residuals`, serves both the held-out check of a fitted cofactor
+    and the report of a section that does not divide; it and
+    :meth:`sextic_section` take every exact point value by
+    :func:`_evaluate_cleared`.
     """
 
     def __init__(self, r, seed, mutate=False):
@@ -685,9 +687,6 @@ class _Certificate:
         rng.setstate(self.stream)
         return [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(count)]
 
-    def res_value(self, x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(*_system_resultant(self.r, x, y))
-
     def sextic_section(self, y: Fraction) -> list:
         """Coefficients (ascending in u) of E(u, y^2, r) for fixed y."""
         sums, den = _evaluate_cleared(
@@ -695,15 +694,28 @@ class _Certificate:
         )
         return [Fraction(c, self.sextic_scale * den) for c in sums]
 
-    def sextic_cleared(self, x: Fraction, y: Fraction) -> tuple:
-        """E(x^2, y^2, r) as (numerator, denominator)."""
-        (value,), den = _evaluate_cleared(
-            (self.sextic_terms,), self.sextic_degrees, (x * x, y * y, self.r)
-        )
-        return value, self.sextic_scale * den
+    def residuals(self, terms: Mapping[tuple, Scalar], points) -> list:
+        """``(x, y, Res - E C)`` at each point (x, y) where it is nonzero, C = sum c x^i y^j.
 
-    def sextic_value(self, x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(*self.sextic_cleared(x, y))
+        ``terms`` is C's table {(i, j): c}.  Res, E and C are integers over
+        known denominators at each point (C's coefficients are cleared once,
+        here), so Res - E C is one integer cross-difference, made a Fraction
+        only when it is nonzero.
+        """
+        cleared, scale = _cleared_terms(terms)
+        degrees = _degrees((cleared,), 2)
+        failures = []
+        for x, y in points:
+            res, res_den = _system_resultant(self.r, x, y)
+            (sextic,), sextic_den = _evaluate_cleared(
+                (self.sextic_terms,), self.sextic_degrees, (x * x, y * y, self.r)
+            )
+            (cof,), cof_den = _evaluate_cleared((cleared,), degrees, (x, y))
+            den = self.sextic_scale * sextic_den * scale * cof_den  # E C = sextic cof / den
+            residual = res * den - sextic * cof * res_den
+            if residual:
+                failures.append((x, y, Fraction(residual, res_den * den)))
+        return failures
 
     def report(self, **fields) -> ResultantReport:
         return ResultantReport(
@@ -715,27 +727,11 @@ class _Certificate:
         )
 
     def conclude(self, terms: dict) -> ResultantReport:
-        """Check the fitted cofactor at the exact held-out points; the only way to succeed.
-
-        Res, E and C are integers over known denominators at each point (the
-        cofactor's coefficients are cleared once, here), so Res - E C is one
-        integer cross-difference, made a Fraction only when it is nonzero.
-        """
+        """Check the fitted cofactor at the exact held-out points; the only way to succeed."""
         cofactor = ExactPoly(("x", "y"), terms)
         total_degree = max(cofactor.degree(), 0)
-        cleared, scale = _cleared_terms(cofactor.terms)
-        degrees = _degrees((cleared,), 2)
-
         points = self.held_out(2 * _HOLDOUT)
-        failures = []
-        for x, y in zip(points[::2], points[1::2]):
-            res, res_den = _system_resultant(self.r, x, y)
-            sextic, sextic_den = self.sextic_cleared(x, y)
-            (cof,), cof_den = _evaluate_cleared((cleared,), degrees, (x, y))
-            cof_den *= scale
-            residual = res * sextic_den * cof_den - sextic * cof * res_den
-            if residual:
-                failures.append((x, y, Fraction(residual, res_den * sextic_den * cof_den)))
+        failures = self.residuals(cofactor.terms, zip(points[::2], points[1::2]))
 
         reason = None
         if total_degree > _DEGREE_BOUND:
@@ -761,20 +757,16 @@ def _section_failure(cert: _Certificate, y: Fraction) -> ResultantReport:
     """The report of a section y that does not divide modulo a prime, computed exactly.
 
     Res(x, y) is taken at the distinct |x|, interpolated in u = x^2 through
-    their squares and divided by the sextic section, and the quotient's
-    residuals Res - E Q are taken at 8 held-out abscissae.  Every denominator
-    and node difference is a unit modulo that prime, so the exact remainder
-    reduces to the modular one: it is nonzero.  The report gives its degree
-    in x.
+    their squares and divided by the sextic section, and the residuals
+    Res - E Q of the quotient Q, the table {(2i, 0): q_i}, are taken at 8
+    held-out abscissae.  Every denominator and node difference is a unit
+    modulo that prime, so the exact remainder reduces to the modular one: it
+    is nonzero.  The report gives its degree in x.
     """
-    values = [cert.res_value(x, y) for x in cert.x_magnitudes]
+    values = [Fraction(*_system_resultant(cert.r, x, y)) for x in cert.x_magnitudes]
     quot, rem = _divide_univariate(_newton_interpolate(cert.us, values), cert.sextic_section(y))
-    quotient = ExactPoly(("x",), {(2 * i,): c for i, c in enumerate(quot)})
-    failures = []
-    for x in cert.held_out(8):
-        residual = cert.res_value(x, y) - cert.sextic_value(x, y) * quotient.evaluate({"x": x})
-        if residual:
-            failures.append((x, y, residual))
+    quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
+    failures = cert.residuals(quotient, [(x, y) for x in cert.held_out(8)])
     return cert.report(
         holdout_count=8,
         success=False,

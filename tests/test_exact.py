@@ -612,7 +612,7 @@ def test_certificate_holds_and_mutation_fails_across_radii(r):
     assert all(res != 0 for (_, _, res) in mutated.holdout_failures)
 
 
-def _exact_route(cert):
+def _exact_route(r, seed, mutate=False):
     """The certificate with the whole fitting stage in exact rational arithmetic: the reference.
 
     Along each section y = y_k the section polynomial Res(x, y_k) is recovered
@@ -621,12 +621,14 @@ def _exact_route(cert):
     and divided exactly by the sextic section in x.  A nonzero remainder ends
     the run with the section residuals at up to 8 held-out abscissae.
     """
+    cert = exact._Certificate(r, seed, mutate)
+    sextic = exact.mutated_sextic() if mutate else exact.sextic_polynomial()
     bound = exact._DEGREE_BOUND
     xs = [-x for x in reversed(cert.x_magnitudes[1:])] + cert.x_magnitudes
     assert len(xs) == len(set(xs)) == bound + 9
     section_quotients = []
     for y in cert.ys:
-        values = [cert.res_value(x, y) for x in xs]
+        values = [resultant_at(cert.r, x, y) for x in xs]
         res_section = exact._newton_interpolate(xs, values)
         # E(x^2, y^2, r) in x: the coefficient of u^i at x^(2i).
         in_u = cert.sextic_section(y)
@@ -639,9 +641,9 @@ def _exact_route(cert):
             quotient = exact.ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
             failures = []
             for xh in cert.held_out(8):
-                res_h = cert.res_value(xh, y)
                 quot_h = quotient.evaluate({"x": xh})
-                failures.append((xh, y, res_h - cert.sextic_value(xh, y) * quot_h))
+                sextic_h = sextic.evaluate({"u": xh * xh, "v": y * y, "r": cert.r})
+                failures.append((xh, y, resultant_at(cert.r, xh, y) - sextic_h * quot_h))
             return cert.report(
                 holdout_count=len(failures),
                 success=False,
@@ -670,7 +672,7 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
     assert len(calls) == 64  # the held-out points only
     monkeypatch.undo()
-    slow = _exact_route(exact._Certificate(Q(1, 2), 1))
+    slow = _exact_route(Q(1, 2), 1)
     assert fast.to_json_dict() == slow.to_json_dict()
     assert fast.to_text() == slow.to_text()
 
@@ -681,7 +683,7 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, mutate=True)
     assert len(calls) == 19 + 8
     monkeypatch.undo()
-    assert fast.to_json_dict() == _exact_route(exact._Certificate(Q(1, 2), 9, True)).to_json_dict()
+    assert fast.to_json_dict() == _exact_route(Q(1, 2), 9, True).to_json_dict()
 
 
 @pytest.mark.parametrize(
@@ -695,7 +697,7 @@ def test_a_section_failure_is_the_one_the_exact_route_reports(monkeypatch, r, bo
     mutate = bound == 28
     fast = exact.verify_sextic_resultant_identity(r, seed, mutate)
     assert not fast.success and fast.failure_reason.startswith("fitting system inconsistent")
-    assert fast.to_json_dict() == _exact_route(exact._Certificate(r, seed, mutate)).to_json_dict()
+    assert fast.to_json_dict() == _exact_route(r, seed, mutate).to_json_dict()
     assert fast.degree_bound == bound
 
 
@@ -999,7 +1001,6 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
             assert cert.sextic_section(x) == want_section
             for y in values[::3]:
                 want = fraction_evaluate(sextic.terms, (x * x, y * y, r))
-                assert cert.sextic_value(x, y) == want
                 assert sextic.evaluate({"u": x * x, "v": y * y, "r": r}) == want
                 assert _cleared_value(sextic, (x * x, y * y, r)) == want
 
@@ -1015,23 +1016,26 @@ def test_cleared_evaluator_matches_the_reference_on_a_fitted_cofactor():
             assert cofactor.evaluate({"x": x, "y": y}) == want
 
 
-def _reference_failures(cert, terms):
-    """conclude's held-out loop over Fraction reference values."""
+def _reference_residuals(r, sextic, terms, points):
+    """(x, y, Res - E C) at each point where it is nonzero, over Fraction reference values."""
     up = exact._system_coefficients()
-    sextic = exact.sextic_polynomial()
     failures = []
-    rng = random.Random()
-    rng.setstate(cert.stream)
-    for _ in range(exact._HOLDOUT):
-        x = Q(rng.randint(-999, 999), rng.randint(1, 999))
-        y = Q(rng.randint(-999, 999), rng.randint(1, 999))
-        f, g = ([fraction_evaluate(c.terms, (cert.r, x, y)) for c in coeffs] for coeffs in up)
+    for x, y in points:
+        f, g = ([fraction_evaluate(c.terms, (r, x, y)) for c in coeffs] for coeffs in up)
         residual = exact.resultant(f, g) - fraction_evaluate(
-            sextic.terms, (x * x, y * y, cert.r)
+            sextic.terms, (x * x, y * y, r)
         ) * fraction_evaluate(terms, (x, y))
         if residual:
             failures.append((x, y, residual))
     return failures
+
+
+def _reference_failures(cert, terms):
+    """conclude's held-out loop over Fraction reference values."""
+    rng = random.Random()
+    rng.setstate(cert.stream)
+    draws = [Q(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(2 * exact._HOLDOUT)]
+    return _reference_residuals(cert.r, exact.sextic_polynomial(), terms, zip(draws[::2], draws[1::2]))
 
 
 @pytest.mark.parametrize(
@@ -1047,6 +1051,52 @@ def test_a_perturbed_cofactor_fails_at_the_reference_points(r, key, delta):
     assert len(want) == exact._HOLDOUT
     assert not report.success
     assert report.holdout_failures == want
+    assert report.failure_reason == "64 held-out residuals are nonzero"
+
+
+@pytest.mark.parametrize("r", [Q(1, 2), Q(-998, 997)], ids=str)
+def test_residuals_match_the_fraction_reference(r):
+    # A two-variable cofactor, the settled one perturbed in an even and an
+    # odd term, and the true one, whose residuals all vanish.
+    xs, ys = _rationals(15, 8), _rationals(16, 8)
+    points = list(zip(xs, ys[::-1]))
+    cert = exact._Certificate(r, 1)
+    terms = next(exact._settled_fits(cert))
+    perturbed = {**terms, (4, 6): terms[(4, 6)] + Q(-1, 7), (1, 3): Q(2, 5)}
+    want = _reference_residuals(r, exact.sextic_polynomial(), perturbed, points)
+    assert len(want) > len(points) // 2
+    assert cert.residuals(perturbed, points) == want
+    assert cert.residuals(terms, points) == []
+    # A section quotient {(2i, 0): q_i} of the mutated sextic, which leaves a
+    # remainder, at abscissae along its section and off it.
+    mutated = exact._Certificate(r, 1, mutate=True)
+    y = mutated.ys[0]
+    values = [resultant_at(r, x, y) for x in mutated.x_magnitudes]
+    quot, rem = exact._divide_univariate(exact._newton_interpolate(mutated.us, values), mutated.sextic_section(y))
+    assert rem
+    quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
+    points = [(x, y) for x in xs] + points
+    want = _reference_residuals(r, exact.mutated_sextic(), quotient, points)
+    assert len(want) > len(points) // 2
+    assert mutated.residuals(quotient, points) == want
+
+
+def test_a_cofactor_above_the_degree_bound_fails_with_zero_residuals():
+    # P(x) = prod (x - x_i) over the held-out abscissae vanishes at every
+    # held-out point, so C + P leaves every residual at 0 with degree 64.
+    cert = exact._Certificate(Q(1, 2), 1)
+    terms = next(exact._settled_fits(cert))
+    product = [Q(1)]  # ascending coefficients
+    for x in cert.held_out(2 * exact._HOLDOUT)[::2]:
+        product = [a - x * b for a, b in zip([Q(0)] + product, product + [Q(0)])]
+    raised = dict(terms)
+    for i, c in enumerate(product):
+        raised[(i, 0)] = raised.get((i, 0), 0) + c
+    report = cert.conclude(raised)
+    assert not report.success
+    assert report.holdout_failures == []
+    assert report.cofactor is None and report.cofactor_total_degree == 64
+    assert report.failure_reason == "interpolated cofactor has total degree 64 > bound 28"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: no module in src/fnr or tests imports a name it never uses,
 every private top-level name of src/fnr is used inside src/fnr, every name in
-an ``__all__`` of src/fnr is used in src/fnr, scripts/ or perfbench/, one
+an ``__all__`` of src/fnr is used in src/fnr, scripts/ or perfbench/, every
+method of a class of src/fnr without bases is used in src/fnr, one
 function of src/fnr writes every output file, no cache in src/fnr keeps
 results across calls, and no route imports another route's transcriptions."""
 
@@ -304,6 +305,76 @@ def test_private_name_scan_flags_only_names_no_source_loads():
     assert unreferenced_names(sources) == sorted(
         unreferenced_names(sources, readers) + [("a.py", 12, "api"), ("b.py", 3, "_listed")]
     )
+
+
+def unloaded_methods(sources: dict) -> list:
+    """(path, line, "Class.method") of each method of a class without bases that no source loads.
+
+    A class counts when its definition lists no base class; its methods are
+    the defs in its body, dunders aside, and one counts as loaded when any
+    of ``sources`` loads its name, bare or as an attribute.  A method that
+    only the tests call is flagged.
+    """
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    used = set().union(*map(loaded_names, trees.values()))
+    return sorted(
+        (path, item.lineno, f"{node.name}.{item.name}")
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and not node.bases
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in used
+    )
+
+
+def test_every_method_of_a_class_without_bases_is_loaded_in_src():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "fnr").glob("*.py"))
+    }
+    assert unloaded_methods(sources) == []
+
+
+def test_method_scan_flags_only_methods_no_source_loads():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Plain:\n"
+            "    def used(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        return 1\n"
+            "    def only_for_tests(self):\n"
+            "        return 2\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+            "    @classmethod\n"
+            "    def build(cls):\n"
+            "        return cls()\n"
+            "    @property\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "class Derived(Exception):\n"
+            "    def unused(self):\n"
+            "        pass\n"
+            "def outer():\n"
+            "    class Inner:\n"
+            "        def hidden(self):\n"
+            "            pass\n"
+            "    return Inner\n"
+        ),
+        "b.py": "import a\nprint(a.Plain().used(), a.Plain.build)\n",
+    }
+    assert unloaded_methods(sources) == [
+        ("a.py", 8, "Plain.only_for_tests"),
+        ("a.py", 16, "Plain.size"),
+        ("a.py", 23, "Inner.hidden"),
+    ]
+    # A load in a source that is left out of the scan does not count.
+    assert ("a.py", 4, "Plain.used") in unloaded_methods({"a.py": sources["a.py"]})
 
 
 def sibling_imports(source: str) -> list:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fnr import checks, cli, render
+from fnr import checks, cli, exact, render
 from fnr.boundary import (
     BoundaryCurve,
     Branch,
@@ -563,6 +563,17 @@ def test_resultant_mutation_self_test_fails(tmp_path, capsys):
     payload = json.loads((tmp_path / "resultant.json").read_text())
     assert payload["mutated"] is True
     assert payload["all_success"] is False
+
+
+def test_a_mutation_that_is_not_rejected_raises_the_sensitivity_alarm(tmp_path, capsys, monkeypatch):
+    # With the true sextic in place of the mutated one the certificate
+    # succeeds, which --mutate must report as a lost sensitivity.
+    monkeypatch.setattr(exact, "mutated_sextic", exact.sextic_polynomial)
+    code = main(["resultant", "--r", "1/2", "--mutate", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "fnr: mutated sextic was not rejected: the certificate lost its sensitivity\n"
+    assert not (tmp_path / "resultant.json").exists()
 
 
 def test_resultant_rejects_degenerate_radius(tmp_path, capsys):
