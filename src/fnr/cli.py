@@ -237,6 +237,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"r = {r!r} is below the double resolution at 1: 1 + r rounds to 1, "
             "so the comparison ellipse degenerates to the unit circle"
         )
+    if boundary.switching_cosine(r) == 0.0:
+        raise UsageError(
+            f"r = {r!r} is too large for the checks: the switching cosine "
+            "(sqrt(4 + r^2) - r)/2 rounds to 0, so the angle sweeps have no sextic arc"
+        )
     _within("--N", args.level, 1, MAX_LEVEL)
     out = _out_dir(args)
     if r == 0:
@@ -288,12 +293,13 @@ def cmd_resultant(args: argparse.Namespace) -> int:
         raise VerificationFailure(
             "mutated sextic was not rejected: the certificate lost its sensitivity"
         )
+    records = [rep.to_json_dict() for rep in reports]
     payload = {
         "command": "resultant",
         "seed": args.seed,
-        "degree_bound": reports[0].degree_bound,
+        "degree_bound": records[0]["degree_bound"],
         "mutated": args.mutate,
-        "reports": [rep.to_json_dict() for rep in reports],
+        "reports": records,
         "all_success": ok,
     }
     _dump_json(payload, out / "resultant.json")

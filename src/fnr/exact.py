@@ -31,7 +31,8 @@ and rational reconstruction, with no bound on the height of r.  The fit is
 only a candidate: the held-out check in exact cleared-integer arithmetic is
 the sole judge of success.  A section that does not divide modulo a prime
 is recomputed exactly, that section alone, so failure reports are exact
-too.  The held-out check and that report take one residual, Res - E C as
+too.  A certificate builds its grid, its held-out draws and its sextic
+sections once, at the start.  The held-out check and that report take one residual, Res - E C as
 one integer cross-difference (:meth:`_Certificate.residuals`), from values
 that are integer sums over known denominators (:func:`_evaluate_cleared`).
 
@@ -458,35 +459,19 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
 
 
 @functools.cache
-def _system_coefficients() -> tuple:
-    """Coefficient polynomials in (r, x, y) of the elimination system, descending in t.
+def _system() -> tuple:
+    """The elimination system's coefficients in (r, x, y) as ``(terms, degrees, split)``.
 
-    Degrees are 10 and 8, so its Bezout matrix is 10 x 10 (its Sylvester
-    matrix would be 18 x 18).
+    ``terms`` holds one integer term table {(i, j, k): c} of c r^i x^j y^k
+    per coefficient, f's and then g's, each descending in t: the one table
+    that both the exact point values and the modular residues read.
+    ``degrees`` are its largest exponents of r, x and y, and f's 11
+    coefficients are ``terms[:split]``.  The degrees in t are 10 and 8, so
+    the Bezout matrix is 10 x 10 (the Sylvester matrix would be 18 x 18).
     """
     first, second = envelope_system()
-    return tuple(list(reversed(p.univariate_coefficients("t"))) for p in (first, second))
-
-
-@functools.cache
-def _system_terms() -> tuple:
-    """Integer term tables {(i, j, k): c} of c r^i x^j y^k for each coefficient of the system.
-
-    f's coefficients and then g's, descending in t: the one table that both
-    the exact point values and the modular residues read.
-    """
-    return tuple(poly.terms for coeffs in _system_coefficients() for poly in coeffs)
-
-
-@functools.cache
-def _system_degrees() -> tuple:
-    return _degrees(_system_terms(), 3)
-
-
-def _split_system(values: Sequence) -> tuple:
-    """The values of the system's coefficients, in :func:`_system_terms` order, as (f's, g's)."""
-    f_count = len(_system_coefficients()[0])
-    return values[:f_count], values[f_count:]
+    terms = tuple(c.terms for p in (first, second) for c in reversed(p.univariate_coefficients("t")))
+    return terms, _degrees(terms, 3), first.degree("t") + 1
 
 
 def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
@@ -497,8 +482,9 @@ def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
     with m + n = 18, so the integer vectors go to :func:`resultant` and
     D^18 is the denominator.
     """
-    values, den = _evaluate_cleared(_system_terms(), _system_degrees(), (r, x, y))
-    return resultant(*_split_system(values)), den ** (len(values) - 2)
+    terms, degrees, split = _system()
+    values, den = _evaluate_cleared(terms, degrees, (r, x, y))
+    return resultant(values[:split], values[split:]), den ** (len(values) - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +516,18 @@ def _newton_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list:
 
 @dataclass
 class ResultantReport:
-    """Outcome of the evaluation/interpolation divisibility certificate."""
+    """Outcome of the evaluation/interpolation divisibility certificate.
+
+    ``cofactor`` is the certified cofactor's nonzero terms c x^i y^j as a
+    table {(i, j): c}, or None.  The grid's degree bound and sample count
+    are the same for every report, so only its renderings write them.
+    """
 
     r: Fraction
-    degree_bound: int
-    sample_count: int
     holdout_count: int
     seed: int
     success: bool
-    cofactor: "ExactPoly | None" = None
+    cofactor: dict | None = None
     cofactor_total_degree: int | None = None
     holdout_failures: list = field(default_factory=list)
     failure_reason: str | None = None
@@ -546,14 +535,11 @@ class ResultantReport:
     def to_json_dict(self) -> dict:
         cof = None
         if self.cofactor is not None:
-            cof = {
-                f"{i},{j}": str(c)
-                for (i, j), c in sorted(self.cofactor.terms.items())
-            }
+            cof = {f"{i},{j}": str(c) for (i, j), c in sorted(self.cofactor.items())}
         return {
             "r": str(self.r),
-            "degree_bound": self.degree_bound,
-            "sample_count": self.sample_count,
+            "degree_bound": _DEGREE_BOUND,
+            "sample_count": (_DEGREE_BOUND + 9) * (_DEGREE_BOUND + 1) + _HOLDOUT,
             "holdout_count": self.holdout_count,
             "seed": self.seed,
             "success": self.success,
@@ -567,11 +553,13 @@ class ResultantReport:
         }
 
     def to_text(self) -> str:
+        record = self.to_json_dict()
+        samples = record["sample_count"]
         lines = [
             f"divisibility certificate at r = {self.r}",
-            f"  degree bound   : {self.degree_bound}",
-            f"  samples        : {self.sample_count} "
-            f"({self.sample_count - self.holdout_count} fitting, {self.holdout_count} held out)",
+            f"  degree bound   : {record['degree_bound']}",
+            f"  samples        : {samples} "
+            f"({samples - self.holdout_count} fitting, {self.holdout_count} held out)",
             f"  seed           : {self.seed}",
             f"  success        : {self.success}",
         ]
@@ -617,11 +605,6 @@ _HOLDOUT = 64
 _DEGREE_BOUND = 28
 
 
-def _certificate_rng(r: Fraction, seed: int) -> random.Random:
-    # Mix r into the stream deterministically (ints hash stably).
-    return random.Random(seed * 0x9E3779B9 + 131 * r.numerator + r.denominator)
-
-
 def _divide_univariate(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
     """Quotient and remainder of exact univariate division (ascending coeffs, den[-1] != 0)."""
     quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
@@ -636,16 +619,17 @@ def _divide_univariate(num: Sequence[Fraction], den: Sequence[Fraction]) -> tupl
 
 
 class _Certificate:
-    """Sample grid, seeded stream and exact residual of one certificate run.
+    """Sample grid, held-out draws, sextic sections and exact residual of one certificate run.
 
-    Construction validates r and draws the grid offsets; every held-out
-    draw then replays the stream from that point, so each conclusion or
-    failure report draws what a fresh run draws.  With
-    ``mutate`` the sextic is :func:`mutated_sextic`, its coefficients
-    cleared once per certificate.  One cleared-integer residual Res - E C,
-    :meth:`residuals`, serves both the held-out check of a fitted cofactor
-    and the report of a section that does not divide; it and
-    :meth:`sextic_section` take every exact point value by
+    Construction validates r and builds every fixed input once: from one
+    generator seeded by ``seed`` and r it draws the grid offsets and then
+    the 128 held-out coordinates ``draws``, and it takes the sextic section
+    E(u, y^2, r) of each section y, coefficients ascending in u, into
+    ``sections``.  With ``mutate`` the sextic is :func:`mutated_sextic`,
+    its coefficients cleared once per certificate.  One cleared-integer
+    residual Res - E C, :meth:`residuals`, serves both the held-out check
+    of a fitted cofactor and the report of a section that does not divide;
+    it and the sections take every exact point value by
     :func:`_evaluate_cleared`.
     """
 
@@ -655,44 +639,36 @@ class _Certificate:
             raise ValueError("r = 0: the elimination system degenerates")
 
         self.r, self.seed = r, seed
-        rng = _certificate_rng(r, seed)
-        sextic = mutated_sextic() if mutate else sextic_polynomial()
-        self.sextic_terms, self.sextic_scale = _cleared_terms(sextic.terms)
-        self.sextic_degrees = _degrees((self.sextic_terms,), 3)
-        # The sextic's terms in (u, v, r) by their power of u: evaluated at
-        # u = 1, row i is the coefficient of u^i.
-        self.sextic_rows = [
-            {expo: c for expo, c in self.sextic_terms.items() if expo[0] == i}
-            for i in range(self.sextic_degrees[0] + 1)
-        ]
-
+        # Mix r into the seed deterministically (ints hash stably).
+        rng = random.Random(seed * 0x9E3779B9 + 131 * r.numerator + r.denominator)
         xs_count = _DEGREE_BOUND + 9
         ys_count = _DEGREE_BOUND + 1
-
         den_x = rng.choice((7, 11, 13))
         den_y = rng.choice((7, 11, 13))
         off_x = Fraction(rng.randrange(1, den_x), den_x)
         off_y = Fraction(rng.randrange(1, den_y), den_y)
+        # Rationals n/d with |n|, d < 1000: conclude pairs them into the
+        # held-out points, and a section failure takes the first 8 as abscissae.
+        self.draws = [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(2 * _HOLDOUT)]
         # The distinct |x| of the xs_count abscissae (an odd count), and the
         # nodes u = x^2 of the fit.
         self.x_magnitudes = [Fraction(0)] + [k + off_x for k in range(xs_count // 2)]
         self.us = [x * x for x in self.x_magnitudes]
         self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
-        self.sample_count = xs_count * ys_count + _HOLDOUT
-        self.stream = rng.getstate()
 
-    def held_out(self, count: int) -> list:
-        """``count`` rationals n/d with |n|, d < 1000, from the stream as the grid draws left it."""
-        rng = random.Random()
-        rng.setstate(self.stream)
-        return [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(count)]
-
-    def sextic_section(self, y: Fraction) -> list:
-        """Coefficients (ascending in u) of E(u, y^2, r) for fixed y."""
-        sums, den = _evaluate_cleared(
-            self.sextic_rows, self.sextic_degrees, (Fraction(1), y * y, self.r)
-        )
-        return [Fraction(c, self.sextic_scale * den) for c in sums]
+        sextic = mutated_sextic() if mutate else sextic_polynomial()
+        self.sextic_terms, self.sextic_scale = _cleared_terms(sextic.terms)
+        self.sextic_degrees = _degrees((self.sextic_terms,), 3)
+        # The sextic's terms in (u, v, r) by their power of u: evaluated at
+        # u = 1, row i is the coefficient of u^i.
+        rows = [
+            {expo: c for expo, c in self.sextic_terms.items() if expo[0] == i}
+            for i in range(self.sextic_degrees[0] + 1)
+        ]
+        self.sections = []
+        for y in self.ys:
+            sums, den = _evaluate_cleared(rows, self.sextic_degrees, (Fraction(1), y * y, r))
+            self.sections.append([Fraction(c, self.sextic_scale * den) for c in sums])
 
     def residuals(self, terms: Mapping[tuple, Scalar], points) -> list:
         """``(x, y, Res - E C)`` at each point (x, y) where it is nonzero, C = sum c x^i y^j.
@@ -717,21 +693,11 @@ class _Certificate:
                 failures.append((x, y, Fraction(residual, res_den * den)))
         return failures
 
-    def report(self, **fields) -> ResultantReport:
-        return ResultantReport(
-            r=self.r,
-            degree_bound=_DEGREE_BOUND,
-            sample_count=self.sample_count,
-            seed=self.seed,
-            **fields,
-        )
-
     def conclude(self, terms: dict) -> ResultantReport:
         """Check the fitted cofactor at the exact held-out points; the only way to succeed."""
-        cofactor = ExactPoly(("x", "y"), terms)
-        total_degree = max(cofactor.degree(), 0)
-        points = self.held_out(2 * _HOLDOUT)
-        failures = self.residuals(cofactor.terms, zip(points[::2], points[1::2]))
+        cofactor = {key: c for key, c in terms.items() if c}
+        total_degree = max((i + j for i, j in cofactor), default=0)
+        failures = self.residuals(cofactor, zip(self.draws[::2], self.draws[1::2]))
 
         reason = None
         if total_degree > _DEGREE_BOUND:
@@ -743,8 +709,10 @@ class _Certificate:
             reason = f"{len(failures)} held-out residuals are nonzero"
 
         success = reason is None
-        return self.report(
+        return ResultantReport(
+            r=self.r,
             holdout_count=_HOLDOUT,
+            seed=self.seed,
             success=success,
             cofactor=cofactor if success else None,
             cofactor_total_degree=total_degree,
@@ -753,22 +721,26 @@ class _Certificate:
         )
 
 
-def _section_failure(cert: _Certificate, y: Fraction) -> ResultantReport:
-    """The report of a section y that does not divide modulo a prime, computed exactly.
+def _section_failure(cert: _Certificate, k: int) -> ResultantReport:
+    """The report of section k, which does not divide modulo a prime, computed exactly.
 
-    Res(x, y) is taken at the distinct |x|, interpolated in u = x^2 through
-    their squares and divided by the sextic section, and the residuals
-    Res - E Q of the quotient Q, the table {(2i, 0): q_i}, are taken at 8
-    held-out abscissae.  Every denominator and node difference is a unit
-    modulo that prime, so the exact remainder reduces to the modular one: it
-    is nonzero.  The report gives its degree in x.
+    Res(x, y_k) is taken at the distinct |x|, interpolated in u = x^2 through
+    their squares and divided by the sextic section ``cert.sections[k]``,
+    and the residuals Res - E Q of the quotient Q, the table
+    {(2i, 0): q_i}, are taken at the first 8 held-out draws as abscissae.
+    Every denominator and node difference is a unit modulo that prime, so
+    the exact remainder reduces to the modular one: it is nonzero.  The
+    report gives its degree in x.
     """
+    y = cert.ys[k]
     values = [Fraction(*_system_resultant(cert.r, x, y)) for x in cert.x_magnitudes]
-    quot, rem = _divide_univariate(_newton_interpolate(cert.us, values), cert.sextic_section(y))
+    quot, rem = _divide_univariate(_newton_interpolate(cert.us, values), cert.sections[k])
     quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
-    failures = cert.residuals(quotient, [(x, y) for x in cert.held_out(8)])
-    return cert.report(
+    failures = cert.residuals(quotient, [(x, y) for x in cert.draws[:8]])
+    return ResultantReport(
+        r=cert.r,
         holdout_count=8,
+        seed=cert.seed,
         success=False,
         holdout_failures=failures,
         failure_reason=(
@@ -818,13 +790,15 @@ def verify_sextic_resultant_identity(
 
     Success across several independent r values establishes the divisibility
     claimed for the boundary curve; the cofactor collects the extraneous
-    factors of the non-monic elimination.  Grid offsets and held-out samples
-    are drawn from a generator seeded by ``seed`` (and r), so reports are
-    bit-reproducible.  Sample coordinates are rationals with numerator and
-    denominator bounded by 1000.  ``mutate`` certifies
-    :func:`mutated_sextic` instead, a self-test that must fail.  Each report
-    records the grid's degree bound, 28, and 1137 samples: the 37 x 29 grid
-    points, whose values at -x the evenness supplies, and 64 held out.
+    factors of the non-monic elimination.  The grid offsets and then the
+    held-out coordinates are drawn once, at the start, from a generator
+    seeded by ``seed`` (and r), so reports are bit-reproducible; a failing
+    section's residuals are taken at the first 8 of those coordinates.
+    Sample coordinates are rationals with numerator and denominator bounded
+    by 1000.  ``mutate`` certifies :func:`mutated_sextic` instead, a
+    self-test that must fail.  Each report records the grid's degree bound,
+    28, and 1137 samples: the 37 x 29 grid points, whose values at -x the
+    evenness supplies, and 64 held out.
     """
     cert = _Certificate(r, seed, mutate)
     concluded = report = None
@@ -979,8 +953,8 @@ def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
 
 def _system_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> np.ndarray:
     """Every coefficient of the system at every grid point (y, x), modulo p: shape (20, ny, nx)."""
-    terms = _system_terms()
-    top = max(_system_degrees()[1:])
+    terms, degrees, _ = _system()
+    top = max(degrees[1:])
     xpow = [np.ones(len(xs), np.int64), np.array(xs, np.int64)]
     ypow = [np.ones(len(ys), np.int64), np.array(ys, np.int64)]
     while len(xpow) <= top:
@@ -1004,7 +978,7 @@ def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
     with m = 10, n = 8 and lc(f) = -r^2, Res = (-1)^(m(m-1)/2) det B / lc(f)^(m-n)
     = -det B / r^4, so r must be a unit modulo p.
     """
-    f, g = _split_system(list(coeffs.reshape(len(coeffs), -1)))
+    f, g = np.split(coeffs.reshape(len(coeffs), -1), [_system()[2]])
     m, n = len(f) - 1, len(g) - 1
     det = _determinants_mod(np.array(_bezout_matrix(f, g, p)), p)
     # lc(f) = -r^2 at every point, so lc(f)^(m - n) is one scalar to invert.
@@ -1015,22 +989,22 @@ def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
 
 
 class _Indivisible(ArithmeticError):
-    """Raised with the y of a sextic section that leaves a nonzero remainder modulo a prime."""
+    """Raised with the index k of the section y_k that leaves a nonzero remainder modulo a prime."""
 
 
-def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
+def _cofactor_mod(cert: _Certificate, p: int) -> np.ndarray:
     """Cofactor coefficients [i, j] of u^i y^j, u = x^2, modulo p, in one pass over the grid.
 
     The resultants are taken at the distinct |x| of every section; each
     section is interpolated in u through their squares and divided by its
-    sextic section, and :class:`_Indivisible` names the first section that
-    does not divide.
+    sextic section in ``cert.sections``, and :class:`_Indivisible` carries
+    the index of the first section that does not divide.
     """
     ys = [_residue(y, p) for y in cert.ys]
     magnitudes = [_residue(x, p) for x in cert.x_magnitudes]
     coeffs = _system_values_mod(_residue(cert.r, p), magnitudes, ys, p)
     rem = _newton_mod(_resultants_mod(coeffs, p), [_residue(u, p) for u in cert.us], p)
-    den = np.array([[_residue(c, p) for c in s] for s in sections], np.int64)
+    den = np.array([[_residue(c, p) for c in s] for s in cert.sections], np.int64)
     width = den.shape[1]
     if not den[:, -1].all():
         raise ZeroDivisionError("a sextic section's leading coefficient is 0 modulo p")
@@ -1042,7 +1016,7 @@ def _cofactor_mod(cert: _Certificate, sections: list, p: int) -> np.ndarray:
         rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * den % p) % p
     failing = np.flatnonzero(rem.any(axis=1))
     if failing.size:
-        raise _Indivisible(cert.ys[failing[0]])
+        raise _Indivisible(int(failing[0]))
     return _newton_mod(quot.T, ys, p)
 
 
@@ -1058,7 +1032,6 @@ def _settled_fits(cert: _Certificate):
     Raises :class:`_Indivisible` at the first section that does not divide
     modulo a prime.
     """
-    sections = [cert.sextic_section(y) for y in cert.ys]
     # Every denominator must be a unit modulo p, and so must every leading
     # coefficient: the exact division divides by it, and the Bezout
     # resultants divide by lc(f)^2 = r^4.  The interpolation divides by the
@@ -1072,8 +1045,8 @@ def _settled_fits(cert: _Certificate):
         scaled = [s.numerator * (den // s.denominator) for s in samples]
         avoid.append(den)
         avoid += {a - b for a, b in itertools.combinations(scaled, 2)}
-    avoid += [c.denominator for s in sections for c in s]
-    avoid += [s[-1].numerator for s in sections]
+    avoid += [c.denominator for s in cert.sections for c in s]
+    avoid += [s[-1].numerator for s in cert.sections]
 
     combined: list = []
     modulus = 1
@@ -1081,7 +1054,7 @@ def _settled_fits(cert: _Certificate):
     for p in _primes():
         if any(d % p == 0 for d in avoid):
             continue
-        residues = _cofactor_mod(cert, sections, p)
+        residues = _cofactor_mod(cert, p)
         flat = residues.ravel().tolist()
         # The fit has settled when each coefficient n/d reconstructed modulo
         # M has d a unit modulo p and n = d a (mod p), a the new residue.

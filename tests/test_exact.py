@@ -82,6 +82,30 @@ def test_exponent_mismatch_rejected():
         exact.ExactPoly(("x",), {(1, 2): 1})
 
 
+def _assign_terms(poly):
+    poly.terms = {}
+
+
+X, Y = exact.ExactPoly.generators(("x",))[0], exact.ExactPoly.generators(("y",))[0]
+REFUSALS = {
+    "negative_exponent": (lambda: exact.ExactPoly(("x",), {(-1,): 1}), ValueError),
+    "variable_mismatch": (lambda: X + Y, ValueError),
+    "negative_power": (lambda: X**-1, ValueError),
+    "fractional_power": (lambda: X**1.5, ValueError),
+    "attribute_assignment": (lambda: _assign_terms(X), AttributeError),
+    "missing_assignment": (lambda: (X * X).evaluate({"y": 1}), ValueError),
+    "float_coefficient": (lambda: exact.ExactPoly(("x",), {(1,): 0.5}), TypeError),
+    "zero_leading_coefficient": (lambda: exact.resultant([0, 1, 2], [1, 3]), ValueError),
+    "bezout_deg_f_below_deg_g": (lambda: exact._bezout_matrix([1, 2], [1, 2, 3]), ValueError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
+def test_the_exact_layer_refuses_what_it_cannot_represent(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Transcriptions
 # ---------------------------------------------------------------------------
@@ -516,7 +540,9 @@ def test_the_system_at_x_zero_matches_the_sylvester_reference(r, y):
     # At x = 0 both polynomials are in t^2 only, so every remainder drops by
     # 2 or more degrees; the certificate's section reports take Res there.
     point = {"r": r, "x": Q(0), "y": y}
-    f, g = ([c.evaluate(point) for c in coeffs] for coeffs in exact._system_coefficients())
+    terms, _, split = exact._system()
+    values = [exact.ExactPoly(("r", "x", "y"), t).evaluate(point) for t in terms]
+    f, g = values[:split], values[split:]
     assert not any(f[1::2]) and not any(g[1::2])
     assert exact.resultant(f, g) == sylvester_resultant(f, g) == resultant_at(r, 0, y) != 0
 
@@ -562,10 +588,10 @@ def test_certificate_succeeds_at_half():
     report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
     assert report.success
     assert not report.holdout_failures
-    assert report.cofactor.terms
+    assert report.cofactor
     assert report.cofactor_total_degree <= 28
     # sample budget: at least 25% beyond the fitting-space dimension
-    assert report.sample_count >= (29 * 30 // 2) * 5 // 4
+    assert report.to_json_dict()["sample_count"] >= (29 * 30 // 2) * 5 // 4
 
 
 def test_certificate_cofactor_degree_stable_across_radii():
@@ -627,11 +653,10 @@ def _exact_route(r, seed, mutate=False):
     xs = [-x for x in reversed(cert.x_magnitudes[1:])] + cert.x_magnitudes
     assert len(xs) == len(set(xs)) == bound + 9
     section_quotients = []
-    for y in cert.ys:
+    for y, in_u in zip(cert.ys, cert.sections):
         values = [resultant_at(cert.r, x, y) for x in xs]
         res_section = exact._newton_interpolate(xs, values)
         # E(x^2, y^2, r) in x: the coefficient of u^i at x^(2i).
-        in_u = cert.sextic_section(y)
         in_x = [Q(0)] * (2 * len(in_u) - 1)
         in_x[::2] = in_u
         quot, rem = exact._divide_univariate(res_section, in_x)
@@ -640,12 +665,14 @@ def _exact_route(r, seed, mutate=False):
             # report residuals of the divided quotient at held-out abscissae.
             quotient = exact.ExactPoly(("x",), {(i,): c for i, c in enumerate(quot)})
             failures = []
-            for xh in cert.held_out(8):
+            for xh in cert.draws[:8]:
                 quot_h = quotient.evaluate({"x": xh})
                 sextic_h = sextic.evaluate({"u": xh * xh, "v": y * y, "r": cert.r})
                 failures.append((xh, y, resultant_at(cert.r, xh, y) - sextic_h * quot_h))
-            return cert.report(
+            return exact.ResultantReport(
+                r=cert.r,
                 holdout_count=len(failures),
+                seed=cert.seed,
                 success=False,
                 holdout_failures=[f for f in failures if f[2] != 0],
                 failure_reason=(
@@ -698,7 +725,7 @@ def test_a_section_failure_is_the_one_the_exact_route_reports(monkeypatch, r, bo
     fast = exact.verify_sextic_resultant_identity(r, seed, mutate)
     assert not fast.success and fast.failure_reason.startswith("fitting system inconsistent")
     assert fast.to_json_dict() == _exact_route(r, seed, mutate).to_json_dict()
-    assert fast.degree_bound == bound
+    assert fast.to_json_dict()["degree_bound"] == bound
 
 
 def _recorded_determinant_counts(monkeypatch):
@@ -715,8 +742,7 @@ def test_one_prime_takes_the_determinants_at_the_distinct_abscissae_only(monkeyp
     # Res is even in x: 19 distinct |x| per section, 29 sections, in one call per prime.
     calls = _recorded_determinant_counts(monkeypatch)
     cert = exact._Certificate(Q(1, 2), 1)
-    sections = [cert.sextic_section(y) for y in cert.ys]
-    exact._cofactor_mod(cert, sections, PRIMES[0])
+    exact._cofactor_mod(cert, PRIMES[0])
     assert calls == [19 * 29] == [551]
 
 
@@ -732,7 +758,7 @@ def test_a_failing_section_ends_the_modular_fit_at_the_first_prime(monkeypatch):
         with pytest.raises(exact._Indivisible) as failure:
             next(exact._settled_fits(cert))
         assert calls == [551] and len(primes) == 1
-        assert failure.value.args[0] == cert.ys[0]
+        assert cert.ys[failure.value.args[0]] == cert.ys[0]
 
 
 def _recorded_primes(monkeypatch):
@@ -740,7 +766,7 @@ def _recorded_primes(monkeypatch):
     primes = []
     cofactor_mod = exact._cofactor_mod
     monkeypatch.setattr(
-        exact, "_cofactor_mod", lambda cert, sections, p: primes.append(p) or cofactor_mod(cert, sections, p)
+        exact, "_cofactor_mod", lambda cert, p: primes.append(p) or cofactor_mod(cert, p)
     )
     return primes
 
@@ -776,7 +802,9 @@ def test_a_rejected_fit_that_settles_again_on_the_same_terms_stands(monkeypatch)
 
     def rejected(cert, terms):
         concluded.append(terms)
-        return cert.report(holdout_count=exact._HOLDOUT, success=False, failure_reason="rejected")
+        return exact.ResultantReport(
+            r=cert.r, holdout_count=exact._HOLDOUT, seed=cert.seed, success=False, failure_reason="rejected"
+        )
 
     monkeypatch.setattr(exact._Certificate, "conclude", rejected)
     # A bounded supply of primes turns a run that would not stop into a failure.
@@ -787,7 +815,7 @@ def test_a_rejected_fit_that_settles_again_on_the_same_terms_stands(monkeypatch)
     # One more prime settles on the same terms, which are not concluded again.
     assert len(primes) == settled + 1
     assert len(concluded) == 1
-    assert exact.ExactPoly(("x", "y"), concluded[0]) == clean.cofactor
+    assert exact.ExactPoly(("x", "y"), concluded[0]).terms == clean.cofactor
 
 
 def test_primes_on_demand_start_with_the_old_table():
@@ -830,8 +858,7 @@ def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
         exact, "_resultants_mod", lambda coeffs, p: calls.append(resultants(coeffs, p)) or calls[-1]
     )
     p = PRIMES[0]
-    sections = [cert.sextic_section(y) for y in cert.ys]
-    assert exact._cofactor_mod(cert, sections, p) is not None
+    assert exact._cofactor_mod(cert, p) is not None
     (values,) = calls
     assert values.shape == (len(cert.ys), len(cert.x_magnitudes)) == (29, 19)
     # At every section and distinct |x|, each value is the exact resultant there.
@@ -886,8 +913,8 @@ def test_the_fixed_grid_covers_the_proven_degrees():
         # The nodes are the squares of the 19 distinct |x| of 37 abscissae symmetric about 0.
         assert cert.x_magnitudes == sorted(set(cert.x_magnitudes)) and cert.x_magnitudes[0] == 0
         assert cert.us == [x * x for x in cert.x_magnitudes]
-    report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
-    assert (report.degree_bound, report.sample_count) == (28, 37 * 29 + exact._HOLDOUT) == (28, 1137)
+    record = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1).to_json_dict()
+    assert (record["degree_bound"], record["sample_count"]) == (28, 37 * 29 + exact._HOLDOUT) == (28, 1137)
 
 
 def _settled_by_rereconstruction(sequence):
@@ -927,8 +954,8 @@ def test_modular_fit_stops_where_rereconstruction_stops(monkeypatch, r):
     sequence = []
     cofactor_mod = exact._cofactor_mod
 
-    def recorded(cert, sections, p):
-        sequence.append((p, cofactor_mod(cert, sections, p)))
+    def recorded(cert, p):
+        sequence.append((p, cofactor_mod(cert, p)))
         return sequence[-1][1]
 
     monkeypatch.setattr(exact, "_cofactor_mod", recorded)
@@ -973,12 +1000,14 @@ def _cleared_value(poly, point):
 def test_cleared_evaluator_matches_the_reference_on_the_system_coefficients():
     values = _rationals(11, 24)
     rng = random.Random(12)
-    up = [c for coeffs in exact._system_coefficients() for c in coeffs]
-    f_count = len(exact._system_coefficients()[0])
-    assert [c.terms for c in up] == list(exact._system_terms())
+    first, second = exact.envelope_system()
+    up = [c for p in (first, second) for c in reversed(p.univariate_coefficients("t"))]
+    terms, degrees, f_count = exact._system()
+    assert f_count == len(first.univariate_coefficients("t")) == 11
+    assert [c.terms for c in up] == list(terms)
     for _ in range(60):
         point = tuple(rng.choice(values) for _ in range(3))
-        sums, den = exact._evaluate_cleared(exact._system_terms(), exact._system_degrees(), point)
+        sums, den = exact._evaluate_cleared(terms, degrees, point)
         want = [fraction_evaluate(c.terms, point) for c in up]
         assert [Q(s, den) for s in sums] == want
         assert [c.evaluate(dict(zip(("r", "x", "y"), point))) for c in up] == want
@@ -993,12 +1022,13 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
     values = _rationals(13, 16)
     for r in (Q(1, 2), Q(-998, 997), Q(1000), Q(7)):
         cert = exact._Certificate(r, 1, mutated)
-        for x in values:
+        for y, section in zip(cert.ys, cert.sections):
             want_section = []
             for i in range(sextic.degree("u") + 1):
                 row = {e: c for e, c in sextic.terms.items() if e[0] == i}
-                want_section.append(fraction_evaluate(row, (1, x * x, r)))
-            assert cert.sextic_section(x) == want_section
+                want_section.append(fraction_evaluate(row, (1, y * y, r)))
+            assert section == want_section
+        for x in values:
             for y in values[::3]:
                 want = fraction_evaluate(sextic.terms, (x * x, y * y, r))
                 assert sextic.evaluate({"u": x * x, "v": y * y, "r": r}) == want
@@ -1006,22 +1036,24 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
 
 
 def test_cleared_evaluator_matches_the_reference_on_a_fitted_cofactor():
-    cofactor = exact.verify_sextic_resultant_identity(Q(355, 113), seed=2).cofactor
-    assert any(c.denominator > 1 for c in cofactor.terms.values())
+    terms = exact.verify_sextic_resultant_identity(Q(355, 113), seed=2).cofactor
+    cofactor = exact.ExactPoly(("x", "y"), terms)
+    assert any(c.denominator > 1 for c in terms.values())
     values = _rationals(14, 20)
     for x in values:
         for y in values[::2]:
-            want = fraction_evaluate(cofactor.terms, (x, y))
+            want = fraction_evaluate(terms, (x, y))
             assert _cleared_value(cofactor, (x, y)) == want
             assert cofactor.evaluate({"x": x, "y": y}) == want
 
 
 def _reference_residuals(r, sextic, terms, points):
     """(x, y, Res - E C) at each point where it is nonzero, over Fraction reference values."""
-    up = exact._system_coefficients()
+    system, _, split = exact._system()
     failures = []
     for x, y in points:
-        f, g = ([fraction_evaluate(c.terms, (r, x, y)) for c in coeffs] for coeffs in up)
+        values = [fraction_evaluate(c, (r, x, y)) for c in system]
+        f, g = values[:split], values[split:]
         residual = exact.resultant(f, g) - fraction_evaluate(
             sextic.terms, (x * x, y * y, r)
         ) * fraction_evaluate(terms, (x, y))
@@ -1032,9 +1064,7 @@ def _reference_residuals(r, sextic, terms, points):
 
 def _reference_failures(cert, terms):
     """conclude's held-out loop over Fraction reference values."""
-    rng = random.Random()
-    rng.setstate(cert.stream)
-    draws = [Q(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(2 * exact._HOLDOUT)]
+    draws = cert.draws
     return _reference_residuals(cert.r, exact.sextic_polynomial(), terms, zip(draws[::2], draws[1::2]))
 
 
@@ -1052,6 +1082,10 @@ def test_a_perturbed_cofactor_fails_at_the_reference_points(r, key, delta):
     assert not report.success
     assert report.holdout_failures == want
     assert report.failure_reason == "64 held-out residuals are nonzero"
+    # The text report lists the first 10 residuals and counts the rest.
+    lines = report.to_text().split("\n")
+    assert [line.startswith("    nonzero residual at (") for line in lines[-11:]] == [True] * 10 + [False]
+    assert lines[-1] == "    ... 54 more"
 
 
 @pytest.mark.parametrize("r", [Q(1, 2), Q(-998, 997)], ids=str)
@@ -1072,7 +1106,7 @@ def test_residuals_match_the_fraction_reference(r):
     mutated = exact._Certificate(r, 1, mutate=True)
     y = mutated.ys[0]
     values = [resultant_at(r, x, y) for x in mutated.x_magnitudes]
-    quot, rem = exact._divide_univariate(exact._newton_interpolate(mutated.us, values), mutated.sextic_section(y))
+    quot, rem = exact._divide_univariate(exact._newton_interpolate(mutated.us, values), mutated.sections[0])
     assert rem
     quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
     points = [(x, y) for x in xs] + points
@@ -1087,7 +1121,7 @@ def test_a_cofactor_above_the_degree_bound_fails_with_zero_residuals():
     cert = exact._Certificate(Q(1, 2), 1)
     terms = next(exact._settled_fits(cert))
     product = [Q(1)]  # ascending coefficients
-    for x in cert.held_out(2 * exact._HOLDOUT)[::2]:
+    for x in cert.draws[::2]:
         product = [a - x * b for a, b in zip([Q(0)] + product, product + [Q(0)])]
     raised = dict(terms)
     for i, c in enumerate(product):
@@ -1158,10 +1192,9 @@ def test_modular_division_refuses_a_sextic_section_leading_coefficient_of_zero_m
     # _settled_fits skips such primes; the division must not divide by 0.
     p = PRIMES[0]
     cert = exact._Certificate(Q(1, 2), 1)
-    sections = [cert.sextic_section(y) for y in cert.ys]
-    sections[5][-1] = Q(p)
+    cert.sections[5][-1] = Q(p)
     with pytest.raises(ZeroDivisionError):
-        exact._cofactor_mod(cert, sections, p)
+        exact._cofactor_mod(cert, p)
 
 
 def test_rational_reconstruction_round_trips():
@@ -1211,7 +1244,7 @@ def test_certified_cofactor_proves_the_identity_at_half_on_a_tensor_grid():
     # polynomial that vanishes on 29 x 21 distinct nodes is zero: Res = E C
     # holds in Q[x, y], not only at sample points.
     r = Q(1, 2)
-    cofactor = exact.verify_sextic_resultant_identity(r, seed=1).cofactor
+    cofactor = exact.ExactPoly(("x", "y"), exact.verify_sextic_resultant_identity(r, seed=1).cofactor)
     assert cofactor.degree("x") <= 20 and cofactor.degree("y") <= 14
     sextic, mutated = exact.sextic_polynomial(), exact.mutated_sextic()
     failing, off_axis = [], []

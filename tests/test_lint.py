@@ -1,7 +1,8 @@
 """Source hygiene: no module in src/fnr or tests imports a name it never uses,
 every private top-level name of src/fnr is used inside src/fnr, every name in
 an ``__all__`` of src/fnr is used in src/fnr, scripts/ or perfbench/, every
-method of a class of src/fnr without bases is used in src/fnr, one
+method and every instance attribute of a class of src/fnr without bases
+is used in src/fnr, one
 function of src/fnr writes every output file, no cache in src/fnr keeps
 results across calls, and no route imports another route's transcriptions."""
 
@@ -375,6 +376,63 @@ def test_method_scan_flags_only_methods_no_source_loads():
     ]
     # A load in a source that is left out of the scan does not count.
     assert ("a.py", 4, "Plain.used") in unloaded_methods({"a.py": sources["a.py"]})
+
+
+def unloaded_attributes(sources: dict) -> list:
+    """(path, line, "Class.attribute") of each instance attribute of a class without bases that no source loads.
+
+    An instance attribute is a ``self.<name>`` that a method of the class
+    assigns, alone or inside a tuple target; it counts as loaded when any of
+    ``sources`` loads its name as an attribute or a bare name.  State kept
+    only for the tests to read is flagged.
+    """
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    used = set().union(*map(loaded_names, trees.values()))
+    return sorted({
+        (path, item.lineno, f"{node.name}.{item.attr}")
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and not node.bases
+        for item in ast.walk(node)
+        if isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store)
+        and isinstance(item.value, ast.Name) and item.value.id == "self"
+        and item.attr not in used
+    })
+
+
+def test_every_attribute_of_a_class_without_bases_is_loaded_in_src():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "src" / "fnr").glob("*.py"))
+    }
+    assert unloaded_attributes(sources) == []
+
+
+def test_attribute_scan_flags_only_attributes_no_source_loads():
+    sources = {
+        "a.py": (
+            "class Plain:\n"
+            "    def __init__(self, other):\n"
+            "        self.read, self.kept_for_tests = 1, 2\n"
+            "        self.also_read = self.read\n"
+            "        self.annotated: int = 3\n"
+            "        other.elsewhere = 4\n"
+            "        object.__setattr__(self, 'hidden', 5)\n"
+            "    def grow(self):\n"
+            "        [self.listed, self.read] = [6, 7]\n"
+            "class Derived(Exception):\n"
+            "    def __init__(self):\n"
+            "        self.unread = 8\n"
+        ),
+        "b.py": "import a\nprint(a.Plain(None).also_read)\n",
+    }
+    assert unloaded_attributes(sources) == [
+        ("a.py", 3, "Plain.kept_for_tests"),
+        ("a.py", 5, "Plain.annotated"),
+        ("a.py", 9, "Plain.listed"),
+    ]
+    # A load in a source that is left out of the scan does not count.
+    assert ("a.py", 4, "Plain.also_read") in unloaded_attributes({"a.py": sources["a.py"]})
 
 
 def sibling_imports(source: str) -> list:

@@ -713,6 +713,28 @@ def test_verify_rejects_a_radius_lost_next_to_one(tmp_path, capsys, argv, named)
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["--r", "3e8"], "300000000.0"), (["--r", "1e16"], "1e+16"), (["--a", "2e9,0"], "1000000000.0")],
+)
+def test_verify_rejects_a_radius_whose_switching_cosine_rounds_to_zero(tmp_path, capsys, argv, named):
+    # The sweeps would find no sextic point, and from r = 1e16 the comparison
+    # ellipse's axes 1 + r and sqrt(1 + r^2) round to one double.
+    assert main(["verify", *argv, "--N", "10", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("fnr: ") and err.count("\n") == 1 and named in err
+    assert "switching cosine" in err and out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_verify_still_names_its_failing_checks_just_below_that_radius(tmp_path, capsys):
+    # switching_cosine(1e8) is 7.45e-9, 25% off but nonzero: the checks run.
+    assert main(["verify", "--r", "1e8", "--N", "10", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fnr: checks failed: ") and err.count("\n") == 1
+    assert (tmp_path / "verify.json").is_file()
+
+
 # ---------------------------------------------------------------------------
 # Flags per command
 # ---------------------------------------------------------------------------
@@ -811,12 +833,17 @@ def test_a_count_above_its_bound_is_rejected_before_any_work(tmp_path, capsys, c
         ["resultant", "--seed", "abc"],
         ["support-lines", "--samples", "abc"],
         [],
+        ["resultant", "--r", "abc"],
+        ["boundary", "--r", "abc"],
+        ["verify", "--r", "1/0"],
+        ["verify", "--a", "1"],
+        ["verify", "--a", "x,1"],
     ],
 )
 def test_parser_errors_are_returned_usage_errors(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)] if argv else argv) == 2  # not SystemExit
     out, err = capsys.readouterr()
-    assert err.startswith("fnr: ") and "usage:" not in err
+    assert err.startswith("fnr: ") and err.count("\n") == 1 and "usage:" not in err
     assert out == ""
     assert not any(tmp_path.iterdir())
 
