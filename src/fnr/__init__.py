@@ -9,8 +9,8 @@ Three independent routes to the same convex region, cross-validated:
   approach the support function from below, plus the underlying
   singularity condition, solved sample by sample on the circle;
 * :mod:`fnr.exact` -- exact rational arithmetic reproducing the elimination
-  that produces the sextic, certified by interpolation with held-out
-  validation.
+  that produces the sextic, certified against the resultant's closed-form
+  cofactor with exact held-out validation.
 
 Each public name is imported from the module that defines it, as in
 ``from fnr.boundary import support_function``.

@@ -7,9 +7,10 @@
 
 ``verify`` runs one fixed suite: its angle grids, sample counts and bounds
 belong to the checks (``fnr.checks``), and the certificate runs only under
-``resultant``, on exact radii.  The certificate samples one fixed grid at
-every radius (``fnr.exact``), so ``resultant`` takes no size setting; its
-reports record the grid's degree bound, 28.
+``resultant``, on exact radii.  The certificate's grid is fixed at every
+radius and sampled only when the held-out check fails (``fnr.exact``), so
+``resultant`` takes no size setting; its reports record the grid's degree
+bound, 28.
 
 The figures depend on the coupling a only through r = |a|/2, so they take
 ``--r`` alone and always write both files; ``verify`` builds its truncations

@@ -10,49 +10,40 @@ envelope of the supporting-line family.  This module holds
   * the verbatim transcriptions of the elimination system
     (:func:`envelope_system`) and of the sextic (:func:`sextic_polynomial`),
   * exact resultants by the subresultant remainder sequence
-    (:func:`resultant`), and resultants modulo primes from the Bezout
-    matrix: for deg f = m >= deg g = n it is m x m where the Sylvester
-    matrix is (m+n) x (m+n), and
-    det Bez(f, g) = (-1)^(m(m-1)/2) lc(f)^(m-n) Res(f, g); the elimination
-    system has m = 10, n = 8 and lc(f) = -r^2, so Res = -det Bez / r^4;
-  * :func:`verify_sextic_resultant_identity` -- an evaluation/interpolation
-    certificate that the sextic divides the resultant of the elimination
-    system, with exact held-out validation.
+    (:func:`resultant`),
+  * :func:`verify_sextic_resultant_identity` -- a certificate that the
+    sextic divides the resultant of the elimination system, with exact
+    held-out validation.
 
-The certificate fits its cofactor multi-modularly (Collins, J. ACM 18,
-1971): modulo one 31-bit prime after another, drawn on demand, one pass of
-int64 numpy arrays takes the Bezout determinants of all 29 sections, their
-Newton interpolation and their exact division by the sextic sections.  Res
-and the sextic are even in x, so each section is fitted in u = x^2: the 551
-determinants of a prime are taken at the 19 distinct |x| of the 37
-abscissae, symmetric about 0, and interpolated through their squares.  The
-cofactor's rational coefficients come back by the Chinese remainder theorem
-and rational reconstruction, with no bound on the height of r.  The fit is
-only a candidate: the held-out check in exact cleared-integer arithmetic is
-the sole judge of success.  A section that does not divide modulo a prime
-is recomputed exactly, that section alone, so failure reports are exact
-too.  A certificate builds its grid, its held-out draws and its sextic
-sections once, at the start.  The held-out check and that report take one residual, Res - E C as
-one integer cross-difference (:meth:`_Certificate.residuals`), from values
-that are integer sums over known denominators (:func:`_evaluate_cleared`).
+The resultant is known in closed form: Res_t(f, g) = 2^40 r^8 (x^2 + y^2)^4
+E(x^2, y^2, r)^2 in Z[r, x, y], for the sextic E.  So the certificate takes
+the cofactor C = 2^40 r^8 (x^2 + y^2)^4 E of Res = E C as its candidate,
+built from the sextic under test, and the held-out check in exact
+cleared-integer arithmetic is the sole judge of success.  When that check
+rejects the candidate, the certificate looks for a section y = y_k of its
+fixed grid along which the sextic does not divide Res, by exact
+interpolation and division, so failure reports are exact too.  A
+certificate builds its grid, its held-out draws and its sextic sections
+once, at the start.  The held-out check and the section report take one
+residual, Res - E C as one integer cross-difference
+(:meth:`_Certificate.residuals`), from values that are integer sums over
+known denominators (:func:`_evaluate_cleared`).
 
 Rationals are plain :class:`fractions.Fraction` values: arbitrary-precision
 numerator, positive denominator, always in lowest terms.  Polynomials are
 immutable and all operations are pure, so concurrent use is safe; the
-certificate's sample evaluations are independent of each other.
+certificate's sample evaluations are independent of each other.  The module
+imports only the standard library.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
-
-import numpy as np
 
 Scalar = Union[int, Fraction]
 
@@ -365,35 +356,6 @@ def mutated_sextic() -> ExactPoly:
 # ---------------------------------------------------------------------------
 
 
-def _bezout_matrix(f: Sequence, g: Sequence, p: int | None = None) -> list:
-    """Bezout matrix of f and g, given by descending coefficients with deg f >= deg g.
-
-    For m = deg f the matrix is m x m and symmetric, the coefficients of
-    (f(s) g(t) - f(t) g(s)) / (s - t) = sum B[i][j] s^i t^j.  With ascending
-    coefficients f_k and g_k (g padded with zeros to degree m), Barnett's
-    recurrence fills it: B[i][j] = B[i-1][j+1] + f_{j+1} g_i - f_i g_{j+1}
-    for j >= i.  Only the modular route takes it, on int64 residue arrays:
-    entries need only +, - and *, and with ``p`` every entry is reduced
-    modulo p, which keeps the arrays in [0, p) exact (each product is below
-    2^62).
-    """
-    m = len(f) - 1
-    if m < len(g) - 1:
-        raise ValueError("deg f must be at least deg g")
-    fa = list(f)[::-1]
-    ga = list(g)[::-1] + [0] * (m + 1 - len(g))
-    rows = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            entry = fa[j + 1] * ga[i] - fa[i] * ga[j + 1]
-            if i and j + 1 < m:
-                entry = entry + rows[i - 1][j + 1]
-            if p is not None:
-                entry %= p
-            rows[i][j] = rows[j][i] = entry
-    return rows
-
-
 def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
     """Resultant of two univariate polynomials given by descending coefficients.
 
@@ -463,11 +425,9 @@ def _system() -> tuple:
     """The elimination system's coefficients in (r, x, y) as ``(terms, degrees, split)``.
 
     ``terms`` holds one integer term table {(i, j, k): c} of c r^i x^j y^k
-    per coefficient, f's and then g's, each descending in t: the one table
-    that both the exact point values and the modular residues read.
-    ``degrees`` are its largest exponents of r, x and y, and f's 11
-    coefficients are ``terms[:split]``.  The degrees in t are 10 and 8, so
-    the Bezout matrix is 10 x 10 (the Sylvester matrix would be 18 x 18).
+    per coefficient, f's and then g's, each descending in t.  ``degrees``
+    are its largest exponents of r, x and y, and f's 11 coefficients are
+    ``terms[:split]``; the degrees in t are 10 and 8.
     """
     first, second = envelope_system()
     terms = tuple(c.terms for p in (first, second) for c in reversed(p.univariate_coefficients("t")))
@@ -516,11 +476,14 @@ def _newton_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list:
 
 @dataclass
 class ResultantReport:
-    """Outcome of the evaluation/interpolation divisibility certificate.
+    """Outcome of the divisibility certificate.
 
     ``cofactor`` is the certified cofactor's nonzero terms c x^i y^j as a
-    table {(i, j): c}, or None.  The grid's degree bound and sample count
-    are the same for every report, so only its renderings write them.
+    table {(i, j): c}, or None.  The renderings also write the grid's degree
+    bound, 28, and sample count, 1137, with the count's "fitting" share:
+    record values, the same for every report, that name the grid a failing
+    certificate samples its sections on (see ``_DEGREE_BOUND``), not work
+    done by one that succeeds.
     """
 
     r: Fraction
@@ -574,22 +537,22 @@ class ResultantReport:
         return "\n".join(lines)
 
 
-# Pseudo-random rational points at which the fitted identity is re-checked exactly.
+# Pseudo-random rational points at which the candidate identity is checked exactly.
 _HOLDOUT = 64
 
-# The certificate fits one sample grid at every r != 0, the grid a cofactor
-# of total degree at most 28 asks for.  Res has degree at most 28 in x and 20
-# in y (the degrees of the Sylvester entries prove it for every r) and is even
-# in x (below), so it has degree at most 14 in u = x^2.  E(u, v, r) has degree
-# exactly 4 in u and 3 in v at every r != 0: its u^4 coefficient is 1 + r^2
-# and its v^3 coefficient -16 r^4.  So C = Res / E has degree at most 10 in u
-# and 14 in y.  Each of 29 sections y_k is fitted through 19 nodes u and
-# divided by its sextic section into 15 quotient coefficients, so the grid
-# covers every proven degree:
-#   deg_u Res <= 14 < 19 nodes,  deg_y C <= 14 < 29 sections,
-#   deg_u C <= 10 < 15 quotient coefficients.
-# A fitted cofactor of total degree above 28 fails, and only the held-out
-# check can declare success.
+# The grid along whose sections a rejected candidate is scanned.  Res has
+# degree at most 28 in x at every r (every entry of the Sylvester matrix has
+# degree at most 2 in x, and none of its first two and last two columns
+# holds x) and is even in x (below), so it has degree at most 14 in u = x^2.
+# Each of the 29 sections y_k takes Res at 19 nodes u, and 14 < 19, so the
+# interpolant is Res(x, y_k) itself; E(u, v, r) has degree exactly 4 in u at
+# every r != 0 (its u^4 coefficient is 1 + r^2), so a nonzero remainder under
+# exact division by the sextic section E(u, y_k^2, r) proves that E does not
+# divide Res.  The bound also caps the total degree of a cofactor that the
+# held-out check accepts; the closed form has total degree 16.  The bound,
+# the 29 sections and the 37 x 29 + 64 = 1137 samples are record values that
+# every report writes: a certificate that succeeds evaluates Res at its 64
+# held-out points only.
 #
 # Res is even in x.  Every coefficient of the system depends on x only
 # through x^2 and x y, and x y multiplies exactly the odd powers of t, so
@@ -601,7 +564,7 @@ _HOLDOUT = 64
 # taken at the 19 distinct |x|, and the nodes are their squares.  Through the
 # symmetric abscissae the interpolant in x is the interpolant in u with x^2
 # put for u, and the division in x of polynomials in x^2 is the division in
-# u, so the fit and every report are those of a fit in x.
+# u, so every section report is that of a section in x.
 _DEGREE_BOUND = 28
 
 
@@ -628,8 +591,8 @@ class _Certificate:
     ``sections``.  With ``mutate`` the sextic is :func:`mutated_sextic`,
     its coefficients cleared once per certificate.  One cleared-integer
     residual Res - E C, :meth:`residuals`, serves both the held-out check
-    of a fitted cofactor and the report of a section that does not divide;
-    it and the sections take every exact point value by
+    of the :meth:`candidate` cofactor and the report of a section that does
+    not divide; it and the sections take every exact point value by
     :func:`_evaluate_cleared`.
     """
 
@@ -651,7 +614,7 @@ class _Certificate:
         # held-out points, and a section failure takes the first 8 as abscissae.
         self.draws = [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(2 * _HOLDOUT)]
         # The distinct |x| of the xs_count abscissae (an odd count), and the
-        # nodes u = x^2 of the fit.
+        # nodes u = x^2 of the section scan.
         self.x_magnitudes = [Fraction(0)] + [k + off_x for k in range(xs_count // 2)]
         self.us = [x * x for x in self.x_magnitudes]
         self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
@@ -669,6 +632,24 @@ class _Certificate:
         for y in self.ys:
             sums, den = _evaluate_cleared(rows, self.sextic_degrees, (Fraction(1), y * y, r))
             self.sections.append([Fraction(c, self.sextic_scale * den) for c in sums])
+
+    def candidate(self) -> dict:
+        """C = 2^40 r^8 (x^2 + y^2)^4 E(x^2, y^2, r) as a table {(i, j): c} of x^i y^j.
+
+        E is the certificate's sextic.  Res_t(f, g) = 2^40 r^8 (x^2 + y^2)^4 E^2
+        holds in Z[r, x, y] for the true sextic, so C is the cofactor of
+        Res = E C there; for any other E it is a candidate that the held-out
+        check rejects.
+        """
+        r = self.r
+        kappa = 2**40 * r**8 / self.sextic_scale
+        terms = {}
+        for (a, b, k), c in self.sextic_terms.items():
+            coefficient = kappa * c * r**k
+            for i in range(5):  # the terms of (x^2 + y^2)^4
+                key = (2 * (a + i), 2 * (b + 4 - i))
+                terms[key] = terms.get(key, 0) + math.comb(4, i) * coefficient
+        return terms
 
     def residuals(self, terms: Mapping[tuple, Scalar], points) -> list:
         """``(x, y, Res - E C)`` at each point (x, y) where it is nonzero, C = sum c x^i y^j.
@@ -694,7 +675,7 @@ class _Certificate:
         return failures
 
     def conclude(self, terms: dict) -> ResultantReport:
-        """Check the fitted cofactor at the exact held-out points; the only way to succeed."""
+        """Check a cofactor at the exact held-out points; the only way to succeed."""
         cofactor = {key: c for key, c in terms.items() if c}
         total_degree = max((i + j for i, j in cofactor), default=0)
         failures = self.residuals(cofactor, zip(self.draws[::2], self.draws[1::2]))
@@ -721,20 +702,15 @@ class _Certificate:
         )
 
 
-def _section_failure(cert: _Certificate, k: int) -> ResultantReport:
-    """The report of section k, which does not divide modulo a prime, computed exactly.
+def _section_failure(cert: _Certificate, y: Fraction, quot: list, rem: list) -> ResultantReport:
+    """The report of section y, along which the sextic section leaves the remainder ``rem``.
 
-    Res(x, y_k) is taken at the distinct |x|, interpolated in u = x^2 through
-    their squares and divided by the sextic section ``cert.sections[k]``,
-    and the residuals Res - E Q of the quotient Q, the table
-    {(2i, 0): q_i}, are taken at the first 8 held-out draws as abscissae.
-    Every denominator and node difference is a unit modulo that prime, so
-    the exact remainder reduces to the modular one: it is nonzero.  The
-    report gives its degree in x.
+    ``quot`` and ``rem`` are the exact quotient and remainder in u = x^2 of
+    the section's interpolant by its sextic section.  The residuals
+    Res - E Q of the quotient Q, the table {(2i, 0): q_i}, are taken at the
+    first 8 held-out draws as abscissae, and the report gives the
+    remainder's degree in x.
     """
-    y = cert.ys[k]
-    values = [Fraction(*_system_resultant(cert.r, x, y)) for x in cert.x_magnitudes]
-    quot, rem = _divide_univariate(_newton_interpolate(cert.us, values), cert.sections[k])
     quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
     failures = cert.residuals(quotient, [(x, y) for x in cert.draws[:8]])
     return ResultantReport(
@@ -757,334 +733,45 @@ def verify_sextic_resultant_identity(
 ) -> ResultantReport:
     """Certify that the sextic divides the eliminated resultant at fixed r.
 
-    For the given rational r, the resultant Res(x, y) of the elimination
-    system is sampled on one tensor grid of 37 abscissae, symmetric about 0,
-    by 29 shifted sections, fixed for every r and large enough for every
-    degree the elimination can have (the bounds and the symmetry are derived
-    next to ``_DEGREE_BOUND``):
-    along each horizontal section y = y_k the section polynomial Res(x, y_k),
-    even in x, is recovered in u = x^2 by Newton interpolation and divided
-    exactly by the sextic section E(u, y_k^2, r).  The section quotients are
-    interpolated across y into the cofactor C(x, y), and the identity
-    Res = E * C is re-verified exactly at 64 pseudo-random rational points;
-    every held-out residual must be exactly zero, and only that check can
-    declare success.  At each point Res, E and C are integers over known
-    denominators: power tables of the coordinates clear every term, the
-    integer coefficient vectors of the system go to :func:`resultant`'s
-    subresultant remainder sequence, and Res - E * C is one integer
-    cross-difference.
+    For the given rational r != 0 the cofactor candidate is the closed form
+    C = 2^40 r^8 (x^2 + y^2)^4 E(x^2, y^2, r), built from the sextic E under
+    test, and the identity Res = E * C for the resultant Res(x, y) of the
+    elimination system is checked exactly at 64 pseudo-random rational
+    points; every held-out residual must be exactly zero, and only that
+    check can declare success.  At each point Res, E and C are integers
+    over known denominators: power tables of the coordinates clear every
+    term, the integer coefficient vectors of the system go to
+    :func:`resultant`'s subresultant remainder sequence, and Res - E * C is
+    one integer cross-difference.
 
-    The fitting runs modulo one prime after another (Collins' multi-modular
-    method), with primes drawn on demand, so r may have any height: the
-    Bezout determinants, the interpolation and the section divisions are
-    int64 array arithmetic.  The 37 abscissae are 0 and 18 pairs +-x, and Res
-    is even in x, so each section takes its determinants at the 19 distinct
-    |x| only and is interpolated through their squares.  The residues are
-    joined by the Chinese remainder theorem, and each cofactor coefficient is
-    rationally reconstructed (Wang's bound) until one more prime leaves every
-    coefficient unchanged.
-    If the held-out check rejects that fit, primes are added until the
-    reconstruction settles again: on the same terms the rejection stands,
-    and new terms are checked afresh.  A section that does not divide modulo
-    a prime ends the run with that section's exact residuals.
+    When the check rejects the candidate, the 29 sections y = y_k of one
+    fixed grid are scanned in order.  Along each, Res(x, y_k), even in x, is
+    taken at the 19 distinct |x| of 37 abscissae symmetric about 0,
+    recovered in u = x^2 by Newton interpolation and divided exactly by the
+    sextic section E(u, y_k^2, r) (the bounds and the symmetry are derived
+    next to ``_DEGREE_BOUND``).  The first section that leaves a remainder
+    ends the run with that section's exact residuals at the first 8
+    held-out coordinates; if every section divides, the held-out report
+    stands.
 
     Success across several independent r values establishes the divisibility
     claimed for the boundary curve; the cofactor collects the extraneous
     factors of the non-monic elimination.  The grid offsets and then the
     held-out coordinates are drawn once, at the start, from a generator
-    seeded by ``seed`` (and r), so reports are bit-reproducible; a failing
-    section's residuals are taken at the first 8 of those coordinates.
-    Sample coordinates are rationals with numerator and denominator bounded
-    by 1000.  ``mutate`` certifies :func:`mutated_sextic` instead, a
-    self-test that must fail.  Each report records the grid's degree bound,
-    28, and 1137 samples: the 37 x 29 grid points, whose values at -x the
-    evenness supplies, and 64 held out.
+    seeded by ``seed`` (and r), so reports are bit-reproducible.  Sample
+    coordinates are rationals with numerator and denominator bounded by
+    1000.  ``mutate`` certifies :func:`mutated_sextic` instead, a self-test
+    that must fail.  Each report records the grid's degree bound, 28, and
+    1137 samples: the 37 x 29 grid points, whose values at -x the evenness
+    supplies, and 64 held out.  These are record values: a certificate that
+    succeeds evaluates Res at the 64 held-out points only.
     """
     cert = _Certificate(r, seed, mutate)
-    concluded = report = None
-    try:
-        for terms in _settled_fits(cert):
-            if terms == concluded:
-                break
-            report, concluded = cert.conclude(terms), terms
-            if report.success:
-                break
-    except _Indivisible as failure:
-        return _section_failure(cert, failure.args[0])
+    report = cert.conclude(cert.candidate())
+    if not report.success:
+        for y, section in zip(cert.ys, cert.sections):
+            values = [Fraction(*_system_resultant(cert.r, x, y)) for x in cert.x_magnitudes]
+            quot, rem = _divide_univariate(_newton_interpolate(cert.us, values), section)
+            if rem:
+                return _section_failure(cert, y, quot, rem)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Modular fitting
-# ---------------------------------------------------------------------------
-
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """Miller-Rabin's test of the odd n > a to the base a."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
-    x = pow(a, (n - 1) >> s, n)
-    if x == 1:
-        return True
-    for _ in range(s):
-        if x == n - 1:
-            return True
-        x = x * x % n
-    return False
-
-
-def _primes():
-    """The 31-bit primes in descending order, from 2^31 - 1 down.
-
-    A candidate is prime when it is a strong probable prime to the bases 2,
-    3, 5 and 7; the least composite that passes all four is 3215031751
-    (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980), so below 2^31
-    the test is exact.  Residues lie in [0, p), so a product of two residues,
-    and the difference of two such products, is below 2^62 in magnitude;
-    each is reduced modulo p before anything else is added to it, because
-    int64 wraps without warning.
-    """
-    for n in range(2**31 - 1, 2**30, -2):
-        if all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7)):
-            yield n
-
-
-def _residue(value: Fraction, p: int) -> int:
-    return value.numerator * pow(value.denominator, -1, p) % p
-
-
-def _inverse_mod(values: np.ndarray, p: int) -> np.ndarray:
-    """Inverses modulo the prime p by Fermat's little theorem (0 maps to 0)."""
-    result = np.ones_like(values)
-    base = values % p
-    exponent = p - 2
-    while exponent:
-        if exponent & 1:
-            result = result * base % p
-        base = base * base % p
-        exponent >>= 1
-    return result
-
-
-def _determinants_mod(matrices: np.ndarray, p: int) -> np.ndarray:
-    """Determinants modulo the prime p of square int64 matrices stacked along the last axis.
-
-    ``matrices`` has shape (n, n, count), entries in [0, p), and is
-    overwritten; entry [i, j] of every matrix is one contiguous row, so each
-    step runs over rows of length count.  Step k swaps the first row with a
-    nonzero entry in column k up to the diagonal, then replaces every lower
-    row by pivot * row - lead * pivot row.  That scales the determinant by
-    pivot^(rows below), a factor divided out once per matrix at the end; a
-    column with no nonzero entry gives determinant 0.
-    """
-    n, _, count = matrices.shape
-    m = matrices
-    negate = np.zeros(count, bool)
-    diagonal = np.ones(count, np.int64)  # product of the pivots so far
-    scale = np.ones(count, np.int64)  # product of pivot^(rows below)
-    work = np.empty((n - 1, n - 1, count), np.int64)
-    for k in range(n - 1):
-        first = np.argmax(m[k:, k] != 0, axis=0)
-        swap = np.flatnonzero(first)
-        if swap.size:
-            rows = k + first[swap]
-            top = m[k, :, swap]
-            m[k, :, swap] = m[rows, :, swap]
-            m[rows, :, swap] = top
-            negate[swap] ^= True
-        pivot = m[k, k]
-        diagonal = diagonal * pivot % p
-        scale = scale * diagonal % p
-        lower = m[k + 1 :, k + 1 :]
-        cross = work[: n - 1 - k, : n - 1 - k]
-        # Both products lie in [0, (p - 1)^2] with (p - 1)^2 < 2^62, so their
-        # difference fits int64 and is reduced before anything is added to it.
-        np.multiply(m[k + 1 :, k, None], m[None, k, k + 1 :], out=cross)
-        lower *= pivot
-        lower -= cross
-        lower %= p
-    det = diagonal * m[n - 1, n - 1] % p * _inverse_mod(scale, p) % p
-    return np.where(negate, (p - det) % p, det)
-
-
-def _newton_mod(values: np.ndarray, nodes: Sequence[int], p: int) -> np.ndarray:
-    """Ascending monomial coefficients of the interpolant through each row, modulo p.
-
-    Row-wise the same divided differences and Horner expansion as
-    :func:`_newton_interpolate`, for all rows at once; ``nodes`` are the
-    abscissae as residues, and two equal ones raise :class:`ZeroDivisionError`.
-    """
-    n = len(nodes)
-    # [i, j] is nodes[i] - nodes[j]; only the diagonal may vanish.
-    differences = np.subtract.outer(nodes, nodes) % p
-    if np.count_nonzero(differences) < n * (n - 1):
-        raise ZeroDivisionError("two interpolation nodes are equal modulo p")
-    inverse = _inverse_mod(differences, p)
-    divided = values.copy()
-    for level in range(1, n):
-        step = np.diagonal(inverse, -level)  # 1 / (nodes[i] - nodes[i - level]), i >= level
-        divided[:, level:] = (divided[:, level:] - divided[:, level - 1 : -1]) % p * step % p
-    coeffs = np.zeros_like(divided)
-    coeffs[:, 0] = divided[:, n - 1]
-    for i in range(n - 2, -1, -1):
-        length = n - i
-        coeffs[:, 1:length] = coeffs[:, : length - 1].copy()
-        coeffs[:, 0] = 0
-        coeffs[:, : length - 1] = (coeffs[:, : length - 1] - nodes[i] * coeffs[:, 1:length]) % p
-        coeffs[:, 0] = (coeffs[:, 0] + divided[:, i]) % p
-    return coeffs
-
-
-def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
-    """The fraction n/d = value (mod modulus) with |n|, d <= sqrt(modulus / 2), if any.
-
-    Wang's half-extended Euclidean algorithm: such a fraction is unique, and
-    None means there is none.
-    """
-    bound = math.isqrt((modulus - 1) // 2)
-    r0, r1 = modulus, value % modulus
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or math.gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _system_values_mod(r: int, xs: Sequence[int], ys: Sequence[int], p: int) -> np.ndarray:
-    """Every coefficient of the system at every grid point (y, x), modulo p: shape (20, ny, nx)."""
-    terms, degrees, _ = _system()
-    top = max(degrees[1:])
-    xpow = [np.ones(len(xs), np.int64), np.array(xs, np.int64)]
-    ypow = [np.ones(len(ys), np.int64), np.array(ys, np.int64)]
-    while len(xpow) <= top:
-        xpow.append(xpow[-1] * xpow[1] % p)
-        ypow.append(ypow[-1] * ypow[1] % p)
-    out = np.zeros((len(terms), len(ys), len(xs)), np.int64)
-    for acc, poly in zip(out, terms):
-        for (i, j, k), c in poly.items():
-            row = c * pow(r, i, p) % p * xpow[j] % p
-            acc += ypow[k][:, None] * row[None, :] % p
-            acc %= p
-    return out
-
-
-def _resultants_mod(coeffs: np.ndarray, p: int) -> np.ndarray:
-    """Resultants of the elimination system modulo p from its coefficient residues.
-
-    ``coeffs`` has shape (20, ...): the coefficients of f and then of g,
-    descending in t, at each point; the result has the trailing shape.  The
-    10 x 10 Bezout determinants are taken by :func:`_determinants_mod`, and
-    with m = 10, n = 8 and lc(f) = -r^2, Res = (-1)^(m(m-1)/2) det B / lc(f)^(m-n)
-    = -det B / r^4, so r must be a unit modulo p.
-    """
-    f, g = np.split(coeffs.reshape(len(coeffs), -1), [_system()[2]])
-    m, n = len(f) - 1, len(g) - 1
-    det = _determinants_mod(np.array(_bezout_matrix(f, g, p)), p)
-    # lc(f) = -r^2 at every point, so lc(f)^(m - n) is one scalar to invert.
-    values = det * pow(int(f[0][0]), -(m - n), p) % p
-    if m * (m - 1) // 2 % 2:
-        values = (p - values) % p
-    return values.reshape(coeffs.shape[1:])
-
-
-class _Indivisible(ArithmeticError):
-    """Raised with the index k of the section y_k that leaves a nonzero remainder modulo a prime."""
-
-
-def _cofactor_mod(cert: _Certificate, p: int) -> np.ndarray:
-    """Cofactor coefficients [i, j] of u^i y^j, u = x^2, modulo p, in one pass over the grid.
-
-    The resultants are taken at the distinct |x| of every section; each
-    section is interpolated in u through their squares and divided by its
-    sextic section in ``cert.sections``, and :class:`_Indivisible` carries
-    the index of the first section that does not divide.
-    """
-    ys = [_residue(y, p) for y in cert.ys]
-    magnitudes = [_residue(x, p) for x in cert.x_magnitudes]
-    coeffs = _system_values_mod(_residue(cert.r, p), magnitudes, ys, p)
-    rem = _newton_mod(_resultants_mod(coeffs, p), [_residue(u, p) for u in cert.us], p)
-    den = np.array([[_residue(c, p) for c in s] for s in cert.sections], np.int64)
-    width = den.shape[1]
-    if not den[:, -1].all():
-        raise ZeroDivisionError("a sextic section's leading coefficient is 0 modulo p")
-    lead_inverse = _inverse_mod(den[:, -1], p)
-    quot = np.zeros((len(ys), _DEGREE_BOUND // 2 + 1), np.int64)
-    for k in range(_DEGREE_BOUND // 2, -1, -1):
-        factor = rem[:, width - 1 + k] * lead_inverse % p
-        quot[:, k] = factor
-        rem[:, k : k + width] = (rem[:, k : k + width] - factor[:, None] * den % p) % p
-    failing = np.flatnonzero(rem.any(axis=1))
-    if failing.size:
-        raise _Indivisible(int(failing[0]))
-    return _newton_mod(quot.T, ys, p)
-
-
-def _settled_fits(cert: _Certificate):
-    """Each cofactor the modular fit settles on, as a {(i, j): Fraction} table of x^i y^j.
-
-    A prime is skipped when it divides a sample, r or sextic-section
-    denominator, the leading coefficient of a sextic section, the numerator
-    of r, or the difference of two nodes u or of two sections.  The fit
-    has settled when one more prime leaves every reconstructed coefficient
-    unchanged; each later prime is absorbed too, and every prime that leaves
-    the coefficients unchanged yields them again.
-    Raises :class:`_Indivisible` at the first section that does not divide
-    modulo a prime.
-    """
-    # Every denominator must be a unit modulo p, and so must every leading
-    # coefficient: the exact division divides by it, and the Bezout
-    # resultants divide by lc(f)^2 = r^4.  The interpolation divides by the
-    # node differences, so the nodes must stay distinct modulo p: over the
-    # lcm D of the sample denominators, D (a - b) is an integer difference.
-    # For nodes a^2, b^2 that is the product of D' (a - b) and D' (a + b),
-    # D = D'^2, so an odd prime is skipped as for the abscissae +-a, +-b.
-    avoid = [cert.r.numerator, cert.r.denominator]
-    for samples in (cert.us, cert.ys):
-        den = math.lcm(*(s.denominator for s in samples))
-        scaled = [s.numerator * (den // s.denominator) for s in samples]
-        avoid.append(den)
-        avoid += {a - b for a, b in itertools.combinations(scaled, 2)}
-    avoid += [c.denominator for s in cert.sections for c in s]
-    avoid += [s[-1].numerator for s in cert.sections]
-
-    combined: list = []
-    modulus = 1
-    previous = None
-    for p in _primes():
-        if any(d % p == 0 for d in avoid):
-            continue
-        residues = _cofactor_mod(cert, p)
-        flat = residues.ravel().tolist()
-        # The fit has settled when each coefficient n/d reconstructed modulo
-        # M has d a unit modulo p and n = d a (mod p), a the new residue.
-        # That is the same as reconstructing the CRT value c' modulo M p and
-        # getting n/d back.  If the reconstruction gives n/d, then
-        # n = d c' (mod M p) and gcd(d, M p) = 1 (a prime dividing both would
-        # divide n, and gcd(n, d) = 1); reduced modulo p, that is the test.
-        # Conversely, n = d c' holds modulo M (c' = c mod M, and n/d came from
-        # c) and, by the test, modulo p, so modulo M p; and |n|, d are within
-        # the bound for M, hence for M p.  A fraction within the bound is
-        # unique and is what Wang's algorithm returns (Wang, Guy and
-        # Davenport, SIGSAM Bull. 16(2), 1982), so it returns n/d.
-        if previous is not None and all(
-            c.denominator % p and (c.numerator - a * c.denominator) % p == 0
-            for c, a in zip(previous.values(), flat)
-        ):
-            yield previous
-        if modulus == 1:
-            combined = flat
-        else:
-            inverse = pow(modulus, -1, p)
-            combined = [c + modulus * ((a - c % p) * inverse % p) for c, a in zip(combined, flat)]
-        modulus *= p
-        width = residues.shape[1]
-        terms = {}
-        for index, value in enumerate(combined):
-            coefficient = _rational_reconstruct(value, modulus)
-            if coefficient is None:
-                terms = None
-                break
-            i, j = divmod(index, width)
-            terms[(2 * i, j)] = coefficient
-        previous = terms

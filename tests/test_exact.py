@@ -1,6 +1,5 @@
 """Exact polynomial layer: ring laws, transcriptions, resultants, certificate."""
 
-import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -18,22 +17,6 @@ from fnr.boundary import (
     sextic_value,
     support_function,
     switching_cosine,
-)
-
-# The 64 largest primes below 2^31, in descending order: the fixed table of
-# fitting moduli that the modular fit used before it drew primes on demand.
-PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
-    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
-    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
-    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
-    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
-    2147482327, 2147482291, 2147482273, 2147482237,
 )
 
 # ---------------------------------------------------------------------------
@@ -96,7 +79,6 @@ REFUSALS = {
     "missing_assignment": (lambda: (X * X).evaluate({"y": 1}), ValueError),
     "float_coefficient": (lambda: exact.ExactPoly(("x",), {(1,): 0.5}), TypeError),
     "zero_leading_coefficient": (lambda: exact.resultant([0, 1, 2], [1, 3]), ValueError),
-    "bezout_deg_f_below_deg_g": (lambda: exact._bezout_matrix([1, 2], [1, 2, 3]), ValueError),
 }
 
 
@@ -355,11 +337,10 @@ def _rational_quotient(a, b):
 def bareiss_determinant(rows):
     """Fraction-free determinant of a square matrix of int or Fraction entries.
 
-    The reference that the resultants and the modular determinants are
-    checked against.  Intermediate entries stay in the ring of the entries
-    by Bareiss' identity, so each step's division by the previous pivot is
-    exact: an all-int matrix runs a checked integer division inline, and any
-    other matrix divides in Q.
+    The reference that the resultants are checked against.  Intermediate
+    entries stay in the ring of the entries by Bareiss' identity, so each
+    step's division by the previous pivot is exact: an all-int matrix runs a
+    checked integer division inline, and any other matrix divides in Q.
     """
     matrix = [list(row) for row in rows]
     n = len(matrix)
@@ -451,7 +432,7 @@ def test_the_resultant_is_even_in_x(r):
 def sylvester_matrix(f, g):
     """Sylvester matrix of two coefficient sequences (descending degree).
 
-    The reference the Bezout route is checked against: for deg f = m and
+    The reference the resultants are checked against: for deg f = m and
     deg g = n it is (m+n) x (m+n), n shifted copies of f's coefficients above
     m shifted copies of g's, and its determinant is Res(f, g).
     """
@@ -466,21 +447,6 @@ def sylvester_matrix(f, g):
 
 def sylvester_resultant(f, g):
     return bareiss_determinant(sylvester_matrix(f, g))
-
-
-def test_elimination_bezout_matrix_is_10_by_10():
-    first, second = exact.envelope_system()
-    point = {"r": Q(1, 2), "x": Q(2, 3), "y": Q(5, 7)}
-    f = [c.evaluate(point) for c in reversed(first.univariate_coefficients("t"))]
-    g = [c.evaluate(point) for c in reversed(second.univariate_coefficients("t"))]
-    assert len(sylvester_matrix(f, g)) == 18
-    rows = exact._bezout_matrix(f, g)
-    assert len(rows) == 10 and all(len(row) == 10 for row in rows)
-    assert all(rows[i][j] == rows[j][i] for i in range(10) for j in range(10))
-    # det B = (-1)^(10*9/2) lc(f)^2 Res = -r^4 Res
-    det = bareiss_determinant(rows)
-    assert det == -Q(1, 2) ** 4 * sylvester_resultant(f, g)
-    assert resultant_at(Q(1, 2), Q(2, 3), Q(5, 7)) == sylvester_resultant(f, g)
 
 
 def _random_polynomial(rng, degree):
@@ -639,7 +605,7 @@ def test_certificate_holds_and_mutation_fails_across_radii(r):
 
 
 def _exact_route(r, seed, mutate=False):
-    """The certificate with the whole fitting stage in exact rational arithmetic: the reference.
+    """The certificate fitted in exact rational arithmetic from the whole grid: the reference.
 
     Along each section y = y_k the section polynomial Res(x, y_k) is recovered
     by exact Newton interpolation in x, through all the abscissae 0 and
@@ -692,10 +658,16 @@ def _exact_route(r, seed, mutate=False):
     return cert.conclude(terms)
 
 
-def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
+def _counted_resultants(monkeypatch):
+    """A list that grows by one at every call of exact.resultant from now on."""
     calls = []
     resultant = exact.resultant
     monkeypatch.setattr(exact, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
+    return calls
+
+
+def test_the_certificate_reports_what_the_exact_route_reports(monkeypatch):
+    calls = _counted_resultants(monkeypatch)
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
     assert len(calls) == 64  # the held-out points only
     monkeypatch.undo()
@@ -703,14 +675,33 @@ def test_modular_fitting_reports_what_the_exact_route_reports(monkeypatch):
     assert fast.to_json_dict() == slow.to_json_dict()
     assert fast.to_text() == slow.to_text()
 
-    # A section that does not divide modulo the first prime is recomputed
-    # exactly at once: one section at its 19 distinct |x|, then 8 residuals.
-    calls.clear()
-    monkeypatch.setattr(exact, "resultant", lambda f, g: calls.append(1) or resultant(f, g))
+    # The mutated sextic's candidate fails at the 64 held-out points; then
+    # the first section, which does not divide, is taken at its 19 distinct
+    # |x|, and its report at 8 held-out abscissae.
+    calls = _counted_resultants(monkeypatch)
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, mutate=True)
-    assert len(calls) == 19 + 8
+    assert len(calls) == 64 + 19 + 8
     monkeypatch.undo()
     assert fast.to_json_dict() == _exact_route(Q(1, 2), 9, True).to_json_dict()
+
+
+def test_a_wrong_candidate_fails_at_the_held_out_points_and_no_section(monkeypatch):
+    # The true sextic divides Res along every section, so a candidate with
+    # one coefficient bumped is rejected by the held-out check alone.
+    candidate = exact._Certificate.candidate
+
+    def bumped(cert):
+        terms = candidate(cert)
+        return {**terms, (4, 6): terms[(4, 6)] + 1}
+
+    monkeypatch.setattr(exact._Certificate, "candidate", bumped)
+    calls = _counted_resultants(monkeypatch)
+    report = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
+    assert not report.success and report.cofactor is None
+    assert report.failure_reason == "64 held-out residuals are nonzero"
+    assert report.holdout_count == len(report.holdout_failures) == 64
+    # The scan took every section at its 19 distinct |x| and found none to report.
+    assert len(calls) == 64 + 29 * 19
 
 
 @pytest.mark.parametrize(
@@ -728,187 +719,20 @@ def test_a_section_failure_is_the_one_the_exact_route_reports(monkeypatch, r, bo
     assert fast.to_json_dict()["degree_bound"] == bound
 
 
-def _recorded_determinant_counts(monkeypatch):
-    """The number of modular determinants of each call from now on, in order."""
-    counts = []
-    determinants = exact._determinants_mod
-    monkeypatch.setattr(
-        exact, "_determinants_mod", lambda mats, p: counts.append(mats.shape[-1]) or determinants(mats, p)
-    )
-    return counts
-
-
-def test_one_prime_takes_the_determinants_at_the_distinct_abscissae_only(monkeypatch):
-    # Res is even in x: 19 distinct |x| per section, 29 sections, in one call per prime.
-    calls = _recorded_determinant_counts(monkeypatch)
-    cert = exact._Certificate(Q(1, 2), 1)
-    exact._cofactor_mod(cert, PRIMES[0])
-    assert calls == [19 * 29] == [551]
-
-
-def test_a_failing_section_ends_the_modular_fit_at_the_first_prime(monkeypatch):
-    # The mutated sextic leaves a remainder in the first section, so the
-    # first prime's one pass ends the fit there.
-    calls = _recorded_determinant_counts(monkeypatch)
-    primes = _recorded_primes(monkeypatch)
-    for r, seed in ((Q(1, 2), 1), (Q(355, 113), 3), (Q(1, 3), 9)):
-        calls.clear()
-        primes.clear()
-        cert = exact._Certificate(r, seed, mutate=True)
-        with pytest.raises(exact._Indivisible) as failure:
-            next(exact._settled_fits(cert))
-        assert calls == [551] and len(primes) == 1
-        assert cert.ys[failure.value.args[0]] == cert.ys[0]
-
-
-def _recorded_primes(monkeypatch):
-    """The primes the modular fit takes from now on, in order."""
-    primes = []
-    cofactor_mod = exact._cofactor_mod
-    monkeypatch.setattr(
-        exact, "_cofactor_mod", lambda cert, p: primes.append(p) or cofactor_mod(cert, p)
-    )
-    return primes
-
-
-def test_a_wrong_settled_fit_is_refitted_with_more_primes(monkeypatch):
-    fits = exact._settled_fits
-
-    def corrupted(cert):
-        settled = fits(cert)
-        terms = next(settled)
-        yield {**terms, (0, 0): terms[(0, 0)] + 1}
-        yield from settled
-
-    primes = _recorded_primes(monkeypatch)
-    clean = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
-    settled = len(primes)
-    primes.clear()
-    monkeypatch.setattr(exact, "_settled_fits", corrupted)
-    report = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
-    assert report.success
-    assert report.to_json_dict() == clean.to_json_dict()
-    assert report.to_text() == clean.to_text()
-    # The corrupted fit is rejected; the next prime settles on the true terms.
-    assert len(primes) == settled + 1
-
-
-def test_a_rejected_fit_that_settles_again_on_the_same_terms_stands(monkeypatch):
-    primes = _recorded_primes(monkeypatch)
-    clean = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
-    settled = len(primes)
-    primes.clear()
-    concluded = []
-
-    def rejected(cert, terms):
-        concluded.append(terms)
-        return exact.ResultantReport(
-            r=cert.r, holdout_count=exact._HOLDOUT, seed=cert.seed, success=False, failure_reason="rejected"
-        )
-
-    monkeypatch.setattr(exact._Certificate, "conclude", rejected)
-    # A bounded supply of primes turns a run that would not stop into a failure.
-    primes_on_demand = exact._primes
-    monkeypatch.setattr(exact, "_primes", lambda: itertools.islice(primes_on_demand(), settled + 5))
-    report = exact.verify_sextic_resultant_identity(Q(1, 3), seed=2)
-    assert not report.success and report.failure_reason == "rejected"
-    # One more prime settles on the same terms, which are not concluded again.
-    assert len(primes) == settled + 1
-    assert len(concluded) == 1
-    assert exact.ExactPoly(("x", "y"), concluded[0]).terms == clean.cofactor
-
-
-def test_primes_on_demand_start_with_the_old_table():
-    assert tuple(itertools.islice(exact._primes(), len(PRIMES))) == PRIMES
-
-
-def test_primes_on_demand_agree_with_trial_division():
-    limit = math.isqrt(2**31)
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
-    for n in range(2, math.isqrt(limit) + 1):
-        if sieve[n]:
-            sieve[n * n :: n] = bytes(len(range(n * n, limit + 1, n)))
-    small = [n for n in range(limit + 1) if sieve[n]]
-    want = []
-    for n in range(2**31 - 1, 2**30, -2):
-        if all(n % q for q in small):
-            want.append(n)
-            if len(want) == 300:
-                break
-    assert list(itertools.islice(exact._primes(), 300)) == want
-
-
-def test_a_127_bit_radius_pair_certifies_past_the_old_table(monkeypatch):
-    r = Q(2**127 - 1, 2**127 - 3)
-    primes = _recorded_primes(monkeypatch)
-    report = exact.verify_sextic_resultant_identity(r, seed=1)
-    assert report.success and not report.holdout_failures
-    assert len(primes) > len(PRIMES)
-    assert primes[: len(PRIMES)] == list(PRIMES)
-
-
-def test_modular_bezout_block_matches_exact_resultants(monkeypatch):
-    # The one _resultants_mod call of a _cofactor_mod call: its mod-p Bezout
-    # values are the exact resultants at the grid points, reduced modulo p.
-    cert = exact._Certificate(Q(1, 2), 1)
-    calls = []
-    resultants = exact._resultants_mod
-    monkeypatch.setattr(
-        exact, "_resultants_mod", lambda coeffs, p: calls.append(resultants(coeffs, p)) or calls[-1]
-    )
-    p = PRIMES[0]
-    assert exact._cofactor_mod(cert, p) is not None
-    (values,) = calls
-    assert values.shape == (len(cert.ys), len(cert.x_magnitudes)) == (29, 19)
-    # At every section and distinct |x|, each value is the exact resultant there.
-    want = [[exact._residue(resultant_at(cert.r, x, y), p) for x in cert.x_magnitudes] for y in cert.ys]
-    assert values.tolist() == want
-
-
-def test_certificate_skips_a_prime_dividing_the_radius_numerator(monkeypatch):
-    # The Bezout resultants divide by lc(f)^2 = r^4, so r must be a unit.
-    primes = _recorded_primes(monkeypatch)
-    report = exact.verify_sextic_resultant_identity(Q(PRIMES[0]), seed=1)
-    assert report.success
-    assert primes[0] == PRIMES[1] and PRIMES[0] not in primes
-
-
-def test_certificate_skips_a_prime_dividing_the_radius_denominator(monkeypatch):
-    primes = _recorded_primes(monkeypatch)
-    report = exact.verify_sextic_resultant_identity(Q(1, PRIMES[0]), seed=1)
-    assert report.success
-    assert primes[0] == PRIMES[1] and PRIMES[0] not in primes
-
-
-def test_small_primes_that_would_merge_nodes_are_skipped(monkeypatch):
-    # 7, 11 and 13 are the possible sample denominators, and each divides a
-    # difference of two abscissae or of two sections, so none is a unit there.
-    clean = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
-    primes = _recorded_primes(monkeypatch)
-    primes_on_demand = exact._primes
-    monkeypatch.setattr(exact, "_primes", lambda: itertools.chain((7, 11, 13), primes_on_demand()))
-    report = exact.verify_sextic_resultant_identity(Q(1, 2), seed=1)
-    assert report.to_json_dict() == clean.to_json_dict() and report.to_text() == clean.to_text()
-    assert primes and not {7, 11, 13} & set(primes)
-
-
 def test_the_fixed_grid_covers_the_proven_degrees():
-    # deg_x Res <= 28 and deg_y Res <= 20 at every r, and Res is even in x,
-    # so deg_u Res <= 14 in u = x^2.  E(u, v, r) has degree 4 in u and 3 in
-    # v, 6 in y, so C = Res / E has degree at most 10 in u and 14 in y.
+    # deg_x Res <= 28 at every r, and Res is even in x, so deg_u Res <= 14 in
+    # u = x^2: each section's 19 nodes recover Res(x, y_k) itself, and its
+    # division by the sextic section, of degree 4 in u, leaves 15 quotient
+    # coefficients.  The 29 sections and 1137 samples are record values.
     sextic = exact.sextic_polynomial()
-    res_u, res_y = 28 // 2, 20
-    sextic_u, sextic_y = sextic.degree("u"), 2 * sextic.degree("v")
-    cofactor_u, cofactor_y = res_u - sextic_u, res_y - sextic_y
-    assert (sextic_u, sextic_y, cofactor_u, cofactor_y) == (4, 6, 10, 14)
+    res_u = 28 // 2
+    assert sextic.degree("u") == 4
     assert exact._DEGREE_BOUND % 2 == 0  # 0 and pairs +-x: an odd count of abscissae
     for r in (Q(1, 2), Q(3), Q(-1, 1000)):
         cert = exact._Certificate(r, 1)
         nodes, sections = len(cert.us), len(cert.ys)
-        coefficients = nodes - sextic_u  # of each section quotient
-        assert (nodes, sections, coefficients) == (19, 29, 15)
-        assert res_u < nodes and cofactor_y < sections and cofactor_u < coefficients
+        assert (nodes, sections, nodes - sextic.degree("u")) == (19, 29, 15)
+        assert res_u < nodes
         assert len(set(cert.us)) == nodes and len(set(cert.ys)) == sections
         # The nodes are the squares of the 19 distinct |x| of 37 abscissae symmetric about 0.
         assert cert.x_magnitudes == sorted(set(cert.x_magnitudes)) and cert.x_magnitudes[0] == 0
@@ -917,52 +741,11 @@ def test_the_fixed_grid_covers_the_proven_degrees():
     assert (record["degree_bound"], record["sample_count"]) == (28, 37 * 29 + exact._HOLDOUT) == (28, 1137)
 
 
-def _settled_by_rereconstruction(sequence):
-    """Reference stopping rule for the modular fit.
-
-    At each prime every coefficient is reconstructed from the CRT value, and
-    the fit stops when one more prime leaves all of them unchanged; the fit's
-    residue test must stop at the same prime with the same terms.
-    """
-    combined, modulus, previous = [], 1, None
-    for count, (p, residues) in enumerate(sequence, 1):
-        flat = residues.ravel().tolist()
-        if modulus == 1:
-            combined = flat
-        else:
-            inverse = pow(modulus, -1, p)
-            combined = [c + modulus * ((a - c % p) * inverse % p) for c, a in zip(combined, flat)]
-        modulus *= p
-        terms = {}
-        for index, value in enumerate(combined):
-            coefficient = exact._rational_reconstruct(value, modulus)
-            if coefficient is None:
-                terms = None
-                break
-            i, j = divmod(index, residues.shape[1])
-            terms[(2 * i, j)] = coefficient  # row i holds the powers of u = x^2
-        if terms is not None and terms == previous:
-            return terms, [q for q, _ in sequence[:count]]
-        previous = terms
-    return None
-
-
-@pytest.mark.parametrize(
-    "r", [Q(1, 2), Q(1, 3), Q(2), Q(355, 113), Q(1000), Q(1, PRIMES[0])], ids=str
-)
-def test_modular_fit_stops_where_rereconstruction_stops(monkeypatch, r):
-    sequence = []
-    cofactor_mod = exact._cofactor_mod
-
-    def recorded(cert, p):
-        sequence.append((p, cofactor_mod(cert, p)))
-        return sequence[-1][1]
-
-    monkeypatch.setattr(exact, "_cofactor_mod", recorded)
-    terms = next(exact._settled_fits(exact._Certificate(r, 1)))
-    assert (terms, [p for p, _ in sequence]) == _settled_by_rereconstruction(sequence)
-    if r.denominator == PRIMES[0]:
-        assert sequence[0][0] == PRIMES[1]
+def test_a_127_bit_radius_pair_certifies():
+    # The closed-form candidate has no limit on the height of r.
+    r = Q(2**127 - 1, 2**127 - 3)
+    report = exact.verify_sextic_resultant_identity(r, seed=1)
+    assert report.success and not report.holdout_failures
 
 
 # ---------------------------------------------------------------------------
@@ -1073,9 +856,9 @@ def _reference_failures(cert, terms):
 )
 def test_a_perturbed_cofactor_fails_at_the_reference_points(r, key, delta):
     cert = exact._Certificate(r, 1)
-    terms = next(exact._settled_fits(cert))
+    terms = cert.candidate()
     assert not cert.conclude(terms).holdout_failures
-    perturbed = {**terms, key: terms[key] + delta}
+    perturbed = {**terms, key: terms.get(key, 0) + delta}
     report = cert.conclude(perturbed)
     want = _reference_failures(cert, perturbed)
     assert len(want) == exact._HOLDOUT
@@ -1090,12 +873,12 @@ def test_a_perturbed_cofactor_fails_at_the_reference_points(r, key, delta):
 
 @pytest.mark.parametrize("r", [Q(1, 2), Q(-998, 997)], ids=str)
 def test_residuals_match_the_fraction_reference(r):
-    # A two-variable cofactor, the settled one perturbed in an even and an
-    # odd term, and the true one, whose residuals all vanish.
+    # A two-variable cofactor, the closed-form one perturbed in an even and
+    # an odd term, and the true one, whose residuals all vanish.
     xs, ys = _rationals(15, 8), _rationals(16, 8)
     points = list(zip(xs, ys[::-1]))
     cert = exact._Certificate(r, 1)
-    terms = next(exact._settled_fits(cert))
+    terms = cert.candidate()
     perturbed = {**terms, (4, 6): terms[(4, 6)] + Q(-1, 7), (1, 3): Q(2, 5)}
     want = _reference_residuals(r, exact.sextic_polynomial(), perturbed, points)
     assert len(want) > len(points) // 2
@@ -1119,7 +902,7 @@ def test_a_cofactor_above_the_degree_bound_fails_with_zero_residuals():
     # P(x) = prod (x - x_i) over the held-out abscissae vanishes at every
     # held-out point, so C + P leaves every residual at 0 with degree 64.
     cert = exact._Certificate(Q(1, 2), 1)
-    terms = next(exact._settled_fits(cert))
+    terms = cert.candidate()
     product = [Q(1)]  # ascending coefficients
     for x in cert.draws[::2]:
         product = [a - x * b for a, b in zip([Q(0)] + product, product + [Q(0)])]
@@ -1131,105 +914,6 @@ def test_a_cofactor_above_the_degree_bound_fails_with_zero_residuals():
     assert report.holdout_failures == []
     assert report.cofactor is None and report.cofactor_total_degree == 64
     assert report.failure_reason == "interpolated cofactor has total degree 64 > bound 28"
-
-
-# ---------------------------------------------------------------------------
-# Modular primitives
-# ---------------------------------------------------------------------------
-
-
-def _determinant_cases(rng, n):
-    def entry():
-        return rng.randint(-40, 40)
-
-    cases = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(6)]
-    # Row-permuted upper triangular: zero pivots that only a row swap clears.
-    triangle = [[entry() if j > i else (rng.randint(1, 40) if j == i else 0) for j in range(n)] for i in range(n)]
-    order = list(range(n))
-    rng.shuffle(order)
-    cases.append([triangle[i] for i in order])
-    cases.append([row[::-1] for row in triangle])
-    if n > 1:
-        repeated = [[entry() for _ in range(n)] for _ in range(n)]
-        repeated[-1] = list(repeated[0])  # singular: two equal rows
-        cases.append(repeated)
-        zero_column = [[entry() if j != n // 2 else 0 for j in range(n)] for _ in range(n)]
-        cases.append(zero_column)  # singular: no pivot in one column
-    return cases
-
-
-@pytest.mark.parametrize("p", [7, 101, PRIMES[0], PRIMES[-1]])
-def test_modular_determinants_match_bareiss(p):
-    rng = random.Random(p)
-    for n in (1, 2, 3, 5, 8, 18):
-        cases = _determinant_cases(rng, n)
-        # Stacked along the last axis: entry [i, j] of every matrix is one row.
-        stack = np.moveaxis(np.array(cases, dtype=np.int64), 0, -1) % p
-        got = exact._determinants_mod(stack, p).tolist()
-        assert got == [bareiss_determinant(rows) % p for rows in cases], n
-
-
-def test_modular_newton_matches_exact_interpolation():
-    p = PRIMES[3]
-    nodes = [Q(k - 4) + Q(3, 11) for k in range(9)]
-    rng = random.Random(4)
-    rows = [[Q(rng.randint(-99, 99), rng.randint(1, 9)) for _ in nodes] for _ in range(3)]
-    residues = np.array([[exact._residue(v, p) for v in row] for row in rows], np.int64)
-    got = exact._newton_mod(residues, [exact._residue(x, p) for x in nodes], p).tolist()
-    want = [[exact._residue(c, p) for c in exact._newton_interpolate(nodes, row)] for row in rows]
-    assert got == want
-
-
-def test_modular_newton_refuses_nodes_equal_modulo_p():
-    # Q(1, 2) and Q(1 + p, 2) are distinct rationals with one residue.
-    p = PRIMES[3]
-    nodes = [exact._residue(x, p) for x in (Q(1, 2), Q(3), Q(1 + p, 2))]
-    with pytest.raises(ZeroDivisionError):
-        exact._newton_mod(np.ones((1, 3), np.int64), nodes, p)
-
-
-def test_modular_division_refuses_a_sextic_section_leading_coefficient_of_zero_modulo_p():
-    # _settled_fits skips such primes; the division must not divide by 0.
-    p = PRIMES[0]
-    cert = exact._Certificate(Q(1, 2), 1)
-    cert.sections[5][-1] = Q(p)
-    with pytest.raises(ZeroDivisionError):
-        exact._cofactor_mod(cert, p)
-
-
-def test_rational_reconstruction_round_trips():
-    modulus = PRIMES[0] * PRIMES[1]
-    rng = random.Random(3)
-    values = [Q(0), Q(1), Q(-1), Q(355, 113)]
-    values += [Q(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(200)]
-    for value in values:
-        residue = value.numerator * pow(value.denominator, -1, modulus) % modulus
-        assert exact._rational_reconstruct(residue, modulus) == value
-
-
-@pytest.mark.parametrize(
-    "value",
-    [Q(10**9 + 7, 10**9 + 9), Q(-123456789, 987654321), Q(355, 113) ** 6, Q(99991, 7)],
-    ids=str,
-)
-def test_rational_reconstruction_gives_no_answer_below_the_bound(value):
-    # One 31-bit prime bounds numerator and denominator by about 32767.
-    p = PRIMES[0]
-    residue = value.numerator * pow(value.denominator, -1, p) % p
-    assert exact._rational_reconstruct(residue, p) is None
-
-
-def test_rational_reconstruction_rejects_a_candidate_sharing_a_factor_with_the_modulus():
-    # Euclid stops at 55 / -85 here; -11/17 is not congruent to 176 mod 15015.
-    assert exact._rational_reconstruct(176, 3 * 5 * 7 * 11 * 13) is None
-
-
-def test_rational_reconstruction_below_the_bound_can_mislead():
-    # Why one more prime must agree and the held-out check has the last word.
-    p = PRIMES[0]
-    value = Q(2**40 + 1, 3**20)
-    residue = value.numerator * pow(value.denominator, -1, p) % p
-    assert exact._rational_reconstruct(residue, p) == Q(8115, 21211)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,3 +945,57 @@ def test_certified_cofactor_proves_the_identity_at_half_on_a_tensor_grid():
     # The mutation adds u^2 r^6 to E, so it leaves the residual -x^4 r^6 C:
     # the grid rejects it wherever x and C are nonzero.
     assert failing == off_axis and len(failing) > 29 * 21 // 2
+
+
+# ---------------------------------------------------------------------------
+# The eliminant in closed form, for every r
+# ---------------------------------------------------------------------------
+
+
+def _eliminant_mismatches(sextics):
+    """The integer grid points (r, x, y) where Res differs from 2^40 r^8 (x^2 + y^2)^4 E^2, per sextic."""
+    mismatches = [[] for _ in sextics]
+    for r in range(1, 20):
+        for x in range(15):
+            for y in range(11):
+                res, den = exact._system_resultant(Q(r), Q(x), Q(y))
+                assert den == 1
+                u, v = x * x, y * y
+                factor = 2**40 * r**8 * (u + v) ** 4
+                for terms, found in zip(sextics, mismatches):
+                    sextic = sum(c * u**a * v**b * r**k for (a, b, k), c in terms.items())
+                    if res != factor * sextic * sextic:
+                        found.append((r, x, y))
+    return mismatches
+
+
+def test_the_eliminant_is_the_closed_form_cofactor_times_the_sextic_for_every_r():
+    """Res_t(f, g) = 2^40 r^8 (x^2 + y^2)^4 E(x^2, y^2, r)^2 in Z[r, x, y].
+
+    f and g are the two polynomials of envelope_system().  Res is even in r,
+    in x and in y.  The coefficients hold r only as r^2.  They hold x and y
+    only through x^2, y^2 and x y, and x y multiplies exactly the odd powers
+    of t, so negating t negates x y, as negating x or y does; the
+    resultant of f(-t) and g(-t) is (-1)^(mn) Res = Res, mn = 80 (see
+    ``_DEGREE_BOUND`` in fnr.exact).  So Res is a polynomial in
+    rho = r^2, u = x^2 and v = y^2.
+
+    Its degrees are at most 36 in r, 28 in x and 20 in y.  In r, every
+    entry of the 18 x 18 Sylvester matrix has degree at most 2.  In x, every
+    entry has degree at most 2, and the first two and the last two columns
+    hold none of x, so the other 14 columns give 28.  In y, 20 is the largest
+    sum of the entries' degrees over the permutations of the matrix (a
+    maximum-weight assignment).  So Res has degree at most 18 in rho, 14 in u
+    and 10 in v.  The right side has degrees 4 + 2 * 3 = 10 in rho,
+    4 + 2 * 4 = 12 in u and 4 + 2 * 3 = 10 in v.  The difference is thus a
+    polynomial of degree at most 18, 14 and 10 in rho, u and v, and it
+    vanishes on the grid r = 1..19, x = 0..14, y = 0..10, whose 19, 15 and
+    11 values of rho, u and v are distinct.  Such a polynomial is zero
+    (Alon, Combinatorial Nullstellensatz, CPC 8, 1999, Lemma 2.1), so the
+    identity holds for every r, and the closed form that the certificate
+    takes as its candidate is the cofactor of Res = E C.  The mutated
+    sextic fails it.
+    """
+    true, mutated = _eliminant_mismatches([exact.sextic_polynomial().terms, exact.mutated_sextic().terms])
+    assert true == []
+    assert len(mutated) > 19 * 15 * 11 // 2

@@ -4,9 +4,11 @@ an ``__all__`` of src/fnr is used in src/fnr, scripts/ or perfbench/, every
 method and every instance attribute of a class of src/fnr without bases
 is used in src/fnr, one
 function of src/fnr writes every output file, no cache in src/fnr keeps
-results across calls, and no route imports another route's transcriptions."""
+results across calls, no route imports another route's transcriptions, and
+the exact route imports only the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -459,9 +461,27 @@ def sibling_imports(source: str) -> list:
     return found
 
 
+def library_imports(source: str) -> list:
+    """(module, name) of each absolute import of a module outside fnr.
+
+    ``from numpy.linalg import det`` gives ("numpy", "det"), and an import
+    that binds the whole module, ``import numpy.linalg``, gives
+    ("numpy", "*").
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.split(".")[0], "*") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found += [(node.module.split(".")[0], alias.name) for alias in node.names]
+    return [(module, name) for module, name in found if module != "fnr"]
+
+
 # The routes check one another only while none reads another's formulas: the
 # truncation route may load the closed form's input checks and nothing else,
-# and the exact route loads none of the float routes or their checks.
+# and the exact route loads none of the float routes or their checks.  The
+# exact route imports nothing outside the standard library either, so that
+# no floating-point or array route can come back into it.
 TRUNCATION_MAY_LOAD_FROM_BOUNDARY = {"_check_radius", "angle_grid"}
 EXACT_MAY_NOT_LOAD = {"boundary", "truncation", "checks"}
 
@@ -475,6 +495,10 @@ def route_leaks(truncation: str, exact: str) -> list:
     leaks += [
         ("exact", module, name) for module, name in sibling_imports(exact)
         if module in EXACT_MAY_NOT_LOAD
+    ]
+    leaks += [
+        ("exact", module, name) for module, name in library_imports(exact)
+        if module not in sys.stdlib_module_names
     ]
     return leaks
 
@@ -497,11 +521,16 @@ def test_route_scan_flags_every_form_of_import():
         "import numpy\n"
     )
     exact = (
+        "from __future__ import annotations\n"
+        "import math, numpy as np\n"
+        "from fractions import Fraction\n"
         "from .checks import CheckResult\n"
         "from fnr import truncation\n"
         "import fnr.render\n"
+        "import sympy.polys\n"
         "def late():\n"
         "    from .boundary import angle_grid\n"
+        "    from numpy.linalg import det\n"
     )
     assert route_leaks(truncation, exact) == [
         ("truncation", "boundary", "support_function"),
@@ -511,4 +540,7 @@ def test_route_scan_flags_every_form_of_import():
         ("exact", "checks", "CheckResult"),
         ("exact", "truncation", "*"),
         ("exact", "boundary", "angle_grid"),
+        ("exact", "numpy", "*"),
+        ("exact", "sympy", "*"),
+        ("exact", "numpy", "det"),
     ]

@@ -238,6 +238,49 @@ def test_axis_top_eigenvalue_is_exact(level):
     assert np.all(np.abs(got - expected) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, expected))
 
 
+def test_top_eigenvalue_at_the_four_axis_angles_is_in_closed_form():
+    """r + mu_1 at theta = 0 and pi, sqrt(r^2 + mu_1^2) at +-pi/2, mu_1 = cos(pi/(N + 1)).
+
+    The formulas.  With r = |a|/2 the rotation has diagonal blocks
+    [[0, conj(c)], [c, 0]], |c| = r, and blocks diag(conj(b), b) below them,
+    b = e^{-i theta}/2 (``_block_entries``).  Write a vector as (x_k, y_k)
+    and put x_k = e^{ik theta} X_k, y_k = e^{-ik theta} Y_k.  Both chains
+    become T = (S + S*)/2, with eigenvalues mu_j = cos(j pi/(N + 1)), and
+    the coupling of X_k and Y_k becomes conj(c) e^{-2ik theta}.  At theta = 0
+    and pi it is constant, and commutes with T, so the eigenvalues are
+    mu_j +- r.  At +-pi/2 it is conj(c) (-1)^k; flipping the sign of every
+    other X_k turns that chain into -T and the coupling into the constant
+    conj(c), so each eigenvector of T spans a block [[-mu_j, conj(c)],
+    [c, mu_j]] with eigenvalues +-sqrt(r^2 + mu_j^2).  At N = 1 there is no
+    chain and mu_1 = 0 exactly, where float cos(pi/2) would be 6.1e-17.
+
+    The bound, with u = 2^-53.  top_eigenvalue returns the midpoint of a
+    bracket at most two ulps wide around the top eigenvalue of its float
+    matrix: 1 ulp.  That matrix differs from the exact one at the exact
+    angle by the rounding of w = e^{-i theta}, at most 4u (the float angle
+    is within 1.1u of 0, pi or +-pi/2, and cos and sin are within an ulp),
+    so by 2u in b and, with the complex product's sqrt(5) u, by 6.3 u r in
+    c.  By Weyl's inequality the top eigenvalue moves by at most the largest
+    row sum, (4 + 6.3 r) u.  The formula's inputs are within (4 + 2 r) u
+    (|a|/2 within an ulp, mu_1 within 4u), and its own roundings add 2 ulps.
+    So the error is at most 3 ulps + (8 + 8.3 r) u.  Measured: 2 ulps at
+    most.  A top eigenvalue lowered by 1e-9 of itself is at least 4e6 ulps
+    off.
+    """
+    rs = np.array([1e-3, 0.1, 0.5, 2.0, 100.0])[:, None, None]
+    phases = np.array([0.0, math.pi / 7, 2.0])[:, None]
+    levels = np.array([1, 2, 3, 7, 50, 400, 1600])
+    thetas = np.array([0.0, math.pi, math.pi / 2, -math.pi / 2])[:, None, None, None]
+    a = 2.0 * rs * np.exp(1j * phases)
+    got = top_eigenvalue(thetas, a, levels)
+    r = np.abs(a) / 2.0
+    mu = np.where(levels == 1, 0.0, np.cos(math.pi / (levels + 1)))
+    want = np.stack([r + mu, r + mu, np.hypot(r, mu), np.hypot(r, mu)])
+    bound = 3.0 * np.spacing(want) + (8.0 + 9.0 * r) * 2.0**-53
+    assert got.shape == (4, 5, 3, 7)
+    assert np.all(np.abs(got - want) <= bound)
+
+
 def test_compression_value_approaches_radius_from_below():
     value = top_eigenvalue(0.0, 1.0, 400)
     assert 0 < 1.5 - value < 5e-3
