@@ -21,7 +21,12 @@ The parser is built once, at import, and every ``main`` call parses with it.
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 I/O error.  Outputs land in --out (default: current directory) under
 fixed names, and identical configurations and seeds produce byte-identical
-files.
+files.  Every output file is written here, by :func:`_write_text`; the
+layers only build text.
+
+At import this module loads the standard library and :mod:`fnr.exact`, which
+needs nothing else, so ``resultant`` runs without numpy.  Each other command
+imports the layers it runs when it is dispatched.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import boundary, checks, exact, render
+from . import exact
 
 __all__ = ["main"]
 
@@ -186,22 +191,30 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ASCII with LF line ends: the one file writer."""
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write(text)
+
+
 def _dump_json(payload: dict, path: Path) -> None:
-    render._write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _emit_figure(args: argparse.Namespace, stem: str, write_csv, figure) -> int:
-    """Write ``stem``.csv by ``write_csv(path)``, then ``stem``.svg from ``figure()``."""
+def _emit_figure(args: argparse.Namespace, stem: str, table, figure) -> int:
+    """Write ``stem``.csv from ``table()``, then ``stem``.svg from ``figure()``."""
     out = _out_dir(args)
     csv_path, svg_path = out / f"{stem}.csv", out / f"{stem}.svg"
-    write_csv(csv_path)
-    render._write_text(svg_path, figure())
+    _write_text(csv_path, table())
+    _write_text(svg_path, figure())
     print(csv_path)
     print(svg_path)
     return EXIT_OK
 
 
 def cmd_support_lines(args: argparse.Namespace) -> int:
+    from . import boundary, render
+
     r, _ = _float_radius(args.r)
     _within("--samples", args.samples, 8, MAX_SAMPLES)
     thetas = boundary.angle_grid(args.samples)
@@ -209,12 +222,14 @@ def cmd_support_lines(args: argparse.Namespace) -> int:
     return _emit_figure(
         args,
         "support_lines",
-        lambda path: render.write_support_lines_csv(path, zip(thetas.tolist(), offsets.tolist())),
+        lambda: render.support_lines_csv(zip(thetas.tolist(), offsets.tolist())),
         lambda: render.support_lines_svg(r, thetas, offsets),
     )
 
 
 def cmd_boundary(args: argparse.Namespace) -> int:
+    from . import boundary, render
+
     r, _ = _float_radius(args.r)
     _within("--samples", args.samples, 8, MAX_SAMPLES)
     if r == 0:
@@ -226,12 +241,14 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     return _emit_figure(
         args,
         "boundary",
-        lambda path: render.write_boundary_csv(path, points),
+        lambda: render.boundary_csv(points),
         lambda: render.boundary_svg(r, points),
     )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import boundary, checks
+
     r, a = _float_radius(args.r if args.r is not None else "0.5", args.a)
     if r > 0 and 1.0 + r == 1.0:
         raise UsageError(
@@ -305,7 +322,7 @@ def cmd_resultant(args: argparse.Namespace) -> int:
     }
     _dump_json(payload, out / "resultant.json")
     text = "\n\n".join(rep.to_text() for rep in reports) + "\n"
-    render._write_text(out / "resultant.txt", text)
+    _write_text(out / "resultant.txt", text)
     print(out / "resultant.json")
     print(out / "resultant.txt")
     sys.stdout.write(text)

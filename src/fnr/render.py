@@ -1,18 +1,19 @@
-"""CSV and SVG emitters for the supporting-line and boundary figures.
+"""CSV and SVG text of the supporting-line and boundary figures.
 
-CSV files carry a header row and floats printed with 17 significant digits,
-which round-trips doubles exactly.  SVG documents are assembled as text, one
-element per line, in a y-up user coordinate system; the boundary figure
-overlays the solid boundary polygon with the dashed full circles, the dashed
-full sextic curve, the four switching points and their dashed supporting
-lines.  Each family of chords (the supporting lines, the switching lines,
-each half of the sextic trace) is clipped to the frame in one call of
-:func:`clip_segments`, which runs Liang-Barsky over whole arrays and keeps,
-element for element, the float operations of the one-segment algorithm.
-Each element kind is spelled by one template; every attribute value is a
-formatted float or a module constant, so no value needs XML escaping.  Every
-output file of the package is written by :func:`_write_text`, in ASCII with
-LF line ends.  All output is deterministic: same inputs, same bytes.
+Every function here builds text and writes no file; :mod:`fnr.cli` puts the
+text on disk.  CSV documents carry a header row and floats printed with 17
+significant digits, which round-trips doubles exactly.  SVG documents are
+assembled as text, one element per line, in a y-up user coordinate system;
+the boundary figure overlays the solid boundary polygon with the dashed full
+circles, the dashed full sextic curve, the four switching points and their
+dashed supporting lines.  Each family of chords (the supporting lines, the
+switching lines, each half of the sextic trace) is clipped to the frame in
+one call of :func:`clip_segments`, which runs Liang-Barsky over whole arrays
+and keeps, element for element, the float operations of the one-segment
+algorithm.  Each element kind is spelled by one template; every attribute
+value is a formatted float or a module constant, so no value needs XML
+escaping.  The text is ASCII with LF line ends, and it is deterministic:
+same inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from .boundary import Branch, envelope_points, sextic_envelope, support_function, switching_cosine
 
 __all__ = [
-    "write_support_lines_csv",
-    "write_boundary_csv",
+    "support_lines_csv",
+    "boundary_csv",
     "clip_segments",
     "support_line_segments",
     "support_lines_svg",
@@ -46,22 +47,16 @@ _BOUNDARY_ROW = f"{_FIELD},{_FIELD},{_FIELD},%s\n"
 _BRANCH_LABELS = {branch: branch.value for branch in Branch}
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as ASCII with LF line ends: the one file writer."""
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(text)
-
-
-def write_support_lines_csv(path, rows) -> None:
+def support_lines_csv(rows) -> str:
     """Rows of (theta, offset) tuples under a ``theta,offset`` header."""
-    _write_text(path, "theta,offset\n" + "".join(map(_SUPPORT_ROW.__mod__, rows)))
+    return "theta,offset\n" + "".join(map(_SUPPORT_ROW.__mod__, rows))
 
 
-def write_boundary_csv(path, points) -> None:
+def boundary_csv(points) -> str:
     """A :class:`~fnr.boundary.BoundaryCurve` under a ``theta,x,y,branch`` header."""
     *floats, branches = (column.tolist() for column in points)
     rows = zip(*floats, map(_BRANCH_LABELS.__getitem__, branches))
-    _write_text(path, "theta,x,y,branch\n" + "".join(map(_BOUNDARY_ROW.__mod__, rows)))
+    return "theta,x,y,branch\n" + "".join(map(_BOUNDARY_ROW.__mod__, rows))
 
 
 def clip_segments(x0, y0, x1, y1, limit: float) -> tuple:

@@ -1,5 +1,6 @@
 """Exact polynomial layer: ring laws, transcriptions, resultants, certificate."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -999,3 +1000,58 @@ def test_the_eliminant_is_the_closed_form_cofactor_times_the_sextic_for_every_r(
     true, mutated = _eliminant_mismatches([exact.sextic_polynomial().terms, exact.mutated_sextic().terms])
     assert true == []
     assert len(mutated) > 19 * 15 * 11 // 2
+
+
+# ---------------------------------------------------------------------------
+# The sextic as the envelope of the symbol's ellipses, for every r
+# ---------------------------------------------------------------------------
+
+
+def test_the_sextic_is_the_envelope_of_the_ellipse_family_for_every_r():
+    """Res_c(G, dG/dc) = -16 r^2 E(x^2, y^2, r) in Z[r, x, y].
+
+    G(c; x, y, r) = (x - c)^2 (r^2 + 1 - c^2) + r^2 y^2 - r^2 (r^2 + 1 - c^2)
+    is the family of the symbol's ellipses: centre c = cos(phi), foci
+    e^(+-i phi) and semi-minor axis r.  Its discriminant in c is their
+    envelope.  G has degree 4
+    in c and dG/dc degree 3, both with constant leading coefficients (-1 and
+    -4), so the resultant commutes with evaluation at any (r, x, y).  Its
+    7 x 7 Sylvester matrix has 3 rows of G's coefficients and 4 rows of
+    dG/dc's.  In r the coefficients of G have degree at most 4 and those of
+    dG/dc at most 2, so Res has degree at most 3 * 4 + 4 * 2 = 20 in r; in x
+    both have degree at most 2, giving 3 * 2 + 4 * 2 = 14; y enters only
+    G's constant coefficient, as y^2, giving 3 * 2 + 4 * 0 = 6.  The right
+    side has degrees 2 + 6 = 8 in r, 2 * 4 = 8 in x and 2 * 3 = 6 in y.  G
+    holds r and y only as r^2 and y^2, and so do both sides, so the
+    difference is a polynomial of degree at most 10, 14 and 3 in rho = r^2,
+    x and v = y^2.  It vanishes identically once it vanishes on the grid
+    r = 0..10, x = 0..14, y = 0..3, whose 11, 15 and 4 values of rho, x and
+    v are distinct (Alon, Combinatorial Nullstellensatz, CPC 8, 1999,
+    Lemma 2.1).  The mutated sextic takes 16 r^8 x^4 from the right side,
+    so it fails wherever r and x are nonzero.
+    """
+    c, x, y, r = exact.ExactPoly.generators(("c", "x", "y", "r"))
+    family = (x - c) ** 2 * (r**2 + 1 - c**2) + r**2 * y**2 - r**2 * (r**2 + 1 - c**2)
+    pair = [p.univariate_coefficients("c")[::-1] for p in (family, _derivative(family, "c"))]
+    rows = [len(pair[1]) - 1, len(pair[0]) - 1]  # Sylvester rows of G, of dG/dc
+    bounds = [
+        sum(n * max(coeff.degree(v) for coeff in coeffs) for n, coeffs in zip(rows, pair))
+        for v in ("r", "x", "y")
+    ]
+    assert rows == [3, 4] and bounds == [20, 14, 6]
+    sextic, mutated = exact.sextic_polynomial(), exact.mutated_sextic()
+    assert [2 + sextic.degree("r"), 2 * sextic.degree("u"), 2 * sextic.degree("v")] == [8, 8, 6]
+
+    failing, mutated_failing = [], []
+    grid = [range(bounds[0] // 2 + 1), range(bounds[1] + 1), range(bounds[2] // 2 + 1)]
+    for rv, xv, yv in itertools.product(*grid):
+        point = {"r": rv, "x": xv, "y": yv}
+        f, g = ([coeff.evaluate(point) for coeff in coeffs] for coeffs in pair)
+        res = exact.resultant(f, g)
+        sextic_point = {"u": xv * xv, "v": yv * yv, "r": rv}
+        if res != -16 * rv**2 * sextic.evaluate(sextic_point):
+            failing.append((rv, xv, yv))
+        if res != -16 * rv**2 * mutated.evaluate(sextic_point):
+            mutated_failing.append((rv, xv, yv))
+    assert failing == []
+    assert mutated_failing == list(itertools.product(range(1, 11), range(1, 15), range(4)))

@@ -2,10 +2,11 @@
 every private top-level name of src/fnr is used inside src/fnr, every name in
 an ``__all__`` of src/fnr is used in src/fnr, scripts/ or perfbench/, every
 method and every instance attribute of a class of src/fnr without bases
-is used in src/fnr, one
-function of src/fnr writes every output file, no cache in src/fnr keeps
-results across calls, no route imports another route's transcriptions, and
-the exact route imports only the standard library."""
+is used in src/fnr, one function of src/fnr, in the command line front end,
+writes every output file, no cache in src/fnr keeps results across calls, no
+route imports another route's transcriptions, the exact route imports only
+the standard library, and importing the front end loads only the standard
+library and the exact route."""
 
 import ast
 import sys
@@ -125,7 +126,7 @@ def test_one_writer_puts_every_output_file_on_disk():
         for path in sorted((ROOT / "src" / "fnr").glob("*.py"))
         for write in file_writes(path.read_text(encoding="utf-8"))
     ]
-    assert found == [("render.py", "_write_text", "open(path, 'w', encoding='ascii', newline='\\n')")]
+    assert found == [("cli.py", "_write_text", "open(path, 'w', encoding='ascii', newline='\\n')")]
 
 
 def test_file_write_scan_flags_writes_and_xml_imports():
@@ -543,4 +544,61 @@ def test_route_scan_flags_every_form_of_import():
         ("exact", "numpy", "*"),
         ("exact", "sympy", "*"),
         ("exact", "numpy", "det"),
+    ]
+
+
+# The front end loads, at import, only what every command needs: the
+# standard library and the exact route, which itself needs nothing else.  So
+# ``fnr resultant`` runs on the standard library alone, and each other
+# command imports the float layers it runs inside its handler.
+CLI_MAY_LOAD_AT_IMPORT = {"exact"}
+
+
+def import_time_source(source: str) -> str:
+    """``source`` with every function body replaced by ``pass``: what runs at import."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.body = [ast.Pass()]
+    return ast.unparse(tree)
+
+
+def cli_import_leaks(cli: str) -> list:
+    """(module, name) of each import run at import that loads more than the stdlib and exact."""
+    source = import_time_source(cli)
+    leaks = [found for found in sibling_imports(source) if found[0] not in CLI_MAY_LOAD_AT_IMPORT]
+    leaks += [found for found in library_imports(source) if found[0] not in sys.stdlib_module_names]
+    return leaks
+
+
+def test_the_front_end_imports_only_the_standard_library_and_exact():
+    cli = (ROOT / "src" / "fnr" / "cli.py").read_text(encoding="utf-8")
+    # The handlers' own imports are seen by the scan and left out of the rule.
+    assert {("boundary", "*"), ("checks", "*"), ("render", "*")} <= set(sibling_imports(cli))
+    assert cli_import_leaks(cli) == []
+
+
+def test_front_end_scan_flags_every_import_that_runs_at_import():
+    cli = (
+        "from __future__ import annotations\n"
+        "import json, numpy as np\n"
+        "from . import boundary\n"
+        "from . import exact\n"
+        "from .exact import resultant\n"
+        "import fnr.render\n"
+        "from fnr import checks\n"
+        "class Holder:\n"
+        "    from .truncation import top_eigenvalue\n"
+        "    def method(self):\n"
+        "        import scipy\n"
+        "def handler():\n"
+        "    from . import boundary, render\n"
+        "    import numpy\n"
+    )
+    assert cli_import_leaks(cli) == [
+        ("boundary", "*"),
+        ("render", "*"),
+        ("checks", "*"),
+        ("truncation", "top_eigenvalue"),
+        ("numpy", "*"),
     ]

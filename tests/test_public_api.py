@@ -43,6 +43,8 @@ RETIRED = [
     "resultant_check",
     "Tolerances",
     "DEFAULT_TOLERANCES",
+    "write_support_lines_csv",
+    "write_boundary_csv",
 ]
 
 

@@ -53,22 +53,31 @@ def _double_bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def test_csv_fields_round_trip_bit_for_bit(tmp_path):
+def test_csv_fields_round_trip_bit_for_bit():
     values = CSV_VALUES
     reversed_values = values[::-1].copy()
     branches = np.array([list(Branch)[k % 4] for k in range(values.size)], dtype=object)
-    render.write_support_lines_csv(tmp_path / "lines.csv", zip(values.tolist(), reversed_values.tolist()))
     curve = BoundaryCurve(values, reversed_values, -values, branches)
-    render.write_boundary_csv(tmp_path / "boundary.csv", curve)
 
-    for name, header, columns, branch_fields in (
-        ("lines.csv", "theta,offset", [values, reversed_values], [[]] * values.size),
-        ("boundary.csv", "theta,x,y,branch", [values, reversed_values, -values], [[b.value] for b in branches]),
+    for name, text, header, columns, branch_fields in (
+        (
+            "lines",
+            render.support_lines_csv(zip(values.tolist(), reversed_values.tolist())),
+            "theta,offset",
+            [values, reversed_values],
+            [[]] * values.size,
+        ),
+        (
+            "boundary",
+            render.boundary_csv(curve),
+            "theta,x,y,branch",
+            [values, reversed_values, -values],
+            [[b.value] for b in branches],
+        ),
     ):
-        data = (tmp_path / name).read_bytes()
-        assert b"\r" not in data and data.endswith(b"\n")
-        assert b"e-" in data and b"e+" in data  # exponent forms are exercised
-        lines = data.decode("ascii").split("\n")
+        assert text.isascii() and "\r" not in text and text.endswith("\n")
+        assert "e-" in text and "e+" in text  # exponent forms are exercised
+        lines = text.split("\n")
         assert lines[0] == header and lines[-1] == ""
         rows = [line.split(",") for line in lines[1:-1]]
         assert [row[len(columns):] for row in rows] == branch_fields
@@ -537,6 +546,19 @@ def test_figure_bytes_are_pinned(tmp_path, capsys, flags, digests):
     capsys.readouterr()
     found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
     assert found == digests
+    # The text builders alone give the same bytes, encoded as ASCII.
+    r, samples = float(flags[1]), int(flags[3])
+    thetas = angle_grid(samples)
+    offsets = support_function(thetas, r)
+    points = boundary_curve(r, samples)
+    texts = {
+        "support_lines.csv": render.support_lines_csv(zip(thetas.tolist(), offsets.tolist())),
+        "support_lines.svg": render.support_lines_svg(r, thetas, offsets),
+        "boundary.csv": render.boundary_csv(points),
+        "boundary.svg": render.boundary_svg(r, points),
+    }
+    found = {name: hashlib.sha256(text.encode("ascii")).hexdigest() for name, text in texts.items()}
+    assert found == digests
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +679,19 @@ def test_largest_radius_gives_finite_outputs(tmp_path, command):
 
 
 def test_io_error_exit_code(tmp_path, capsys):
+    # --out names a file, so no command can make its output directory.
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory\n")
-    assert main(["boundary", "--r", "0.5", "--out", str(target)]) == 3
-    assert "I/O error" in capsys.readouterr().err
+    for argv in (
+        ["boundary", "--r", "0.5"],
+        ["support-lines", "--r", "0.5"],
+        ["verify", "--N", "3"],
+        ["resultant", "--r", "1/2"],
+    ):
+        assert main([*argv, "--out", str(target)]) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("fnr: I/O error") and err.count("\n") == 1, argv
+    assert target.read_text() == "a file, not a directory\n"
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

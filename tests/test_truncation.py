@@ -323,22 +323,41 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "[]"
 
 
-def test_verify_leaves_numpy_ma_unimported(tmp_path):
-    # np.unique imports numpy.ma on first use, 12-15 ms of a default verify run;
-    # the condition scan builds its knots without it.
+def _fresh_cli_run(argv: list, watched: list) -> list:
+    """[exit code, the ``watched`` modules loaded] after ``fnr.cli.main(argv)`` in a new interpreter."""
     src = Path(fnr.truncation.__file__).resolve().parent.parent
     code = (
-        "import sys, fnr.cli; code = fnr.cli.main(['verify', '--N', '50', '--out', sys.argv[1]]); "
-        "print(code, 'numpy.ma' in sys.modules)"
+        "import json, sys, fnr.cli; code = fnr.cli.main(json.loads(sys.argv[1])); "
+        "print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, json.dumps(argv), json.dumps(watched)],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert result.stdout.splitlines()[-1] == "0 False"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_verify_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use, 12-15 ms of a default verify run;
+    # the condition scan builds its knots without it.
+    assert _fresh_cli_run(["verify", "--N", "50", "--out", str(tmp_path)], ["numpy.ma"]) == [0, []]
+
+
+@pytest.mark.parametrize("flags, code", [([], 0), (["--mutate"], 1)], ids=["certify", "mutate"])
+def test_resultant_runs_on_the_standard_library(tmp_path, flags, code):
+    # The certificate is exact and needs nothing outside the standard library;
+    # the float layers and numpy would cost it more start-up than its work.
+    watched = ["numpy", "fnr.boundary", "fnr.truncation", "fnr.checks", "fnr.render"]
+    argv = ["resultant", "--r", "1/2", *flags, "--out", str(tmp_path)]
+    assert _fresh_cli_run(argv, watched) == [code, []]
+
+
+def test_the_figures_leave_the_truncation_route_unimported(tmp_path):
+    argv = ["boundary", "--r", "0.5", "--samples", "90", "--out", str(tmp_path)]
+    assert _fresh_cli_run(argv, ["fnr.truncation", "fnr.checks"]) == [0, []]
 
 
 def test_phase_invariance_of_top_eigenvalue():
