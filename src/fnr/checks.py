@@ -3,9 +3,10 @@
 Each check measures one quantity (a worst-case residual, gap or deviation),
 compares it against its tolerance and reports a named pass/fail record; the
 CLI serializes the records to JSON.  The bounds are fixed: the named ones are
-module constants here, while ``dual-route`` is held to
-``truncation.OFFSET_STEP`` and ``compression-bound``, ``phase-invariance`` and
-``symbol-range-bruteforce`` to literal bounds (1e-10, 1e-10 and 1e-8).  Every
+module constants here (``envelope-on-circle`` holds ``ALGEBRAIC_SLACK`` times
+max(1, r^2)), while ``dual-route`` is held to ``truncation.OFFSET_STEP`` and
+``compression-bound``, ``phase-invariance`` and ``symbol-range-bruteforce`` to
+literal bounds (1e-10, 1e-10 and 1e-8).  Every
 grid lives here too: the closed-form and degenerate suites sample 720 angles,
 and the ellipse check 2000 boundary points.  The closed-form suite exercises the
 internal consistency of :mod:`fnr.boundary`; the truncation suite plays the
@@ -45,7 +46,8 @@ CONVEXITY_SLACK = 1e-10
 
 ALGEBRAIC_SLACK = 1e-12
 """Absolute slack for closed-form identities evaluated in floats (branch
-continuity, circle equations, interval consistency)."""
+continuity, interval consistency); the circle equations, of size r^2, take it
+times max(1, r^2) (see :func:`closedform_checks`)."""
 
 ENVELOPE_SLACK = 1e-8
 """Relative slack for the sextic residual at envelope points: the residual is
@@ -77,7 +79,22 @@ def _leq(name: str, measured: float, tolerance: float) -> CheckResult:
 
 
 def closedform_checks(r: float) -> list:
-    """Internal-consistency suite for the closed-form geometry at radius r, on 720 angles."""
+    """Internal-consistency suite for the closed-form geometry at radius r, on 720 angles.
+
+    ``envelope-on-circle`` is held to ``ALGEBRAIC_SLACK * max(1, r^2)``.  Its
+    residual (x - c)^2 + y^2 - r^2 at a circle point x = c + r cos, y = r sin,
+    c = +-1, is a rounding error of quantities of size up to r^2.  With unit
+    roundoff u = 2^-53 and cos, sin within an ulp: cos^2 + sin^2 = 1 + eta,
+    |eta| <= 5u, costs r^2 |eta|; x, rounded twice, and x - c carry an
+    absolute error of at most u (1 + 3r), which the square makes
+    2r u (1 + 3r); y carries r u, which its square makes 2 r^2 u; and the
+    roundings of the two squares, their sum and r * r add 4 r^2 u (the last
+    subtraction is exact, its operands being that close).  So the residual
+    is at most u (17 r^2 + 2r) <= 19 u max(1, r^2), about 2.1e-15 max(1, r^2),
+    to first order in u: a rounding of r^2, which an absolute bound fails
+    from r = 64 on (two ulps of 4096 exceed 1e-12).  At r <= 1 the bound is
+    ``ALGEBRAIC_SLACK`` itself.
+    """
     results = []
     thetas = boundary.angle_grid(720)
     values = boundary.support_function(thetas, r)
@@ -126,7 +143,7 @@ def closedform_checks(r: float) -> list:
 
     centre = np.where(right, 1.0, -1.0)[circle]
     worst = np.max(np.abs((xs[circle] - centre) ** 2 + ys[circle] ** 2 - r * r), initial=0.0)
-    results.append(_leq("envelope-on-circle", worst, ALGEBRAIC_SLACK))
+    results.append(_leq("envelope-on-circle", worst, ALGEBRAIC_SLACK * max(1.0, r * r)))
 
     # 64 boundary points at a time: a whole 720 x 720 table would set the suite's memory peak
     cos, sin = np.cos(thetas), np.sin(thetas)

@@ -20,14 +20,16 @@ E(x^2, y^2, r)^2 in Z[r, x, y], for the sextic E.  So the certificate takes
 the cofactor C = 2^40 r^8 (x^2 + y^2)^4 E of Res = E C as its candidate,
 built from the sextic under test, and the held-out check in exact
 cleared-integer arithmetic is the sole judge of success.  When that check
-rejects the candidate, the certificate looks for a section y = y_k of its
-fixed grid along which the sextic does not divide Res, by exact
-interpolation and division, so failure reports are exact too.  A
-certificate builds its grid, its held-out draws and its sextic sections
-once, at the start.  The held-out check and the section report take one
+rejects the candidate, at its first nonzero held-out residual, the
+certificate looks for a section y = y_k of its fixed grid along which the
+sextic does not divide Res, by exact interpolation and division, so failure
+reports are exact too; only when no section fails are the remaining
+held-out residuals taken.  A certificate draws its grid and its held-out
+points once, at the start, and builds each sextic section only when the
+scan reaches it.  The held-out check and the section report take one
 residual, Res - E C as one integer cross-difference
-(:meth:`_Certificate.residuals`), from values that are integer sums over
-known denominators (:func:`_evaluate_cleared`).
+(:meth:`_Certificate.residuals`, a generator), from values that are integer
+sums over known denominators (:func:`_evaluate_cleared`).
 
 Rationals are plain :class:`fractions.Fraction` values: arbitrary-precision
 numerator, positive denominator, always in lowest terms.  Polynomials are
@@ -586,13 +588,15 @@ class _Certificate:
 
     Construction validates r and builds every fixed input once: from one
     generator seeded by ``seed`` and r it draws the grid offsets and then
-    the 128 held-out coordinates ``draws``, and it takes the sextic section
-    E(u, y^2, r) of each section y, coefficients ascending in u, into
-    ``sections``.  With ``mutate`` the sextic is :func:`mutated_sextic`,
-    its coefficients cleared once per certificate.  One cleared-integer
-    residual Res - E C, :meth:`residuals`, serves both the held-out check
-    of the :meth:`candidate` cofactor and the report of a section that does
-    not divide; it and the sections take every exact point value by
+    the 128 held-out coordinates ``draws``.  With ``mutate`` the sextic is
+    :func:`mutated_sextic`, its coefficients cleared once per certificate.
+    A sextic section E(u, y^2, r), :meth:`section`, is built only when a
+    scan reaches it.  One cleared-integer residual Res - E C,
+    :meth:`residuals`, yields the nonzero residuals one at a time, so that
+    :meth:`conclude` can stop a rejected candidate at its first; it serves
+    both the held-out check of the :meth:`candidate` cofactor and the
+    report of a section that does not divide (:meth:`section_failure`).  It
+    and the sections take every exact point value by
     :func:`_evaluate_cleared`.
     """
 
@@ -622,16 +626,17 @@ class _Certificate:
         sextic = mutated_sextic() if mutate else sextic_polynomial()
         self.sextic_terms, self.sextic_scale = _cleared_terms(sextic.terms)
         self.sextic_degrees = _degrees((self.sextic_terms,), 3)
+
+    def section(self, y: Fraction) -> list:
+        """The sextic section E(u, y^2, r): its coefficients, ascending in u."""
         # The sextic's terms in (u, v, r) by their power of u: evaluated at
         # u = 1, row i is the coefficient of u^i.
         rows = [
             {expo: c for expo, c in self.sextic_terms.items() if expo[0] == i}
             for i in range(self.sextic_degrees[0] + 1)
         ]
-        self.sections = []
-        for y in self.ys:
-            sums, den = _evaluate_cleared(rows, self.sextic_degrees, (Fraction(1), y * y, r))
-            self.sections.append([Fraction(c, self.sextic_scale * den) for c in sums])
+        sums, den = _evaluate_cleared(rows, self.sextic_degrees, (Fraction(1), y * y, self.r))
+        return [Fraction(c, self.sextic_scale * den) for c in sums]
 
     def candidate(self) -> dict:
         """C = 2^40 r^8 (x^2 + y^2)^4 E(x^2, y^2, r) as a table {(i, j): c} of x^i y^j.
@@ -640,28 +645,35 @@ class _Certificate:
         holds in Z[r, x, y] for the true sextic, so C is the cofactor of
         Res = E C there; for any other E it is a candidate that the held-out
         check rejects.
+
+        With r = n/d and D the sextic's degree in r, each term c u^a v^b r^k
+        contributes 2^40 c n^(8 + k) d^(D - k) over the one denominator
+        d^(8 + D) times the sextic's clearing scale, so the numerators are
+        summed as integers and each coefficient is one Fraction.
         """
-        r = self.r
-        kappa = 2**40 * r**8 / self.sextic_scale
-        terms = {}
+        n, d = self.r.numerator, self.r.denominator
+        degree = self.sextic_degrees[2]
+        weights = [2**40 * n ** (8 + k) * d ** (degree - k) for k in range(degree + 1)]
+        numerators = {}
         for (a, b, k), c in self.sextic_terms.items():
-            coefficient = kappa * c * r**k
+            coefficient = c * weights[k]
             for i in range(5):  # the terms of (x^2 + y^2)^4
                 key = (2 * (a + i), 2 * (b + 4 - i))
-                terms[key] = terms.get(key, 0) + math.comb(4, i) * coefficient
-        return terms
+                numerators[key] = numerators.get(key, 0) + math.comb(4, i) * coefficient
+        den = d ** (8 + degree) * self.sextic_scale
+        return {key: Fraction(c, den) for key, c in numerators.items()}
 
-    def residuals(self, terms: Mapping[tuple, Scalar], points) -> list:
-        """``(x, y, Res - E C)`` at each point (x, y) where it is nonzero, C = sum c x^i y^j.
+    def residuals(self, terms: Mapping[tuple, Scalar], points):
+        """Yield ``(x, y, Res - E C)`` at each point (x, y), in order, where it is nonzero.
 
-        ``terms`` is C's table {(i, j): c}.  Res, E and C are integers over
-        known denominators at each point (C's coefficients are cleared once,
-        here), so Res - E C is one integer cross-difference, made a Fraction
-        only when it is nonzero.
+        ``terms`` is C's table {(i, j): c} of c x^i y^j.  Res, E and C are
+        integers over known denominators at each point (C's coefficients are
+        cleared once, here), so Res - E C is one integer cross-difference,
+        made a Fraction only when it is nonzero.  Each point is evaluated
+        only when the next residual is asked for.
         """
         cleared, scale = _cleared_terms(terms)
         degrees = _degrees((cleared,), 2)
-        failures = []
         for x, y in points:
             res, res_den = _system_resultant(self.r, x, y)
             (sextic,), sextic_den = _evaluate_cleared(
@@ -671,14 +683,22 @@ class _Certificate:
             den = self.sextic_scale * sextic_den * scale * cof_den  # E C = sextic cof / den
             residual = res * den - sextic * cof * res_den
             if residual:
-                failures.append((x, y, Fraction(residual, res_den * den)))
-        return failures
+                yield x, y, Fraction(residual, res_den * den)
 
     def conclude(self, terms: dict) -> ResultantReport:
-        """Check a cofactor at the exact held-out points; the only way to succeed."""
+        """The report on a cofactor table; its check at the exact held-out points is the only way to succeed.
+
+        The held-out residuals are taken in draw order up to the first
+        nonzero one.  If there is one, or the cofactor exceeds the degree
+        bound, the sections are scanned (:meth:`section_failure`) and the
+        first that does not divide is the report; only when none fails are
+        the remaining residuals taken, and the report lists every nonzero one.
+        """
         cofactor = {key: c for key, c in terms.items() if c}
         total_degree = max((i + j for i, j in cofactor), default=0)
-        failures = self.residuals(cofactor, zip(self.draws[::2], self.draws[1::2]))
+        residuals = self.residuals(cofactor, zip(self.draws[::2], self.draws[1::2]))
+        first = next(residuals, None)
+        failures = [] if first is None else [first]
 
         reason = None
         if total_degree > _DEGREE_BOUND:
@@ -686,6 +706,11 @@ class _Certificate:
                 f"interpolated cofactor has total degree {total_degree} "
                 f"> bound {_DEGREE_BOUND}"
             )
+        if failures or reason:
+            section = self.section_failure()
+            if section is not None:
+                return section
+            failures.extend(residuals)
         if failures:
             reason = f"{len(failures)} held-out residuals are nonzero"
 
@@ -701,29 +726,34 @@ class _Certificate:
             failure_reason=reason,
         )
 
+    def section_failure(self) -> ResultantReport | None:
+        """The report of the first section along which the sextic does not divide Res, or None.
 
-def _section_failure(cert: _Certificate, y: Fraction, quot: list, rem: list) -> ResultantReport:
-    """The report of section y, along which the sextic section leaves the remainder ``rem``.
-
-    ``quot`` and ``rem`` are the exact quotient and remainder in u = x^2 of
-    the section's interpolant by its sextic section.  The residuals
-    Res - E Q of the quotient Q, the table {(2i, 0): q_i}, are taken at the
-    first 8 held-out draws as abscissae, and the report gives the
-    remainder's degree in x.
-    """
-    quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
-    failures = cert.residuals(quotient, [(x, y) for x in cert.draws[:8]])
-    return ResultantReport(
-        r=cert.r,
-        holdout_count=8,
-        seed=cert.seed,
-        success=False,
-        holdout_failures=failures,
-        failure_reason=(
-            f"fitting system inconsistent: section y = {y} leaves a "
-            f"degree-{2 * (len(rem) - 1)} remainder under exact division"
-        ),
-    )
+        The sections y = y_k are scanned in order, each sextic section built
+        as the scan reaches it.  Along section y, Res is taken at the 19
+        nodes, recovered in u = x^2 by :func:`_newton_interpolate` and
+        divided exactly by :meth:`section`.  For the first that leaves a
+        remainder, the residuals Res - E Q of the quotient Q, the table
+        {(2i, 0): q_i}, are taken at the first 8 held-out draws as
+        abscissae, and the report gives the remainder's degree in x.
+        """
+        for y in self.ys:
+            values = [Fraction(*_system_resultant(self.r, x, y)) for x in self.x_magnitudes]
+            quot, rem = _divide_univariate(_newton_interpolate(self.us, values), self.section(y))
+            if rem:
+                quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
+                return ResultantReport(
+                    r=self.r,
+                    holdout_count=8,
+                    seed=self.seed,
+                    success=False,
+                    holdout_failures=list(self.residuals(quotient, [(x, y) for x in self.draws[:8]])),
+                    failure_reason=(
+                        f"fitting system inconsistent: section y = {y} leaves a "
+                        f"degree-{2 * (len(rem) - 1)} remainder under exact division"
+                    ),
+                )
+        return None
 
 
 def verify_sextic_resultant_identity(
@@ -744,15 +774,17 @@ def verify_sextic_resultant_identity(
     :func:`resultant`'s subresultant remainder sequence, and Res - E * C is
     one integer cross-difference.
 
-    When the check rejects the candidate, the 29 sections y = y_k of one
+    The held-out points are taken in draw order, and the first nonzero
+    residual rejects the candidate.  Then the 29 sections y = y_k of one
     fixed grid are scanned in order.  Along each, Res(x, y_k), even in x, is
     taken at the 19 distinct |x| of 37 abscissae symmetric about 0,
     recovered in u = x^2 by Newton interpolation and divided exactly by the
-    sextic section E(u, y_k^2, r) (the bounds and the symmetry are derived
-    next to ``_DEGREE_BOUND``).  The first section that leaves a remainder
-    ends the run with that section's exact residuals at the first 8
-    held-out coordinates; if every section divides, the held-out report
-    stands.
+    sextic section E(u, y_k^2, r), built as the scan reaches it (the bounds
+    and the symmetry are derived next to ``_DEGREE_BOUND``).  The first
+    section that leaves a remainder ends the run with that section's exact
+    residuals at the first 8 held-out coordinates; if every section
+    divides, the rest of the held-out points are taken, and the held-out
+    report lists every nonzero residual.
 
     Success across several independent r values establishes the divisibility
     claimed for the boundary curve; the cofactor collects the extraneous
@@ -767,11 +799,4 @@ def verify_sextic_resultant_identity(
     succeeds evaluates Res at the 64 held-out points only.
     """
     cert = _Certificate(r, seed, mutate)
-    report = cert.conclude(cert.candidate())
-    if not report.success:
-        for y, section in zip(cert.ys, cert.sections):
-            values = [Fraction(*_system_resultant(cert.r, x, y)) for x in cert.x_magnitudes]
-            quot, rem = _divide_univariate(_newton_interpolate(cert.us, values), section)
-            if rem:
-                return _section_failure(cert, y, quot, rem)
-    return report
+    return cert.conclude(cert.candidate())

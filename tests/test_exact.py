@@ -205,6 +205,57 @@ def test_sextic_envelope_points_at_rational_witnesses(t, k, r):
     assert abs(support_function(2 * math.atan(t), float(r)) - float(h)) <= 2 * math.ulp(float(h))
 
 
+def _envelope_parametrisation():
+    """The witness point of :func:`_sextic_witness` as ((N_x, D_x), (N_y, D_y), (N_r, D_r)) in Z[t, k].
+
+    By hand from x = p c - p' s, y = p s + p' c and r = s (k - 1/k) / 2:
+    x = (1 - t^2)(k^4 + 1) / ((1 + t^2) k (k^2 + 1)),
+    y = (4t^2 (k^2 + 1)^2 - (k^2 - 1)^2 (1 - t^2)^2) / (4tk (k^2 + 1)(1 + t^2)) and
+    r = t (k^2 - 1) / (k (1 + t^2)).
+    """
+    t, k = exact.ExactPoly.generators(("t", "k"))
+    one = exact.ExactPoly.constant(("t", "k"), 1)
+    return (
+        ((one - t**2) * (k**4 + 1), (t**2 + 1) * k * (k**2 + 1)),
+        (4 * t**2 * (k**2 + 1) ** 2 - (k**2 - 1) ** 2 * (one - t**2) ** 2, 4 * t * k * (k**2 + 1) * (t**2 + 1)),
+        (t * (k**2 - 1), k * (t**2 + 1)),
+    )
+
+
+def _cleared_on_the_parametrisation(sextic):
+    """The numerator of E(x^2, y^2, r) on the parametrisation: E times D_x^8 D_y^6 D_r^6, in Z[t, k]."""
+    (nx, dx), (ny, dy), (nr, dr) = _envelope_parametrisation()
+    deg_u, deg_v, deg_r = (sextic.degree(v) for v in sextic.variables)
+    xs = [nx ** (2 * a) * dx ** (2 * (deg_u - a)) for a in range(deg_u + 1)]
+    ys = [ny ** (2 * b) * dy ** (2 * (deg_v - b)) for b in range(deg_v + 1)]
+    rs = [nr**i * dr ** (deg_r - i) for i in range(deg_r + 1)]
+    zero = exact.ExactPoly(("t", "k"), {})
+    total = zero
+    for a, x_part in enumerate(xs):
+        inner = zero
+        for b, y_part in enumerate(ys):
+            in_r = sum((c * rs[i] for (a_, b_, i), c in sextic.terms.items() if (a_, b_) == (a, b)), zero)
+            inner = inner + y_part * in_r
+        total = total + x_part * inner
+    return total
+
+
+def test_the_sextic_vanishes_on_the_envelope_parametrisation_for_every_t_and_k():
+    # The hand-derived forms are the witness points, exactly.
+    for t, k in [(Q(1, 2), Q(2)), (Q(2, 3), Q(3, 2)), (Q(-3, 7), Q(5, 4)), (Q(7, 2), Q(-1, 3))]:
+        r, _, x, y = _sextic_witness(t, k)
+        point = {"t": t, "k": k}
+        assert [n.evaluate(point) / d.evaluate(point) for n, d in _envelope_parametrisation()] == [x, y, r]
+    # E has degrees 4, 3 and 6 in u, v and r, so the cleared numerator is a
+    # polynomial, and it is zero: the sextic holds every envelope point of the
+    # parametrisation, not only the witnesses.
+    sextic, mutated = exact.sextic_polynomial(), exact.mutated_sextic()
+    assert [sextic.degree(v) for v in sextic.variables] == [4, 3, 6]
+    assert _cleared_on_the_parametrisation(sextic) == 0
+    left = _cleared_on_the_parametrisation(mutated)
+    assert (len(left.terms), left.degree("t"), left.degree("k")) == (375, 40, 58)
+
+
 @pytest.mark.parametrize("t, r", [(Q(1, 3), Q(1)), (Q(1, 5), Q(1, 2)), (Q(1, 4), Q(3))], ids=str)
 def test_circle_envelope_points_and_support_values_at_rational_witnesses(t, r):
     """A rational point of the circle regime and its support value, exactly and in floats.
@@ -620,7 +671,8 @@ def _exact_route(r, seed, mutate=False):
     xs = [-x for x in reversed(cert.x_magnitudes[1:])] + cert.x_magnitudes
     assert len(xs) == len(set(xs)) == bound + 9
     section_quotients = []
-    for y, in_u in zip(cert.ys, cert.sections):
+    for y in cert.ys:
+        in_u = cert.section(y)
         values = [resultant_at(cert.r, x, y) for x in xs]
         res_section = exact._newton_interpolate(xs, values)
         # E(x^2, y^2, r) in x: the coefficient of u^i at x^(2i).
@@ -676,12 +728,12 @@ def test_the_certificate_reports_what_the_exact_route_reports(monkeypatch):
     assert fast.to_json_dict() == slow.to_json_dict()
     assert fast.to_text() == slow.to_text()
 
-    # The mutated sextic's candidate fails at the 64 held-out points; then
+    # The mutated sextic's candidate fails at the first held-out point; then
     # the first section, which does not divide, is taken at its 19 distinct
     # |x|, and its report at 8 held-out abscissae.
     calls = _counted_resultants(monkeypatch)
     fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, mutate=True)
-    assert len(calls) == 64 + 19 + 8
+    assert len(calls) == 1 + 19 + 8
     monkeypatch.undo()
     assert fast.to_json_dict() == _exact_route(Q(1, 2), 9, True).to_json_dict()
 
@@ -703,6 +755,31 @@ def test_a_wrong_candidate_fails_at_the_held_out_points_and_no_section(monkeypat
     assert report.holdout_count == len(report.holdout_failures) == 64
     # The scan took every section at its 19 distinct |x| and found none to report.
     assert len(calls) == 64 + 29 * 19
+
+
+def test_a_candidate_that_passes_the_first_held_out_point_is_scanned_at_the_second(monkeypatch):
+    # The mutation adds u^2 r^6 to E, so its residual -2^40 r^14 x^4 (x^2 + y^2)^4 (E + E')
+    # vanishes at x = 0: with the first x draw at 0 the candidate passes the
+    # first held-out point and fails the second, which starts the scan.
+    init = exact._Certificate.__init__
+
+    def first_x_at_zero(cert, *args):
+        init(cert, *args)
+        cert.draws[0] = Q(0)
+
+    monkeypatch.setattr(exact._Certificate, "__init__", first_x_at_zero)
+    scanned = []
+    section_failure = exact._Certificate.section_failure
+    monkeypatch.setattr(exact._Certificate, "section_failure", lambda cert: scanned.append(1) or section_failure(cert))
+    calls = []
+    system_resultant = exact._system_resultant
+    monkeypatch.setattr(exact, "_system_resultant", lambda *point: calls.append(point) or system_resultant(*point))
+    fast = exact.verify_sextic_resultant_identity(Q(1, 2), seed=9, mutate=True)
+    assert scanned == [1]
+    assert len(calls) == 1 + 1 + 19 + 8 and calls[0][1] == 0
+    assert fast.failure_reason.startswith("fitting system inconsistent")
+    monkeypatch.setattr(exact, "_system_resultant", system_resultant)
+    assert fast.to_json_dict() == _exact_route(Q(1, 2), 9, True).to_json_dict()
 
 
 @pytest.mark.parametrize(
@@ -806,12 +883,12 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
     values = _rationals(13, 16)
     for r in (Q(1, 2), Q(-998, 997), Q(1000), Q(7)):
         cert = exact._Certificate(r, 1, mutated)
-        for y, section in zip(cert.ys, cert.sections):
+        for y in cert.ys:
             want_section = []
             for i in range(sextic.degree("u") + 1):
                 row = {e: c for e, c in sextic.terms.items() if e[0] == i}
                 want_section.append(fraction_evaluate(row, (1, y * y, r)))
-            assert section == want_section
+            assert cert.section(y) == want_section
         for x in values:
             for y in values[::3]:
                 want = fraction_evaluate(sextic.terms, (x * x, y * y, r))
@@ -883,20 +960,20 @@ def test_residuals_match_the_fraction_reference(r):
     perturbed = {**terms, (4, 6): terms[(4, 6)] + Q(-1, 7), (1, 3): Q(2, 5)}
     want = _reference_residuals(r, exact.sextic_polynomial(), perturbed, points)
     assert len(want) > len(points) // 2
-    assert cert.residuals(perturbed, points) == want
-    assert cert.residuals(terms, points) == []
+    assert list(cert.residuals(perturbed, points)) == want
+    assert list(cert.residuals(terms, points)) == []
     # A section quotient {(2i, 0): q_i} of the mutated sextic, which leaves a
     # remainder, at abscissae along its section and off it.
     mutated = exact._Certificate(r, 1, mutate=True)
     y = mutated.ys[0]
     values = [resultant_at(r, x, y) for x in mutated.x_magnitudes]
-    quot, rem = exact._divide_univariate(exact._newton_interpolate(mutated.us, values), mutated.sections[0])
+    quot, rem = exact._divide_univariate(exact._newton_interpolate(mutated.us, values), mutated.section(y))
     assert rem
     quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
     points = [(x, y) for x in xs] + points
     want = _reference_residuals(r, exact.mutated_sextic(), quotient, points)
     assert len(want) > len(points) // 2
-    assert mutated.residuals(quotient, points) == want
+    assert list(mutated.residuals(quotient, points)) == want
 
 
 def test_a_cofactor_above_the_degree_bound_fails_with_zero_residuals():

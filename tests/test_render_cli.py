@@ -379,11 +379,24 @@ def test_verify_passes_below_the_absolute_ellipse_threshold(tmp_path, capsys, r)
     assert ellipse["tolerance"] == 0.1 * float(r) < ellipse["measured"] < float(r)
 
 
+@pytest.mark.parametrize("r", ["64", "100"])
+def test_verify_passes_where_the_circle_residual_is_a_rounding_of_r_squared(tmp_path, capsys, r):
+    # From r = 64 on the circle residual reads two ulps of r^2, above an
+    # absolute 1e-12; its bound scales with max(1, r^2).
+    assert main(["verify", "--r", r, "--N", "50", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    (circle,) = [check for check in checks if check["name"] == "envelope-on-circle"]
+    assert 1e-12 < circle["measured"] <= circle["tolerance"] == 1e-12 * float(r) ** 2
+
+
 # sha256 of verify.json and the exit code for five configurations.  The first
 # three were computed with one brute-force table per offset and one recurrence
 # sweep per level, the last two (the defaults, and a large radius) with fresh
 # temporaries at every recurrence step and circle tables built once per angle;
-# sharing tables and work arrays must not change a byte.  All five were
+# sharing tables and work arrays must not change a byte.  The large radius was
+# re-pinned when envelope-on-circle came to be held to 1e-12 max(1, r^2): its
+# tolerance field, 1e-12 before, reads 5.625e-11, and no other byte moved.  All five were
 # recomputed from the files of the earlier code with the lines "samples",
 # "grid" and "seed" removed, which echoed flags verify no longer takes.  The
 # digests hold on the platform they were computed on: another CPU or numpy
@@ -398,7 +411,7 @@ VERIFY_DIGESTS = [
     ([], 0,
      "eaedd7e67a85d6eebe557a89c695ba9da9aa7e987a7f2fc29f8cbe2f61e1893c"),
     (["--r", "7.5", "--N", "200"], 0,
-     "057dfe14e7367d1c76f547384126fb9c19bb41051ac666595f133738301255f6"),
+     "353aec370e4ac4bdadd0dcafebf2f10d85e5c299e54d5080662d7915f1661078"),
 ]
 
 
@@ -477,6 +490,25 @@ BENCHMARK_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "re
 def test_benchmark_reference_holds_the_pinned_resultant_digests():
     reference = json.loads(BENCHMARK_REFERENCE.read_text(encoding="utf-8"))["certify"]["1"]
     assert reference == {"certify": RESULTANT_DIGESTS[0][2], "mutate": RESULTANT_DIGESTS[1][2]}
+
+
+# The two certify operations of perfbench/run.py, by the label the reference
+# files them under: the flags before --seed and the exit code.
+BENCHMARK_CERTIFY_OPS = {"certify": (["--r", "1/2,1/3,2"], 0), "mutate": (["--r", "1/2", "--mutate"], 1)}
+
+
+@pytest.mark.parametrize("seed", range(1, 17))
+def test_benchmark_reference_holds_every_certify_seed(tmp_path, capsys, seed):
+    reference = json.loads(BENCHMARK_REFERENCE.read_text(encoding="utf-8"))["certify"][str(seed)]
+    found = {}
+    for label, (flags, code) in BENCHMARK_CERTIFY_OPS.items():
+        out = tmp_path / label
+        assert main(["resultant", *flags, "--seed", str(seed), "--out", str(out)]) == code
+        found[label] = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("resultant.json", "resultant.txt")
+        }
+    capsys.readouterr()
+    assert found == reference
 
 
 def test_benchmark_reference_holds_the_default_verify_checks(tmp_path, capsys):
