@@ -10,13 +10,16 @@ envelope of the supporting-line family.  This module holds
   * the verbatim transcriptions of the elimination system
     (:func:`envelope_system`) and of the sextic (:func:`sextic_polynomial`),
   * exact resultants by the subresultant remainder sequence
-    (:func:`resultant`),
+    (:func:`resultant`), and the elimination halved by the central symmetry
+    of W(F): Res_t(f, g) = Res_z(F, G)^2 with z = t - 1/t, for the F and G
+    of degree 5 and 4 that :func:`_system` derives from the transcription,
   * :func:`verify_sextic_resultant_identity` -- a certificate that the
     sextic divides the resultant of the elimination system, with exact
     held-out validation.
 
 The resultant is known in closed form: Res_t(f, g) = 2^40 r^8 (x^2 + y^2)^4
-E(x^2, y^2, r)^2 in Z[r, x, y], for the sextic E.  So the certificate takes
+E(x^2, y^2, r)^2 in Z[r, x, y], for the sextic E, and its square root is
+Res_z(F, G) = -2^20 r^4 (x^2 + y^2)^2 E.  So the certificate takes
 the cofactor C = 2^40 r^8 (x^2 + y^2)^4 E of Res = E C as its candidate,
 built from the sextic under test, and the held-out check in exact
 cleared-integer arithmetic is the sole judge of success.  When that check
@@ -195,6 +198,12 @@ class ExactPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -424,29 +433,60 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
 
 @functools.cache
 def _system() -> tuple:
-    """The elimination system's coefficients in (r, x, y) as ``(terms, degrees, split)``.
+    """The elimination system in z = t - 1/t, as ``(terms, degrees, split)``.
+
+    W(F) is centrally symmetric, and theta -> theta + pi is t -> -1/t; the
+    two polynomials of :func:`envelope_system` keep it as
+    t^10 f(-1/t) = -f(t) and t^8 g(-1/t) = g(t).  So f = t^5 F(t - 1/t) and
+    g = t^4 G(t - 1/t) with deg F = 5 and deg G = 4, both with leading
+    coefficient -r^2.  Each is read off its polynomial p of t-degree 2h:
+    for j = h..0, c_j (t - 1/t)^j is peeled off the Laurent polynomial
+    t^(-h) p(t), c_j being its coefficient of t^j.  A remainder would mean
+    that p lacks the symmetry, and raises.
 
     ``terms`` holds one integer term table {(i, j, k): c} of c r^i x^j y^k
-    per coefficient, f's and then g's, each descending in t.  ``degrees``
-    are its largest exponents of r, x and y, and f's 11 coefficients are
-    ``terms[:split]``; the degrees in t are 10 and 8.
+    per coefficient, F's 6 and then G's 5, each descending in z.
+    ``degrees`` are its largest exponents of r, x and y, 2 each as for the
+    coefficients in t, and F's coefficients are ``terms[:split]``.
     """
-    first, second = envelope_system()
-    terms = tuple(c.terms for p in (first, second) for c in reversed(p.univariate_coefficients("t")))
-    return terms, _degrees(terms, 3), first.degree("t") + 1
+    in_z = []
+    for p in envelope_system():
+        h = p.degree("t") // 2  # an odd degree leaves its top term over
+        rest = {k - h: c for k, c in enumerate(p.univariate_coefficients("t"))}
+        coefficients = []
+        for j in range(h, -1, -1):
+            c = rest[j]
+            coefficients.append(c.terms)
+            for i in range(j + 1):  # (t - 1/t)^j = sum_i C(j, i) (-1)^i t^(j - 2i)
+                rest[j - 2 * i] -= (-1) ** i * math.comb(j, i) * c
+        if any(c.terms for c in rest.values()):
+            raise ValueError("an elimination polynomial is not t^h P(t - 1/t)")
+        in_z.append(coefficients)
+    first, second = in_z
+    terms = tuple(first + second)
+    return terms, _degrees(terms, 3), len(first)
 
 
 def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
     """Resultant in t of the elimination system at (r, x, y), as (numerator, denominator).
 
-    The 20 coefficients come out of :func:`_evaluate_cleared` as integers
-    over one common denominator D, and Res(D f, D g) = D^(m + n) Res(f, g)
-    with m + n = 18, so the integer vectors go to :func:`resultant` and
-    D^18 is the denominator.
+    Res_t(f, g) = Res_z(F, G)^2 for the F and G of :func:`_system`.  With
+    m = 10, n = 8 and lc(g) = lc(G), Res_t(f, g) = (-1)^(mn) Res_t(g, f) =
+    lc(G)^10 prod f(beta) over the 8 roots beta of g.  These pair off as
+    the two roots of t - 1/t = zeta, one pair per root zeta of G, with
+    product -1, so f(beta) f(-1/beta) = (-1)^5 F(zeta)^2 and the product is
+    (-1)^4 prod_zeta F(zeta)^2.  That leaves (lc(G)^5 prod F(zeta))^2 =
+    Res_z(G, F)^2, and Res_z(G, F) = (-1)^(5 * 4) Res_z(F, G) = Res_z(F, G).
+
+    The 11 coefficients come out of :func:`_evaluate_cleared` as integers
+    over one common denominator D, and Res(D F, D G) = D^(5 + 4) Res(F, G),
+    so the integer vectors go to :func:`resultant`, whose value is squared,
+    and D^18 is the denominator: the same pair as Res_t(D f, D g) and D^18,
+    since f and g take the same D.
     """
     terms, degrees, split = _system()
     values, den = _evaluate_cleared(terms, degrees, (r, x, y))
-    return resultant(values[:split], values[split:]), den ** (len(values) - 2)
+    return resultant(values[:split], values[split:]) ** 2, den ** (2 * (len(values) - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +810,10 @@ def verify_sextic_resultant_identity(
     points; every held-out residual must be exactly zero, and only that
     check can declare success.  At each point Res, E and C are integers
     over known denominators: power tables of the coordinates clear every
-    term, the integer coefficient vectors of the system go to
-    :func:`resultant`'s subresultant remainder sequence, and Res - E * C is
-    one integer cross-difference.
+    term, Res is taken as Res_z(F, G)^2 in z = t - 1/t (:func:`_system`),
+    the integer coefficient vectors of F and G going to :func:`resultant`'s
+    subresultant remainder sequence, and Res - E * C is one integer
+    cross-difference.
 
     The held-out points are taken in draw order, and the first nonzero
     residual rejects the candidate.  Then the 29 sections y = y_k of one

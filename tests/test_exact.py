@@ -61,6 +61,15 @@ def test_no_zero_coefficients_stored(p):
     assert not cancelled.terms
 
 
+def test_a_scalar_minus_a_polynomial_is_a_polynomial():
+    (t,) = exact.ExactPoly.generators(("t",))
+    assert 1 - t**2 == -(t**2) + 1
+    assert Q(1, 2) - t == -(t - Q(1, 2))
+    assert (1 - t).evaluate({"t": 3}) == -2
+    with pytest.raises(TypeError):
+        1.5 - t
+
+
 def test_exponent_mismatch_rejected():
     with pytest.raises(ValueError):
         exact.ExactPoly(("x",), {(1, 2): 1})
@@ -472,6 +481,18 @@ def resultant_at(r, x, y):
     return Q(*exact._system_resultant(Q(r), Q(x), Q(y)))
 
 
+def t_coefficients(r, x, y):
+    """f's and g's coefficients at an exact point, each descending in t: the 10 x 8 route.
+
+    Each is taken term by term in Fractions (``fraction_evaluate``), apart
+    from the cleared evaluator and from the tables in z of ``exact._system``.
+    """
+    return [
+        [fraction_evaluate(c.terms, (r, x, y)) for c in reversed(p.univariate_coefficients("t"))]
+        for p in exact.envelope_system()
+    ]
+
+
 @pytest.mark.parametrize("r", [Q(1, 2), Q(355, 113), Q(2**127 - 1, 2**127 - 3)], ids=str)
 def test_the_resultant_is_even_in_x(r):
     # The certificate takes Res at the distinct |x| only and fits it in x^2.
@@ -557,10 +578,7 @@ def test_resultant_matches_the_sylvester_reference_through_abnormal_steps(f, g):
 def test_the_system_at_x_zero_matches_the_sylvester_reference(r, y):
     # At x = 0 both polynomials are in t^2 only, so every remainder drops by
     # 2 or more degrees; the certificate's section reports take Res there.
-    point = {"r": r, "x": Q(0), "y": y}
-    terms, _, split = exact._system()
-    values = [exact.ExactPoly(("r", "x", "y"), t).evaluate(point) for t in terms]
-    f, g = values[:split], values[split:]
+    f, g = t_coefficients(r, Q(0), y)
     assert not any(f[1::2]) and not any(g[1::2])
     assert exact.resultant(f, g) == sylvester_resultant(f, g) == resultant_at(r, 0, y) != 0
 
@@ -595,6 +613,64 @@ def test_resultant_vanishes_on_envelope_points_only():
         assert float(on_curve / companion) < 1e-5
         count += 1
     assert count == 50
+
+
+# ---------------------------------------------------------------------------
+# The elimination in z = t - 1/t
+# ---------------------------------------------------------------------------
+
+
+def test_the_tables_in_z_rebuild_the_elimination_system():
+    # f = t^5 F(t - 1/t) = sum_j F_j (t^2 - 1)^j t^(5 - j), and g = t^4 G(t - 1/t) likewise.
+    t, r, x, y = exact.ExactPoly.generators(("t", "r", "x", "y"))
+    terms, _, split = exact._system()
+    lifted = [exact.ExactPoly(("t", "r", "x", "y"), {(0, *e): c for e, c in table.items()}) for table in terms]
+    in_z = lifted[:split], lifted[split:]
+    for p, coefficients in zip(exact.envelope_system(), in_z):
+        h = len(coefficients) - 1
+        terms = (c * (t**2 - 1) ** j * t ** (h - j) for j, c in zip(range(h, -1, -1), coefficients))
+        assert sum(terms, 0) == p and p.degree("t") == 2 * h
+    assert in_z == (
+        [-(r**2), 0, -8 * r**2, 8 * x * y, 16 * (x**2 - y**2 - r**2), -32 * x * y],
+        [-(r**2), 0, 4 * x**2 - 8 * r**2 - 4, -16 * x * y, 16 * (y**2 - r**2 - 1)],
+    )
+
+
+def test_a_system_without_the_symmetry_under_t_to_minus_one_over_t_raises(monkeypatch):
+    assert exact._system.__wrapped__() == exact._system()
+    first, second = exact.envelope_system()
+    t = exact.ExactPoly.generators(("t", "r", "x", "y"))[0]
+    # a term of t^10 f(-1/t) + f(t); t^8 alone of g's pair t^8, 1; an odd degree
+    for pair in [(first + t, second), (first, second + t**8), (first, t * second)]:
+        monkeypatch.setattr(exact, "envelope_system", lambda: pair)
+        with pytest.raises(ValueError, match="not t\\^h P"):
+            exact._system.__wrapped__()
+
+
+def _halving_points():
+    """The x = 0 witnesses, x = y = 0, and 65 seeded points at five radii, negative coordinates included."""
+    points = [(Q(1, 2), Q(0), Q(5, 7)), (Q(355, 113), Q(0), Q(-180, 13)), (Q(2**127 - 1, 2**127 - 3), Q(0), Q(-3, 11))]
+    points += [(Q(1, 2), Q(0), Q(0)), (Q(-7, 3), Q(0), Q(0))]
+    rng = random.Random(39)
+    for r in (Q(1, 2), Q(-7, 3), Q(355, 113), Q(1, 1000), Q(2**127 - 1, 2**127 - 3)):
+        for _ in range(13):
+            x, y = (Q(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(2))
+            points.append((r, x, y))
+    return points
+
+
+def test_the_resultant_in_z_squared_is_the_resultant_in_t(monkeypatch):
+    points = _halving_points()
+    want = [exact.resultant(*t_coefficients(*point)) for point in points]
+    assert [w == 0 for w in want] == [x == y == 0 for _, x, y in points]
+    assert [point for point, w in zip(points, want) if resultant_at(*point) != w] == []
+    # Every system with one term of one table in z doubled is caught.
+    terms, degrees, split = exact._system()
+    for k, table in enumerate(terms):
+        for expo in table:
+            doubled = (*terms[:k], {**table, expo: 2 * table[expo]}, *terms[k + 1 :])
+            monkeypatch.setattr(exact, "_system", lambda: (doubled, degrees, split))
+            assert any(resultant_at(*point) != w for point, w in zip(points, want)), (k, expo)
 
 
 # ---------------------------------------------------------------------------
@@ -861,20 +937,16 @@ def _cleared_value(poly, point):
 def test_cleared_evaluator_matches_the_reference_on_the_system_coefficients():
     values = _rationals(11, 24)
     rng = random.Random(12)
-    first, second = exact.envelope_system()
-    up = [c for p in (first, second) for c in reversed(p.univariate_coefficients("t"))]
-    terms, degrees, f_count = exact._system()
-    assert f_count == len(first.univariate_coefficients("t")) == 11
-    assert [c.terms for c in up] == list(terms)
+    terms, degrees, _ = exact._system()
+    in_z = [exact.ExactPoly(("r", "x", "y"), c) for c in terms]
     for _ in range(60):
         point = tuple(rng.choice(values) for _ in range(3))
         sums, den = exact._evaluate_cleared(terms, degrees, point)
-        want = [fraction_evaluate(c.terms, point) for c in up]
+        want = [fraction_evaluate(c, point) for c in terms]
         assert [Q(s, den) for s in sums] == want
-        assert [c.evaluate(dict(zip(("r", "x", "y"), point))) for c in up] == want
+        assert [c.evaluate(dict(zip(("r", "x", "y"), point))) for c in in_z] == want
         if point[0]:
-            f, g = want[:f_count], want[f_count:]
-            assert Q(*exact._system_resultant(*point)) == exact.resultant(f, g)
+            assert Q(*exact._system_resultant(*point)) == exact.resultant(*t_coefficients(*point))
 
 
 @pytest.mark.parametrize("mutated", [False, True], ids=["sextic", "mutated"])
@@ -910,12 +982,9 @@ def test_cleared_evaluator_matches_the_reference_on_a_fitted_cofactor():
 
 def _reference_residuals(r, sextic, terms, points):
     """(x, y, Res - E C) at each point where it is nonzero, over Fraction reference values."""
-    system, _, split = exact._system()
     failures = []
     for x, y in points:
-        values = [fraction_evaluate(c, (r, x, y)) for c in system]
-        f, g = values[:split], values[split:]
-        residual = exact.resultant(f, g) - fraction_evaluate(
+        residual = exact.resultant(*t_coefficients(r, x, y)) - fraction_evaluate(
             sextic.terms, (x * x, y * y, r)
         ) * fraction_evaluate(terms, (x, y))
         if residual:
@@ -1077,6 +1146,52 @@ def test_the_eliminant_is_the_closed_form_cofactor_times_the_sextic_for_every_r(
     true, mutated = _eliminant_mismatches([exact.sextic_polynomial().terms, exact.mutated_sextic().terms])
     assert true == []
     assert len(mutated) > 19 * 15 * 11 // 2
+
+
+def test_the_resultant_in_z_is_the_closed_form_square_root_for_every_r():
+    """Res_z(F, G) = -2^20 r^4 (x^2 + y^2)^2 E(x^2, y^2, r) in Z[r, x, y].
+
+    F and G are the polynomials in z = t - 1/t of ``exact._system``, of
+    degree 5 and 4 with leading coefficient -r^2, so at r != 0 the
+    resultant commutes with evaluation.  Their 9 x 9 Sylvester matrix has 4
+    rows of F's coefficients and 5 of G's, each of degree at most 2 in r,
+    in x and in y, so Res_z has degree at most 4 * 2 + 5 * 2 = 18 in each.
+    The coefficients hold r only as r^2, and x and y only through x^2, y^2
+    and x y, which multiplies exactly F's even and G's odd powers of z.  So
+    negating x (or y) is F(z) -> -F(-z) and G(z) -> G(-z), and
+    Res(-F(-z), G(-z)) = (-1)^4 (-1)^(mn) Res(F, G), mn = 20: Res_z is a
+    polynomial of degree at most 9 in each of rho = r^2, u = x^2 and
+    v = y^2.  The right side has degrees 2 + 3 = 5 in rho, 2 + 4 = 6 in u
+    and 2 + 3 = 5 in v.  The difference vanishes on the grid r = 1..10,
+    x = 0..9, y = 0..9, whose 10 values of rho, u and v are distinct, so it
+    is zero (Alon, Combinatorial Nullstellensatz, CPC 8, 1999, Lemma 2.1).
+    Its square is the Res_t identity above.  The mutated sextic adds
+    u^2 r^6 to E, so it fails wherever r and x are nonzero.
+    """
+    terms, _, split = exact._system()
+    pair = [[exact.ExactPoly(("r", "x", "y"), c) for c in tables] for tables in (terms[:split], terms[split:])]
+    rows = [len(pair[1]) - 1, len(pair[0]) - 1]  # Sylvester rows of F, of G
+    bounds = [
+        sum(n * max(coeff.degree(v) for coeff in coeffs) for n, coeffs in zip(rows, pair))
+        for v in ("r", "x", "y")
+    ]
+    assert rows == [4, 5] and bounds == [18, 18, 18]
+    sextic, mutated = exact.sextic_polynomial(), exact.mutated_sextic()
+    assert [4 + sextic.degree("r"), 4 + 2 * sextic.degree("u"), 4 + 2 * sextic.degree("v")] == [10, 12, 10]
+
+    failing, mutated_failing = [], []
+    grid = [range(1, bounds[0] // 2 + 2), range(bounds[1] // 2 + 1), range(bounds[2] // 2 + 1)]
+    for rv, xv, yv in itertools.product(*grid):
+        point = {"r": rv, "x": xv, "y": yv}
+        res = exact.resultant(*([coeff.evaluate(point) for coeff in coeffs] for coeffs in pair))
+        factor = -(2**20) * rv**4 * (xv * xv + yv * yv) ** 2
+        sextic_point = {"u": xv * xv, "v": yv * yv, "r": rv}
+        if res != factor * sextic.evaluate(sextic_point):
+            failing.append((rv, xv, yv))
+        if res != factor * mutated.evaluate(sextic_point):
+            mutated_failing.append((rv, xv, yv))
+    assert failing == []
+    assert mutated_failing == list(itertools.product(range(1, 11), range(1, 10), range(10)))
 
 
 # ---------------------------------------------------------------------------

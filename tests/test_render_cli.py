@@ -7,6 +7,7 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -443,8 +444,10 @@ def test_verify_json_records_the_run_and_no_settings_of_its_grids(tmp_path, caps
 # mutated.  The last row mutates at (2^127 - 1)/(2^127 - 3): its exact
 # resultants carry the largest coefficients, and its failing section's
 # report takes them at x = 0, where the system has only even powers of t.
-# The certificate is exact integer and rational arithmetic, so these
-# hold on any platform.
+# The row after it is the plain certificate at that radius.  Both were
+# computed while Res_t(f, g) was still the 10 x 8 elimination in t, before it
+# became Res_z(F, G)^2 with z = t - 1/t.  The certificate is exact integer
+# and rational arithmetic, so these hold on any platform.
 RESULTANT_DIGESTS = [
     (["--r", "1/2,1/3,2"], 0, {
         "resultant.json": "99db95b41bbe29396f7937fc96e978f03b944d30b3fef0043d1b2c58c9725b07",
@@ -470,6 +473,10 @@ RESULTANT_DIGESTS = [
         "resultant.json": "7af2422a55da31004a2445dc09e2aec5f027c185975fdeeea47c30c492e9113f",
         "resultant.txt": "65df0363faa83c19540d56ed82ccd364117da8a19c119714df4aeda2c107205c",
     }),
+    (["--r", "170141183460469231731687303715884105727/170141183460469231731687303715884105725"], 0, {
+        "resultant.json": "77a281b4c6a881598bbf953e292ef6da352f6a5ae4110822f43c65cc5cd69cc1",
+        "resultant.txt": "69234884cdac756ca09d9a69c25ce0b01a27d4f90050507e3f5d7db7041f1c5f",
+    }),
 ]
 
 
@@ -479,6 +486,22 @@ def test_resultant_bytes_are_pinned(tmp_path, capsys, flags, code, digests):
     capsys.readouterr()
     found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
     assert found == digests
+
+
+def test_the_certificate_at_a_negative_radius_is_pinned():
+    # The command line refuses r < 0, so the plain certificate at r = -7/3 and
+    # seed 1 is pinned through the library: sha256 of its record, dumped with
+    # sorted keys, and of its text, computed with the elimination in t.
+    report = exact.verify_sextic_resultant_identity(Fraction(-7, 3), seed=1)
+    assert report.success
+    found = [
+        hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest(),
+        hashlib.sha256(report.to_text().encode()).hexdigest(),
+    ]
+    assert found == [
+        "23821dfe03fd8fd2f86bac02cb72bd13b60dd2b7fa578d1fa7836f78a78efc1a",
+        "11b3effed032724defd0b5c4475642234ad2e013e0c0cc669ea94b43482be505",
+    ]
 
 
 # The benchmark keeps its own copy of the expected outputs in
