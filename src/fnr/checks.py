@@ -18,8 +18,8 @@ exact route's certificate runs under ``fnr resultant``, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ CONVERGENCE_BOUND = 5e-3
 """Largest admissible support gap of the level-400 truncation."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     measured: float
     tolerance: float

@@ -29,10 +29,14 @@ sextic does not divide Res, by exact interpolation and division, so failure
 reports are exact too; only when no section fails are the remaining
 held-out residuals taken.  A certificate draws its grid and its held-out
 points once, at the start, and builds each sextic section only when the
-scan reaches it.  The held-out check and the section report take one
-residual, Res - E C as one integer cross-difference
+scan reaches it.  It also puts its r into the 11 coefficient tables of F
+and G and into the sextic once (:func:`_fold`), so that every point it
+takes is evaluated in x and y only.  The held-out check and the section
+report take one residual, Res - E C as one integer cross-difference
 (:meth:`_Certificate.residuals`, a generator), from values that are integer
-sums over known denominators (:func:`_evaluate_cleared`).
+sums over known denominators (:func:`_evaluate_cleared`, one call for E and
+C together); the integer coefficient vectors of F and G take
+:func:`resultant`'s path without Fractions.
 
 Rationals are plain :class:`fractions.Fraction` values: arbitrary-precision
 numerator, positive denominator, always in lowest terms.  Polynomials are
@@ -46,9 +50,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -90,34 +93,55 @@ def _degrees(polys: Sequence[Mapping[tuple, Scalar]], nvars: int) -> tuple:
     return tuple(max((expo[i] for terms in polys for expo in terms), default=0) for i in range(nvars))
 
 
-def _evaluate_cleared(polys: Sequence[Mapping[tuple, int]], degrees: Sequence[int], point) -> tuple:
-    """Integer-coefficient polynomials at one rational point, over one common denominator.
+def _powers(value: Fraction, degree: int) -> list:
+    """[a^i b^(degree - i) for i = 0..degree] for value = a/b in lowest terms: its powers times b^degree."""
+    a, b = value.numerator, value.denominator
+    table = [b**degree]
+    for _ in range(degree):
+        table.append(table[-1] // b * a)
+    return table
 
-    For the value a/b (lowest terms) of a variable of degree at most D the
-    point builds one table a^i b^(D - i), i = 0..D: the powers of a/b times
-    b^D.  A term c x^i y^j ... is then the integer c * table_x[i] *
-    table_y[j] ..., so each polynomial's value is an integer sum over the
-    common denominator prod b^D, and no Fraction is built per term.  Returns
-    the list of sums, one per polynomial, and that denominator.
+
+def _fold(polys: Sequence[Mapping[tuple, int]], value: Fraction, slot: int, place) -> tuple:
+    """Integer term tables with ``value`` = a/b put in for one variable, as ``(tables, b^D)``.
+
+    Slot ``slot`` of each exponent is that variable's power k, and D is the
+    largest k in ``polys``.  A term c ... v^k ... adds c a^k b^(D - k)
+    (:func:`_powers`) to the term at exponent ``place(expo)`` of its new
+    table, so each new table, over b^D, is its polynomial at the value, in
+    the variables that ``place`` keeps.  Terms that cancel are dropped.  A
+    certificate folds its r into its tables once (:class:`_Certificate`),
+    and :meth:`ExactPoly.evaluate` folds its variables one at a time.
     """
+    weights = _powers(value, max((expo[slot] for terms in polys for expo in terms), default=0))
     tables = []
-    den = 1
-    for value, degree in zip(point, degrees):
-        a, b = value.numerator, value.denominator
-        table = [b**degree]
-        for _ in range(degree):
-            table.append(table[-1] // b * a)
-        tables.append(table)
-        den *= table[0]
-    sums = []
     for terms in polys:
-        total = 0
+        folded = {}
         for expo, c in terms.items():
-            for table, e in zip(tables, expo):
-                c *= table[e]
-            total += c
-        sums.append(total)
-    return sums, den
+            key = place(expo)
+            folded[key] = folded.get(key, 0) + c * weights[expo[slot]]
+        tables.append({key: c for key, c in folded.items() if c})
+    return tables, weights[0]
+
+
+def _evaluate_cleared(polys: Sequence[Mapping[tuple, int]], degrees: Sequence[int], x, y) -> tuple:
+    """Integer-coefficient polynomials in (x, y) at one rational point, over one common denominator.
+
+    For x = a/b (lowest terms) and D = ``degrees[0]``, its degree bound in
+    ``polys``, the point builds one table a^i b^(D - i), i = 0..D: the
+    powers of x times b^D (:func:`_powers`); likewise for y.  A term
+    c x^i y^j is then the integer c * table_x[i] * table_y[j], so each
+    polynomial's value is an integer sum over the common denominator, the
+    product of the tables' first entries, and no Fraction is built per
+    term.  The tables are shared by every polynomial in ``polys``.  This is
+    the certificate's one per-point evaluation: a certificate folds its r
+    into its tables once (:func:`_fold`), so each of its points is
+    evaluated in x and y only.  Returns the list of sums, one per
+    polynomial, and that denominator.
+    """
+    table_x, table_y = _powers(x, degrees[0]), _powers(y, degrees[1])
+    sums = [sum([c * table_x[i] * table_y[j] for (i, j), c in terms.items()]) for terms in polys]
+    return sums, table_x[0] * table_y[0]
 
 
 class ExactPoly:
@@ -262,14 +286,16 @@ class ExactPoly:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Exact evaluation; every variable must be assigned."""
+        """Exact evaluation; every variable must be assigned, and each is folded in by :func:`_fold`."""
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise ValueError(f"missing assignments for {missing}")
         terms, scale = _cleared_terms(self.terms)
-        point = [Fraction(values[v]) for v in self.variables]
-        (value,), den = _evaluate_cleared((terms,), _degrees((terms,), len(point)), point)
-        return Fraction(value, scale * den)
+        tables = [terms]
+        for variable in self.variables:  # each fold puts in the first variable left
+            tables, den = _fold(tables, Fraction(values[variable]), 0, lambda expo: expo[1:])
+            scale *= den
+        return Fraction(tables[0].get((), 0), scale)
 
     def __repr__(self):
         if not self.terms:
@@ -386,7 +412,9 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
     Res = 0; when B reaches degree 0, Res = lc(B)^d / h^(d - 1) with
     d = deg A, times -1 for each step where deg A and deg B are both odd.
     The clearing scales are divided back out, so the value is the canonical
-    resultant of the inputs as given.
+    resultant of the inputs as given.  When every coefficient is an int
+    there is nothing to clear, and the value is the int itself, with no
+    Fraction built.
     """
     f = [c if type(c) is int else Fraction(c) for c in f]
     g = [c if type(c) is int else Fraction(c) for c in g]
@@ -403,12 +431,12 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
         f, g, m, n = g, f, n, m
         sign = (-1) ** (m * n)
 
-    def cleared(coeffs):
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        return [c.numerator * (scale // c.denominator) for c in coeffs], scale
-
-    a, sf = cleared(f)
-    b, sg = cleared(g)
+    a, b, scale = f, g, 1
+    if any(type(c) is not int for c in (*f, *g)):
+        sf, sg = (math.lcm(*(c.denominator for c in p)) for p in (f, g))
+        a = [c.numerator * (sf // c.denominator) for c in f]
+        b = [c.numerator * (sg // c.denominator) for c in g]
+        scale = sf**n * sg**m
     lead = h = 1
     while len(b) > 1:
         delta = len(a) - len(b)
@@ -428,7 +456,8 @@ def resultant(f: Sequence[Scalar], g: Sequence[Scalar]) -> Scalar:
         lead = a[0]
         h = lead**delta * h // h**delta
     d = len(a) - 1
-    return _normalize_scalar(Fraction(sign * (b[0] ** d * h // h**d), sf**n * sg**m))
+    value = sign * (b[0] ** d * h // h**d)
+    return value if scale == 1 else _normalize_scalar(Fraction(value, scale))
 
 
 @functools.cache
@@ -467,26 +496,42 @@ def _system() -> tuple:
     return terms, _degrees(terms, 3), len(first)
 
 
-def _system_resultant(r: Fraction, x: Fraction, y: Fraction) -> tuple:
-    """Resultant in t of the elimination system at (r, x, y), as (numerator, denominator).
+def _folded_system(r: Fraction) -> tuple:
+    """The 11 tables of :func:`_system` at r, in (x, y): ``(tables, degrees, split, den)``.
 
-    Res_t(f, g) = Res_z(F, G)^2 for the F and G of :func:`_system`.  With
-    m = 10, n = 8 and lc(g) = lc(G), Res_t(f, g) = (-1)^(mn) Res_t(g, f) =
-    lc(G)^10 prod f(beta) over the 8 roots beta of g.  These pair off as
-    the two roots of t - 1/t = zeta, one pair per root zeta of G, with
-    product -1, so f(beta) f(-1/beta) = (-1)^5 F(zeta)^2 and the product is
-    (-1)^4 prod_zeta F(zeta)^2.  That leaves (lc(G)^5 prod F(zeta))^2 =
+    With r = n/d, a term c r^i x^j y^k of a coefficient becomes c n^i
+    d^(2 - i) x^j y^k (:func:`_fold`), so each coefficient, over the one
+    denominator den = d^2, is an integer table in x and y; ``degrees`` are
+    its largest exponents of x and y, and F's coefficients are
+    ``tables[:split]``.  A certificate folds once, for its r, so that its
+    points evaluate only in x and y.
+    """
+    terms, degrees, split = _system()
+    tables, den = _fold(terms, r, 0, lambda expo: expo[1:])
+    return tables, degrees[1:], split, den
+
+
+def _system_resultant(system: tuple, x: Fraction, y: Fraction) -> tuple:
+    """Resultant in t of the elimination system at (x, y), as (numerator, denominator).
+
+    ``system`` is :func:`_folded_system` at the radius r.  Res_t(f, g) =
+    Res_z(F, G)^2 for the F and G of :func:`_system`.  With m = 10, n = 8
+    and lc(g) = lc(G), Res_t(f, g) = (-1)^(mn) Res_t(g, f) = lc(G)^10
+    prod f(beta) over the 8 roots beta of g.  These pair off as the two
+    roots of t - 1/t = zeta, one pair per root zeta of G, with product -1,
+    so f(beta) f(-1/beta) = (-1)^5 F(zeta)^2 and the product is (-1)^4
+    prod_zeta F(zeta)^2.  That leaves (lc(G)^5 prod F(zeta))^2 =
     Res_z(G, F)^2, and Res_z(G, F) = (-1)^(5 * 4) Res_z(F, G) = Res_z(F, G).
 
     The 11 coefficients come out of :func:`_evaluate_cleared` as integers
-    over one common denominator D, and Res(D F, D G) = D^(5 + 4) Res(F, G),
-    so the integer vectors go to :func:`resultant`, whose value is squared,
-    and D^18 is the denominator: the same pair as Res_t(D f, D g) and D^18,
-    since f and g take the same D.
+    over one common denominator D, r's share of it folded in already, and
+    Res(D F, D G) = D^(5 + 4) Res(F, G), so the integer vectors go to
+    :func:`resultant`, whose value is squared, and D^18 is the denominator:
+    the same pair as Res_t(D f, D g) and D^18, since f and g take the same D.
     """
-    terms, degrees, split = _system()
-    values, den = _evaluate_cleared(terms, degrees, (r, x, y))
-    return resultant(values[:split], values[split:]) ** 2, den ** (2 * (len(values) - 2))
+    tables, degrees, split, r_den = system
+    values, den = _evaluate_cleared(tables, degrees, x, y)
+    return resultant(values[:split], values[split:]) ** 2, (r_den * den) ** (2 * (len(values) - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +561,10 @@ def _newton_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ResultantReport:
+class ResultantReport(NamedTuple):
     """Outcome of the divisibility certificate.
 
+    ``holdout_failures`` lists the nonzero residuals as (x, y, residual).
     ``cofactor`` is the certified cofactor's nonzero terms c x^i y^j as a
     table {(i, j): c}, or None.  The renderings also write the grid's degree
     bound, 28, and sample count, 1137, with the count's "fitting" share:
@@ -532,9 +577,9 @@ class ResultantReport:
     holdout_count: int
     seed: int
     success: bool
+    holdout_failures: list
     cofactor: dict | None = None
     cofactor_total_degree: int | None = None
-    holdout_failures: list = field(default_factory=list)
     failure_reason: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -628,16 +673,19 @@ class _Certificate:
 
     Construction validates r and builds every fixed input once: from one
     generator seeded by ``seed`` and r it draws the grid offsets and then
-    the 128 held-out coordinates ``draws``.  With ``mutate`` the sextic is
-    :func:`mutated_sextic`, its coefficients cleared once per certificate.
-    A sextic section E(u, y^2, r), :meth:`section`, is built only when a
-    scan reaches it.  One cleared-integer residual Res - E C,
-    :meth:`residuals`, yields the nonzero residuals one at a time, so that
-    :meth:`conclude` can stop a rejected candidate at its first; it serves
-    both the held-out check of the :meth:`candidate` cofactor and the
-    report of a section that does not divide (:meth:`section_failure`).  It
-    and the sections take every exact point value by
-    :func:`_evaluate_cleared`.
+    the 128 held-out coordinates ``draws``.  It also folds r, once, into
+    the two tables every point needs, so that a point is evaluated only in
+    x and y: the elimination system, :func:`_folded_system` (``system``),
+    and the sextic, cleared to integers and read in x and y as the table
+    {(2a, 2b): c} of E(x^2, y^2, r) (``sextic``, over ``sextic_scale``).
+    With ``mutate`` the sextic is :func:`mutated_sextic`.  A sextic section
+    E(u, y^2, r), :meth:`section`, is built only when a scan reaches it.
+    One cleared-integer residual Res - E C, :meth:`residuals`, yields the
+    nonzero residuals one at a time, so that :meth:`conclude` can stop a
+    rejected candidate at its first; it serves both the held-out check of
+    the :meth:`candidate` cofactor and the report of a section that does
+    not divide (:meth:`section_failure`).  It and the sections take every
+    exact point value by :func:`_evaluate_cleared`.
     """
 
     def __init__(self, r, seed, mutate=False):
@@ -663,19 +711,21 @@ class _Certificate:
         self.us = [x * x for x in self.x_magnitudes]
         self.ys = [Fraction(k - ys_count // 2) + off_y for k in range(ys_count)]
 
-        sextic = mutated_sextic() if mutate else sextic_polynomial()
-        self.sextic_terms, self.sextic_scale = _cleared_terms(sextic.terms)
-        self.sextic_degrees = _degrees((self.sextic_terms,), 3)
+        self.system = _folded_system(r)
+        terms, scale = _cleared_terms((mutated_sextic() if mutate else sextic_polynomial()).terms)
+        (self.sextic,), r_den = _fold((terms,), r, 2, lambda expo: (2 * expo[0], 2 * expo[1]))
+        self.sextic_scale = scale * r_den
+        self.sextic_degrees = _degrees((self.sextic,), 2)
 
     def section(self, y: Fraction) -> list:
         """The sextic section E(u, y^2, r): its coefficients, ascending in u."""
-        # The sextic's terms in (u, v, r) by their power of u: evaluated at
-        # u = 1, row i is the coefficient of u^i.
+        # The sextic's terms in (x, y) by their power 2i of x: evaluated at
+        # x = 1, row i is the coefficient of u^i.
         rows = [
-            {expo: c for expo, c in self.sextic_terms.items() if expo[0] == i}
-            for i in range(self.sextic_degrees[0] + 1)
+            {expo: c for expo, c in self.sextic.items() if expo[0] == 2 * i}
+            for i in range(self.sextic_degrees[0] // 2 + 1)
         ]
-        sums, den = _evaluate_cleared(rows, self.sextic_degrees, (Fraction(1), y * y, self.r))
+        sums, den = _evaluate_cleared(rows, self.sextic_degrees, Fraction(1), y)
         return [Fraction(c, self.sextic_scale * den) for c in sums]
 
     def candidate(self) -> dict:
@@ -686,21 +736,20 @@ class _Certificate:
         Res = E C there; for any other E it is a candidate that the held-out
         check rejects.
 
-        With r = n/d and D the sextic's degree in r, each term c u^a v^b r^k
-        contributes 2^40 c n^(8 + k) d^(D - k) over the one denominator
-        d^(8 + D) times the sextic's clearing scale, so the numerators are
-        summed as integers and each coefficient is one Fraction.
+        With r = n/d, each term c x^i y^j of the folded sextic, over
+        ``sextic_scale``, contributes 2^40 n^8 c to five terms of C over the
+        one denominator d^8 times that scale, so the numerators are summed
+        as integers and each coefficient is one Fraction.
         """
         n, d = self.r.numerator, self.r.denominator
-        degree = self.sextic_degrees[2]
-        weights = [2**40 * n ** (8 + k) * d ** (degree - k) for k in range(degree + 1)]
+        weight = 2**40 * n**8
         numerators = {}
-        for (a, b, k), c in self.sextic_terms.items():
-            coefficient = c * weights[k]
-            for i in range(5):  # the terms of (x^2 + y^2)^4
-                key = (2 * (a + i), 2 * (b + 4 - i))
-                numerators[key] = numerators.get(key, 0) + math.comb(4, i) * coefficient
-        den = d ** (8 + degree) * self.sextic_scale
+        for (i, j), c in self.sextic.items():
+            coefficient = weight * c
+            for k in range(5):  # the terms of (x^2 + y^2)^4
+                key = (i + 2 * k, j + 8 - 2 * k)
+                numerators[key] = numerators.get(key, 0) + math.comb(4, k) * coefficient
+        den = d**8 * self.sextic_scale
         return {key: Fraction(c, den) for key, c in numerators.items()}
 
     def residuals(self, terms: Mapping[tuple, Scalar], points):
@@ -709,18 +758,19 @@ class _Certificate:
         ``terms`` is C's table {(i, j): c} of c x^i y^j.  Res, E and C are
         integers over known denominators at each point (C's coefficients are
         cleared once, here), so Res - E C is one integer cross-difference,
-        made a Fraction only when it is nonzero.  Each point is evaluated
-        only when the next residual is asked for.
+        made a Fraction only when it is nonzero.  Res comes from the folded
+        system, and E and C, both tables in x and y, from one
+        :func:`_evaluate_cleared` call, whose power tables of x and y they
+        share, whatever C's exponents.  Each point is evaluated only when
+        the next residual is asked for.
         """
         cleared, scale = _cleared_terms(terms)
-        degrees = _degrees((cleared,), 2)
+        tables = (self.sextic, cleared)
+        degrees = _degrees(tables, 2)
         for x, y in points:
-            res, res_den = _system_resultant(self.r, x, y)
-            (sextic,), sextic_den = _evaluate_cleared(
-                (self.sextic_terms,), self.sextic_degrees, (x * x, y * y, self.r)
-            )
-            (cof,), cof_den = _evaluate_cleared((cleared,), degrees, (x, y))
-            den = self.sextic_scale * sextic_den * scale * cof_den  # E C = sextic cof / den
+            res, res_den = _system_resultant(self.system, x, y)
+            (sextic, cof), xy_den = _evaluate_cleared(tables, degrees, x, y)
+            den = self.sextic_scale * scale * xy_den**2  # E C = sextic cof / den
             residual = res * den - sextic * cof * res_den
             if residual:
                 yield x, y, Fraction(residual, res_den * den)
@@ -778,7 +828,7 @@ class _Certificate:
         abscissae, and the report gives the remainder's degree in x.
         """
         for y in self.ys:
-            values = [Fraction(*_system_resultant(self.r, x, y)) for x in self.x_magnitudes]
+            values = [Fraction(*_system_resultant(self.system, x, y)) for x in self.x_magnitudes]
             quot, rem = _divide_univariate(_newton_interpolate(self.us, values), self.section(y))
             if rem:
                 quotient = {(2 * i, 0): c for i, c in enumerate(quot)}
@@ -809,8 +859,8 @@ def verify_sextic_resultant_identity(
     elimination system is checked exactly at 64 pseudo-random rational
     points; every held-out residual must be exactly zero, and only that
     check can declare success.  At each point Res, E and C are integers
-    over known denominators: power tables of the coordinates clear every
-    term, Res is taken as Res_z(F, G)^2 in z = t - 1/t (:func:`_system`),
+    over known denominators: r is folded into every table once, power
+    tables of x and y clear every term, Res is taken as Res_z(F, G)^2 in z = t - 1/t (:func:`_system`),
     the integer coefficient vectors of F and G going to :func:`resultant`'s
     subresultant remainder sequence, and Res - E * C is one integer
     cross-difference.

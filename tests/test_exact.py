@@ -478,7 +478,7 @@ def test_resultant_vanishes_iff_common_root(c, g1, g0, h1, h0):
 
 def resultant_at(r, x, y):
     """Resultant in t of the elimination system at an exact point, as a Fraction."""
-    return Q(*exact._system_resultant(Q(r), Q(x), Q(y)))
+    return Q(*exact._system_resultant(exact._folded_system(Q(r)), Q(x), Q(y)))
 
 
 def t_coefficients(r, x, y):
@@ -583,16 +583,36 @@ def test_the_system_at_x_zero_matches_the_sylvester_reference(r, y):
     assert exact.resultant(f, g) == sylvester_resultant(f, g) == resultant_at(r, 0, y) != 0
 
 
+def _sparse_integer_polynomial(rng):
+    """Integer coefficients of degree 1 to 10, about 30% of them zero, nonzero leading one."""
+    lead = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return [lead] + [0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
+
+
 def test_resultant_matches_the_sylvester_reference_on_sparse_integer_pairs():
     rng = random.Random(32)
-
-    def polynomial():
-        lead = rng.choice((-1, 1)) * rng.randint(1, 9)
-        return [lead] + [0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(rng.randint(1, 10))]
-
     for _ in range(3000):
-        f, g = polynomial(), polynomial()
+        f, g = _sparse_integer_polynomial(rng), _sparse_integer_polynomial(rng)
         assert exact.resultant(f, g) == sylvester_resultant(f, g), (f, g)
+
+
+def test_the_resultant_of_integer_vectors_takes_no_fraction():
+    # All-integer pairs, the certificate's, skip the clearing: the value is an
+    # int, and it is what the Fraction path gives for the same pair as
+    # Fractions and, scaled back, for the pair scaled by rationals s and t:
+    # Res(s f, t g) = s^n t^m Res(f, g) for deg f = m and deg g = n.  The
+    # pairs are the all-integer abnormal ones and 300 sparse-integer ones.
+    rng = random.Random(40)
+    pairs = [(f, g) for f, g in ABNORMAL_PAIRS.values() if all(type(c) is int for c in f + g)]
+    pairs += [(_sparse_integer_polynomial(rng), _sparse_integer_polynomial(rng)) for _ in range(300)]
+    s, t = Q(3, 7), Q(-5, 2)
+    for f, g in pairs:
+        value = exact.resultant(f, g)
+        assert type(value) is int and value == sylvester_resultant(f, g), (f, g)
+        assert exact.resultant([Q(c) for c in f], g) == value
+        m, n = len(f) - 1, len(g) - 1
+        scaled = exact.resultant([s * c for c in f], [t * c for c in g])
+        assert scaled == s**n * t**m * value and (scaled == 0) == (value == 0), (f, g)
 
 
 def test_resultant_vanishes_on_envelope_points_only():
@@ -671,6 +691,8 @@ def test_the_resultant_in_z_squared_is_the_resultant_in_t(monkeypatch):
             doubled = (*terms[:k], {**table, expo: 2 * table[expo]}, *terms[k + 1 :])
             monkeypatch.setattr(exact, "_system", lambda: (doubled, degrees, split))
             assert any(resultant_at(*point) != w for point, w in zip(points, want)), (k, expo)
+            # and through a whole certificate, which folds the tables it finds
+            assert not exact.verify_sextic_resultant_identity(Q(1, 2), seed=1).success, (k, expo)
 
 
 # ---------------------------------------------------------------------------
@@ -743,13 +765,18 @@ def _exact_route(r, seed, mutate=False):
     """
     cert = exact._Certificate(r, seed, mutate)
     sextic = exact.mutated_sextic() if mutate else exact.sextic_polynomial()
+    system = exact._folded_system(cert.r)
+
+    def resultant_at_r(x, y):
+        return Q(*exact._system_resultant(system, x, y))
+
     bound = exact._DEGREE_BOUND
     xs = [-x for x in reversed(cert.x_magnitudes[1:])] + cert.x_magnitudes
     assert len(xs) == len(set(xs)) == bound + 9
     section_quotients = []
     for y in cert.ys:
         in_u = cert.section(y)
-        values = [resultant_at(cert.r, x, y) for x in xs]
+        values = [resultant_at_r(x, y) for x in xs]
         res_section = exact._newton_interpolate(xs, values)
         # E(x^2, y^2, r) in x: the coefficient of u^i at x^(2i).
         in_x = [Q(0)] * (2 * len(in_u) - 1)
@@ -763,7 +790,7 @@ def _exact_route(r, seed, mutate=False):
             for xh in cert.draws[:8]:
                 quot_h = quotient.evaluate({"x": xh})
                 sextic_h = sextic.evaluate({"u": xh * xh, "v": y * y, "r": cert.r})
-                failures.append((xh, y, resultant_at(cert.r, xh, y) - sextic_h * quot_h))
+                failures.append((xh, y, resultant_at_r(xh, y) - sextic_h * quot_h))
             return exact.ResultantReport(
                 r=cert.r,
                 holdout_count=len(failures),
@@ -928,25 +955,48 @@ def _rationals(seed, count):
     return values
 
 
-def _cleared_value(poly, point):
+def _cleared_value(poly, x, y):
+    """A polynomial in (x, y) at one point, by the certificate's per-point evaluator."""
     terms, scale = exact._cleared_terms(poly.terms)
-    (value,), den = exact._evaluate_cleared((terms,), exact._degrees((terms,), len(point)), point)
+    (value,), den = exact._evaluate_cleared((terms,), exact._degrees((terms,), 2), x, y)
     return Q(value, scale * den)
 
 
 def test_cleared_evaluator_matches_the_reference_on_the_system_coefficients():
     values = _rationals(11, 24)
     rng = random.Random(12)
-    terms, degrees, _ = exact._system()
+    terms = exact._system()[0]
     in_z = [exact.ExactPoly(("r", "x", "y"), c) for c in terms]
     for _ in range(60):
-        point = tuple(rng.choice(values) for _ in range(3))
-        sums, den = exact._evaluate_cleared(terms, degrees, point)
+        point = r, x, y = tuple(rng.choice(values) for _ in range(3))
+        system = tables, degrees, _, r_den = exact._folded_system(r)
+        sums, den = exact._evaluate_cleared(tables, degrees, x, y)
         want = [fraction_evaluate(c, point) for c in terms]
-        assert [Q(s, den) for s in sums] == want
+        assert [Q(s, r_den * den) for s in sums] == want
         assert [c.evaluate(dict(zip(("r", "x", "y"), point))) for c in in_z] == want
-        if point[0]:
-            assert Q(*exact._system_resultant(*point)) == exact.resultant(*t_coefficients(*point))
+        if r:
+            assert Q(*exact._system_resultant(system, x, y)) == exact.resultant(*t_coefficients(*point))
+
+
+@pytest.mark.parametrize("r", [Q(1, 2), Q(-7, 3), Q(-998, 997), Q(355, 113), Q(2**127 - 1, 2**127 - 3)], ids=str)
+def test_the_tables_folded_at_r_are_the_system_and_the_sextic_at_r(r):
+    # A certificate puts its r into the 11 tables in z and into the sextic
+    # once; at every (x, y), the axes included, the folded integer tables in
+    # (x, y) over their denominators are the unfolded polynomials at (r, x, y).
+    terms, _, split = exact._system()
+    system = tables, degrees, folded_split, r_den = exact._folded_system(r)
+    assert (len(tables), folded_split) == (len(terms), split)
+    assert all(len(e) == 2 and type(c) is int for table in tables for e, c in table.items())
+    points = [(Q(0), Q(0)), (Q(0), Q(-5, 7)), (Q(3, 11), Q(0)), (Q(-999, 2), Q(1, 999))]
+    for mutate, sextic in [(False, exact.sextic_polynomial()), (True, exact.mutated_sextic())]:
+        cert = exact._Certificate(r, 1, mutate)
+        assert cert.system == system
+        assert all(i % 2 == j % 2 == 0 and type(c) is int for (i, j), c in cert.sextic.items())
+        for x, y in points + list(zip(cert.draws[:16:2], cert.draws[1:16:2])):
+            sums, den = exact._evaluate_cleared(tables, degrees, x, y)
+            assert [Q(s, r_den * den) for s in sums] == [fraction_evaluate(c, (r, x, y)) for c in terms]
+            (value,), den = exact._evaluate_cleared((cert.sextic,), cert.sextic_degrees, x, y)
+            assert Q(value, cert.sextic_scale * den) == fraction_evaluate(sextic.terms, (x * x, y * y, r))
 
 
 @pytest.mark.parametrize("mutated", [False, True], ids=["sextic", "mutated"])
@@ -965,7 +1015,8 @@ def test_cleared_evaluator_matches_the_reference_on_the_sextic(mutated):
             for y in values[::3]:
                 want = fraction_evaluate(sextic.terms, (x * x, y * y, r))
                 assert sextic.evaluate({"u": x * x, "v": y * y, "r": r}) == want
-                assert _cleared_value(sextic, (x * x, y * y, r)) == want
+                (value,), den = exact._evaluate_cleared((cert.sextic,), cert.sextic_degrees, x, y)
+                assert Q(value, cert.sextic_scale * den) == want
 
 
 def test_cleared_evaluator_matches_the_reference_on_a_fitted_cofactor():
@@ -976,7 +1027,7 @@ def test_cleared_evaluator_matches_the_reference_on_a_fitted_cofactor():
     for x in values:
         for y in values[::2]:
             want = fraction_evaluate(terms, (x, y))
-            assert _cleared_value(cofactor, (x, y)) == want
+            assert _cleared_value(cofactor, x, y) == want
             assert cofactor.evaluate({"x": x, "y": y}) == want
 
 
@@ -1078,10 +1129,11 @@ def test_certified_cofactor_proves_the_identity_at_half_on_a_tensor_grid():
     cofactor = exact.ExactPoly(("x", "y"), exact.verify_sextic_resultant_identity(r, seed=1).cofactor)
     assert cofactor.degree("x") <= 20 and cofactor.degree("y") <= 14
     sextic, mutated = exact.sextic_polynomial(), exact.mutated_sextic()
+    system = exact._folded_system(r)
     failing, off_axis = [], []
     for x in (Q(i - 14, 3) for i in range(29)):
         for y in (Q(j - 10, 4) for j in range(21)):
-            res = resultant_at(r, x, y)
+            res = Q(*exact._system_resultant(system, x, y))
             cof = cofactor.evaluate({"x": x, "y": y})
             point = {"u": x * x, "v": y * y, "r": r}
             assert res == sextic.evaluate(point) * cof, (x, y)
@@ -1103,9 +1155,10 @@ def _eliminant_mismatches(sextics):
     """The integer grid points (r, x, y) where Res differs from 2^40 r^8 (x^2 + y^2)^4 E^2, per sextic."""
     mismatches = [[] for _ in sextics]
     for r in range(1, 20):
+        system = exact._folded_system(Q(r))
         for x in range(15):
             for y in range(11):
-                res, den = exact._system_resultant(Q(r), Q(x), Q(y))
+                res, den = exact._system_resultant(system, Q(x), Q(y))
                 assert den == 1
                 u, v = x * x, y * y
                 factor = 2**40 * r**8 * (u + v) ** 4

@@ -355,6 +355,13 @@ def test_resultant_runs_on_the_standard_library(tmp_path, flags, code):
     assert _fresh_cli_run(argv, watched) == [code, []]
 
 
+def test_resultant_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # The reports are NamedTuples: importing the two modules for a dataclass
+    # would cost every fnr command about 7 ms of start-up.
+    argv = ["resultant", "--r", "1/2", "--out", str(tmp_path)]
+    assert _fresh_cli_run(argv, ["dataclasses", "inspect"]) == [0, []]
+
+
 def test_the_figures_leave_the_truncation_route_unimported(tmp_path):
     argv = ["boundary", "--r", "0.5", "--samples", "90", "--out", str(tmp_path)]
     assert _fresh_cli_run(argv, ["fnr.truncation", "fnr.checks"]) == [0, []]
